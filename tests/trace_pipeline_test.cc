@@ -306,6 +306,170 @@ TEST(TracePipeline, GoldenCheckpointRestartExports) {
                                      c.sim().tracer().ExportChromeJson());
 }
 
+// Scripted control-channel faults for the coordination goldens: each
+// armed drop loses the first matching transmission once, and one image
+// write on one node can be made to fail. No randomness, so the scenario
+// pins exact retransmit and abort paths.
+class ScriptedFaults : public fault::Injector {
+ public:
+  struct Drop {
+    std::string sender;  // node name
+    std::uint32_t dst_ip = 0;
+    coord::MsgType type = coord::MsgType::kCheckpoint;
+  };
+  std::vector<Drop> drops;
+  std::string fail_write_node;
+  std::uint32_t fail_writes = 0;
+
+  fault::MessageFate OnControlSend(const std::string& sender,
+                                   std::uint32_t dst_ip,
+                                   std::uint8_t type) override {
+    for (auto it = drops.begin(); it != drops.end(); ++it) {
+      if (it->sender == sender && it->dst_ip == dst_ip &&
+          static_cast<std::uint8_t>(it->type) == type) {
+        drops.erase(it);
+        fault::MessageFate fate;
+        fate.drop = true;
+        return fate;
+      }
+    }
+    return {};
+  }
+  bool FailImageWrite(const std::string& node, const std::string&) override {
+    if (node != fail_write_node || fail_writes == 0) return false;
+    --fail_writes;
+    return true;
+  }
+};
+
+struct OpSummary {
+  std::uint32_t total_messages, coordinator_messages, retransmits, aborts;
+  std::string abort_reason;
+};
+
+OpSummary Summarize(const coord::Coordinator::OpStats& s) {
+  return {s.total_messages, s.coordinator_messages, s.retransmits, s.aborts,
+          s.abort_reason};
+}
+
+void ExpectSummary(const OpSummary& got, const OpSummary& want,
+                   const char* op) {
+  EXPECT_EQ(got.total_messages, want.total_messages) << op;
+  EXPECT_EQ(got.coordinator_messages, want.coordinator_messages) << op;
+  EXPECT_EQ(got.retransmits, want.retransmits) << op;
+  EXPECT_EQ(got.aborts, want.aborts) << op;
+  EXPECT_EQ(got.abort_reason, want.abort_reason) << op;
+}
+
+// Fault-path goldens for the coordination protocol. One script, run over
+// a 3-wide tree (fan_out = 3: two shards) and flat, on 6 nodes with the
+// Fig. 4 variant, copy-on-write and tiered storage:
+//  1. a checkpoint that loses one agent <checkpoint> (the driving
+//     coordinator retransmits it) and one upward <shard-done> / <done>
+//     (the root retransmits; the sub or agent re-answers from its reply
+//     cache);
+//  2. a checkpoint in which one agent's image write fails, so it reports
+//     <failed> and the op aborts with image GC;
+//  3. a restart of every pod from op 1's images.
+// The JSONL trace, the metrics dump and each op's message/abort counters
+// are pinned, covering the retransmit, reply-cache and abort paths the
+// fault-free golden above never reaches.
+struct FaultScriptResult {
+  OpSummary checkpoint, failed, restart;
+  std::string jsonl, metrics;
+};
+
+FaultScriptResult RunCoordFaultScript(std::uint32_t fan_out) {
+  ClusterConfig config;
+  config.seed = 20261017;
+  config.num_nodes = 6;
+  Cluster c(config);
+  ScriptedFaults faults;
+  c.coordinator().set_fault_injector(&faults);
+  for (std::size_t i = 0; i < c.num_nodes(); ++i) {
+    c.agent(i).set_fault_injector(&faults);
+    c.shard_coordinator(i).set_fault_injector(&faults);
+  }
+  std::vector<coord::Coordinator::Member> members;
+  std::vector<os::PodId> pods;
+  for (std::size_t i = 0; i < c.num_nodes(); ++i) {
+    pods.push_back(SpawnCounterPod(c, i, "p" + std::to_string(i)));
+    members.push_back(c.MemberFor(i, pods.back()));
+  }
+  c.sim().RunFor(10 * kMillisecond);
+
+  coord::Coordinator::Options options;
+  options.variant = coord::ProtocolVariant::kOptimized;
+  options.copy_on_write = true;
+  options.tiered = true;
+  options.fan_out = fan_out;
+  options.retransmit_interval = 300 * kMillisecond;
+  options.timeout = 60 * kSecond;
+
+  // Op 1. Tree: the shard-0 sub (node0) loses its <checkpoint> to node1,
+  // and the shard-1 sub (node3) loses its <shard-done>. Flat: the root
+  // loses its <checkpoint> to node1, and node3's agent loses its <done>.
+  const std::uint32_t root_ip = c.coordinator_node().ip().value;
+  faults.drops.push_back(
+      {fan_out > 0 ? c.node(0).name() : c.coordinator_node().name(),
+       c.node(1).ip().value, coord::MsgType::kCheckpoint});
+  faults.drops.push_back(
+      {c.node(3).name(), root_ip,
+       fan_out > 0 ? coord::MsgType::kShardDone : coord::MsgType::kDone});
+  options.image_prefix = "/ckpt/faults1";
+  auto ckpt = c.RunCheckpoint(members, options);
+  EXPECT_TRUE(ckpt.success);
+  EXPECT_TRUE(faults.drops.empty());
+  c.sim().RunFor(200 * kMillisecond);
+
+  // Op 2: node4's background image write fails.
+  faults.fail_write_node = c.node(4).name();
+  faults.fail_writes = 1;
+  options.image_prefix = "/ckpt/faults2";
+  auto failed = c.RunCheckpoint(members, options);
+  EXPECT_FALSE(failed.success);
+  EXPECT_EQ(faults.fail_writes, 0u);
+  EXPECT_TRUE(c.fs().List("/ckpt/faults2/").empty());
+  EXPECT_EQ(c.tiered().BytesUnderPrefix("/ckpt/faults2/"), 0u);
+  c.sim().RunFor(200 * kMillisecond);
+
+  // Op 3: roll every pod back to op 1's images.
+  for (std::size_t i = 0; i < c.num_nodes(); ++i) {
+    c.pods(i).DestroyPod(pods[i]);
+  }
+  c.sim().RunFor(50 * kMillisecond);
+  auto restart = c.RunRestart(members, ckpt.image_paths, options);
+  EXPECT_TRUE(restart.success);
+  c.sim().RunFor(100 * kMillisecond);
+
+  return {Summarize(ckpt), Summarize(failed), Summarize(restart),
+          c.sim().tracer().ExportJsonl(), c.sim().metrics().ExportJson()};
+}
+
+TEST(TracePipeline, GoldenCoordFaultsTree) {
+  FaultScriptResult r = RunCoordFaultScript(/*fan_out=*/3);
+  ExpectSummary(r.checkpoint, {43, 6, 2, 0, ""}, "checkpoint");
+  ExpectSummary(r.failed, {41, 12, 0, 8, "shard 167772164 failed"},
+                "failed checkpoint");
+  ExpectSummary(r.restart, {32, 4, 0, 0, ""}, "restart");
+  cruz::testing::ExpectMatchesGolden("coord_faults_tree_trace.jsonl",
+                                     r.jsonl);
+  cruz::testing::ExpectMatchesGolden("coord_faults_tree_metrics.json",
+                                     r.metrics);
+}
+
+TEST(TracePipeline, GoldenCoordFaultsFlat) {
+  FaultScriptResult r = RunCoordFaultScript(/*fan_out=*/0);
+  ExpectSummary(r.checkpoint, {32, 14, 2, 0, ""}, "checkpoint");
+  ExpectSummary(r.failed, {35, 18, 0, 6, "member 167772165 failed"},
+                "failed checkpoint");
+  ExpectSummary(r.restart, {24, 12, 0, 0, ""}, "restart");
+  cruz::testing::ExpectMatchesGolden("coord_faults_flat_trace.jsonl",
+                                     r.jsonl);
+  cruz::testing::ExpectMatchesGolden("coord_faults_flat_metrics.json",
+                                     r.metrics);
+}
+
 // Post-copy migration golden: a fixed-seed scribbler pod migrated with
 // demand paging + background push, exports pinned byte-for-byte. Two
 // same-binary runs must agree exactly (determinism of the page-channel
