@@ -23,6 +23,14 @@ JobScheduler::~JobScheduler() {
   }
 }
 
+std::size_t JobScheduler::LiveNodeCount() const {
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < cluster_.num_nodes(); ++i) {
+    if (!cluster_.node(i).failed()) ++live;
+  }
+  return live;
+}
+
 std::size_t JobScheduler::NextLiveNode() {
   for (std::size_t tries = 0; tries < cluster_.num_nodes(); ++tries) {
     std::size_t candidate = placement_cursor_;
@@ -34,6 +42,10 @@ std::size_t JobScheduler::NextLiveNode() {
 
 std::uint64_t JobScheduler::Submit(JobSpec spec) {
   CRUZ_CHECK(!spec.tasks.empty(), "job with no tasks");
+  // One pod per node: the coordinator checkpoints one pod per agent.
+  if (spec.tasks.size() > LiveNodeCount()) {
+    throw UsageError("job " + spec.name + " has more tasks than live nodes");
+  }
   Job job;
   job.id = next_job_id_++;
   job.spec = std::move(spec);
@@ -138,6 +150,13 @@ void JobScheduler::HandleNodeFailure(std::size_t node_index) {
       job.state = JobState::kFailed;
       CRUZ_WARN("sched") << "job " << id
                          << " lost with no checkpoint; marked failed";
+      continue;
+    }
+    if (LiveNodeCount() < job.tasks.size()) {
+      job.state = JobState::kFailed;
+      CRUZ_WARN("sched") << "job " << id
+                         << " lost: fewer live nodes than tasks; marked "
+                            "failed";
       continue;
     }
     // Kill the survivors (their state is inconsistent with the failed

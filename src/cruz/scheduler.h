@@ -2,7 +2,8 @@
 // LSF, a job scheduler for clusters").
 //
 // A job is a set of tasks, one pod per task, placed round-robin across
-// live nodes. The scheduler can checkpoint a job periodically (the §6
+// live nodes, at most one task per node (the coordinator checkpoints one
+// pod per agent). The scheduler can checkpoint a job periodically (the §6
 // experiments checkpoint every 8 seconds of execution), and recovers from
 // node failures by coordinated restart of the whole job from its most
 // recent checkpoint images on the surviving nodes — the fault-tolerance
@@ -65,7 +66,8 @@ class JobScheduler {
   explicit JobScheduler(Cluster& cluster);
   ~JobScheduler();
 
-  // Places and starts a job. Returns its id.
+  // Places and starts a job. Returns its id. Throws UsageError if the job
+  // has more tasks than there are live nodes.
   std::uint64_t Submit(JobSpec spec);
 
   const Job* Find(std::uint64_t id) const;
@@ -76,7 +78,7 @@ class JobScheduler {
 
   // Reacts to a node failure: every job with a task on that node is
   // restarted from its last checkpoint on the surviving nodes (or marked
-  // failed if it was never checkpointed).
+  // failed if it was never checkpointed or fewer nodes than tasks survive).
   void HandleNodeFailure(std::size_t node_index);
 
   // Reads a task's process (nullptr once it exited).
@@ -86,6 +88,7 @@ class JobScheduler {
   void PollJobs();
   void ScheduleCheckpointTimer(std::uint64_t id);
   std::size_t NextLiveNode();
+  std::size_t LiveNodeCount() const;
 
   Cluster& cluster_;
   std::map<std::uint64_t, Job> jobs_;

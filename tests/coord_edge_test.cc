@@ -101,6 +101,8 @@ TEST(CoordEdge, StrayProtocolMessagesIgnored) {
 TEST(CoordEdge, ManyPodsOneCheckpointEach) {
   // Eight pods across four nodes, checkpointed two at a time (the
   // coordinator handles one operation at a time; callers sequence them).
+  // Each op takes its two pods from different nodes: an agent serves one
+  // pod per op.
   ClusterConfig config;
   config.num_nodes = 4;
   Cluster c(config);
@@ -114,13 +116,16 @@ TEST(CoordEdge, ManyPodsOneCheckpointEach) {
   c.sim().RunFor(10 * kMillisecond);
   for (int pair = 0; pair < 4; ++pair) {
     std::size_t a = static_cast<std::size_t>(pair);
-    std::size_t b = static_cast<std::size_t>(pair) + 4;
+    std::size_t b = 4 + (a + 1) % 4;
     coord::Coordinator::Options options;
     options.image_prefix = "/ckpt/pair" + std::to_string(pair);
     auto stats = c.RunCheckpoint(
         {c.MemberFor(a % 4, pods[a]), c.MemberFor(b % 4, pods[b])},
         options);
     EXPECT_TRUE(stats.success) << "pair " << pair;
+    for (const std::string& path : stats.image_paths) {
+      EXPECT_TRUE(c.fs().Exists(path)) << path;
+    }
   }
   // All eight pods still alive and running afterwards.
   for (int i = 0; i < 8; ++i) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/programs.h"
+#include "common/error.h"
 #include "coord/coordinator.h"
+#include "coord/journal.h"
 #include "cruz/cluster.h"
 
 namespace cruz::coord {
@@ -275,6 +277,48 @@ TEST(Coordinated, ChainCheckpointThenRestartThenCheckpoint) {
       [&] { return job.ReceiverStatus(c).bytes >= 3 * kMiB; },
       c.sim().Now() + 600 * kSecond));
   EXPECT_EQ(job.ReceiverStatus(c).mismatches, 0u);
+}
+
+// An agent drives one pod per op, and the coordinator tracks replies per
+// agent address, so two members on one node would silently lose one pod
+// (its image never written, the op still "succeeding"). Both entry points
+// refuse such a member list up front, flat and hierarchical, before the
+// op consumes an epoch or touches the journal.
+TEST(Coordinated, RepeatedAgentAddressIsRejected) {
+  for (std::uint32_t fan_out : {0u, 2u}) {
+    ClusterConfig config;
+    config.num_nodes = 2;
+    Cluster c(config);
+    std::vector<Coordinator::Member> members;
+    for (std::size_t node : {0u, 0u, 1u}) {
+      os::PodId pod = c.CreatePod(node, "p" + std::to_string(members.size()));
+      c.pods(node).SpawnInPod(pod, "cruz.counter",
+                              apps::CounterArgs(1u << 30));
+      members.push_back(c.MemberFor(node, pod));
+    }
+    c.sim().RunFor(10 * kMillisecond);
+    Coordinator::Options opts;
+    opts.fan_out = fan_out;
+    opts.image_prefix = "/ckpt/dup";
+    IntentJournal journal(c.fs());
+
+    EXPECT_THROW(c.coordinator().Checkpoint(members, opts, nullptr),
+                 UsageError)
+        << "fan_out " << fan_out;
+    EXPECT_THROW(c.coordinator().Restart(members, {"a", "b", "c"}, opts,
+                                         nullptr),
+                 UsageError)
+        << "fan_out " << fan_out;
+    EXPECT_FALSE(c.coordinator().busy());
+    EXPECT_EQ(c.coordinator().epoch(), 0u);
+    EXPECT_TRUE(journal.ReadAll().empty());
+
+    // One member per node is fine, and consumes the first epoch.
+    Coordinator::OpStats ok =
+        c.RunCheckpoint({members[0], members[2]}, opts);
+    EXPECT_TRUE(ok.success) << "fan_out " << fan_out;
+    EXPECT_EQ(ok.epoch, 1u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/slm.h"
+#include "common/error.h"
 #include "cruz/cluster.h"
 #include "cruz/scheduler.h"
 
@@ -252,6 +253,40 @@ TEST(Scheduler, JobWithoutCheckpointFailsOnNodeLoss) {
   c.node(victim).Fail();
   sched.HandleNodeFailure(victim);
   EXPECT_EQ(sched.Find(id)->state, JobScheduler::JobState::kFailed);
+}
+
+// Each task needs a node of its own: the coordinator drives one pod per
+// agent, so a job with more tasks than live nodes cannot be checkpointed
+// or restarted. Submit refuses it, and a node failure that leaves fewer
+// live nodes than tasks fails the job instead of restarting two tasks on
+// one node (which would silently lose one of them).
+TEST(Scheduler, SubmitRejectsMoreTasksThanLiveNodes) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  JobScheduler sched(c);
+  EXPECT_THROW(sched.Submit(SlmJobSpec(3, 50, 0)), UsageError);
+  c.node(1).Fail();
+  EXPECT_THROW(sched.Submit(SlmJobSpec(2, 50, 0)), UsageError);
+}
+
+TEST(Scheduler, NodeLossWithoutSpareFailsCheckpointedJob) {
+  ClusterConfig config;
+  config.num_nodes = 2;  // no spare: the survivor cannot host both ranks
+  Cluster c(config);
+  JobScheduler sched(c);
+  std::uint64_t id = sched.Submit(SlmJobSpec(2, 100000, 100 * kMillisecond));
+  ASSERT_TRUE(c.sim().RunWhile(
+      [&] { return sched.Find(id)->checkpoints_taken >= 1; },
+      c.sim().Now() + 600 * kSecond));
+  ASSERT_TRUE(c.sim().RunWhile([&] { return !c.coordinator().busy(); },
+                               c.sim().Now() + 600 * kSecond));
+  std::size_t victim = sched.Find(id)->tasks[0].node;
+  c.node(victim).Fail();
+  sched.HandleNodeFailure(victim);
+  EXPECT_EQ(sched.Find(id)->state, JobScheduler::JobState::kFailed);
+  EXPECT_EQ(sched.Find(id)->restarts, 0u);
+  EXPECT_FALSE(c.coordinator().busy());
 }
 
 }  // namespace
