@@ -4,6 +4,7 @@
 #include "ckpt/store/tiered_store.h"
 #include "common/error.h"
 #include "common/log.h"
+#include "coord/phase_driver.h"
 #include "sim/simulator.h"
 
 namespace cruz::coord {
@@ -16,19 +17,6 @@ constexpr DurationNs kPerProcessResumeCost = 10 * kMicrosecond;
 constexpr std::uint64_t kSerializeBytesPerSec = 1 * kGiB;
 // Flush baseline: per-channel drain time before acking a marker.
 constexpr DurationNs kChannelDrainCost = 200 * kMicrosecond;
-
-bool IsCoordinatorRequest(MsgType type) {
-  switch (type) {
-    case MsgType::kCheckpoint:
-    case MsgType::kRestart:
-    case MsgType::kContinue:
-    case MsgType::kAbort:
-    case MsgType::kPing:
-      return true;
-    default:
-      return false;
-  }
-}
 }  // namespace
 
 CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods)
@@ -104,55 +92,16 @@ void CheckpointAgent::Send(net::Endpoint to, CoordMessage m) {
           .Arg("type", MsgTypeName(m.type))
           .Arg("corr", CorrId(m, node_.ip().ToString()))
           .Arg("dst", to.ip.ToString()));
-  fault::MessageFate fate;
-  if (fault_ != nullptr) {
-    fate = fault_->OnControlSend(node_.name(), to.ip.value,
-                                 static_cast<std::uint8_t>(m.type));
-  }
-  if (fate.drop) return;
-
-  net::UdpDatagram dgram;
-  dgram.src_port = kAgentPort;
-  dgram.dst_port = to.port;
-  dgram.payload = m.Encode();
-  net::Ipv4Packet pkt;
-  pkt.src = node_.ip();  // node address, never the pod's (footnote 4)
-  pkt.dst = to.ip;
-  pkt.proto = net::IpProto::kUdp;
-  pkt.payload = dgram.Encode();
-  int copies = fate.duplicate ? 2 : 1;
-  for (int i = 0; i < copies; ++i) {
-    if (fate.delay > 0) {
-      node_.os().sim().Schedule(fate.delay, [this, pkt] {
-        node_.stack().SendIpv4(pkt);
-      });
-    } else {
-      node_.stack().SendIpv4(pkt);
-    }
-  }
+  TransmitControl(node_, fault_, kAgentPort, to, m);
 }
 
 void CheckpointAgent::OnDatagram(net::Endpoint from,
                                  const cruz::Bytes& payload) {
   if (crashed_) return;  // a dead agent process hears nothing
-  CoordMessage m;
-  try {
-    m = CoordMessage::Decode(payload);
-  } catch (const cruz::CodecError&) {
-    return;
-  }
   // Receive instant first — even a message that crashes the agent below
   // was delivered, and the flight recorder wants that edge on record.
-  {
-    obs::TraceAttrs attrs;
-    attrs.Op(m.op_id).Agent(node_.name()).Arg("type", MsgTypeName(m.type));
-    if (m.corr_seq != 0) {
-      attrs.Arg("corr", CorrId(m, from.ip.ToString()));
-    }
-    attrs.Arg("src", from.ip.ToString());
-    node_.os().sim().tracer().Instant("agent", "agent.msg.recv",
-                                      std::move(attrs));
-  }
+  CoordMessage m;
+  if (!ReceiveControl(node_, "agent", from, payload, m)) return;
   if (fault_ != nullptr &&
       fault_->CrashAgentOnMessage(node_.name(),
                                   static_cast<std::uint8_t>(m.type))) {
@@ -162,7 +111,7 @@ void CheckpointAgent::OnDatagram(net::Endpoint from,
   // Epoch fencing: requests below the observed high-water mark come from
   // a dead coordinator incarnation or a long-delayed duplicate; acting on
   // them could roll the pod back under a newer op. Drop silently.
-  if (IsCoordinatorRequest(m.type)) {
+  if (PhaseDriver::kAgents.IsRequest(m.type)) {
     if (m.epoch < max_epoch_seen_) {
       CRUZ_WARN("agent") << node_.name() << ": fenced stale "
                          << static_cast<int>(m.type) << " (epoch "
@@ -239,16 +188,134 @@ void CheckpointAgent::FailLocalOp(net::Endpoint coordinator,
 
 void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
                                              const std::string& path) {
-  if (!path.empty()) {
-    node_.os().fs().Remove(path);
-    // Tiered mode: the image may also live on the local and partner
-    // disks, with a netfs flush still pending — reap every tier so an
-    // aborted op leaves zero orphan bytes anywhere.
-    if (tiered_ != nullptr) tiered_->RemoveEverywhere(path);
-  }
+  // Every tier (local, partner, pending netfs flush): an aborted op
+  // leaves zero orphan bytes anywhere.
+  if (!path.empty()) ReapImage(node_, tiered_, path);
   // The deleted image may be the head of this pod's incremental chain;
   // force the next capture to be full rather than referencing it.
   last_image_.erase(pod);
+}
+
+CoordMessage CheckpointAgent::Reply(MsgType type) const {
+  CoordMessage m;
+  m.type = type;
+  m.op_id = op_.op_id;
+  m.epoch = op_.epoch;
+  m.pod_id = op_.pod;
+  return m;
+}
+
+bool CheckpointAgent::AnswerRepeat(const CoordMessage& m,
+                                   net::Endpoint from) {
+  if (op_active_) {
+    // Duplicate of the in-flight request (coordinator retransmission):
+    // re-send any reply the coordinator may have missed.
+    if (m.op_id == op_.op_id && op_.done_sent) {
+      Send(op_.coordinator, last_done_reply_);
+    }
+    return true;  // one coordinated operation at a time
+  }
+  if (m.op_id == last_completed_op_) {
+    // Fully served already; the coordinator lost our replies.
+    Send(from, last_done_reply_);
+    Send(from, last_continue_done_reply_);
+    return true;
+  }
+  // The op's <abort> overtook this delayed request; serving it now
+  // would freeze the pod for an op nobody is coordinating.
+  return m.op_id == last_aborted_op_;
+}
+
+void CheckpointAgent::AnnounceCommDisabled() {
+  Send(op_.coordinator, Reply(MsgType::kCommDisabled));
+  node_.os().sim().tracer().Instant(
+      "agent", "agent.comm_disabled",
+      obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
+}
+
+const char* CheckpointAgent::StoreImage(const std::string& path,
+                                        cruz::Bytes image, bool tiered,
+                                        DurationNs* duration) {
+  if (tiered && tiered_ != nullptr) {
+    // Tiered commit: local + partner disks now (*duration becomes the max
+    // of the two tier costs), netfs flush in the background.
+    SysResult w = tiered_->CommitImage(node_, path, std::move(image),
+                                       &op_.replicas, duration);
+    return SysOk(w) ? nullptr : "no storage tier accepted image";
+  }
+  SysResult w = node_.os().fs().WriteFile(path, image);
+  // Shared-FS full: evict the oldest non-latest committed generation and
+  // retry instead of failing the checkpoint.
+  while (SysErrno(w) == CRUZ_ENOSPC &&
+         ckpt::GenerationStore::EvictForSpace(node_.os().fs(), path)) {
+    w = node_.os().fs().WriteFile(path, image);
+  }
+  if (SysOk(w)) return nullptr;
+  return SysErrno(w) == CRUZ_ENOSPC ? "disk full" : "image write refused";
+}
+
+void CheckpointAgent::CountImage(std::uint64_t image_bytes,
+                                 std::uint64_t state_bytes) {
+  obs::MetricsRegistry& metrics = node_.os().sim().metrics();
+  metrics.counter("ckpt.images_written_total").Add();
+  metrics.counter("ckpt.image_bytes_total").Add(image_bytes);
+  if (state_bytes > 0) {
+    metrics.gauge("ckpt.codec_ratio")
+        .Set(static_cast<double>(image_bytes) /
+             static_cast<double>(state_bytes));
+  }
+}
+
+void CheckpointAgent::FailSave(const std::string& partial_image,
+                               const char* why) {
+  EndOpSpans("save-failed");
+  DiscardCheckpointImage(op_.pod, partial_image);
+  if (!op_.resumed) {
+    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+    RemoveDropFilter();
+  }
+  CoordMessage request = Reply(MsgType::kFailed);
+  net::Endpoint coordinator = op_.coordinator;
+  op_active_ = false;
+  FailLocalOp(coordinator, request, why);
+}
+
+void CheckpointAgent::BeginSaveSpans(
+    const char* mode, const ckpt::CaptureStats& stats,
+    std::optional<std::uint64_t> image_bytes) {
+  obs::TraceAttrs save;
+  save.Op(op_.op_id)
+      .Phase("save")
+      .Agent(node_.name())
+      .Pod(op_.pod)
+      .Arg("mode", mode)
+      .Arg("state_bytes", stats.state_bytes)
+      .Arg("pages", stats.snapshot_pages);
+  if (image_bytes.has_value()) save.Arg("image_bytes", *image_bytes);
+  obs::Tracer& tracer = node_.os().sim().tracer();
+  op_.save_span = tracer.BeginSpan("agent", "agent.save", std::move(save));
+  op_.downtime_span = tracer.BeginSpan(
+      "agent", "agent.downtime",
+      obs::TraceAttrs{}
+          .Op(op_.op_id)
+          .Phase("downtime")
+          .Agent(node_.name())
+          .Pod(op_.pod));
+}
+
+void CheckpointAgent::SendDone() {
+  op_.resume_ready = true;
+  op_.done_sent = true;
+  CoordMessage done = Reply(MsgType::kDone);
+  done.local_duration = op_.local_duration;
+  done.downtime = op_.downtime;
+  done.extra_messages = op_.flush_messages;
+  done.replicas = op_.replicas;
+  done.restore_source = op_.restore_source;
+  last_done_reply_ = done;
+  Send(op_.coordinator, done);
+  MaybeResume();
+  MaybeFinishOp();
 }
 
 // ---------------------------------------------------------------------------
@@ -257,25 +324,7 @@ void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
 
 void CheckpointAgent::HandleCheckpoint(const CoordMessage& m,
                                        net::Endpoint from) {
-  if (op_active_) {
-    // Duplicate of the in-flight request (coordinator retransmission):
-    // re-send any reply the coordinator may have missed.
-    if (m.op_id == op_.op_id && op_.done_sent) {
-      Send(op_.coordinator, last_done_reply_);
-    }
-    return;  // one coordinated operation at a time
-  }
-  if (m.op_id == last_completed_op_) {
-    // Fully served already; the coordinator lost our replies.
-    Send(from, last_done_reply_);
-    Send(from, last_continue_done_reply_);
-    return;
-  }
-  if (m.op_id == last_aborted_op_) {
-    // The op's <abort> overtook this delayed request; serving it now
-    // would freeze the pod for an op nobody is coordinating.
-    return;
-  }
+  if (AnswerRepeat(m, from)) return;
   op_ = ActiveOp{};
   op_active_ = true;
   op_.op_id = m.op_id;
@@ -283,7 +332,6 @@ void CheckpointAgent::HandleCheckpoint(const CoordMessage& m,
   op_.pod = m.pod_id;
   op_.variant = m.variant;
   op_.coordinator = from;
-  op_.started = node_.os().sim().Now();
   op_.pending_request = m;
   if (early_flush_op_ == m.op_id && early_flush_messages_ > 0) {
     op_.flush_messages += early_flush_messages_;
@@ -359,38 +407,14 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
       ckpt::CheckpointEngine::CapturePod(pods_, m.pod_id, capture, &stats);
   cruz::Bytes image = ck.Serialize(m.compress);
   std::uint64_t image_bytes = image.size();
-  obs::Tracer& tracer = node_.os().sim().tracer();
-  op_.save_span = tracer.BeginSpan(
-      "agent", "agent.save",
-      obs::TraceAttrs{}
-          .Op(op_.op_id)
-          .Phase("save")
-          .Agent(node_.name())
-          .Pod(op_.pod)
-          .Arg("mode", "stop-the-world")
-          .Arg("state_bytes", stats.state_bytes)
-          .Arg("pages", stats.snapshot_pages)
-          .Arg("image_bytes", image_bytes));
-  op_.downtime_span = tracer.BeginSpan(
-      "agent", "agent.downtime",
-      obs::TraceAttrs{}
-          .Op(op_.op_id)
-          .Phase("downtime")
-          .Agent(node_.name())
-          .Pod(op_.pod));
+  BeginSaveSpans("stop-the-world", stats, image_bytes);
   if (fault_ != nullptr && fault_->FailImageWrite(node_.name(),
                                                   m.image_path)) {
     // Disk write error: the local checkpoint cannot complete. Resume the
     // pod (its in-memory state is untouched), invalidate the incremental
     // baseline (dirty bits were consumed by the capture), and tell the
     // coordinator to abort.
-    EndOpSpans("save-failed");
-    ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-    RemoveDropFilter();
-    last_image_.erase(m.pod_id);
-    net::Endpoint coordinator = op_.coordinator;
-    op_active_ = false;
-    FailLocalOp(coordinator, m, "image write I/O error");
+    FailSave("", "image write I/O error");
     return;
   }
   if (fault_ != nullptr) {
@@ -399,56 +423,15 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     fault_->MaybeCorruptImage(node_.name(), m.image_path, image);
   }
   DurationNs write_duration = node_.DiskWriteDuration(image_bytes);
-  if (m.tiered && tiered_ != nullptr) {
-    // Tiered commit: local + partner disks now (write_duration becomes
-    // the max of the two tier costs), netfs flush in the background.
-    SysResult w = tiered_->CommitImage(node_, m.image_path,
-                                       std::move(image), &op_.replicas,
-                                       &write_duration);
-    if (!SysOk(w)) {
-      EndOpSpans("save-failed");
-      ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-      RemoveDropFilter();
-      last_image_.erase(m.pod_id);
-      net::Endpoint coordinator = op_.coordinator;
-      op_active_ = false;
-      FailLocalOp(coordinator, m, "no storage tier accepted image");
-      return;
-    }
-  } else {
-    SysResult w = node_.os().fs().WriteFile(m.image_path, image);
-    // Shared-FS full: evict the oldest non-latest committed generation
-    // and retry instead of failing the checkpoint.
-    while (SysErrno(w) == CRUZ_ENOSPC &&
-           ckpt::GenerationStore::EvictForSpace(node_.os().fs(),
-                                               m.image_path)) {
-      w = node_.os().fs().WriteFile(m.image_path, image);
-    }
-    if (!SysOk(w)) {
-      EndOpSpans("save-failed");
-      ckpt::CheckpointEngine::ResumePod(pods_, m.pod_id);
-      RemoveDropFilter();
-      last_image_.erase(m.pod_id);
-      net::Endpoint coordinator = op_.coordinator;
-      op_active_ = false;
-      FailLocalOp(coordinator, m,
-                  SysErrno(w) == CRUZ_ENOSPC ? "disk full"
-                                             : "image write refused");
-      return;
-    }
+  if (const char* why = StoreImage(m.image_path, std::move(image), m.tiered,
+                                   &write_duration)) {
+    FailSave("", why);
+    return;
   }
   op_.image_path = m.image_path;
   op_.image_written = true;
   last_image_[m.pod_id] = {m.image_path, capture.generation};
-
-  obs::MetricsRegistry& metrics = node_.os().sim().metrics();
-  metrics.counter("ckpt.images_written_total").Add();
-  metrics.counter("ckpt.image_bytes_total").Add(image_bytes);
-  if (stats.state_bytes > 0) {
-    metrics.gauge("ckpt.codec_ratio")
-        .Set(static_cast<double>(image_bytes) /
-             static_cast<double>(stats.state_bytes));
-  }
+  CountImage(image_bytes, stats.state_bytes);
 
   DurationNs capture_cost = kFilterConfigCost +
                             stats.processes * kPerProcessStopCost +
@@ -463,26 +446,13 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
 
   // Fig. 4 optimization: announce communication-disabled immediately so
   // the coordinator can grant early resume permission.
-  if (op_.variant == ProtocolVariant::kOptimized) {
-    CoordMessage disabled;
-    disabled.type = MsgType::kCommDisabled;
-    disabled.op_id = op_.op_id;
-    disabled.epoch = op_.epoch;
-    disabled.pod_id = op_.pod;
-    Send(op_.coordinator, disabled);
-    node_.os().sim().tracer().Instant(
-        "agent", "agent.comm_disabled",
-        obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
-  }
+  if (op_.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
 
   // Step 3: <done> once the local checkpoint (dominated by the disk
   // write) completes.
   std::uint64_t op_id = op_.op_id;
   node_.os().sim().Schedule(local, [this, op_id] {
     if (crashed_ || !op_active_ || op_.op_id != op_id) return;
-    op_.save_done = true;
-    op_.resume_ready = true;
-    op_.done_sent = true;
     obs::Tracer& tracer = node_.os().sim().tracer();
     tracer.EndSpan(op_.save_span, {{"outcome", "ok"}});
     op_.save_span = obs::kInvalidSpanId;
@@ -493,19 +463,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
                                               kMicrosecond);
     metrics.histogram("agent.downtime_us").Record(op_.downtime /
                                                   kMicrosecond);
-    CoordMessage done;
-    done.type = MsgType::kDone;
-    done.op_id = op_.op_id;
-    done.epoch = op_.epoch;
-    done.pod_id = op_.pod;
-    done.local_duration = op_.local_duration;
-    done.downtime = op_.downtime;
-    done.extra_messages = op_.flush_messages;
-    done.replicas = op_.replicas;
-    last_done_reply_ = done;
-    Send(op_.coordinator, done);
-    MaybeResume();
-    MaybeFinishOp();
+    SendDone();
   });
 }
 
@@ -526,24 +484,8 @@ void CheckpointAgent::StartForkedCheckpoint(
   op_.local_duration = capture_cost + serialize_cost;  // + disk, known later
   ++checkpoints_served_;
 
-  obs::Tracer& tracer = node_.os().sim().tracer();
-  op_.save_span = tracer.BeginSpan(
-      "agent", "agent.save",
-      obs::TraceAttrs{}
-          .Op(op_.op_id)
-          .Phase("save")
-          .Agent(node_.name())
-          .Pod(op_.pod)
-          .Arg("mode", "copy-on-write")
-          .Arg("state_bytes", stats.state_bytes)
-          .Arg("pages", stats.snapshot_pages));
-  op_.downtime_span = tracer.BeginSpan(
-      "agent", "agent.downtime",
-      obs::TraceAttrs{}
-          .Op(op_.op_id)
-          .Phase("downtime")
-          .Agent(node_.name())
-          .Pod(op_.pod));
+  // The image is serialized later, so its size is not known yet.
+  BeginSaveSpans("copy-on-write", stats, std::nullopt);
 
   // The pod may resume as soon as the in-memory snapshot exists; its
   // writes from here on hit COW faults instead of the frozen pages.
@@ -560,17 +502,7 @@ void CheckpointAgent::StartForkedCheckpoint(
 
   // Fig. 4: announce communication-disabled immediately, so the early
   // resume permission overlaps the background save.
-  if (op_.variant == ProtocolVariant::kOptimized) {
-    CoordMessage disabled;
-    disabled.type = MsgType::kCommDisabled;
-    disabled.op_id = op_.op_id;
-    disabled.epoch = op_.epoch;
-    disabled.pod_id = op_.pod;
-    Send(op_.coordinator, disabled);
-    node_.os().sim().tracer().Instant(
-        "agent", "agent.comm_disabled",
-        obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
-  }
+  if (op_.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
 
   // Background write-out. Materialization is deferred to the end of the
   // serialize window — by then the pod has typically been running (and
@@ -594,64 +526,14 @@ void CheckpointAgent::StartForkedCheckpoint(
         // The file appears in storage now but counts as partial until
         // <done> commits it; an abort or crash before then GCs it.
         DurationNs disk = node_.DiskWriteDuration(image_bytes);
-        if (tiered && tiered_ != nullptr) {
-          SysResult w = tiered_->CommitImage(node_, image_path,
-                                             std::move(image),
-                                             &op_.replicas, &disk);
-          if (!SysOk(w)) {
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        "no storage tier accepted image");
-            return;
-          }
-        } else {
-          SysResult w = node_.os().fs().WriteFile(image_path, image);
-          while (SysErrno(w) == CRUZ_ENOSPC &&
-                 ckpt::GenerationStore::EvictForSpace(node_.os().fs(),
-                                                     image_path)) {
-            w = node_.os().fs().WriteFile(image_path, image);
-          }
-          if (!SysOk(w)) {
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        SysErrno(w) == CRUZ_ENOSPC
-                            ? "disk full"
-                            : "image write refused");
-            return;
-          }
+        if (const char* why =
+                StoreImage(image_path, std::move(image), tiered, &disk)) {
+          FailSave(image_path, why);
+          return;
         }
         op_.image_path = image_path;
         op_.image_written = true;
-        obs::MetricsRegistry& metrics = node_.os().sim().metrics();
-        metrics.counter("ckpt.images_written_total").Add();
-        metrics.counter("ckpt.image_bytes_total").Add(image_bytes);
-        if (state_bytes > 0) {
-          metrics.gauge("ckpt.codec_ratio")
-              .Set(static_cast<double>(image_bytes) /
-                   static_cast<double>(state_bytes));
-        }
+        CountImage(image_bytes, state_bytes);
         op_.local_duration += disk;
         node_.os().sim().Schedule(disk, [this, op_id, image_path,
                                          generation] {
@@ -661,44 +543,16 @@ void CheckpointAgent::StartForkedCheckpoint(
             // The background write failed after the pod already resumed:
             // GC the partial image, invalidate the incremental baseline,
             // and fail the op. The previous generation stays latest.
-            EndOpSpans("save-failed");
-            DiscardCheckpointImage(op_.pod, image_path);
-            if (!op_.resumed) {
-              ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-              RemoveDropFilter();
-            }
-            CoordMessage request;
-            request.op_id = op_.op_id;
-            request.epoch = op_.epoch;
-            request.pod_id = op_.pod;
-            net::Endpoint coordinator = op_.coordinator;
-            op_active_ = false;
-            FailLocalOp(coordinator, request,
-                        "background image write I/O error");
+            FailSave(image_path, "background image write I/O error");
             return;
           }
-          op_.save_done = true;
-          op_.resume_ready = true;
           last_image_[op_.pod] = {image_path, generation};
-          op_.done_sent = true;
           node_.os().sim().tracer().EndSpan(op_.save_span,
                                             {{"outcome", "ok"}});
           op_.save_span = obs::kInvalidSpanId;
           node_.os().sim().metrics().histogram("agent.save_us")
               .Record(op_.local_duration / kMicrosecond);
-          CoordMessage done;
-          done.type = MsgType::kDone;
-          done.op_id = op_.op_id;
-          done.epoch = op_.epoch;
-          done.pod_id = op_.pod;
-          done.local_duration = op_.local_duration;
-          done.downtime = op_.downtime;
-          done.extra_messages = op_.flush_messages;
-          done.replicas = op_.replicas;
-          last_done_reply_ = done;
-          Send(op_.coordinator, done);
-          MaybeResume();
-          MaybeFinishOp();
+          SendDone();
         });
       });
 }
@@ -709,20 +563,7 @@ void CheckpointAgent::StartForkedCheckpoint(
 
 void CheckpointAgent::HandleRestart(const CoordMessage& m,
                                     net::Endpoint from) {
-  if (op_active_) {
-    if (m.op_id == op_.op_id && op_.done_sent) {
-      Send(op_.coordinator, last_done_reply_);
-    }
-    return;
-  }
-  if (m.op_id == last_completed_op_) {
-    Send(from, last_done_reply_);
-    Send(from, last_continue_done_reply_);
-    return;
-  }
-  if (m.op_id == last_aborted_op_) {
-    return;  // this op's <abort> already arrived; see HandleCheckpoint
-  }
+  if (AnswerRepeat(m, from)) return;
   // Tiered mode: read through the tier-resolving view (local → partner →
   // netfs, with rebuild-on-restart), so every link of an incremental
   // chain finds the best intact copy independently. The view memoizes,
@@ -774,7 +615,6 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   op_.variant = m.variant;
   op_.is_restart = true;
   op_.coordinator = from;
-  op_.started = node_.os().sim().Now();
 
   // Communication is disabled as the FIRST step of restart, before any
   // state is restored: restored TCP state must not transmit until all
@@ -810,24 +650,11 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
     // Restore at the end of the load window; the §4.1 send-buffer replay
     // fires here, against the still-installed drop filter.
     ckpt::CheckpointEngine::RestorePod(pods_, ck);
-    op_.save_done = true;
-    op_.resume_ready = true;
-    op_.done_sent = true;
     node_.os().sim().tracer().EndSpan(op_.save_span, {{"outcome", "ok"}});
     op_.save_span = obs::kInvalidSpanId;
     node_.os().sim().metrics().histogram("agent.restore_us")
         .Record(op_.local_duration / kMicrosecond);
-    CoordMessage done;
-    done.type = MsgType::kDone;
-    done.op_id = op_.op_id;
-    done.epoch = op_.epoch;
-    done.pod_id = op_.pod;
-    done.local_duration = op_.local_duration;
-    done.restore_source = op_.restore_source;
-    last_done_reply_ = done;
-    Send(op_.coordinator, done);
-    MaybeResume();
-    MaybeFinishOp();
+    SendDone();
   });
 }
 
@@ -882,11 +709,7 @@ void CheckpointAgent::MaybeResume() {
     op_.continue_done_sent = true;
     node_.os().sim().tracer().EndSpan(op_.continue_span);
     op_.continue_span = obs::kInvalidSpanId;
-    CoordMessage done;
-    done.type = MsgType::kContinueDone;
-    done.op_id = op_id;
-    done.epoch = op_.epoch;
-    done.pod_id = op_.pod;
+    CoordMessage done = Reply(MsgType::kContinueDone);
     done.local_duration = resume_cost;
     last_continue_done_reply_ = done;
     last_coordinator_ = op_.coordinator;

@@ -98,12 +98,10 @@ class CheckpointAgent {
     bool is_restart = false;
     net::Endpoint coordinator;
     std::uint64_t filter_id = 0;
-    TimeNs started = 0;
     DurationNs local_duration = 0;
     // How long the pod's processes are stopped: the whole save for a
     // stop-the-world checkpoint, only the snapshot for copy-on-write.
     DurationNs downtime = 0;
-    bool save_done = false;
     // With copy-on-write the pod may resume before the disk write
     // finishes: resume_ready flips at capture time instead of save time.
     bool resume_ready = false;
@@ -146,6 +144,30 @@ class CheckpointAgent {
   void InstallDropFilter(net::Ipv4Address pod_ip);
   void RemoveDropFilter();
   void Send(net::Endpoint to, CoordMessage m);
+  // A reply about the active op: type, op id, epoch and pod.
+  CoordMessage Reply(MsgType type) const;
+  // Handles a <checkpoint>/<restart> this agent must not start: while
+  // busy, an op it already served (re-sending the replies the coordinator
+  // missed), or an op whose <abort> overtook it. True if handled.
+  bool AnswerRepeat(const CoordMessage& m, net::Endpoint from);
+  // Fig. 4: tells the coordinator communication is disabled here.
+  void AnnounceCommDisabled();
+  // Stores the active op's image: a tiered commit, or a shared-FS write
+  // that evicts old generations when full. Returns nullptr on success,
+  // else why the write failed.
+  const char* StoreImage(const std::string& path, cruz::Bytes image,
+                         bool tiered, DurationNs* duration);
+  void CountImage(std::uint64_t image_bytes, std::uint64_t state_bytes);
+  // Opens the active checkpoint's save and pod-downtime spans.
+  void BeginSaveSpans(const char* mode, const ckpt::CaptureStats& stats,
+                      std::optional<std::uint64_t> image_bytes);
+  // The local save failed: discard `partial_image` (may be empty) and the
+  // incremental baseline, resume the pod if still stopped, report
+  // <failed>.
+  void FailSave(const std::string& partial_image, const char* why);
+  // The local part is complete (the pod may resume once allowed): <done>,
+  // then resume / finish if due.
+  void SendDone();
   // Closes any spans the active op still holds open (abort/crash paths).
   void EndOpSpans(const char* outcome);
   // Local failure: clean up, report <failed> so the coordinator aborts

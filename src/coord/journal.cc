@@ -13,7 +13,7 @@ void IntentJournal::Append(const JournalRecord& record) {
   payload.PutU64(record.epoch);
   payload.PutBool(record.is_restart);
   payload.PutU32(static_cast<std::uint32_t>(record.members.size()));
-  for (const JournalRecord::Member& m : record.members) {
+  for (const ShardMember& m : record.members) {
     payload.PutU32(m.agent_ip);
     payload.PutU32(m.pod);
     payload.PutString(m.image_path);
@@ -26,6 +26,15 @@ void IntentJournal::Append(const JournalRecord& record) {
   framed.PutBytes(body);
   cruz::Bytes frame = framed.Take();
   fs_.AppendFile(path_, frame);
+}
+
+void IntentJournal::AppendOutcome(JournalRecord::Type type,
+                                  std::uint64_t epoch, bool is_restart) {
+  JournalRecord outcome;
+  outcome.type = type;
+  outcome.epoch = epoch;
+  outcome.is_restart = is_restart;
+  Append(outcome);
 }
 
 std::vector<JournalRecord> IntentJournal::ReadAll() const {
@@ -52,7 +61,7 @@ std::vector<JournalRecord> IntentJournal::ReadAll() const {
       rec.is_restart = br.GetBool();
       std::uint32_t n = br.GetU32();
       for (std::uint32_t i = 0; i < n; ++i) {
-        JournalRecord::Member m;
+        ShardMember m;
         m.agent_ip = br.GetU32();
         m.pod = br.GetU32();
         m.image_path = br.GetString();

@@ -18,24 +18,20 @@
 #include <string>
 #include <vector>
 
+#include "coord/message.h"
 #include "os/netfs.h"
-#include "os/types.h"
 
 namespace cruz::coord {
 
 struct JournalRecord {
   enum class Type : std::uint8_t { kIntent = 1, kCommit = 2, kAbort = 3 };
 
-  struct Member {
-    std::uint32_t agent_ip = 0;
-    os::PodId pod = 0;
-    std::string image_path;
-  };
-
   Type type = Type::kIntent;
   std::uint64_t epoch = 0;
   bool is_restart = false;
-  std::vector<Member> members;  // intent records only
+  // Intent records only: each member's agent_ip, pod and image_path (the
+  // per-member reports are not journaled).
+  std::vector<ShardMember> members;
   // Hierarchical mode: the shard fan-out the op ran with (0 = flat), so
   // recovery can re-derive the sub-coordinator set and fence it too.
   std::uint32_t fan_out = 0;
@@ -50,6 +46,9 @@ class IntentJournal {
       : fs_(fs), path_(std::move(path)) {}
 
   void Append(const JournalRecord& record);
+  // Appends the commit/abort record closing the intent for `epoch`.
+  void AppendOutcome(JournalRecord::Type type, std::uint64_t epoch,
+                     bool is_restart);
 
   // Full journal scan, skipping a torn/corrupt tail.
   std::vector<JournalRecord> ReadAll() const;

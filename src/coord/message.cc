@@ -1,6 +1,9 @@
 #include "coord/message.h"
 
 #include "common/error.h"
+#include "fault/fault.h"
+#include "os/node.h"
+#include "sim/simulator.h"
 
 namespace cruz::coord {
 
@@ -33,6 +36,36 @@ const char* MsgTypeName(MsgType type) {
   return "unknown";
 }
 
+namespace {
+
+void PutReplicas(cruz::ByteWriter& w,
+                 const std::vector<ckpt::Replica>& replicas) {
+  w.PutU32(static_cast<std::uint32_t>(replicas.size()));
+  for (const ckpt::Replica& rep : replicas) {
+    w.PutU8(static_cast<std::uint8_t>(rep.tier));
+    w.PutU32(rep.node_index);
+    w.PutU64(rep.size);
+    w.PutU32(rep.crc32);
+  }
+}
+
+std::vector<ckpt::Replica> GetReplicas(cruz::ByteReader& r) {
+  // Grow one entry at a time: a corrupt count must fail on the short read,
+  // not on a huge up-front allocation.
+  std::vector<ckpt::Replica> replicas;
+  for (std::uint32_t n = r.GetU32(); n > 0; --n) {
+    ckpt::Replica rep;
+    rep.tier = static_cast<ckpt::Tier>(r.GetU8());
+    rep.node_index = r.GetU32();
+    rep.size = r.GetU64();
+    rep.crc32 = r.GetU32();
+    replicas.push_back(rep);
+  }
+  return replicas;
+}
+
+}  // namespace
+
 std::string CorrId(const CoordMessage& m, const std::string& sender) {
   return std::to_string(m.op_id) + ":" + MsgTypeName(m.type) + ":" +
          sender + ":" + std::to_string(m.corr_seq);
@@ -58,26 +91,14 @@ cruz::Bytes CoordMessage::Encode() const {
   for (std::uint32_t p : peers) w.PutU32(p);
   w.PutBool(tiered);
   w.PutU8(restore_source);
-  w.PutU32(static_cast<std::uint32_t>(replicas.size()));
-  for (const ckpt::Replica& rep : replicas) {
-    w.PutU8(static_cast<std::uint8_t>(rep.tier));
-    w.PutU32(rep.node_index);
-    w.PutU64(rep.size);
-    w.PutU32(rep.crc32);
-  }
+  PutReplicas(w, replicas);
   w.PutU32(static_cast<std::uint32_t>(shard_members.size()));
   for (const ShardMember& sm : shard_members) {
     w.PutU32(sm.agent_ip);
     w.PutU32(sm.pod);
     w.PutString(sm.image_path);
     w.PutU8(sm.restore_source);
-    w.PutU32(static_cast<std::uint32_t>(sm.replicas.size()));
-    for (const ckpt::Replica& rep : sm.replicas) {
-      w.PutU8(static_cast<std::uint8_t>(rep.tier));
-      w.PutU32(rep.node_index);
-      w.PutU64(rep.size);
-      w.PutU32(rep.crc32);
-    }
+    PutReplicas(w, sm.replicas);
   }
   w.PutU64(static_cast<std::uint64_t>(op_timeout));
   w.PutU32(member_total);
@@ -113,15 +134,7 @@ CoordMessage CoordMessage::Decode(cruz::ByteSpan wire) {
   for (std::uint32_t i = 0; i < n; ++i) m.peers.push_back(r.GetU32());
   m.tiered = r.GetBool();
   m.restore_source = r.GetU8();
-  std::uint32_t replicas = r.GetU32();
-  for (std::uint32_t i = 0; i < replicas; ++i) {
-    ckpt::Replica rep;
-    rep.tier = static_cast<ckpt::Tier>(r.GetU8());
-    rep.node_index = r.GetU32();
-    rep.size = r.GetU64();
-    rep.crc32 = r.GetU32();
-    m.replicas.push_back(rep);
-  }
+  m.replicas = GetReplicas(r);
   std::uint32_t members = r.GetU32();
   for (std::uint32_t i = 0; i < members; ++i) {
     ShardMember sm;
@@ -129,15 +142,7 @@ CoordMessage CoordMessage::Decode(cruz::ByteSpan wire) {
     sm.pod = r.GetU32();
     sm.image_path = r.GetString();
     sm.restore_source = r.GetU8();
-    std::uint32_t reps = r.GetU32();
-    for (std::uint32_t j = 0; j < reps; ++j) {
-      ckpt::Replica rep;
-      rep.tier = static_cast<ckpt::Tier>(r.GetU8());
-      rep.node_index = r.GetU32();
-      rep.size = r.GetU64();
-      rep.crc32 = r.GetU32();
-      sm.replicas.push_back(rep);
-    }
+    sm.replicas = GetReplicas(r);
     m.shard_members.push_back(sm);
   }
   m.op_timeout = static_cast<DurationNs>(r.GetU64());
@@ -179,6 +184,56 @@ std::vector<CoordMessage> FragmentRoster(const CoordMessage& full) {
     out.push_back(std::move(frag));
   }
   return out;
+}
+
+void TransmitControl(os::Node& node, fault::Injector* fault,
+                     std::uint16_t src_port, net::Endpoint to,
+                     const CoordMessage& m) {
+  fault::MessageFate fate;
+  if (fault != nullptr) {
+    fate = fault->OnControlSend(node.name(), to.ip.value,
+                                static_cast<std::uint8_t>(m.type));
+  }
+  if (fate.drop) return;  // lost on the wire; retransmission recovers
+
+  net::UdpDatagram dgram;
+  dgram.src_port = src_port;
+  dgram.dst_port = to.port;
+  dgram.payload = m.Encode();
+  net::Ipv4Packet pkt;
+  pkt.src = node.ip();
+  pkt.dst = to.ip;
+  pkt.proto = net::IpProto::kUdp;
+  pkt.payload = dgram.Encode();
+  int copies = fate.duplicate ? 2 : 1;
+  for (int i = 0; i < copies; ++i) {
+    if (fate.delay > 0) {
+      // Capture the stack, not the sender: the delayed copy must still go
+      // out (or at least not crash) if the sending process dies first.
+      os::NetworkStack* stack = &node.stack();
+      node.os().sim().Schedule(fate.delay,
+                               [stack, pkt] { stack->SendIpv4(pkt); });
+    } else {
+      node.stack().SendIpv4(pkt);
+    }
+  }
+}
+
+bool ReceiveControl(os::Node& node, const std::string& category,
+                    net::Endpoint from, const cruz::Bytes& payload,
+                    CoordMessage& out) {
+  try {
+    out = CoordMessage::Decode(payload);
+  } catch (const cruz::CodecError&) {
+    return false;
+  }
+  obs::TraceAttrs attrs;
+  attrs.Op(out.op_id).Agent(node.name()).Arg("type", MsgTypeName(out.type));
+  if (out.corr_seq != 0) attrs.Arg("corr", CorrId(out, from.ip.ToString()));
+  attrs.Arg("src", from.ip.ToString());
+  node.os().sim().tracer().Instant(category, category + ".msg.recv",
+                                   std::move(attrs));
+  return true;
 }
 
 }  // namespace cruz::coord

@@ -15,7 +15,15 @@
 #include "ckpt/store/replica.h"
 #include "common/bytes.h"
 #include "common/units.h"
+#include "net/address.h"
 #include "os/types.h"
+
+namespace cruz::os {
+class Node;
+}  // namespace cruz::os
+namespace cruz::fault {
+class Injector;
+}  // namespace cruz::fault
 
 namespace cruz::coord {
 
@@ -166,5 +174,24 @@ std::string CorrId(const CoordMessage& m, const std::string& sender);
 // Used for both directions: root -> sub requests and the sub's aggregated
 // <shard-done> report.
 std::vector<CoordMessage> FragmentRoster(const CoordMessage& full);
+
+// Sends `m` to `to` as one UDP datagram from `node`'s own address and
+// `src_port` — never a pod address, so the drop filter a checkpoint
+// installs cannot cut the control channel (paper footnote 4). `fault`
+// (nullptr = none) first decides the message's fate: lost, duplicated
+// and/or delayed. Every coordination packet is built here; each caller
+// records its own send instant before calling.
+void TransmitControl(os::Node& node, fault::Injector* fault,
+                     std::uint16_t src_port, net::Endpoint to,
+                     const CoordMessage& m);
+
+// Decodes a coordination datagram into `out` and records its
+// `<category>.msg.recv` instant, carrying the corr id the sender stamped.
+// Callers check op liveness only afterwards: a reply for a finished op is
+// still a real delivery, and the causal analyzer needs its endpoint.
+// Returns false (and records nothing) for an undecodable payload.
+bool ReceiveControl(os::Node& node, const std::string& category,
+                    net::Endpoint from, const cruz::Bytes& payload,
+                    CoordMessage& out);
 
 }  // namespace cruz::coord
