@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "apps/programs.h"
 #include "apps/slm.h"
 #include "ckpt/engine.h"
 #include "cruz/cluster.h"
+#include "obs/trace_query.h"
 
 namespace cruz::ckpt {
 namespace {
@@ -395,6 +398,105 @@ TEST(Incremental, DeltaAfterCowCaptureHoldsOnlyPostSnapshotPages) {
   EXPECT_EQ(apps::ReadCounter(*rp), at_delta);
   EXPECT_EQ(rp->memory().ReadBytes((0x1000 + 5) * os::kPageSize, 8),
             cruz::Bytes(8, 0x42));
+}
+
+// --- restart chain accounting ------------------------------------------------
+
+// Three committed generations of one counter pod: a full base and two
+// incremental deltas, each writing fresh pages. Returns the image path
+// of each generation, oldest first.
+std::vector<std::string> CheckpointThreeLinkChain(Cluster& c, os::PodId id) {
+  os::Process* proc = c.node(0).os().FindProcess(c.pods(0).ToRealPid(id, 1));
+  std::vector<std::string> links;
+  for (std::uint64_t gen = 0; gen < 3; ++gen) {
+    for (std::uint64_t i = 0; i < 4 + gen; ++i) {
+      cruz::Bytes page(os::kPageSize, static_cast<std::uint8_t>(gen + i));
+      proc->memory().InstallPage(0x2000 + 16 * gen + i, page);
+    }
+    c.sim().RunFor(10 * kMillisecond);
+    coord::Coordinator::Options options;
+    options.incremental = true;  // the first capture falls back to full
+    auto result = c.RunGenerationCheckpoint({c.MemberFor(0, id)}, options);
+    EXPECT_TRUE(result.stats.success) << result.stats.abort_reason;
+    links.push_back(result.stats.image_paths.at(0));
+  }
+  return links;
+}
+
+std::string ArgOf(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.attrs.args) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
+// The restore cost model charges every byte read from storage: the
+// agent.restore span's chain_bytes is the sum of all three link sizes,
+// and the restart latency follows from it.
+TEST(RestartChain, ChainBytesSumEveryLink) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId id = c.CreatePod(0, "job");
+  c.pods(0).SpawnInPod(id, "cruz.counter", apps::CounterArgs(1u << 30));
+  std::vector<std::string> links = CheckpointThreeLinkChain(c, id);
+  ASSERT_EQ(links.size(), 3u);
+
+  std::uint64_t link_bytes = 0;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    cruz::Bytes raw;
+    ASSERT_TRUE(SysOk(c.fs().ReadFile(links[i], raw)));
+    link_bytes += raw.size();
+    PodCheckpoint ck = PodCheckpoint::Deserialize(raw);
+    EXPECT_EQ(ck.incremental, i > 0) << links[i];
+    EXPECT_EQ(ck.parent_image, i > 0 ? links[i - 1] : "") << links[i];
+  }
+
+  c.pods(0).DestroyPod(id);
+  c.sim().RunFor(5 * kMillisecond);
+  auto restart = c.RunGenerationRestart({c.MemberFor(1, id)});
+  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+  EXPECT_FALSE(restart.fell_back);
+  EXPECT_EQ(restart.stats.full_latency, 5625544);
+
+  obs::TraceQuery query(c.sim().tracer());
+  auto restores = query.Select(obs::TraceQuery::Filter{}.Name("agent.restore"));
+  ASSERT_EQ(restores.size(), 1u);
+  EXPECT_EQ(ArgOf(*restores[0], "chain_bytes"), std::to_string(link_bytes));
+}
+
+// A corrupt middle link makes the head image unreadable: the agent fails
+// the restart op, and a generation restart falls back past both
+// generations that depend on the damaged link.
+TEST(RestartChain, CorruptMiddleLinkFailsAndFallsBack) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId id = c.CreatePod(0, "job");
+  c.pods(0).SpawnInPod(id, "cruz.counter", apps::CounterArgs(1u << 30));
+  std::vector<std::string> links = CheckpointThreeLinkChain(c, id);
+  ASSERT_EQ(links.size(), 3u);
+
+  cruz::Bytes middle;
+  ASSERT_TRUE(SysOk(c.fs().ReadFile(links[1], middle)));
+  middle[middle.size() / 2] ^= 0x40;
+  ASSERT_TRUE(SysOk(c.fs().WriteFile(links[1], middle)));
+
+  c.pods(0).DestroyPod(id);
+  c.sim().RunFor(5 * kMillisecond);
+  auto failed = c.RunRestart({c.MemberFor(1, id)}, {links[2]});
+  EXPECT_FALSE(failed.success);
+  obs::TraceQuery query(c.sim().tracer());
+  auto failures = query.Select(obs::TraceQuery::Filter{}.Name("agent.failed"));
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(ArgOf(*failures[0], "why"), "image unreadable");
+  EXPECT_TRUE(
+      query.Select(obs::TraceQuery::Filter{}.Name("agent.restore")).empty());
+
+  auto restart = c.RunGenerationRestart({c.MemberFor(1, id)});
+  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+  EXPECT_TRUE(restart.fell_back);
+  EXPECT_EQ(restart.generation + 2, restart.latest_committed);
 }
 
 }  // namespace
