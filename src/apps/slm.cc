@@ -90,12 +90,13 @@ class SlmRankProgram : public os::Program {
 
     switch (ctx.Pc()) {
       case kInit: {
-        // Materialize the grid (the checkpointable state).
+        // Materialize the grid (the checkpointable state), a row a call.
+        std::vector<double> cells(cfg.cols);
         for (std::uint32_t row = 0; row < cfg.rows; ++row) {
           for (std::uint32_t col = 0; col < cfg.cols; ++col) {
-            ctx.Mem().WriteF64(kGridAddr + row * row_bytes + col * 8,
-                               InitialCell(cfg.rank, row, col));
+            cells[col] = InitialCell(cfg.rank, row, col);
           }
+          ctx.Mem().WriteF64s(kGridAddr + row * row_bytes, cells);
         }
         SysResult fd = ctx.SocketTcp();
         if (!SysOk(fd) ||
@@ -185,18 +186,17 @@ class SlmRankProgram : public os::Program {
         break;
       }
       case kCompute: {
+        // Whole-row transfers. While each row lies within one page (cols
+        // a power of two <= 512) they touch pages in the same order as
+        // a per-cell loop, so demand paging faults identically.
         std::vector<double> row0(cfg.cols), bottom(cfg.cols),
             halo(cfg.cols);
-        for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-          row0[c] = ctx.Mem().ReadF64(kGridAddr + c * 8);
-          bottom[c] = ctx.Mem().ReadF64(bottom_addr + c * 8);
-          halo[c] = ctx.Mem().ReadF64(kHaloAddr + c * 8);
-        }
+        ctx.Mem().ReadF64s(kGridAddr, row0);
+        ctx.Mem().ReadF64s(bottom_addr, bottom);
+        ctx.Mem().ReadF64s(kHaloAddr, halo);
         EdgeStep(row0.data(), bottom.data(), halo.data(), cfg.cols);
-        for (std::uint32_t c = 0; c < cfg.cols; ++c) {
-          ctx.Mem().WriteF64(kGridAddr + c * 8, row0[c]);
-          ctx.Mem().WriteF64(bottom_addr + c * 8, bottom[c]);
-        }
+        ctx.Mem().WriteF64s(kGridAddr, row0);
+        ctx.Mem().WriteF64s(bottom_addr, bottom);
         ctx.ChargeCpu(cfg.compute_per_iteration);
         std::uint64_t iter = ctx.Mem().ReadU64(kStatusAddr) + 1;
         ctx.Mem().WriteU64(kStatusAddr, iter);

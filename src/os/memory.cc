@@ -126,6 +126,38 @@ double Memory::ReadF64(std::uint64_t addr) const {
   return v;
 }
 
+void Memory::FaultOnMissing(std::uint64_t addr, std::size_t n) const {
+  if (missing_.empty() || n == 0) return;
+  auto it = missing_.lower_bound(addr >> kPageShift);
+  if (it != missing_.end() && *it <= (addr + n - 1) >> kPageShift) {
+    throw PageFault{*it};
+  }
+}
+
+void Memory::ReadF64s(std::uint64_t addr, std::span<double> out) const {
+  FaultOnMissing(addr, out.size_bytes());
+  if constexpr (std::endian::native == std::endian::little) {
+    ReadBytes(addr, reinterpret_cast<std::uint8_t*>(out.data()),
+              out.size_bytes());
+  } else {
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = ReadF64(addr + 8 * i);
+    }
+  }
+}
+
+void Memory::WriteF64s(std::uint64_t addr, std::span<const double> values) {
+  FaultOnMissing(addr, values.size_bytes());
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(values.data());
+    WriteBytes(addr, cruz::ByteSpan(bytes, values.size_bytes()));
+  } else {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      WriteF64(addr + 8 * i, values[i]);
+    }
+  }
+}
+
 void Memory::InstallPage(std::uint64_t page_index, cruz::ByteSpan content) {
   CRUZ_CHECK(content.size() == kPageSize, "InstallPage: wrong size");
   pages_[page_index] =

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -82,6 +83,14 @@ class Memory {
   std::uint64_t ReadU64(std::uint64_t addr) const;
   void WriteF64(std::uint64_t addr, double v);
   double ReadF64(std::uint64_t addr) const;
+
+  // --- typed spans (array rows) ---------------------------------------------
+  // Same bytes, page touches, dirty set and COW faults as one
+  // ReadF64/WriteF64 per element in address order, but a page at a time.
+  // Every page in the range is checked for residency first, so a span
+  // touching a missing page raises its PageFault before any byte moves.
+  void ReadF64s(std::uint64_t addr, std::span<double> out) const;
+  void WriteF64s(std::uint64_t addr, std::span<const double> values);
 
   // --- pages -------------------------------------------------------------------
   const std::map<std::uint64_t, std::shared_ptr<Page>>& pages() const {
@@ -147,6 +156,8 @@ class Memory {
   Page& PageForWrite(std::uint64_t page_index);
   // Returns nullptr for never-written pages (reads see zeros).
   const Page* PageForRead(std::uint64_t page_index) const;
+  // Throws PageFault for the lowest missing page in [addr, addr + n).
+  void FaultOnMissing(std::uint64_t addr, std::size_t n) const;
 
   // Pages are shared with snapshots; a write that hits a shared page
   // (use_count > 1) clones it first.

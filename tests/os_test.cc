@@ -2,7 +2,12 @@
 // SysV IPC, sockets through the full network stack, DHCP, and netfilter.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
 #include "os/dhcp.h"
 #include "os/node.h"
 #include "os/program.h"
@@ -683,6 +688,133 @@ TEST(OsMemory, MissingPagesFaultUntilFilled) {
   EXPECT_FALSE(m.HasMissingPages());
   // With the residue delivered, snapshots are legal again.
   EXPECT_EQ(m.Snapshot().PageCount(), m.PageCount());
+}
+
+// --- typed spans vs per-word accessors ---------------------------------------
+
+// Per-word reference for Memory::ReadF64s / WriteF64s.
+void WriteF64sPerWord(Memory& m, std::uint64_t addr,
+                      const std::vector<double>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    m.WriteF64(addr + 8 * i, values[i]);
+  }
+}
+
+std::vector<double> ReadF64sPerWord(const Memory& m, std::uint64_t addr,
+                                    std::size_t n) {
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = m.ReadF64(addr + 8 * i);
+  return out;
+}
+
+std::vector<double> RandomRow(Rng& rng, std::size_t n) {
+  std::vector<double> row(n);
+  for (double& v : row) v = rng.NextDouble() * 1e6 - 5e5;
+  return row;
+}
+
+// Two memories with identical history: one driven by spans, one word by
+// word. Rows cross page boundaries and land on never-written pages.
+TEST(OsMemory, F64SpansMatchPerWordAccessors) {
+  Rng rng(15);
+  Memory spans, words;
+  spans.WriteU64(3 * kPageSize, 42);
+  words.WriteU64(3 * kPageSize, 42);
+  spans.ClearDirty();
+  words.ClearDirty();
+
+  // A 1200-cell row from mid page 3 through never-written pages 4 and 5.
+  const std::uint64_t addr = 3 * kPageSize + 1000;
+  std::vector<double> row = RandomRow(rng, 1200);
+  spans.WriteF64s(addr, row);
+  WriteF64sPerWord(words, addr, row);
+  EXPECT_EQ(spans.ReadBytes(2 * kPageSize, 5 * kPageSize),
+            words.ReadBytes(2 * kPageSize, 5 * kPageSize));
+  EXPECT_EQ(spans.dirty_pages(), words.dirty_pages());
+  EXPECT_EQ(spans.dirty_pages(), (std::set<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(spans.PageCount(), words.PageCount());
+
+  // Reads agree too, including cells on never-written pages (zeros).
+  std::vector<double> got(1400);
+  spans.ReadF64s(addr - 8 * 100, got);
+  EXPECT_EQ(got, ReadF64sPerWord(words, addr - 8 * 100, got.size()));
+  std::vector<double> absent(600, 1.0);
+  spans.ReadF64s(40 * kPageSize + 8, absent);
+  EXPECT_EQ(absent, std::vector<double>(600, 0.0));
+  EXPECT_EQ(spans.PageCount(), words.PageCount());  // reads allocate none
+}
+
+// A row written over pages shared with a snapshot copies each page once,
+// exactly as the per-word writes do, and the snapshot stays byte-stable.
+TEST(OsMemory, F64SpanOnSnapshotPagesCountsSameCowFaults) {
+  Rng rng(16);
+  Memory spans, words;
+  std::vector<double> base = RandomRow(rng, 1024);  // pages 8 and 9
+  spans.WriteF64s(8 * kPageSize, base);
+  WriteF64sPerWord(words, 8 * kPageSize, base);
+  MemorySnapshot spans_snap = spans.Snapshot();
+  MemorySnapshot words_snap = words.Snapshot();
+  const Bytes frozen(spans_snap.Find(8)->begin(), spans_snap.Find(8)->end());
+
+  std::vector<double> row = RandomRow(rng, 300);  // straddles 8 and 9
+  spans.WriteF64s(9 * kPageSize - 8 * 150, row);
+  WriteF64sPerWord(words, 9 * kPageSize - 8 * 150, row);
+  EXPECT_EQ(spans.cow_faults(), 2u);
+  EXPECT_EQ(spans.cow_faults(), words.cow_faults());
+  EXPECT_EQ(spans.ReadBytes(8 * kPageSize, 2 * kPageSize),
+            words.ReadBytes(8 * kPageSize, 2 * kPageSize));
+  EXPECT_EQ(Bytes(spans_snap.Find(8)->begin(), spans_snap.Find(8)->end()),
+            frozen);
+  std::vector<double> snap_row(512);
+  std::memcpy(snap_row.data(), spans_snap.Find(9)->data(), kPageSize);
+  EXPECT_EQ(snap_row, std::vector<double>(base.begin() + 512, base.end()));
+}
+
+// A row touching a missing page faults on the same page as the per-word
+// loop, but before any byte of the row is written.
+TEST(OsMemory, F64SpanOnMissingPageFaultsBeforeWriting) {
+  Rng rng(17);
+  Memory spans, words;
+  for (Memory* m : {&spans, &words}) {
+    m->WriteU64(4 * kPageSize, 7);
+    m->MarkMissing(5);
+    m->MarkMissing(7);
+    m->ClearDirty();
+  }
+  const std::uint64_t addr = 5 * kPageSize - 8 * 64;  // pages 4, 5, 6, 7
+  std::vector<double> row = RandomRow(rng, 1100);
+  const Bytes before = spans.ReadBytes(4 * kPageSize, kPageSize);
+
+  std::uint64_t span_fault = 0, word_fault = 0;
+  try {
+    spans.WriteF64s(addr, row);
+  } catch (const PageFault& f) {
+    span_fault = f.page_index;
+  }
+  try {
+    WriteF64sPerWord(words, addr, row);
+  } catch (const PageFault& f) {
+    word_fault = f.page_index;
+  }
+  EXPECT_EQ(span_fault, 5u);
+  EXPECT_EQ(span_fault, word_fault);
+  EXPECT_EQ(spans.ReadBytes(4 * kPageSize, kPageSize), before);
+  EXPECT_TRUE(spans.dirty_pages().empty());
+
+  std::vector<double> out(1100);
+  try {
+    spans.ReadF64s(addr, out);
+    FAIL() << "read of a missing page did not fault";
+  } catch (const PageFault& f) {
+    EXPECT_EQ(f.page_index, 5u);
+  }
+  spans.FillPage(5, Bytes(kPageSize, 0));
+  try {
+    spans.ReadF64s(addr, out);
+    FAIL() << "read of a missing page did not fault";
+  } catch (const PageFault& f) {
+    EXPECT_EQ(f.page_index, 7u);
+  }
 }
 
 TEST(OsNetfs, BasicOperations) {
