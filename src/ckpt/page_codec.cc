@@ -1,6 +1,5 @@
 #include "ckpt/page_codec.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -12,16 +11,18 @@ namespace cruz::ckpt {
 
 namespace {
 
-// Length of the run of `value` starting at `start`, capped at 0xFFFF to
-// fit the token's u16. Scans eight bytes per step: XOR against a
-// splatted word leaves the first mismatching byte nonzero, and the
-// endian-appropriate zero count locates it in memory order.
+// A whole page fits one RLE token, so runs never need splitting.
+static_assert(os::kPageSize <= 0xFFFF, "RLE run lengths are u16");
+
+// Length of the run of `value` starting at `start`. Scans eight bytes
+// per step: XOR against a splatted word leaves the first mismatching
+// byte nonzero, and the endian-appropriate zero count locates it in
+// memory order.
 std::size_t RunLength(cruz::ByteSpan page, std::size_t start,
                       std::uint8_t value) {
   const std::uint64_t splat = 0x0101010101010101ull * value;
   std::size_t i = start;
-  const std::size_t limit =
-      std::min(page.size(), start + static_cast<std::size_t>(0xFFFF));
+  const std::size_t limit = page.size();
   while (i + 8 <= limit) {
     std::uint64_t word;
     std::memcpy(&word, page.data() + i, 8);
@@ -38,36 +39,60 @@ std::size_t RunLength(cruz::ByteSpan page, std::size_t start,
   return i - start;
 }
 
-// RLE payload: (u16 run length, u8 value) tokens summing to kPageSize.
-cruz::Bytes RleBody(cruz::ByteSpan page) {
-  cruz::ByteWriter w;
+// Number of (u16 length, u8 value) tokens the RLE body needs: one per
+// maximal run of equal bytes, as no run is ever split. Counts byte
+// transitions eight at a time (XOR of the words at i and i + 1 is
+// nonzero exactly in the bytes that differ from their successor) and
+// stops once `limit` runs are reached.
+std::size_t CountRuns(cruz::ByteSpan page, std::size_t limit) {
+  constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  const std::uint8_t* p = page.data();
+  std::size_t runs = 1;
   std::size_t i = 0;
-  while (i < page.size()) {
-    std::uint8_t value = page[i];
-    std::size_t run = RunLength(page, i, value);
-    w.PutU16(static_cast<std::uint16_t>(run));
-    w.PutU8(value);
-    i += run;
+  while (i + 9 <= page.size() && runs < limit) {
+    std::uint64_t a, b;
+    std::memcpy(&a, p + i, 8);
+    std::memcpy(&b, p + i + 1, 8);
+    std::uint64_t diff = a ^ b;
+    // High bit of each byte set iff that byte of `diff` is nonzero.
+    std::uint64_t nonzero = (((diff & kLow7) + kLow7) | diff) & ~kLow7;
+    runs += static_cast<std::size_t>(std::popcount(nonzero));
+    i += 8;
   }
-  return w.Take();
+  for (; i + 1 < page.size() && runs < limit; ++i) {
+    if (p[i] != p[i + 1]) ++runs;
+  }
+  return runs;
 }
 
 }  // namespace
 
 cruz::Bytes EncodePage(cruz::ByteSpan page, PageCodec preferred) {
   CRUZ_CHECK(page.size() == os::kPageSize, "EncodePage: wrong page size");
+  constexpr std::size_t kHeader = 5;  // codec id + CRC-32
+  constexpr std::size_t kToken = 3;   // u16 run length + u8 value
   std::uint32_t crc = cruz::Crc32(page);
-  cruz::ByteWriter out;
   if (preferred == PageCodec::kRle) {
-    cruz::Bytes body = RleBody(page);
-    if (body.size() < page.size()) {
+    // RLE pays off iff its body (kToken bytes a run) is smaller than the
+    // page, so count runs first and build tokens only for pages that win.
+    const std::size_t max_runs = (page.size() - 1) / kToken;
+    std::size_t runs = CountRuns(page, max_runs + 1);
+    if (runs <= max_runs) {
+      cruz::ByteWriter out(kHeader + kToken * runs);
       out.PutU8(static_cast<std::uint8_t>(PageCodec::kRle));
       out.PutU32(crc);
-      out.PutBytes(body);
+      for (std::size_t i = 0; i < page.size();) {
+        std::uint8_t value = page[i];
+        std::size_t run = RunLength(page, i, value);
+        out.PutU16(static_cast<std::uint16_t>(run));
+        out.PutU8(value);
+        i += run;
+      }
       return out.Take();
     }
-    // RLE would expand this page; store it raw instead.
+    // RLE would not shrink this page; store it raw instead.
   }
+  cruz::ByteWriter out(kHeader + page.size());
   out.PutU8(static_cast<std::uint8_t>(PageCodec::kRaw));
   out.PutU32(crc);
   out.PutBytes(page);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "apps/programs.h"
 #include "ckpt/engine.h"
@@ -149,6 +150,26 @@ TEST(PageCodec, PreChangeImagesDecodeUnchanged) {
   EXPECT_EQ(EncodePage(rle_page, PageCodec::kRle), v2.data());
 }
 
+// Reference encoder: builds the full token stream first and keeps it
+// iff it is smaller than the page — the decision EncodePage now makes by
+// counting runs without building tokens.
+cruz::Bytes ReferenceEncodeRle(cruz::ByteSpan page) {
+  cruz::ByteWriter body;
+  for (std::size_t i = 0; i < page.size();) {
+    std::size_t run = 1;
+    while (i + run < page.size() && page[i + run] == page[i]) ++run;
+    body.PutU16(static_cast<std::uint16_t>(run));
+    body.PutU8(page[i]);
+    i += run;
+  }
+  cruz::ByteWriter out;
+  bool rle = body.data().size() < page.size();
+  out.PutU8(rle ? 1 : 0);
+  out.PutU32(ReferenceCrc32(page));
+  out.PutBytes(rle ? cruz::ByteSpan(body.data()) : page);
+  return out.Take();
+}
+
 TEST(PageCodec, WordScanRleMatchesNaiveEncoderOnRandomPages) {
   // Differential check of the 8-byte-at-a-time run scanner against a
   // naive byte-by-byte encoder, over pages with RLE-friendly structure.
@@ -162,25 +183,72 @@ TEST(PageCodec, WordScanRleMatchesNaiveEncoderOnRandomPages) {
       run = std::min(run, os::kPageSize - page.size());
       page.insert(page.end(), run, value);
     }
-    cruz::ByteWriter naive;
-    std::size_t i = 0;
-    while (i < page.size()) {
-      std::uint8_t value = page[i];
-      std::size_t run = 1;
-      while (i + run < page.size() && page[i + run] == value &&
-             run < 0xFFFF) {
-        ++run;
-      }
-      naive.PutU16(static_cast<std::uint16_t>(run));
-      naive.PutU8(value);
-      i += run;
+    cruz::Bytes encoded = EncodePage(page, PageCodec::kRle);
+    EXPECT_EQ(encoded[0], static_cast<std::uint8_t>(PageCodec::kRle));
+    EXPECT_EQ(encoded, ReferenceEncodeRle(page)) << "trial " << trial;
+  }
+}
+
+// A page of exactly `runs` runs whose boundaries are drawn at random.
+cruz::Bytes PageWithRuns(Rng& rng, std::size_t runs) {
+  std::vector<bool> cut(os::kPageSize, false);
+  for (std::size_t placed = 1; placed < runs;) {
+    std::size_t at = 1 + rng.NextBelow(os::kPageSize - 1);
+    if (!cut[at]) {
+      cut[at] = true;
+      ++placed;
     }
-    cruz::ByteWriter expect;
-    expect.PutU8(1);  // kRle
-    expect.PutU32(ReferenceCrc32(page));
-    expect.PutBytes(naive.data());
-    EXPECT_EQ(EncodePage(page, PageCodec::kRle), expect.data())
-        << "trial " << trial;
+  }
+  cruz::Bytes page(os::kPageSize);
+  page[0] = static_cast<std::uint8_t>(rng.NextBelow(256));
+  for (std::size_t i = 1; i < page.size(); ++i) {
+    page[i] = page[i - 1];
+    if (cut[i]) page[i] += static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+  }
+  return page;
+}
+
+TEST(PageCodec, RunCountingMatchesFullTokenBuild) {
+  Rng rng(1515);
+  std::vector<cruz::Bytes> pages;
+  pages.emplace_back(os::kPageSize, 0);  // all zero: one page-long run
+  for (int trial = 0; trial < 8; ++trial) {  // random: incompressible
+    cruz::Bytes page(os::kPageSize);
+    for (auto& b : page) b = static_cast<std::uint8_t>(rng.NextBelow(256));
+    pages.push_back(page);
+  }
+  for (std::size_t stripe : {1, 2, 3, 4, 7, 8, 9, 64}) {  // striped
+    cruz::Bytes page(os::kPageSize);
+    for (std::size_t i = 0; i < page.size(); ++i) {
+      page[i] = (i / stripe) % 2 ? 0xA5 : 0x5A;
+    }
+    pages.push_back(page);
+  }
+  for (int trial = 0; trial < 64; ++trial) {  // run counts near the cut
+    pages.push_back(PageWithRuns(rng, 1300 + rng.NextBelow(130)));
+  }
+  for (const cruz::Bytes& page : pages) {
+    EXPECT_EQ(EncodePage(page, PageCodec::kRle), ReferenceEncodeRle(page));
+    EXPECT_EQ(DecodePage(EncodePage(page, PageCodec::kRle)), page);
+  }
+}
+
+TEST(PageCodec, BorderlineRleBodiesChooseTheSmallerCodec) {
+  // Three-byte tokens make every RLE body a multiple of 3, and kPageSize
+  // is not, so the borderline bodies are the multiples of 3 around it:
+  // kPageSize - 4 and kPageSize - 1 (RLE wins) and kPageSize + 2 (raw).
+  static_assert(os::kPageSize % 3 == 1);
+  Rng rng(4096);
+  const std::size_t runs_at_cut = os::kPageSize / 3;  // body kPageSize - 1
+  for (std::size_t runs : {runs_at_cut - 1, runs_at_cut, runs_at_cut + 1}) {
+    cruz::Bytes page = PageWithRuns(rng, runs);
+    cruz::Bytes encoded = EncodePage(page, PageCodec::kRle);
+    const bool rle = 3 * runs < os::kPageSize;
+    EXPECT_EQ(encoded[0], rle ? 1 : 0) << runs << " runs";
+    EXPECT_EQ(encoded.size(), 5 + (rle ? 3 * runs : os::kPageSize))
+        << runs << " runs";
+    EXPECT_EQ(encoded, ReferenceEncodeRle(page)) << runs << " runs";
+    EXPECT_EQ(DecodePage(encoded), page);
   }
 }
 
