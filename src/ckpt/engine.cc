@@ -295,16 +295,19 @@ PodSnapshot CheckpointEngine::SnapshotPod(pod::PodManager& pods,
 }
 
 PodCheckpoint CheckpointEngine::LoadImageChain(os::FileStore& fs,
-                                               const std::string& path) {
+                                               const std::string& path,
+                                               std::uint64_t* bytes_read) {
   // Walk parent links to the full base image, then overlay forward.
   std::vector<PodCheckpoint> chain;
   std::string current = path;
+  std::uint64_t total = 0;
   for (;;) {
     cruz::Bytes image;
     if (!SysOk(fs.ReadFile(current, image))) {
       throw UsageError("checkpoint image missing from shared FS: " +
                        current);
     }
+    total += image.size();
     chain.push_back(PodCheckpoint::Deserialize(image));
     if (!chain.back().incremental) break;
     CRUZ_CHECK(!chain.back().parent_image.empty(),
@@ -316,6 +319,7 @@ PodCheckpoint CheckpointEngine::LoadImageChain(os::FileStore& fs,
   for (auto it = std::next(chain.rbegin()); it != chain.rend(); ++it) {
     merged = it->MergeOnto(merged);
   }
+  if (bytes_read != nullptr) *bytes_read = total;
   return merged;
 }
 

@@ -122,9 +122,11 @@ class CheckpointEngine {
   // tier-resolving view over the local/partner/netfs hierarchy —
   // resolving the incremental parent chain (oldest-to-newest page
   // overlay). Throws CodecError on corruption, UsageError on a missing
-  // link.
+  // link. `bytes_read`, if set, receives the total size of every link
+  // read (the restore cost model's storage volume).
   static PodCheckpoint LoadImageChain(os::FileStore& fs,
-                                      const std::string& path);
+                                      const std::string& path,
+                                      std::uint64_t* bytes_read = nullptr);
 
   // Rebuilds a pod from a checkpoint. Processes are installed SIGSTOPped;
   // call ResumePod to let them run.

@@ -566,8 +566,7 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   if (AnswerRepeat(m, from)) return;
   // Tiered mode: read through the tier-resolving view (local → partner →
   // netfs, with rebuild-on-restart), so every link of an incremental
-  // chain finds the best intact copy independently. The view memoizes,
-  // so the chain walk below and LoadImageChain resolve each path once.
+  // chain finds the best intact copy independently.
   std::optional<ckpt::TieredReadView> view;
   if (m.tiered && tiered_ != nullptr) {
     view.emplace(*tiered_, &node_);
@@ -578,27 +577,10 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   // Total bytes read from storage: the image plus any incremental
   // parents the chain resolves through (restore cost model).
   std::uint64_t chain_bytes = 0;
-  {
-    std::string link = m.image_path;
-    for (;;) {
-      SysResult size = fs.FileSize(link);
-      if (!SysOk(size)) break;
-      chain_bytes += static_cast<std::uint64_t>(size);
-      cruz::Bytes raw;
-      fs.ReadFile(link, raw);
-      ckpt::PodCheckpoint peek;
-      try {
-        peek = ckpt::PodCheckpoint::Deserialize(raw);
-      } catch (const cruz::CruzError&) {
-        break;  // corruption is reported by LoadImageChain below
-      }
-      if (!peek.incremental) break;
-      link = peek.parent_image;
-    }
-  }
   ckpt::PodCheckpoint ck;
   try {
-    ck = ckpt::CheckpointEngine::LoadImageChain(fs, m.image_path);
+    ck = ckpt::CheckpointEngine::LoadImageChain(fs, m.image_path,
+                                                &chain_bytes);
   } catch (const cruz::CruzError& e) {
     // Missing or corrupt (CRC-failing) image on every tier: report
     // instead of going silent so the coordinator can abort and fall back.
