@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "net/address.h"
@@ -34,10 +35,17 @@ constexpr std::uint64_t kStatusAddr = 0x200000;
 // Deterministic byte pattern used by the streaming pair; both ends compute
 // it independently from the absolute stream offset, which makes loss,
 // duplication, or reordering across a checkpoint detectable.
+constexpr std::uint64_t kPatternMultiplier = 0x9E3779B97F4A7C15ull;
 inline std::uint8_t PatternByte(std::uint64_t offset) {
-  std::uint64_t x = offset * 0x9E3779B97F4A7C15ull;
+  std::uint64_t x = offset * kPatternMultiplier;
   return static_cast<std::uint8_t>(x >> 56);
 }
+
+// Bulk forms for stream endpoints: FillPattern sets out[k] =
+// PatternByte(offset + k); CountPatternMismatches counts the k with
+// data[k] != PatternByte(offset + k).
+void FillPattern(std::uint64_t offset, std::span<std::uint8_t> out);
+std::uint64_t CountPatternMismatches(std::uint64_t offset, cruz::ByteSpan data);
 
 // Ensures the program factories above are registered (call once; idempotent).
 void RegisterPrograms();

@@ -634,6 +634,13 @@ SysResult Os::SysSendTcp(Process& proc, Fd fd, cruz::ByteSpan data) {
   return sock->conn->Send(data);
 }
 
+SysResult Os::SysTcpSendSpace(Process& proc, Fd fd) {
+  TcpSocketObject* sock = TcpFromFd(proc, fd, nullptr);
+  if (sock == nullptr) return SysErr(CRUZ_ENOTSOCK);
+  if (sock->conn == nullptr) return 0;
+  return static_cast<SysResult>(sock->conn->SendBufferFree());
+}
+
 SysResult Os::SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
                          std::size_t max, bool peek) {
   ChargeSyscall(proc);
@@ -984,6 +991,9 @@ SysResult ProcessCtx::Connect(Fd fd, net::Endpoint remote) {
 }
 SysResult ProcessCtx::SendTcp(Fd fd, cruz::ByteSpan data) {
   return Intercept([&] { return os_.SysSendTcp(proc_, fd, data); });
+}
+SysResult ProcessCtx::TcpSendSpace(Fd fd) {
+  return Intercept([&] { return os_.SysTcpSendSpace(proc_, fd); });
 }
 SysResult ProcessCtx::RecvTcp(Fd fd, cruz::Bytes& out, std::size_t max,
                               bool peek) {

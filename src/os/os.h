@@ -165,6 +165,7 @@ class Os {
   SysResult SysAccept(Process& proc, Fd fd);
   SysResult SysConnect(Process& proc, Fd fd, net::Endpoint remote);
   SysResult SysSendTcp(Process& proc, Fd fd, cruz::ByteSpan data);
+  SysResult SysTcpSendSpace(Process& proc, Fd fd);
   SysResult SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
                        std::size_t max, bool peek);
   SysResult SysSendToUdp(Process& proc, Fd fd, net::Endpoint remote,

@@ -93,6 +93,11 @@ class ProcessCtx {
   SysResult Accept(Fd fd);
   SysResult Connect(Fd fd, net::Endpoint remote);
   SysResult SendTcp(Fd fd, cruz::ByteSpan data);
+  // Bytes a SendTcp on `fd` would accept right now (Linux: SO_SNDBUF
+  // minus SIOCOUTQ); 0 before the connection exists. A free query: it
+  // charges no syscall cost, so sizing a send by it leaves the simulated
+  // timeline unchanged.
+  SysResult TcpSendSpace(Fd fd);
   SysResult RecvTcp(Fd fd, cruz::Bytes& out, std::size_t max,
                     bool peek = false);
   SysResult SendToUdp(Fd fd, net::Endpoint remote, cruz::ByteSpan data);

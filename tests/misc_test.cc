@@ -12,6 +12,30 @@
 namespace cruz {
 namespace {
 
+// --- stream pattern ---------------------------------------------------------
+
+// The bulk pattern forms agree with PatternByte at any offset and length,
+// across the scalar tails and the verifier's block boundaries, and count
+// every corrupted byte exactly once.
+TEST(StreamPattern, BulkFormsMatchPatternByte) {
+  for (std::uint64_t offset : {0ull, 7ull, 1000003ull, ~0ull - 3000}) {
+    for (std::size_t len : {0, 1, 15, 16, 17, 1023, 1024, 1025, 5000}) {
+      Bytes buf(len);
+      apps::FillPattern(offset, buf);
+      for (std::size_t k = 0; k < len; ++k) {
+        ASSERT_EQ(buf[k], apps::PatternByte(offset + k)) << offset << "+" << k;
+      }
+      EXPECT_EQ(apps::CountPatternMismatches(offset, buf), 0u);
+      std::uint64_t flipped = 0;
+      for (std::size_t k = 0; k < len; k += 333) {
+        buf[k] ^= 0x5A;
+        ++flipped;
+      }
+      EXPECT_EQ(apps::CountPatternMismatches(offset, buf), flipped);
+    }
+  }
+}
+
 // --- determinism ------------------------------------------------------------
 
 struct RunDigest {
