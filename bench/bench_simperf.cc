@@ -8,18 +8,9 @@
 //                        schedule/pop throughput of the event queue.
 //   * packet-storm     — a million TCP-shaped segment arrivals, each
 //                        churning the connection's delayed-ACK, persist,
-//                        and RTO timers, materializing a frame buffer,
-//                        and emitting per-segment verbose trace
-//                        instants. Run twice from one binary: on the
-//                        post-change kernel (indexed heap, SBO
-//                        callbacks, pooled buffers, sampled tracing)
-//                        and on an in-binary replica of the pre-change
-//                        kernel (priority_queue + tombstone set,
-//                        std::function, fresh buffer + copy per hop,
-//                        full-rate verbose tracing — the old kernel had
-//                        no sampling mode). Best-of-3 per side; the
-//                        untraced queue-only ratio is printed alongside
-//                        so each factor's contribution is visible.
+//                        and RTO timers, reusing a pooled frame buffer,
+//                        and emitting per-segment verbose trace instants
+//                        sampled 1-in-1024. Best of 3.
 //   * net-storm        — a frame flood through the real Nic/
 //                        EthernetSwitch data path (frame pool, SBO
 //                        callbacks, switch scheduling).
@@ -29,16 +20,13 @@
 // Emits BENCH_simperf.json for check_regression.py. Wall-clock metrics
 // carry a per-metric threshold (machine-speed variance); the storm's
 // peak queue storage is sim-deterministic and gated exactly.
-// CRUZ_BENCH_SMOKE=1 shrinks the net/checkpoint workloads; the storm
-// always runs its million events so the speedup number stays honest.
+// CRUZ_BENCH_SMOKE=1 shrinks the timer/net/checkpoint workloads; the
+// storm always runs its million events.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "apps/programs.h"
@@ -61,62 +49,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
                                        start)
       .count();
 }
-
-// Faithful replica of the pre-change EventQueue: binary priority_queue
-// of (when, id, std::function) entries, cancellation via an
-// unordered_set tombstone check at pop time. Cancelled entries stay in
-// the heap until their deadline passes the top.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  cruz::sim::EventId ScheduleAt(TimeNs when, Callback cb) {
-    cruz::sim::EventId id = next_id_++;
-    heap_.push(Entry{when, id, std::move(cb)});
-    pending_.insert(id);
-    return id;
-  }
-  bool Cancel(cruz::sim::EventId id) {
-    if (id == cruz::sim::kInvalidEventId) return false;
-    return pending_.erase(id) != 0;
-  }
-  bool Empty() const {
-    SkipCancelled();
-    return heap_.empty();
-  }
-  Callback PopNext(TimeNs* when) {
-    SkipCancelled();
-    Entry entry{heap_.top().when, heap_.top().id,
-                std::move(const_cast<Entry&>(heap_.top()).cb)};
-    heap_.pop();
-    pending_.erase(entry.id);
-    *when = entry.when;
-    return std::move(entry.cb);
-  }
-  std::size_t heap_entries() const { return heap_.size(); }
-
- private:
-  struct Entry {
-    TimeNs when;
-    cruz::sim::EventId id;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
-    }
-  };
-  void SkipCancelled() const {
-    while (!heap_.empty() &&
-           pending_.find(heap_.top().id) == pending_.end()) {
-      heap_.pop();
-    }
-  }
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<cruz::sim::EventId> pending_;
-  cruz::sim::EventId next_id_ = 1;
-};
 
 // --- pure-timer --------------------------------------------------------------
 
@@ -147,25 +79,18 @@ double RunPureTimer(std::uint64_t total_events) {
 // doing what the TCP receive path does to the simulator kernel:
 //
 //   * re-arm the next arrival (+2 us),
-//   * cancel + re-arm the delayed-ACK (+50 us) and persist (+200 us)
-//     timers — in the old kernel each cancelled entry stays behind as a
-//     tombstone that soon reaches the top of the heap and must be
-//     skip-popped through the full (by then million-entry) sift-down,
-//   * cancel + re-arm the retransmission timer (+200 ms) — these
-//     tombstones never reach the top within the run, so the old heap
-//     grows by one entry per event (the leak-by-design),
-//   * materialize the segment's wire frame — pooled buffer reuse after
-//     the change; a fresh allocation plus the delivery-closure copy
-//     before it (the pre-change switch captured the frame by value),
-//   * emit tcp.rx/tcp.tx verbose trace instants — sampled 1-in-1024
-//     after the change; at full rate before it (no sampling existed),
+//   * cancel + re-arm the delayed-ACK (+50 us), persist (+200 us) and
+//     retransmission (+200 ms) timers — the indexed heap frees each
+//     cancelled slot at once, so storage stays at the live timers,
+//   * reuse a pooled buffer for the segment's wire frame,
+//   * emit tcp.rx/tcp.tx verbose trace instants, sampled 1-in-1024,
 //
 // with timer callbacks capturing connection state (32 bytes — larger
-// than std::function's 16-byte inline buffer, so the old kernel paid a
-// heap allocation per schedule; SimCallback stores it inline).
+// than std::function's 16-byte inline buffer; SimCallback stores it
+// inline).
 struct StormResult {
   double events_per_sec = 0;
-  std::size_t peak_storage = 0;  // slots (new) or heap entries (legacy)
+  std::size_t peak_storage = 0;  // queue slots
 };
 
 // What a real timer callback closes over: the connection, a sequence
@@ -185,21 +110,17 @@ struct TimerCapture {
 
 constexpr std::uint32_t kStormSampling = 1024;
 
-// kPooled selects the post-change buffer/tracing discipline; `tracing`
-// false runs the queue-only variant (no instants either side) used to
-// report the bare data-structure ratio.
-template <typename Queue, bool kPooled>
-StormResult RunStorm(std::uint64_t total_events, bool tracing) {
+StormResult RunStorm(std::uint64_t total_events) {
   constexpr int kConns = 512;
   constexpr TimeNs kDelack = 50 * cruz::kMicrosecond;
   constexpr TimeNs kPersist = 200 * cruz::kMicrosecond;
   constexpr TimeNs kRto = 200 * cruz::kMillisecond;
-  Queue q;
+  cruz::sim::EventQueue q;
   cruz::obs::Tracer tracer;
   TimeNs now = 0;
   tracer.SetClock([&now] { return now; });
-  tracer.set_verbose(tracing);
-  if (kPooled) tracer.SetSampling(kStormSampling);
+  tracer.set_verbose(true);
+  tracer.SetSampling(kStormSampling);
   std::vector<ConnState> conns(kConns);
   for (int c = 0; c < kConns; ++c) {
     conns[static_cast<std::size_t>(c)].tuple =
@@ -224,39 +145,23 @@ StormResult RunStorm(std::uint64_t total_events, bool tracing) {
     q.ScheduleAt(static_cast<TimeNs>(c), timer_cb(cap));
   }
   auto start = std::chrono::steady_clock::now();
-  auto storage = [&q]() -> std::size_t {
-    if constexpr (requires { q.storage_slots(); }) {
-      return q.storage_slots();
-    } else {
-      return q.heap_entries();
-    }
-  };
   while (fired < total_events) {
-    typename Queue::Callback cb = q.PopNext(&now);
+    cruz::sim::EventQueue::Callback cb = q.PopNext(&now);
     cb();
     std::size_t c = fired % kConns;
     ++fired;
     {
       // The segment's wire frame, switch ingress -> delivery.
       Bytes frame;
-      if constexpr (kPooled) {
-        if (!pool.empty()) {
-          frame = std::move(pool.back());
-          pool.pop_back();
-        }
-        frame.clear();
+      if (!pool.empty()) {
+        frame = std::move(pool.back());
+        pool.pop_back();
       }
+      frame.clear();
       frame.insert(frame.end(), wire_src.begin(), wire_src.end());
       sink += frame[3];
-      if constexpr (!kPooled) {
-        Bytes delivery_copy = frame;  // pre-change by-value capture
-        sink += delivery_copy[5];
-      } else {
-        sink += frame[5];
-      }
-      if constexpr (kPooled) {
-        if (pool.size() < 128) pool.push_back(std::move(frame));
-      }
+      sink += frame[5];
+      if (pool.size() < 128) pool.push_back(std::move(frame));
     }
     if (tracer.VerboseSample()) {
       tracer.Instant("tcp", "tcp.rx",
@@ -283,11 +188,11 @@ StormResult RunStorm(std::uint64_t total_events, bool tracing) {
     rto[c] = q.ScheduleAt(now + kRto, timer_cb(cap));
     q.ScheduleAt(now + 2 * cruz::kMicrosecond, timer_cb(cap));
     if ((fired & 0x3FFFF) == 0) {
-      out.peak_storage = std::max(out.peak_storage, storage());
+      out.peak_storage = std::max(out.peak_storage, q.storage_slots());
     }
   }
   double secs = SecondsSince(start);
-  out.peak_storage = std::max(out.peak_storage, storage());
+  out.peak_storage = std::max(out.peak_storage, q.storage_slots());
   out.events_per_sec = static_cast<double>(fired) / secs;
   if (sink == 0) out.events_per_sec = 0;  // keep `sink` observable
   return out;
@@ -295,11 +200,10 @@ StormResult RunStorm(std::uint64_t total_events, bool tracing) {
 
 // Best wall-clock rate of `reps` runs (the peak storage is identical
 // across runs — the workload is deterministic).
-template <typename Queue, bool kPooled>
-StormResult BestStorm(std::uint64_t total_events, bool tracing, int reps) {
+StormResult BestStorm(std::uint64_t total_events, int reps) {
   StormResult best;
   for (int r = 0; r < reps; ++r) {
-    StormResult got = RunStorm<Queue, kPooled>(total_events, tracing);
+    StormResult got = RunStorm(total_events);
     best.events_per_sec = std::max(best.events_per_sec, got.events_per_sec);
     best.peak_storage = std::max(best.peak_storage, got.peak_storage);
   }
@@ -404,29 +308,10 @@ int main() {
   std::printf("pure-timer        %12.0f events/s (%llu events)\n", pure,
               static_cast<unsigned long long>(kTimerEvents));
 
-  StormResult storm =
-      BestStorm<cruz::sim::EventQueue, true>(kStormEvents, true, 3);
-  StormResult legacy =
-      BestStorm<LegacyEventQueue, false>(kStormEvents, true, 3);
-  double speedup = legacy.events_per_sec > 0
-                       ? storm.events_per_sec / legacy.events_per_sec
-                       : 0;
+  StormResult storm = BestStorm(kStormEvents, 3);
   std::printf("packet-storm      %12.0f events/s, peak %zu slots "
               "(tracing sampled 1/%u, pooled frames)\n",
               storm.events_per_sec, storm.peak_storage, kStormSampling);
-  std::printf("  pre-change      %12.0f events/s, peak %zu heap entries "
-              "(full-rate tracing, per-hop allocs, tombstones)\n",
-              legacy.events_per_sec, legacy.peak_storage);
-  std::printf("  speedup         %12.1fx\n", speedup);
-  StormResult qs =
-      BestStorm<cruz::sim::EventQueue, true>(kStormEvents, false, 1);
-  StormResult ql =
-      BestStorm<LegacyEventQueue, false>(kStormEvents, false, 1);
-  std::printf("  queue-only      %12.1fx (untraced: %0.f vs %.0f "
-              "events/s — data structure + callbacks + buffers alone)\n",
-              ql.events_per_sec > 0 ? qs.events_per_sec / ql.events_per_sec
-                                    : 0,
-              qs.events_per_sec, ql.events_per_sec);
 
   double net = RunNetStorm(kNetEvents);
   std::printf("net-storm         %12.0f events/s (%llu events)\n", net,
@@ -439,13 +324,9 @@ int main() {
   // The storm's peak queue footprint is sim-deterministic: the indexed
   // heap must stay at the ~2*kConns live events (RTO + next arrival per
   // connection), proving cancelled entries do not accumulate.
-  bool ok = storm.peak_storage < 8192 &&
-            legacy.peak_storage > kStormEvents / 2 && speedup >= 10.0 &&
-            pure > 0 && net > 0 && ckpt > 0;
+  bool ok = storm.peak_storage < 8192 && pure > 0 && net > 0 && ckpt > 0;
   std::printf("\nshape check: %s\n",
-              ok ? "indexed heap bounded; legacy heap grows with "
-                   "cancelled entries; >=10x storm speedup"
-                 : "UNEXPECTED");
+              ok ? "indexed heap bounded" : "UNEXPECTED");
 
   std::FILE* gate = std::fopen("BENCH_simperf.json", "w");
   if (gate != nullptr) {
@@ -466,12 +347,10 @@ int main() {
       first = false;
     };
     // Wall-clock rates get a wide per-metric threshold (CI machines
-    // vary); the deterministic footprint and the relative speedup are
-    // tighter.
+    // vary); the deterministic footprint is gated exactly.
     metric("pure_timer_events_per_sec", pure, "events/s", "higher", 0.5);
     metric("storm_events_per_sec", storm.events_per_sec, "events/s",
            "higher", 0.5);
-    metric("storm_speedup_vs_legacy", speedup, "x", "higher", 0.4);
     metric("storm_peak_queue_slots",
            static_cast<double>(storm.peak_storage), "slots", "lower", 0);
     metric("net_storm_events_per_sec", net, "events/s", "higher", 0.5);

@@ -399,25 +399,14 @@ class SysbenchProgram : public os::Program {
 }  // namespace
 
 void FillPattern(std::uint64_t offset, std::span<std::uint8_t> out) {
-  // kPatternLanes products run side by side, each stepping by
-  // kPatternLanes multipliers (products of consecutive offsets differ by
-  // one multiplier). The fixed-width inner loop vectorizes, where a
-  // multiply per byte does not.
-  constexpr std::size_t kPatternLanes = 16;
-  std::uint8_t* p = out.data();
-  const std::size_t n = out.size();
-  std::uint64_t x[kPatternLanes];
-  for (std::size_t j = 0; j < kPatternLanes; ++j) {
-    x[j] = (offset + j) * kPatternMultiplier;
+  // PatternByte(offset + k) as a running product: consecutive offsets'
+  // products differ by one multiplier, so one add per byte replaces the
+  // multiply.
+  std::uint64_t x = offset * kPatternMultiplier;
+  for (std::uint8_t& byte : out) {
+    byte = static_cast<std::uint8_t>(x >> 56);
+    x += kPatternMultiplier;
   }
-  std::size_t k = 0;
-  for (; k + kPatternLanes <= n; k += kPatternLanes) {
-    for (std::size_t j = 0; j < kPatternLanes; ++j) {
-      p[k + j] = static_cast<std::uint8_t>(x[j] >> 56);
-      x[j] += kPatternLanes * kPatternMultiplier;
-    }
-  }
-  for (; k < n; ++k) p[k] = PatternByte(offset + k);
 }
 
 std::uint64_t CountPatternMismatches(std::uint64_t offset,

@@ -109,7 +109,7 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
     }
     if (SysOk(pr)) {
       out.push_back(Replica{Tier::kPartner, partner->index(), bytes, crc});
-      partner_cost = writer.PartnerWriteDuration(bytes);
+      partner_cost = writer.DiskWriteDuration(bytes);
     }
   } else if (partner != nullptr) {
     sim_.metrics().counter("ckpt.store.partner_skips_total").Add(1);
@@ -138,7 +138,7 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
   // Tier 3 fills in the background once the foreground writes land.
   ScheduleFlush(path, writer.index(),
                 std::max(local_cost, partner_cost) +
-                    writer.NetfsWriteDuration(bytes));
+                    writer.DiskWriteDuration(bytes));
   return static_cast<SysResult>(bytes);
 }
 
@@ -161,7 +161,7 @@ void TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes) {
     index_[path].flushed = true;
   } else {
     if (SysErrno(r) == CRUZ_ENOSPC) NotifyNoSpace("netfs", path);
-    ScheduleFlush(path, 0, flush_retry_);
+    ScheduleFlush(path, 0, kFlushRetry);
   }
 }
 
@@ -361,7 +361,7 @@ bool TieredStore::FindAnyCopy(const std::string& path,
 
 void TieredStore::ScheduleFlush(const std::string& path, std::uint32_t writer,
                                 DurationNs after) {
-  pending_flush_[path] = FlushState{writer, flush_retry_, 0};
+  pending_flush_[path] = FlushState{writer, kFlushRetry, 0};
   sim_.Schedule(after, [this, path] { AttemptFlush(path); });
 }
 
@@ -402,7 +402,7 @@ void TieredStore::AttemptFlush(const std::string& path) {
     EvictNetfsForSpace(GenPrefixOf(path));
   }
 
-  if (it->second.attempts >= max_flush_attempts_) {
+  if (it->second.attempts >= kMaxFlushAttempts) {
     sim_.metrics().counter("ckpt.store.flush_abandoned_total").Add(1);
     sim_.tracer().Instant(
         "ckpt", "ckpt.store.flush_abandoned",
@@ -419,7 +419,7 @@ void TieredStore::AttemptFlush(const std::string& path) {
           .Arg("attempts", static_cast<std::uint64_t>(it->second.attempts))
           .Arg("error", ErrnoName(SysErrno(r))));
   DurationNs backoff = it->second.backoff;
-  it->second.backoff = std::min(backoff * 2, flush_retry_max_);
+  it->second.backoff = std::min(backoff * 2, kFlushRetryMax);
   sim_.Schedule(backoff, [this, path] { AttemptFlush(path); });
 }
 
@@ -612,7 +612,7 @@ std::size_t TieredStore::DiscardPrefix(const std::string& prefix) {
 void TieredStore::ScheduleReaper() {
   if (reaper_scheduled_) return;
   reaper_scheduled_ = true;
-  sim_.Schedule(flush_retry_max_, [this] { ReapTombstones(); });
+  sim_.Schedule(kFlushRetryMax, [this] { ReapTombstones(); });
 }
 
 void TieredStore::ReapTombstones() {

@@ -23,8 +23,9 @@
 // -ENOSPC on any tier evicts the oldest non-latest generation's files
 // rather than failing the checkpoint.
 //
-// The store is pure state + scheduling; I/O *cost* is still charged by
-// the agents through Node::DiskWriteDuration / PartnerWriteDuration.
+// The store is pure state + scheduling. Each tier write costs one
+// Node::DiskWriteDuration: the partner copy and the netfs flush run at
+// the writer's local disk rate.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +75,6 @@ class TieredStore {
   // Keep the newest K generations on the node disks; older generations
   // are dropped from tiers 1-2 once every file is durable on the netfs.
   void set_keep_local_generations(std::size_t k) { keep_local_ = k; }
-  void set_flush_retry_interval(DurationNs d) { flush_retry_ = d; }
-  void set_max_flush_attempts(std::size_t n) { max_flush_attempts_ = n; }
 
   // --- write path ---------------------------------------------------------
   // Commits `image` to the writer's local disk and its partner's disk
@@ -166,9 +165,9 @@ class TieredStore {
   fault::Injector* injector_ = nullptr;
   std::vector<os::Node*> ring_;
   std::size_t keep_local_ = 2;
-  DurationNs flush_retry_ = 100 * kMillisecond;
-  DurationNs flush_retry_max_ = 2 * kSecond;
-  std::size_t max_flush_attempts_ = 64;
+  static constexpr DurationNs kFlushRetry = 100 * kMillisecond;
+  static constexpr DurationNs kFlushRetryMax = 2 * kSecond;
+  static constexpr std::size_t kMaxFlushAttempts = 64;
   // Commit-time truth per image path: expected size/CRC and durability.
   std::map<std::string, ImageMeta> index_;
   std::map<std::string, FlushState> pending_flush_;

@@ -27,10 +27,9 @@
 
 #include "obs/causal/causal_graph.h"
 #include "obs/causal/critical_path.h"
-#include "obs/causal/json_lite.h"
+#include "obs/causal/metrics_io.h"
 #include "obs/causal/slo_report.h"
 #include "obs/causal/trace_io.h"
-#include "obs/metrics.h"
 
 namespace {
 
@@ -107,45 +106,12 @@ int ExposeMetrics(const std::string& path) {
     std::fprintf(stderr, "cruz_analyze: cannot read %s\n", path.c_str());
     return 1;
   }
-  JsonValue root;
+  cruz::obs::MetricsRegistry registry;
   std::string error;
-  if (!ParseJson(text, root, error) ||
-      root.type != JsonValue::Type::kObject) {
+  if (!ImportMetricsJson(text, registry, error)) {
     std::fprintf(stderr, "cruz_analyze: bad metrics JSON: %s\n",
                  error.c_str());
     return 1;
-  }
-  cruz::obs::MetricsRegistry registry;
-  if (const JsonValue* counters = root.Find("counters")) {
-    for (const auto& [name, v] : counters->fields) {
-      registry.counter(name).Add(v.AsU64());
-    }
-  }
-  if (const JsonValue* gauges = root.Find("gauges")) {
-    for (const auto& [name, v] : gauges->fields) {
-      registry.gauge(name).Set(v.AsDouble());
-    }
-  }
-  if (const JsonValue* histograms = root.Find("histograms")) {
-    for (const auto& [name, v] : histograms->fields) {
-      cruz::obs::Histogram& h = registry.histogram(name);
-      const JsonValue* count = v.Find("count");
-      const JsonValue* sum = v.Find("sum");
-      const JsonValue* min = v.Find("min");
-      const JsonValue* max = v.Find("max");
-      h.Restore(count != nullptr ? count->AsU64() : 0,
-                sum != nullptr ? sum->AsU64() : 0,
-                min != nullptr ? min->AsU64() : 0,
-                max != nullptr ? max->AsU64() : 0);
-      if (const JsonValue* buckets = v.Find("buckets")) {
-        for (const JsonValue& pair : buckets->items) {
-          if (pair.items.size() == 2) {
-            h.RestoreBucket(static_cast<int>(pair.items[0].AsU64()),
-                            pair.items[1].AsU64());
-          }
-        }
-      }
-    }
   }
   std::string out = registry.ExportPrometheus();
   std::fwrite(out.data(), 1, out.size(), stdout);

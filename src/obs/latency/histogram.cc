@@ -63,6 +63,21 @@ void LatencyHistogram::Clear() {
   counts_.assign(counts_.size(), 0);
 }
 
+void LatencyHistogram::Restore(std::uint64_t count, std::uint64_t sum,
+                               std::uint64_t min_v, std::uint64_t max_v) {
+  count_ = count;
+  sum_ = sum;
+  min_ = count == 0 ? ~0ull : min_v;
+  max_ = max_v;
+}
+
+bool LatencyHistogram::RestoreCount(std::uint64_t le, std::uint64_t count) {
+  std::size_t index = IndexFor(le);
+  if (UpperBoundFor(index) != le) return false;
+  counts_[index] = count;
+  return true;
+}
+
 std::uint64_t LatencyHistogram::Percentile(double q) const {
   if (count_ == 0) return 0;
   if (q > 1.0) q = 1.0;

@@ -1,9 +1,9 @@
 // HDR-style log-linear latency histogram (~3 significant digits).
 //
-// The power-of-two obs::Histogram is fine for separating "100 us" from
-// "1 s", but request-latency percentiles need sub-millisecond
-// resolution across a nanoseconds-to-minutes range. This is the
-// standard HdrHistogram layout: values are bucketed by their
+// The one histogram type: MetricsRegistry instruments and the SLO
+// latency windows both record into it. Latency percentiles need
+// sub-millisecond resolution across a nanoseconds-to-minutes range.
+// This is the standard HdrHistogram layout: values are bucketed by their
 // most-significant bit, and each power-of-two bucket is split into
 // kSubBucketHalfCount linear sub-buckets, so every recorded value lands
 // in a bucket whose width is at most value / 1024 — a guaranteed
@@ -61,10 +61,21 @@ class LatencyHistogram {
   // Percentile(1.0) == max()). 0 when empty.
   std::uint64_t Percentile(double q) const;
 
-  // Index math, exposed for tests: the linear counts index a value
-  // records into, and the largest value mapping to that index.
+  // Index math: the linear counts index a value records into, and the
+  // largest value mapping to that index (a bucket's `le` in exports).
   static std::size_t IndexFor(std::uint64_t value);
   static std::uint64_t UpperBoundFor(std::size_t index);
+
+  // Per-index counts, for exporters.
+  std::size_t bucket_count() const { return counts_.size(); }
+  std::uint64_t bucket(std::size_t index) const { return counts_[index]; }
+
+  // Rebuild from an exported snapshot (no raw samples): Restore the
+  // scalars, then RestoreCount each sparse bucket by its `le`. Returns
+  // false, changing nothing, when `le` is not a bucket upper bound.
+  void Restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min_v,
+               std::uint64_t max_v);
+  bool RestoreCount(std::uint64_t le, std::uint64_t count);
 
  private:
   std::uint64_t count_ = 0;

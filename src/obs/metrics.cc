@@ -15,33 +15,6 @@ std::string FormatDouble(double v) {
 
 }  // namespace
 
-void Histogram::Record(std::uint64_t v) {
-  ++count_;
-  sum_ += v;
-  if (v < min_) min_ = v;
-  if (v > max_) max_ = v;
-  int bucket = 0;
-  while (bucket < kBuckets - 1 && (1ull << bucket) < v) ++bucket;
-  ++buckets_[bucket];
-}
-
-std::uint64_t Histogram::Percentile(double q) const {
-  if (count_ == 0) return 0;
-  std::uint64_t rank = static_cast<std::uint64_t>(q * count_);
-  if (static_cast<double>(rank) < q * static_cast<double>(count_)) ++rank;
-  if (rank < 1) rank = 1;
-  if (rank > count_) rank = count_;
-  std::uint64_t cumulative = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= rank) {
-      std::uint64_t upper = i == kBuckets - 1 ? ~0ull : 1ull << i;
-      return upper < max_ ? upper : max_;
-    }
-  }
-  return max_;
-}
-
 void MetricsRegistry::Reset() {
   counters_.clear();
   gauges_.clear();
@@ -92,12 +65,12 @@ std::string MetricsRegistry::ExportJson() const {
            ",\"max\":" + std::to_string(h.max()) +
            ",\"mean\":" + FormatDouble(h.mean()) + ",\"buckets\":[";
     bool bfirst = true;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
+    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
       if (h.bucket(i) == 0) continue;
       if (!bfirst) out += ',';
       bfirst = false;
-      out += "[" + std::to_string(i) + "," + std::to_string(h.bucket(i)) +
-             "]";
+      out += "[" + std::to_string(LatencyHistogram::UpperBoundFor(i)) + "," +
+             std::to_string(h.bucket(i)) + "]";
     }
     out += "]}";
   }
@@ -129,14 +102,12 @@ std::string MetricsRegistry::ExportPrometheus() const {
   for (const auto& [name, h] : histograms_) {
     std::string n = sanitize(name);
     out += "# TYPE " + n + " histogram\n";
-    int highest = -1;
-    for (int i = 0; i < Histogram::kBuckets; ++i) {
-      if (h.bucket(i) != 0) highest = i;
-    }
     std::uint64_t cumulative = 0;
-    for (int i = 0; i <= highest; ++i) {
+    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+      if (h.bucket(i) == 0) continue;
       cumulative += h.bucket(i);
-      out += n + "_bucket{le=\"" + std::to_string(1ull << i) + "\"} " +
+      out += n + "_bucket{le=\"" +
+             std::to_string(LatencyHistogram::UpperBoundFor(i)) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
     out += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count()) + "\n";
@@ -144,8 +115,8 @@ std::string MetricsRegistry::ExportPrometheus() const {
     out += n + "_count " + std::to_string(h.count()) + "\n";
     if (h.count() > 0) {
       // Summary-style quantile series synthesized from the buckets
-      // (bucket-upper-bound semantics, see Histogram::Percentile), so a
-      // re-exposed snapshot answers "what was p99" without the raw
+      // (bucket-upper-bound semantics, see LatencyHistogram::Percentile),
+      // so a re-exposed snapshot answers "what was p99" without the raw
       // samples.
       static constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
       for (double q : kQuantiles) {

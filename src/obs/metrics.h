@@ -7,14 +7,16 @@
 // numeric formatting is locale-independent, so TextDump()/ExportJson()
 // are byte-stable across runs of a deterministic simulation.
 //
-// Histograms use power-of-two buckets (upper bound 1, 2, 4, ... 2^63):
-// cheap, deterministic, and good enough to separate a 100 us coordination
-// overhead from a 1 s disk write.
+// Histograms are the HDR LatencyHistogram (obs/latency/histogram.h):
+// three significant digits, so an exported quantile is within 0.1% of
+// the recorded value.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+
+#include "obs/latency/histogram.h"
 
 namespace cruz::obs {
 
@@ -36,58 +38,11 @@ class Gauge {
   double value_ = 0;
 };
 
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  void Record(std::uint64_t v);
-  std::uint64_t count() const { return count_; }
-  std::uint64_t sum() const { return sum_; }
-  std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  std::uint64_t max() const { return max_; }
-  double mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-  }
-  // Count of samples v with v <= 2^bucket.
-  std::uint64_t bucket(int i) const { return buckets_[i]; }
-
-  // Quantile estimate from the power-of-two buckets: the upper bound
-  // (2^i) of the bucket containing the sample of rank ceil(q * count),
-  // capped at the exactly-tracked max — so Percentile(1.0) == max() and
-  // the estimate never exceeds any recorded value's true magnitude by
-  // more than the bucket width (a factor of 2). Computed purely from
-  // bucket counts, so it works on Restore()d snapshots too. 0 when
-  // empty; q is clamped to (0, 1].
-  std::uint64_t Percentile(double q) const;
-
-  // Rebuild from an ExportJson snapshot (cruz_analyze re-exposition):
-  // Restore the scalars, then RestoreBucket each sparse bucket entry.
-  void Restore(std::uint64_t count, std::uint64_t sum, std::uint64_t min_v,
-               std::uint64_t max_v) {
-    count_ = count;
-    sum_ = sum;
-    min_ = count == 0 ? ~0ull : min_v;
-    max_ = max_v;
-  }
-  void RestoreBucket(int i, std::uint64_t c) {
-    if (i >= 0 && i < kBuckets) buckets_[i] = c;
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = ~0ull;
-  std::uint64_t max_ = 0;
-  std::uint64_t buckets_[kBuckets] = {};
-};
-
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }
   Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name) {
+  LatencyHistogram& histogram(const std::string& name) {
     return histograms_[name];
   }
 
@@ -95,7 +50,7 @@ class MetricsRegistry {
     return counters_;
   }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
+  const std::map<std::string, LatencyHistogram>& histograms() const {
     return histograms_;
   }
 
@@ -105,22 +60,22 @@ class MetricsRegistry {
   // sorted by name.
   std::string TextDump() const;
   // {"counters":{...},"gauges":{...},"histograms":{...}} with sorted keys.
-  // Histograms include a sparse "buckets" array of [exponent, count]
-  // pairs (count of samples v with 2^(e-1) < v <= 2^e), so a snapshot can
-  // be re-exposed in Prometheus form by cruz_analyze.
+  // Histograms include a sparse "buckets" array of [le, count] pairs, one
+  // per non-empty bucket, where le is the bucket's largest value
+  // (LatencyHistogram::UpperBoundFor), so a snapshot can be re-exposed in
+  // Prometheus form by cruz_analyze.
   std::string ExportJson() const;
   // Prometheus text exposition (version 0.0.4): counters and gauges as-is,
-  // histograms as cumulative `_bucket{le="2^i"}` series plus `_sum`,
-  // `_count`, and (when non-empty) synthesized `{quantile="q"}` lines
-  // computed via Percentile(). Names are prefixed "cruz_" with dots
-  // mapped to underscores. Bucket series stop at the highest non-empty
-  // bucket, then `+Inf`.
+  // histograms as one cumulative `_bucket{le="..."}` line per non-empty
+  // bucket, then `+Inf`, `_sum`, `_count`, and (when non-empty)
+  // synthesized `{quantile="q"}` lines computed via Percentile(). Names
+  // are prefixed "cruz_" with dots mapped to underscores.
   std::string ExportPrometheus() const;
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, LatencyHistogram> histograms_;
 };
 
 }  // namespace cruz::obs

@@ -33,12 +33,8 @@ struct NodeConfig {
   std::uint64_t disk_write_bytes_per_sec = 80 * kMiB;
   DurationNs disk_latency = 5 * kMillisecond;
   bool nic_supports_multiple_macs = true;
-  // Tiered checkpoint storage knobs. 0 means "same rate as the local
-  // disk", which keeps tiered and non-tiered runs time-identical unless
-  // a benchmark deliberately models slower replication / netfs links.
+  // Tiered checkpoint storage: capacity of the node's local disk.
   std::uint64_t local_disk_capacity_bytes = 0;  // 0 = unlimited
-  std::uint64_t partner_write_bytes_per_sec = 0;
-  std::uint64_t netfs_write_bytes_per_sec = 0;
 };
 
 class Node {
@@ -78,22 +74,6 @@ class Node {
            (config_.disk_write_bytes_per_sec == 0
                 ? 0
                 : bytes * kSecond / (2 * config_.disk_write_bytes_per_sec));
-  }
-  // Duration to replicate `bytes` to the partner node's disk. Defaults
-  // to the local disk write rate so partner replication is overlapped
-  // (and time-equivalent) with the local write unless configured slower.
-  DurationNs PartnerWriteDuration(std::uint64_t bytes) const {
-    std::uint64_t bps = config_.partner_write_bytes_per_sec != 0
-                            ? config_.partner_write_bytes_per_sec
-                            : config_.disk_write_bytes_per_sec;
-    return config_.disk_latency + (bps == 0 ? 0 : bytes * kSecond / bps);
-  }
-  // Duration to flush `bytes` to the shared netfs (background tier).
-  DurationNs NetfsWriteDuration(std::uint64_t bytes) const {
-    std::uint64_t bps = config_.netfs_write_bytes_per_sec != 0
-                            ? config_.netfs_write_bytes_per_sec
-                            : config_.disk_write_bytes_per_sec;
-    return config_.disk_latency + (bps == 0 ? 0 : bytes * kSecond / bps);
   }
 
   // Fail-stop: detaches the NIC and destroys every process. Used for the

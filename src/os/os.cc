@@ -322,7 +322,7 @@ void Os::ChargeSyscall(Process& proc) {
   if (proc.pod() != kNoPod) {
     // Zap's interposition layer adds a small per-syscall cost; this is
     // what the <0.5% runtime overhead in §6 measures.
-    pending_syscall_charge_ += interposition_cost_;
+    pending_syscall_charge_ += kInterpositionCost;
   }
 }
 

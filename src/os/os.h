@@ -134,14 +134,6 @@ class Os {
   // True if every process on this node is idle (no runnable threads).
   bool Quiescent() const;
 
-  // Per-step scheduling cost knobs (used by the runtime-overhead bench).
-  DurationNs syscall_interposition_cost() const {
-    return interposition_cost_;
-  }
-  void set_syscall_interposition_cost(DurationNs c) {
-    interposition_cost_ = c;
-  }
-
   std::uint64_t steps_executed() const { return steps_executed_; }
   std::uint64_t syscall_count() const { return syscall_count_; }
 
@@ -222,7 +214,7 @@ class Os {
   PipeId next_pipe_id_ = 1;
 
   DurationNs step_granularity_ = 1 * kMicrosecond;
-  DurationNs interposition_cost_ = 50;  // 50 ns per interposed syscall
+  static constexpr DurationNs kInterpositionCost = 50;  // ns per syscall
   std::uint64_t steps_executed_ = 0;
   std::uint64_t syscall_count_ = 0;
   DurationNs pending_syscall_charge_ = 0;

@@ -3,7 +3,8 @@
 // happens-before edges, the critical-path analyzer's exact phase tiling
 // and straggler attribution, the deterministic analyzer output contract,
 // and the crash-scoped flight recorder, including replaying a recorded
-// violation from the repro string embedded in the artifact.
+// violation from the repro string embedded in the artifact, and the
+// metrics-snapshot import behind cruz_analyze --metrics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +20,7 @@
 #include "obs/causal/critical_path.h"
 #include "obs/causal/flight_recorder.h"
 #include "obs/causal/json_lite.h"
+#include "obs/causal/metrics_io.h"
 #include "obs/causal/trace_io.h"
 #include "obs/trace_query.h"
 
@@ -35,6 +37,7 @@ using obs::causal::FlightRecorder;
 using obs::causal::FlightRecorderOptions;
 using obs::causal::FlightTrigger;
 using obs::causal::ImportJsonl;
+using obs::causal::ImportMetricsJson;
 using obs::causal::JsonValue;
 using obs::causal::OpBreakdown;
 using obs::causal::ParseJson;
@@ -558,6 +561,45 @@ TEST(CriticalPath, PostCopyFetchStallsMatchReportedDegradation) {
   const PhaseTotal* stop = FindPhase(*b, "stop-copy");
   ASSERT_NE(stop, nullptr);
   EXPECT_EQ(stop->total, stats.downtime);
+}
+
+// cruz_analyze --metrics re-exposes an ExportJson snapshot: restoring
+// it must reproduce the live registry's Prometheus exposition byte for
+// byte, quantiles included, for values spread over the exact range and
+// many log-linear buckets.
+TEST(MetricsImport, ExportJsonRoundTripReExposesIdentically) {
+  obs::MetricsRegistry live;
+  live.counter("coord.ops_total").Add(3);
+  live.gauge("ckpt.codec_ratio").Set(1.03406);
+  obs::LatencyHistogram& lat = live.histogram("coord.checkpoint_latency_us");
+  std::uint64_t v = 1;
+  for (int i = 0; i < 200; ++i) {
+    lat.Record(v);
+    v = v * 7 % 1'000'000'007;  // spread over ~9 decades
+  }
+  for (std::uint64_t x : {0ull, 1023ull, 1024ull, 347'821ull, 1ull << 40}) {
+    live.histogram("agent.save_us").Record(x);
+  }
+  live.histogram("agent.downtime_us").Record(30);
+  live.histogram("zz.empty");
+
+  const std::string json = live.ExportJson();
+  obs::MetricsRegistry restored;
+  std::string error;
+  ASSERT_TRUE(ImportMetricsJson(json, restored, error)) << error;
+  EXPECT_EQ(restored.ExportPrometheus(), live.ExportPrometheus());
+  EXPECT_EQ(restored.ExportJson(), json);
+
+  // A bucket `le` that is no bucket upper bound is rejected.
+  obs::MetricsRegistry bad;
+  EXPECT_FALSE(ImportMetricsJson(
+      R"({"histograms":{"h":{"count":1,"sum":5000,"min":5000,)"
+      R"("max":5000,"mean":5000,"buckets":[[5000,1]]}}})",
+      bad, error));
+  // So is a negative one, which would otherwise wrap to 2^64 - 1.
+  EXPECT_FALSE(ImportMetricsJson(
+      R"({"histograms":{"h":{"count":1,"buckets":[[-1,1]]}}})", bad, error));
+  EXPECT_FALSE(ImportMetricsJson("[1,2]", bad, error));
 }
 
 }  // namespace

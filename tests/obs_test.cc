@@ -263,102 +263,119 @@ TEST(Metrics, CountersGaugesHistograms) {
   m.gauge("ckpt.codec_ratio").Set(0.5);
   EXPECT_DOUBLE_EQ(m.gauge("ckpt.codec_ratio").value(), 0.5);
 
-  Histogram& h = m.histogram("coord.downtime_us");
+  LatencyHistogram& h = m.histogram("coord.downtime_us");
   h.Record(3);
   h.Record(5);
   h.Record(100);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.sum(), 108u);
+  h.Record(5000);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 5108u);
   EXPECT_EQ(h.min(), 3u);
-  EXPECT_EQ(h.max(), 100u);
-  EXPECT_DOUBLE_EQ(h.mean(), 36.0);
-  // Power-of-two buckets: 3 -> 2^2, 5 -> 2^3, 100 -> 2^7.
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-  EXPECT_EQ(h.bucket(7), 1u);
+  EXPECT_EQ(h.max(), 5000u);
+  EXPECT_DOUBLE_EQ(h.mean(), 1277.0);
+  // Values below 1024 get a bucket each; 5000 shares a bucket whose
+  // upper bound is within 0.1% of it.
+  for (std::uint64_t v : {3u, 5u, 100u, 5000u}) {
+    EXPECT_EQ(h.bucket(LatencyHistogram::IndexFor(v)), 1u) << v;
+  }
+  EXPECT_EQ(LatencyHistogram::UpperBoundFor(LatencyHistogram::IndexFor(100)),
+            100u);
+  EXPECT_EQ(
+      LatencyHistogram::UpperBoundFor(LatencyHistogram::IndexFor(5000)),
+      5007u);
 }
 
 // Degenerate histogram: identical samples collapse into a single
-// power-of-two bucket, and every summary statistic must still be exact
+// bucket, and every summary statistic must still be exact
 // (min == max == mean, all other buckets empty).
 TEST(Metrics, SingleBucketHistogramSummaryIsExact) {
   MetricsRegistry m;
-  Histogram& h = m.histogram("agent.save_us");
-  for (int i = 0; i < 7; ++i) h.Record(6);  // 6 -> 2^3 for every sample
+  LatencyHistogram& h = m.histogram("agent.save_us");
+  for (int i = 0; i < 7; ++i) h.Record(6000);
   EXPECT_EQ(h.count(), 7u);
-  EXPECT_EQ(h.sum(), 42u);
-  EXPECT_EQ(h.min(), 6u);
-  EXPECT_EQ(h.max(), 6u);
-  EXPECT_DOUBLE_EQ(h.mean(), 6.0);
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(h.bucket(i), i == 3 ? 7u : 0u) << "bucket " << i;
+  EXPECT_EQ(h.sum(), 42000u);
+  EXPECT_EQ(h.min(), 6000u);
+  EXPECT_EQ(h.max(), 6000u);
+  EXPECT_DOUBLE_EQ(h.mean(), 6000.0);
+  const std::size_t only = LatencyHistogram::IndexFor(6000);
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    EXPECT_EQ(h.bucket(i), i == only ? 7u : 0u) << "bucket " << i;
   }
+  EXPECT_EQ(h.Percentile(0.001), 6000u);  // capped at the exact max
 
   std::string dump = m.TextDump();
   EXPECT_NE(dump.find("agent.save_us_count 7"), std::string::npos);
-  EXPECT_NE(dump.find("agent.save_us_sum 42"), std::string::npos);
-  EXPECT_NE(dump.find("agent.save_us_min 6"), std::string::npos);
-  EXPECT_NE(dump.find("agent.save_us_max 6"), std::string::npos);
-  EXPECT_NE(dump.find("agent.save_us_mean 6"), std::string::npos);
+  EXPECT_NE(dump.find("agent.save_us_sum 42000"), std::string::npos);
+  EXPECT_NE(dump.find("agent.save_us_min 6000"), std::string::npos);
+  EXPECT_NE(dump.find("agent.save_us_max 6000"), std::string::npos);
+  EXPECT_NE(dump.find("agent.save_us_mean 6000"), std::string::npos);
 }
 
 // An empty histogram reports zeros, not garbage: min() must not leak
 // its ~0 sentinel and mean() must not divide by zero.
 TEST(Metrics, EmptyHistogramSummaryIsAllZero) {
-  Histogram h;
+  LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.min(), 0u);
   EXPECT_EQ(h.max(), 0u);
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.Percentile(0.5), 0u);
 }
 
-// Quantiles from power-of-two buckets: the answer is the upper bound of
-// the bucket holding the rank-ceil(q*count) sample, capped at the exact
-// max. Documented semantics, locked here.
+// Quantiles: the answer is the upper bound of the bucket holding the
+// rank-ceil(q*count) sample, capped at the exact max. Documented
+// semantics, locked here.
 TEST(Metrics, HistogramPercentileUsesBucketUpperBounds) {
-  Histogram h;
-  EXPECT_EQ(h.Percentile(0.5), 0u);  // empty
-  h.Record(3);    // 2^2 bucket
-  h.Record(5);    // 2^3 bucket
-  h.Record(100);  // 2^7 bucket
-  EXPECT_EQ(h.Percentile(0.01), 4u);   // rank 1 -> bucket upper bound 4
-  EXPECT_EQ(h.Percentile(0.5), 8u);    // rank 2 -> upper bound 8
-  EXPECT_EQ(h.Percentile(0.9), 100u);  // rank 3 -> 128 capped at max
-  EXPECT_EQ(h.Percentile(1.0), 100u);  // p100 is exactly the max
+  LatencyHistogram h;
+  h.Record(3);     // exact bucket
+  h.Record(5000);  // bucket upper bound 5007
+  h.Record(6000);  // bucket upper bound 6007
+  EXPECT_EQ(h.Percentile(0.01), 3u);    // rank 1
+  EXPECT_EQ(h.Percentile(0.5), 5007u);  // rank 2 -> bucket upper bound
+  EXPECT_EQ(h.Percentile(0.9), 6000u);  // rank 3 -> 6007 capped at max
+  EXPECT_EQ(h.Percentile(1.0), 6000u);  // p100 is exactly the max
 
   // Single-value histograms answer exactly at every quantile.
-  Histogram one;
+  LatencyHistogram one;
   one.Record(6);
   EXPECT_EQ(one.Percentile(0.001), 6u);
   EXPECT_EQ(one.Percentile(1.0), 6u);
 
-  // A restored snapshot (bucket counts + scalars, no raw samples) must
-  // answer identically — cruz_analyze re-exposition depends on it.
-  Histogram restored;
-  restored.Restore(3, 108, 3, 100);
-  restored.RestoreBucket(2, 1);
-  restored.RestoreBucket(3, 1);
-  restored.RestoreBucket(7, 1);
-  EXPECT_EQ(restored.Percentile(0.5), 8u);
-  EXPECT_EQ(restored.Percentile(1.0), 100u);
+  // A restored snapshot (bucket counts by `le` + scalars, no raw
+  // samples) must answer identically — cruz_analyze re-exposition
+  // depends on it.
+  LatencyHistogram restored;
+  restored.Restore(3, 11003, 3, 6000);
+  EXPECT_TRUE(restored.RestoreCount(3, 1));
+  EXPECT_TRUE(restored.RestoreCount(5007, 1));
+  EXPECT_TRUE(restored.RestoreCount(6007, 1));
+  EXPECT_EQ(restored.Percentile(0.01), 3u);
+  EXPECT_EQ(restored.Percentile(0.5), 5007u);
+  EXPECT_EQ(restored.Percentile(1.0), 6000u);
+  EXPECT_EQ(restored.min(), 3u);
+  EXPECT_EQ(restored.sum(), 11003u);
+
+  // An `le` that is no bucket's upper bound is rejected untouched.
+  EXPECT_FALSE(restored.RestoreCount(5000, 9));
+  EXPECT_EQ(restored.bucket(LatencyHistogram::IndexFor(5000)), 1u);
 }
 
 // Golden test for the Prometheus text exposition (format v0.0.4): names
-// sanitized under a cruz_ prefix, one # TYPE line per metric, histogram
-// buckets cumulative over the power-of-two boundaries up to the highest
-// non-empty bucket, then +Inf / _sum / _count, then synthesized
-// quantile lines for non-empty histograms. Byte-exact so scrapers can
-// rely on the rendering.
+// sanitized under a cruz_ prefix, one # TYPE line per metric, one
+// cumulative histogram bucket line per non-empty bucket, then +Inf /
+// _sum / _count, then synthesized quantile lines for non-empty
+// histograms. Byte-exact so scrapers can rely on the rendering.
 TEST(Metrics, PrometheusExpositionGolden) {
   MetricsRegistry m;
   m.counter("agent.save-errors").Add(1);  // '-' must sanitize to '_'
   m.counter("coord.ops_total").Add(5);
   m.gauge("ckpt.codec_ratio").Set(0.5);
-  Histogram& h = m.histogram("coord.downtime_us");
-  h.Record(3);    // 2^2 bucket
-  h.Record(5);    // 2^3 bucket
-  h.Record(100);  // 2^7 bucket
+  LatencyHistogram& h = m.histogram("coord.downtime_us");
+  h.Record(3);
+  h.Record(5);
+  h.Record(100);
+  h.Record(5000);  // bucket upper bound 5007
   m.histogram("zz.empty");  // no samples: summary lines only
 
   const char* golden =
@@ -369,21 +386,17 @@ TEST(Metrics, PrometheusExpositionGolden) {
       "# TYPE cruz_ckpt_codec_ratio gauge\n"
       "cruz_ckpt_codec_ratio 0.5\n"
       "# TYPE cruz_coord_downtime_us histogram\n"
-      "cruz_coord_downtime_us_bucket{le=\"1\"} 0\n"
-      "cruz_coord_downtime_us_bucket{le=\"2\"} 0\n"
-      "cruz_coord_downtime_us_bucket{le=\"4\"} 1\n"
-      "cruz_coord_downtime_us_bucket{le=\"8\"} 2\n"
-      "cruz_coord_downtime_us_bucket{le=\"16\"} 2\n"
-      "cruz_coord_downtime_us_bucket{le=\"32\"} 2\n"
-      "cruz_coord_downtime_us_bucket{le=\"64\"} 2\n"
-      "cruz_coord_downtime_us_bucket{le=\"128\"} 3\n"
-      "cruz_coord_downtime_us_bucket{le=\"+Inf\"} 3\n"
-      "cruz_coord_downtime_us_sum 108\n"
-      "cruz_coord_downtime_us_count 3\n"
-      "cruz_coord_downtime_us{quantile=\"0.5\"} 8\n"
-      "cruz_coord_downtime_us{quantile=\"0.9\"} 100\n"
-      "cruz_coord_downtime_us{quantile=\"0.99\"} 100\n"
-      "cruz_coord_downtime_us{quantile=\"0.999\"} 100\n"
+      "cruz_coord_downtime_us_bucket{le=\"3\"} 1\n"
+      "cruz_coord_downtime_us_bucket{le=\"5\"} 2\n"
+      "cruz_coord_downtime_us_bucket{le=\"100\"} 3\n"
+      "cruz_coord_downtime_us_bucket{le=\"5007\"} 4\n"
+      "cruz_coord_downtime_us_bucket{le=\"+Inf\"} 4\n"
+      "cruz_coord_downtime_us_sum 5108\n"
+      "cruz_coord_downtime_us_count 4\n"
+      "cruz_coord_downtime_us{quantile=\"0.5\"} 5\n"
+      "cruz_coord_downtime_us{quantile=\"0.9\"} 5000\n"
+      "cruz_coord_downtime_us{quantile=\"0.99\"} 5000\n"
+      "cruz_coord_downtime_us{quantile=\"0.999\"} 5000\n"
       "# TYPE cruz_zz_empty histogram\n"
       "cruz_zz_empty_bucket{le=\"+Inf\"} 0\n"
       "cruz_zz_empty_sum 0\n"
