@@ -293,6 +293,7 @@ const char* MutationName(Mutation mutation) {
       return "shard-ack-without-forward";
     case Mutation::kDropPageResponse: return "drop-page-response";
     case Mutation::kResumeBothSides: return "resume-both-sides";
+    case Mutation::kSkipDiscardFence: return "skip-discard-fence";
   }
   return "none";
 }
@@ -311,6 +312,7 @@ bool MutationFromName(const std::string& name, Mutation& out) {
       Mutation::kShardAckWithoutForward,
       Mutation::kDropPageResponse,
       Mutation::kResumeBothSides,
+      Mutation::kSkipDiscardFence,
   };
   for (Mutation m : kAll) {
     if (name == MutationName(m)) {
@@ -342,6 +344,9 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
   }
   if (mutation == Mutation::kDuplicateContinue) {
     c.coordinator().set_test_duplicate_continue(true);
+  }
+  if (mutation == Mutation::kSkipDiscardFence) {
+    c.tiered().set_test_skip_discard_fence(true);
   }
   if (mutation == Mutation::kShardAckWithoutForward) {
     for (std::size_t i = 0; i < c.num_nodes(); ++i) {
@@ -404,9 +409,8 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
             !rec.result.stats.success) {
           // Sabotage: publish a manifest for the discarded generation
           // anyway (pointing at the images the op meant to write).
-          ckpt::GenerationStore store(c.fs(), kGenRoot);
+          ckpt::GenerationStore store(c.tiered(), kGenRoot);
           store.set_tracer(&c.sim().tracer());
-          if (scenario.tiered) store.set_tiered(&c.tiered());
           std::vector<ckpt::ManifestEntry> entries;
           for (const auto& m : members) {
             ckpt::ManifestEntry e;
@@ -445,10 +449,9 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
       case OpKind::kRestart: {
         options.variant = coord::ProtocolVariant::kBlocking;
         options.copy_on_write = false;
-        ckpt::GenerationStore store(c.fs(), kGenRoot);
-        if (scenario.tiered) store.set_tiered(&c.tiered());
+        ckpt::GenerationStore store(c.tiered(), kGenRoot);
         rec.newest_intact_before = store.NewestIntact().value_or(0);
-        if (mutation == Mutation::kDropLastReplica && scenario.tiered &&
+        if (mutation == Mutation::kDropLastReplica &&
             rec.newest_intact_before != 0) {
           // Sabotage: after the intact check, silently lose every copy of
           // one image on every tier — the storage equivalent of bit rot

@@ -47,6 +47,8 @@ enum class Mutation : std::uint8_t {
   kResumeBothSides,          // skip the source-side pod destroy after the
                              // post-copy stop: two running copies
                              // (migration-exactly-one-running-copy)
+  kSkipDiscardFence,         // a discarded generation still accepts late
+                             // image commits (no-partial-state)
 };
 
 const char* MutationName(Mutation mutation);

@@ -73,10 +73,10 @@ struct Scenario {
   WorkloadKind workload = WorkloadKind::kStream;
   // Workload size: stream bytes / kv operations / counter iterations.
   std::uint64_t workload_units = 256 * 1024;
-  // Multi-tier checkpoint storage: ops commit to local + partner disks
-  // with a background netfs flush, restarts resolve across tiers.
-  // Encoded as "tiered=1"; absent = legacy netfs-only (so pre-tier repro
-  // strings replay exactly as before).
+  // Checkpoint storage policy: ops commit to local + partner disks with
+  // a background netfs flush. Encoded as "tiered=1"; absent = the
+  // one-tier policy, the netfs alone (so pre-tier repro strings replay
+  // exactly as before).
   bool tiered = false;
   // Hierarchical coordination (DESIGN.md §13): coordinated ops run
   // through a sub-coordinator tree with this per-shard fan-out, and the

@@ -11,22 +11,24 @@
 
 namespace cruz::ckpt {
 
+TieredStore& GenerationStore::store() const {
+  if (store_ == nullptr) {
+    throw UsageError("generation store under " + root_ +
+                     " has no checkpoint store attached");
+  }
+  return *store_;
+}
+
 std::uint64_t GenerationStore::Allocate() {
   std::uint64_t next = 1;
   cruz::Bytes raw;
-  SysResult r = tiered_ != nullptr ? tiered_->ReadMeta(SeqPath(), raw)
-                                   : fs_.ReadFile(SeqPath(), raw);
-  if (SysOk(r) && raw.size() == 8) {
+  if (SysOk(store().ReadMeta(SeqPath(), raw)) && raw.size() == 8) {
     cruz::ByteReader reader(raw);
     next = reader.GetU64() + 1;
   }
   cruz::ByteWriter w;
   w.PutU64(next);
-  if (tiered_ != nullptr) {
-    tiered_->PutMeta(SeqPath(), w.Take());
-  } else {
-    fs_.WriteFile(SeqPath(), w.Take());
-  }
+  store().PutMeta(SeqPath(), w.Take());
   return next;
 }
 
@@ -59,26 +61,11 @@ void GenerationStore::Commit(std::uint64_t gen,
   framed.PutU32(static_cast<std::uint32_t>(body.size()));
   framed.PutU32(cruz::Crc32(body));
   framed.PutBytes(body);
-  // WriteFile is create-or-truncate in one step: the manifest appears
-  // whole or not at all, making it the commit point. In tiered mode the
-  // manifest replicates to every node disk immediately and reaches the
-  // netfs via the background flush, so the commit survives an outage.
-  if (tiered_ != nullptr) {
-    tiered_->PutMeta(ManifestPath(gen), framed.Take());
-  } else {
-    cruz::Bytes manifest = framed.Take();
-    SysResult w = fs_.WriteFile(ManifestPath(gen), manifest);
-    while (SysErrno(w) == CRUZ_ENOSPC && EvictOldestCommitted(gen) > 0) {
-      w = fs_.WriteFile(ManifestPath(gen), manifest);
-    }
-    if (!SysOk(w)) {
-      CRUZ_WARN("ckpt") << "generation " << gen
-                        << ": manifest write failed ("
-                        << ErrnoName(SysErrno(w))
-                        << "); generation stays uncommitted";
-      return;
-    }
-  }
+  // Each metadata write is create-or-truncate in one step: the manifest
+  // appears whole or not at all, making it the commit point. It lands on
+  // every node disk immediately and on the netfs as soon as it can, so
+  // the commit survives an outage.
+  store().PutMeta(ManifestPath(gen), framed.Take());
   if (tracer_ != nullptr) {
     tracer_->Instant("ckpt", "ckpt.generation.commit",
                      obs::TraceAttrs{}.Arg("gen", gen));
@@ -86,14 +73,9 @@ void GenerationStore::Commit(std::uint64_t gen,
 }
 
 std::size_t GenerationStore::Discard(std::uint64_t gen) {
-  std::size_t removed = 0;
-  for (const std::string& path : fs_.List(Prefix(gen) + "/")) {
-    if (SysOk(fs_.Remove(path))) ++removed;
-  }
-  // Tiered mode: also reap local and partner replicas and cancel any
-  // in-flight netfs flush, so an aborted generation leaves zero orphan
-  // bytes on any tier.
-  if (tiered_ != nullptr) removed += tiered_->DiscardPrefix(Prefix(gen));
+  // Every tier, pending netfs flushes included: an aborted generation
+  // leaves zero orphan bytes anywhere, and no late image can land in it.
+  std::size_t removed = store().DiscardPrefix(Prefix(gen));
   if (removed > 0) {
     CRUZ_INFO("ckpt") << "generation " << gen << ": discarded " << removed
                       << " file(s)";
@@ -108,10 +90,7 @@ std::size_t GenerationStore::Discard(std::uint64_t gen) {
 std::vector<std::uint64_t> GenerationStore::Committed() const {
   std::vector<std::uint64_t> gens;
   const std::string prefix = root_ + "/gen_";
-  std::vector<std::string> paths = tiered_ != nullptr
-                                       ? tiered_->ListAll(prefix)
-                                       : fs_.List(prefix);
-  for (const std::string& path : paths) {
+  for (const std::string& path : store().ListAll(prefix)) {
     if (path.size() <= prefix.size()) continue;
     std::size_t slash = path.find('/', prefix.size());
     if (slash == std::string::npos ||
@@ -142,10 +121,7 @@ std::optional<std::uint64_t> GenerationStore::LatestCommitted() const {
 std::optional<std::vector<ManifestEntry>> GenerationStore::ReadManifest(
     std::uint64_t gen) const {
   cruz::Bytes raw;
-  SysResult read = tiered_ != nullptr
-                       ? tiered_->ReadMeta(ManifestPath(gen), raw)
-                       : fs_.ReadFile(ManifestPath(gen), raw);
-  if (!SysOk(read)) return std::nullopt;
+  if (!SysOk(store().ReadMeta(ManifestPath(gen), raw))) return std::nullopt;
   try {
     cruz::ByteReader r(raw);
     std::uint32_t len = r.GetU32();
@@ -182,15 +158,10 @@ std::optional<std::vector<ManifestEntry>> GenerationStore::ReadManifest(
 bool GenerationStore::Verify(std::uint64_t gen) const {
   std::optional<std::vector<ManifestEntry>> manifest = ReadManifest(gen);
   if (!manifest.has_value()) return false;
-  // Tiered mode: the generation is restartable iff every image has at
-  // least one intact replica on some tier; the verification probe reads
-  // through the tier-resolving view (untraced — it is not a restore).
-  std::optional<TieredReadView> view;
-  if (tiered_ != nullptr) {
-    view.emplace(*tiered_, /*reader=*/nullptr, /*trace=*/false);
-  }
-  os::FileStore& fs =
-      view.has_value() ? static_cast<os::FileStore&>(*view) : fs_;
+  // The generation is restartable iff every image has at least one
+  // intact replica on some tier; the verification probe reads through the
+  // tier-resolving view (untraced — it is not a restore).
+  TieredReadView fs(store(), /*reader=*/nullptr, /*trace=*/false);
   for (const ManifestEntry& e : *manifest) {
     cruz::Bytes image;
     if (!SysOk(fs.ReadFile(e.image_path, image))) return false;
@@ -216,41 +187,6 @@ std::optional<std::uint64_t> GenerationStore::NewestIntact() const {
     if (Verify(*it)) return *it;
   }
   return std::nullopt;
-}
-
-std::size_t GenerationStore::EvictOldestCommitted(std::uint64_t keep_gen) {
-  std::vector<std::uint64_t> gens = Committed();
-  if (gens.size() < 2) return 0;  // never evict the only restorable gen
-  for (std::uint64_t gen : gens) {
-    if (gen == keep_gen || gen == gens.back()) continue;
-    std::size_t removed = Discard(gen);
-    if (removed > 0) {
-      CRUZ_WARN("ckpt") << "generation " << gen
-                        << ": evicted to reclaim space";
-      if (tracer_ != nullptr) {
-        tracer_->Instant("ckpt", "ckpt.generation.evict",
-                         obs::TraceAttrs{}.Arg("gen", gen).Arg(
-                             "reason", "enospc"));
-      }
-      return removed;
-    }
-  }
-  return 0;
-}
-
-bool GenerationStore::EvictForSpace(os::NetworkFileSystem& fs,
-                                    const std::string& image_path) {
-  std::size_t at = image_path.find("/gen_");
-  if (at == std::string::npos) return false;
-  std::uint64_t current = 0;
-  for (std::size_t i = at + 5; i < image_path.size(); ++i) {
-    char c = image_path[i];
-    if (c == '/') break;
-    if (c < '0' || c > '9') return false;
-    current = current * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  GenerationStore store(fs, image_path.substr(0, at));
-  return store.EvictOldestCommitted(current) > 0;
 }
 
 }  // namespace cruz::ckpt

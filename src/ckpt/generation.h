@@ -1,14 +1,19 @@
-// Checkpoint generations on the shared filesystem.
+// Checkpoint generations.
 //
 // Each coordinated checkpoint writes its images under a fresh
 // per-generation directory and the generation becomes visible only when a
-// manifest is committed after every agent reported <done> — so the shared
-// FS never exposes a half-written checkpoint as restorable. The manifest
+// manifest is committed after every agent reported <done> — so storage
+// never exposes a half-written checkpoint as restorable. The manifest
 // records, per member pod, the image path plus its size and CRC-32, which
 // lets restart verify every image *before* touching any pod and fall back
 // to the newest older generation that is still fully intact (e.g. after
 // silent media corruption of the latest images). Aborted generations are
 // discarded wholesale by deleting everything under their directory.
+//
+// All I/O goes through the checkpoint store (ckpt::TieredStore), whatever
+// policy the generation's images were committed with: manifests and the
+// SEQ counter are store metadata, and verification reads each image
+// through the store's resolver.
 #pragma once
 
 #include <cstdint>
@@ -30,10 +35,10 @@ struct ManifestEntry {
   std::string image_path;
   std::uint64_t size = 0;     // image bytes at commit time
   std::uint32_t crc32 = 0;    // CRC-32 of the whole image file
-  // Where the image lived at commit time (tiered mode: local + partner;
+  // Where the image lived at commit time (tiered policy: local + partner;
   // the netfs replica appears later via the background flush and is
-  // always consulted as the last resort). Empty for legacy netfs-only
-  // generations.
+  // always consulted as the last resort). Empty for one-tier images,
+  // whose only copy is on the netfs.
   std::vector<Replica> replicas;
 };
 
@@ -41,12 +46,22 @@ class GenerationStore {
  public:
   static constexpr const char* kDefaultRoot = "/ckpt/gens";
 
-  explicit GenerationStore(os::NetworkFileSystem& fs,
+  // The generations `store` keeps under `root`.
+  explicit GenerationStore(TieredStore& store,
                            std::string root = kDefaultRoot)
-      : fs_(fs), root_(std::move(root)) {}
+      : store_(&store), root_(std::move(root)) {}
+
+  // Detached from any store: only Prefix() works until set_tiered()
+  // attaches the store that owns `shared_fs`; every other call throws
+  // UsageError.
+  explicit GenerationStore(os::NetworkFileSystem& /*shared_fs*/,
+                           std::string root = kDefaultRoot)
+      : root_(std::move(root)) {}
+
+  void set_tiered(TieredStore* store) { store_ = store; }
 
   // Allocates the next generation number. Monotonic across coordinator
-  // incarnations: the counter is persisted in a SEQ file on the shared FS.
+  // incarnations: the counter is persisted in a SEQ metadata file.
   std::uint64_t Allocate();
 
   // Directory prefix for a generation's images, e.g. "/ckpt/gens/gen_000007".
@@ -82,36 +97,18 @@ class GenerationStore {
   // protocol spans around it.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  // Tiered mode: manifests and the SEQ counter replicate across the node
-  // disks (surviving a netfs outage), Verify accepts any intact replica
-  // of each image, and Discard reaps every tier. nullptr = legacy
-  // netfs-only behavior.
-  void set_tiered(TieredStore* tiered) { tiered_ = tiered; }
-  TieredStore* tiered() const { return tiered_; }
-
-  // -ENOSPC handling: discards the oldest committed generation other
-  // than `keep_gen` and the latest one, freeing space for the checkpoint
-  // in progress instead of aborting it. Returns the number of files
-  // removed (0 = nothing evictable).
-  std::size_t EvictOldestCommitted(std::uint64_t keep_gen);
-
-  // Agent-side -ENOSPC helper: given a full image path
-  // ("<root>/gen_XXXXXX/pod_N.img"), evicts the oldest non-latest
-  // committed generation under that root. Returns true if space was
-  // reclaimed and the write is worth retrying.
-  static bool EvictForSpace(os::NetworkFileSystem& fs,
-                            const std::string& image_path);
-
  private:
   std::string SeqPath() const { return root_ + "/SEQ"; }
   std::string ManifestPath(std::uint64_t gen) const {
     return Prefix(gen) + "/MANIFEST";
   }
 
-  os::NetworkFileSystem& fs_;
+  // The attached store; throws UsageError when detached.
+  TieredStore& store() const;
+
+  TieredStore* store_ = nullptr;
   std::string root_;
   obs::Tracer* tracer_ = nullptr;
-  TieredStore* tiered_ = nullptr;
 };
 
 }  // namespace cruz::ckpt

@@ -1,6 +1,5 @@
 #include "coord/agent.h"
 
-#include "ckpt/generation.h"
 #include "ckpt/store/tiered_store.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -19,8 +18,9 @@ constexpr std::uint64_t kSerializeBytesPerSec = 1 * kGiB;
 constexpr DurationNs kChannelDrainCost = 200 * kMicrosecond;
 }  // namespace
 
-CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods)
-    : node_(node), pods_(pods) {
+CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods,
+                                 ckpt::TieredStore& store)
+    : node_(node), pods_(pods), store_(store) {
   node_.stack().RegisterUdpService(
       kAgentPort, [this](net::Endpoint from, const cruz::Bytes& payload) {
         OnDatagram(from, payload);
@@ -190,7 +190,7 @@ void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
                                              const std::string& path) {
   // Every tier (local, partner, pending netfs flush): an aborted op
   // leaves zero orphan bytes anywhere.
-  if (!path.empty()) ReapImage(node_, tiered_, path);
+  if (!path.empty()) store_.RemoveEverywhere(path);
   // The deleted image may be the head of this pod's incremental chain;
   // force the next capture to be full rather than referencing it.
   last_image_.erase(pod);
@@ -236,20 +236,8 @@ void CheckpointAgent::AnnounceCommDisabled() {
 const char* CheckpointAgent::StoreImage(const std::string& path,
                                         cruz::Bytes image, bool tiered,
                                         DurationNs* duration) {
-  if (tiered && tiered_ != nullptr) {
-    // Tiered commit: local + partner disks now (*duration becomes the max
-    // of the two tier costs), netfs flush in the background.
-    SysResult w = tiered_->CommitImage(node_, path, std::move(image),
-                                       &op_.replicas, duration);
-    return SysOk(w) ? nullptr : "no storage tier accepted image";
-  }
-  SysResult w = node_.os().fs().WriteFile(path, image);
-  // Shared-FS full: evict the oldest non-latest committed generation and
-  // retry instead of failing the checkpoint.
-  while (SysErrno(w) == CRUZ_ENOSPC &&
-         ckpt::GenerationStore::EvictForSpace(node_.os().fs(), path)) {
-    w = node_.os().fs().WriteFile(path, image);
-  }
+  SysResult w = store_.CommitImage(node_, path, std::move(image), tiered,
+                                   &op_.replicas, duration);
   if (SysOk(w)) return nullptr;
   return SysErrno(w) == CRUZ_ENOSPC ? "disk full" : "image write refused";
 }
@@ -422,7 +410,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     // differ. Only the CRC check on restore/verify can catch this.
     fault_->MaybeCorruptImage(node_.name(), m.image_path, image);
   }
-  DurationNs write_duration = node_.DiskWriteDuration(image_bytes);
+  DurationNs write_duration = 0;
   if (const char* why = StoreImage(m.image_path, std::move(image), m.tiered,
                                    &write_duration)) {
     FailSave("", why);
@@ -525,7 +513,7 @@ void CheckpointAgent::StartForkedCheckpoint(
         }
         // The file appears in storage now but counts as partial until
         // <done> commits it; an abort or crash before then GCs it.
-        DurationNs disk = node_.DiskWriteDuration(image_bytes);
+        DurationNs disk = 0;
         if (const char* why =
                 StoreImage(image_path, std::move(image), tiered, &disk)) {
           FailSave(image_path, why);
@@ -564,22 +552,16 @@ void CheckpointAgent::StartForkedCheckpoint(
 void CheckpointAgent::HandleRestart(const CoordMessage& m,
                                     net::Endpoint from) {
   if (AnswerRepeat(m, from)) return;
-  // Tiered mode: read through the tier-resolving view (local → partner →
+  // Read through the store's resolver (a tiered image: local → partner →
   // netfs, with rebuild-on-restart), so every link of an incremental
   // chain finds the best intact copy independently.
-  std::optional<ckpt::TieredReadView> view;
-  if (m.tiered && tiered_ != nullptr) {
-    view.emplace(*tiered_, &node_);
-  }
-  os::FileStore& fs =
-      view.has_value() ? static_cast<os::FileStore&>(*view)
-                       : static_cast<os::FileStore&>(node_.os().fs());
+  ckpt::TieredReadView view(store_, &node_);
   // Total bytes read from storage: the image plus any incremental
   // parents the chain resolves through (restore cost model).
   std::uint64_t chain_bytes = 0;
   ckpt::PodCheckpoint ck;
   try {
-    ck = ckpt::CheckpointEngine::LoadImageChain(fs, m.image_path,
+    ck = ckpt::CheckpointEngine::LoadImageChain(view, m.image_path,
                                                 &chain_bytes);
   } catch (const cruz::CruzError& e) {
     // Missing or corrupt (CRC-failing) image on every tier: report
@@ -615,14 +597,10 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
       .Agent(node_.name())
       .Pod(op_.pod)
       .Arg("chain_bytes", chain_bytes);
-  if (view.has_value()) {
-    // Which tier actually served the head image — this is what
-    // cruz_analyze aggregates into the restore-source attribution.
-    op_.restore_source =
-        static_cast<std::uint8_t>(view->head_result().source);
-    restore_attrs.Arg("source",
-                      ckpt::TierName(view->head_result().source));
-  }
+  // Which tier actually served the head image — this is what
+  // cruz_analyze aggregates into the restore-source attribution.
+  op_.restore_source = static_cast<std::uint8_t>(view.head_result().source);
+  restore_attrs.Arg("source", ckpt::TierName(view.head_result().source));
   op_.save_span = node_.os().sim().tracer().BeginSpan(
       "agent", "agent.restore", std::move(restore_attrs));
 

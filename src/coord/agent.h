@@ -50,7 +50,9 @@ namespace cruz::coord {
 
 class CheckpointAgent {
  public:
-  CheckpointAgent(os::Node& node, pod::PodManager& pods);
+  // Every image this agent saves or restores goes through `store`.
+  CheckpointAgent(os::Node& node, pod::PodManager& pods,
+                  ckpt::TieredStore& store);
   ~CheckpointAgent();
 
   CheckpointAgent(const CheckpointAgent&) = delete;
@@ -63,12 +65,6 @@ class CheckpointAgent {
 
   // Deterministic fault injection (tests/benches); nullptr disables.
   void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
-
-  // Multi-tier checkpoint storage. When set AND the request carries
-  // tiered=true, saves commit through TieredStore::CommitImage (local +
-  // partner, background netfs flush) and restores resolve across the
-  // tier hierarchy. nullptr = legacy netfs-only I/O.
-  void set_tiered_store(ckpt::TieredStore* store) { tiered_ = store; }
 
   // Sabotage hook for oracle self-tests: report the drop filter as
   // installed (the trace instant still fires) without actually adding it
@@ -111,8 +107,8 @@ class CheckpointAgent {
     bool continue_done_sent = false;
     std::string image_path;      // written by this checkpoint op
     bool image_written = false;  // true once the image is on the FS
-    // Tiered mode: where this op's image landed (reported in <done>) and,
-    // for restarts, which tier actually served it (ckpt::Tier as u8).
+    // Where this op's image landed (tiered policy; reported in <done>)
+    // and, for restarts, which tier actually served it (ckpt::Tier as u8).
     std::vector<ckpt::Replica> replicas;
     std::uint8_t restore_source = 255;
     std::uint32_t flush_messages = 0;
@@ -152,9 +148,8 @@ class CheckpointAgent {
   bool AnswerRepeat(const CoordMessage& m, net::Endpoint from);
   // Fig. 4: tells the coordinator communication is disabled here.
   void AnnounceCommDisabled();
-  // Stores the active op's image: a tiered commit, or a shared-FS write
-  // that evicts old generations when full. Returns nullptr on success,
-  // else why the write failed.
+  // Commits the active op's image with the request's storage policy.
+  // Returns nullptr on success, else why the write failed.
   const char* StoreImage(const std::string& path, cruz::Bytes image,
                          bool tiered, DurationNs* duration);
   void CountImage(std::uint64_t image_bytes, std::uint64_t state_bytes);
@@ -181,7 +176,7 @@ class CheckpointAgent {
   os::Node& node_;
   pod::PodManager& pods_;
   fault::Injector* fault_ = nullptr;
-  ckpt::TieredStore* tiered_ = nullptr;
+  ckpt::TieredStore& store_;
   bool test_skip_filter_ = false;
   bool crashed_ = false;
   ActiveOp op_;

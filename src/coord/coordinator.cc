@@ -10,12 +10,12 @@
 
 namespace cruz::coord {
 
-Coordinator::Coordinator(os::Node& node, std::string journal_path,
-                         ckpt::TieredStore* tiered)
+Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
+                         std::string journal_path)
     : node_(node),
       journal_(node.os().fs(), std::move(journal_path)),
-      tiered_(tiered),
-      driver_(node, tiered,
+      store_(store),
+      driver_(node, store,
               PhaseDriver::Hooks{
                   .send =
                       [this](net::Ipv4Address dst, std::uint16_t port,
@@ -82,7 +82,7 @@ void Coordinator::RecoverFromJournal() {
                      << (intent.is_restart ? "restart" : "checkpoint")
                      << " op epoch " << intent.epoch;
   recovery_.images_removed = AbortJournaledOp(
-      journal_, intent, node_, tiered_,
+      journal_, intent, store_,
       [this](net::Ipv4Address dst, std::uint16_t port,
              const CoordMessage& abort) {
         TransmitControl(node_, fault_, kCoordinatorPort, {dst, port}, abort);
@@ -134,7 +134,7 @@ void Coordinator::Begin(bool is_restart, std::vector<Member> members,
   request.op_id = stats_.op_id;
   request.epoch = stats_.epoch;
   request.variant = options_.variant;
-  request.tiered = options_.tiered && tiered_ != nullptr;
+  request.tiered = options_.tiered;
   if (!is_restart) {
     request.incremental = options_.incremental;
     request.copy_on_write = options_.copy_on_write;

@@ -161,13 +161,11 @@ class Coordinator {
 
   using DoneFn = std::function<void(const OpStats&)>;
 
-  // `tiered` (optional) enables cross-tier garbage collection: journal
-  // recovery and op aborts reap local/partner replicas and pending netfs
-  // flushes, not just the netfs copy. It must be passed at construction
-  // because recovery runs in the constructor.
-  explicit Coordinator(os::Node& node,
-                       std::string journal_path = IntentJournal::kDefaultPath,
-                       ckpt::TieredStore* tiered = nullptr);
+  // Journal recovery and op aborts reap images from `store` on every
+  // tier; it is passed at construction because recovery runs in the
+  // constructor.
+  Coordinator(os::Node& node, ckpt::TieredStore& store,
+              std::string journal_path = IntentJournal::kDefaultPath);
   ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
@@ -222,7 +220,7 @@ class Coordinator {
 
   os::Node& node_;
   IntentJournal journal_;
-  ckpt::TieredStore* tiered_ = nullptr;
+  ckpt::TieredStore& store_;
   fault::Injector* fault_ = nullptr;
   bool test_duplicate_continue_ = false;
   // Monotonic fencing epoch, persisted through the journal. Each op gets

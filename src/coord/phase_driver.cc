@@ -39,9 +39,9 @@ const PhaseDriver::Wire PhaseDriver::kShards{
     .silent_noun = "shard",
 };
 
-PhaseDriver::PhaseDriver(os::Node& node, ckpt::TieredStore* tiered,
+PhaseDriver::PhaseDriver(os::Node& node, ckpt::TieredStore& store,
                          Hooks hooks)
-    : node_(node), tiered_(tiered), hooks_(std::move(hooks)) {}
+    : node_(node), store_(store), hooks_(std::move(hooks)) {}
 
 PhaseDriver::~PhaseDriver() { Stop(); }
 
@@ -226,9 +226,7 @@ void PhaseDriver::Abort() {
   // is dead or was never reached.
   if (is_restart()) return;
   for (const ShardMember& member : members_) {
-    if (!member.image_path.empty()) {
-      ReapImage(node_, tiered_, member.image_path);
-    }
+    if (!member.image_path.empty()) store_.RemoveEverywhere(member.image_path);
   }
 }
 
@@ -287,20 +285,9 @@ void PhaseDriver::NoteRetransmit(MsgType type) {
   node_.os().sim().metrics().counter("coord.retransmits_total").Add();
 }
 
-bool ReapImage(os::Node& node, ckpt::TieredStore* tiered,
-               const std::string& path) {
-  bool removed = SysOk(node.os().fs().Remove(path));
-  // Tiered mode: the image may live on local/partner disks with a netfs
-  // flush still pending — reap every tier.
-  if (tiered != nullptr && tiered->RemoveEverywhere(path) > 0) {
-    removed = true;
-  }
-  return removed;
-}
-
 std::size_t AbortJournaledOp(
-    IntentJournal& journal, const JournalRecord& intent, os::Node& node,
-    ckpt::TieredStore* tiered,
+    IntentJournal& journal, const JournalRecord& intent,
+    ckpt::TieredStore& store,
     const std::function<void(net::Ipv4Address, std::uint16_t, CoordMessage)>&
         send) {
   CoordMessage abort;
@@ -323,7 +310,7 @@ std::size_t AbortJournaledOp(
     abort.pod_id = m.pod;
     send(net::Ipv4Address{m.agent_ip}, kAgentPort, abort);
     if (!intent.is_restart && !m.image_path.empty() &&
-        ReapImage(node, tiered, m.image_path)) {
+        store.RemoveEverywhere(m.image_path) > 0) {
       ++removed;
     }
   }

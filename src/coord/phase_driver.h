@@ -106,7 +106,7 @@ class PhaseDriver {
     std::function<void()> on_retry_cap;  // max_rounds rounds, still owed
   };
 
-  PhaseDriver(os::Node& node, ckpt::TieredStore* tiered, Hooks hooks);
+  PhaseDriver(os::Node& node, ckpt::TieredStore& store, Hooks hooks);
   ~PhaseDriver();
 
   PhaseDriver(const PhaseDriver&) = delete;
@@ -167,7 +167,7 @@ class PhaseDriver {
   void NoteRetransmit(MsgType type);
 
   os::Node& node_;
-  ckpt::TieredStore* tiered_;
+  ckpt::TieredStore& store_;
   Hooks hooks_;
   const Wire* wire_ = &kAgents;
   CoordMessage request_;
@@ -190,19 +190,14 @@ class PhaseDriver {
   sim::EventId retransmit_event_ = sim::kInvalidEventId;
 };
 
-// Removes `path` from the shared FS and, with a tiered store, from every
-// local/partner disk and the pending netfs flushes. True if any copy went.
-bool ReapImage(os::Node& node, ckpt::TieredStore* tiered,
-               const std::string& path);
-
 // Journal replay: aborts a predecessor's in-flight op — a <shard-abort>
 // to each of its sub-coordinators (re-derived from the journaled fan-out:
 // contiguous shards of ≤ fan_out members), an <abort> to every member's
 // agent, and for a checkpoint removal of each member's image on every
 // tier — then journals the abort. Returns how many images were removed.
 std::size_t AbortJournaledOp(
-    IntentJournal& journal, const JournalRecord& intent, os::Node& node,
-    ckpt::TieredStore* tiered,
+    IntentJournal& journal, const JournalRecord& intent,
+    ckpt::TieredStore& store,
     const std::function<void(net::Ipv4Address, std::uint16_t, CoordMessage)>&
         send);
 

@@ -21,11 +21,11 @@ constexpr std::uint32_t kMaxRetransmitRounds = 8;
 constexpr DurationNs kSelfCleanSlack = 2 * kSecond;
 }  // namespace
 
-ShardCoordinator::ShardCoordinator(os::Node& node, ckpt::TieredStore* tiered)
+ShardCoordinator::ShardCoordinator(os::Node& node, ckpt::TieredStore& store)
     : node_(node),
       journal_(node.os().fs(), JournalPath()),
-      tiered_(tiered),
-      driver_(node, tiered,
+      store_(store),
+      driver_(node, store,
               PhaseDriver::Hooks{
                   .send =
                       [this](net::Ipv4Address dst, std::uint16_t port,
@@ -86,7 +86,7 @@ void ShardCoordinator::RecoverFromJournal() {
                      << ": shard journal recovery: aborting in-flight op "
                      << intent.epoch;
   last_aborted_op_ = std::max(last_aborted_op_, intent.epoch);
-  AbortJournaledOp(journal_, intent, node_, tiered_,
+  AbortJournaledOp(journal_, intent, store_,
                    [this](net::Ipv4Address dst, std::uint16_t port,
                           CoordMessage abort) {
                      Send(net::Endpoint{dst, port}, std::move(abort));

@@ -48,10 +48,9 @@ namespace cruz::coord {
 
 class ShardCoordinator {
  public:
-  // `tiered` (optional) enables cross-tier image GC on the abort and
-  // journal-recovery paths, mirroring the root coordinator.
-  explicit ShardCoordinator(os::Node& node,
-                            ckpt::TieredStore* tiered = nullptr);
+  // The abort and journal-recovery paths reap images from `store` on
+  // every tier, mirroring the root coordinator.
+  ShardCoordinator(os::Node& node, ckpt::TieredStore& store);
   ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
@@ -135,7 +134,7 @@ class ShardCoordinator {
 
   os::Node& node_;
   IntentJournal journal_;
-  ckpt::TieredStore* tiered_ = nullptr;
+  ckpt::TieredStore& store_;
   fault::Injector* fault_ = nullptr;
   bool test_ack_without_forward_ = false;
   bool crashed_ = false;

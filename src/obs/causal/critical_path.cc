@@ -403,8 +403,8 @@ OpBreakdown CriticalPathAnalyzer::AnalyzeSpan(
     }
   }
 
-  // Restore-source attribution: tiered runs stamp every agent.restore
-  // span with the tier the image was actually read from.
+  // Restore-source attribution: every agent.restore span carries the
+  // tier the image was actually read from.
   for (const TraceEvent& e : events) {
     if (e.name != "agent.restore" || e.attrs.op != b.op_id) continue;
     std::string source;

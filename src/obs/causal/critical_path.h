@@ -53,8 +53,8 @@ struct PhaseTotal {
   DurationNs straggler_ns = 0;  // that node's share
 };
 
-// Which storage tier one agent's restore actually read from (tiered
-// runs stamp the agent.restore span with a `source` arg).
+// Which storage tier one agent's restore actually read from (the
+// agent.restore span's `source` arg).
 struct RestoreSource {
   std::string node;    // the restoring agent's node
   std::string source;  // "local" | "partner" | "netfs"
@@ -79,8 +79,8 @@ struct OpBreakdown {
   // `tcp.recovered` fired (0 when none before the next op). Reported
   // separately — it is outside the op's wall time.
   DurationNs tcp_recovery = 0;
-  // Per-agent restore-source attribution (restart ops in tiered runs;
-  // empty otherwise), sorted by node name.
+  // Per-agent restore-source attribution (restart ops; empty
+  // otherwise), sorted by node name.
   std::vector<RestoreSource> restore_sources;
 
   DurationNs wall() const { return end - begin; }
