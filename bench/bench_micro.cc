@@ -5,7 +5,7 @@
 
 #include "apps/programs.h"
 #include "ckpt/engine.h"
-#include "common/crc32.h"
+#include "common/crc32_detail.h"
 #include "cruz/cluster.h"
 #include "tcp/connection.h"
 
@@ -13,15 +13,31 @@ namespace {
 
 using namespace cruz;
 
-void BM_Crc32(benchmark::State& state) {
+// Each CRC-32 kernel at a journal record (64 B), a page (4 KiB) and an
+// slm image (2 MiB). The CLMUL kernel reports an error where this CPU
+// lacks PCLMULQDQ.
+void RunCrc32Kernel(benchmark::State& state, detail::Crc32Kernel kernel) {
+  if (kernel == nullptr) {
+    state.SkipWithError("kernel not available on this CPU");
+    return;
+  }
   Bytes data(static_cast<std::size_t>(state.range(0)), 0xA5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(data));
+    benchmark::DoNotOptimize(kernel(0xFFFFFFFFu, data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32Portable(benchmark::State& state) {
+  RunCrc32Kernel(state, &detail::Crc32Portable);
+}
+BENCHMARK(BM_Crc32Portable)->Arg(64)->Arg(4096)->Arg(2 << 20);
+
+void BM_Crc32Clmul(benchmark::State& state) {
+  RunCrc32Kernel(state, detail::Crc32ClmulKernel());
+}
+BENCHMARK(BM_Crc32Clmul)->Arg(64)->Arg(4096)->Arg(2 << 20);
 
 void BM_MemorySparseWrite(benchmark::State& state) {
   Bytes chunk(4096, 0x5A);

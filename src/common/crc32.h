@@ -1,5 +1,8 @@
-// CRC-32 (IEEE 802.3 polynomial), used to protect checkpoint image sections
-// and to implement the simulated Ethernet frame check sequence.
+// CRC-32 (IEEE 802.3 polynomial, reflected 0xEDB88320). It guards every
+// checkpoint trust boundary: page records (ckpt/page_codec), image frames
+// (ckpt/image), tiered-store replicas and netfs flushes
+// (ckpt/store/tiered_store), generation manifests (ckpt/generation) and
+// coordinator journal records (coord/journal).
 #pragma once
 
 #include <cstdint>
@@ -10,7 +13,8 @@ namespace cruz {
 
 std::uint32_t Crc32(ByteSpan data);
 
-// Incremental form: feed chunks, then Finish().
+// Incremental form: feed chunks, then Finish(). Any chunking of the same
+// bytes gives the same result.
 class Crc32Accumulator {
  public:
   void Update(ByteSpan data);
@@ -19,5 +23,10 @@ class Crc32Accumulator {
  private:
   std::uint32_t state_ = 0xFFFFFFFFu;
 };
+
+// Bytes fed through Crc32Accumulator::Update since process start, over
+// all threads. A host-side work counter: it never enters a trace or an
+// export.
+std::uint64_t Crc32BytesTotal();
 
 }  // namespace cruz

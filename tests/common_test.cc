@@ -2,9 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
+#include "common/crc32_detail.h"
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/sysresult.h"
@@ -115,6 +117,122 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   acc.Update(ByteSpan(data.data(), 300));
   acc.Update(ByteSpan(data.data() + 300, 700));
   EXPECT_EQ(acc.Finish(), Crc32(data));
+}
+
+// Bitwise CRC-32, independent of both kernels: advances the raw register.
+std::uint32_t BitwiseCrc32(std::uint32_t reg, ByteSpan data) {
+  for (std::uint8_t b : data) {
+    reg ^= b;
+    for (int k = 0; k < 8; ++k) {
+      reg = (reg & 1) ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+    }
+  }
+  return reg;
+}
+
+std::uint32_t ReferenceCrc32(ByteSpan data) {
+  return BitwiseCrc32(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+Bytes RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.NextU64());
+  return out;
+}
+
+// The portable kernel, plus the CLMUL one where this CPU has it.
+std::vector<detail::Crc32Kernel> AvailableKernels() {
+  std::vector<detail::Crc32Kernel> kernels = {&detail::Crc32Portable};
+  if (detail::Crc32ClmulKernel() != nullptr) {
+    kernels.push_back(detail::Crc32ClmulKernel());
+  }
+  return kernels;
+}
+
+// Both kernels and the one-shot Crc32 on every length 0..4200 at every
+// start offset 0..15. The reference register grows one byte at a time.
+TEST(Crc32, KernelsMatchBitwiseAtEveryLengthAndOffset) {
+  const Bytes buf = RandomBytes(4200 + 16, 7);
+  const std::vector<detail::Crc32Kernel> kernels = AvailableKernels();
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t len = 0; len <= 4200; ++len) {
+      if (len > 0) {
+        reg = BitwiseCrc32(reg, ByteSpan(&buf[offset + len - 1], 1));
+      }
+      const ByteSpan data(buf.data() + offset, len);
+      for (std::size_t k = 0; k < kernels.size(); ++k) {
+        ASSERT_EQ(kernels[k](0xFFFFFFFFu, data), reg)
+            << "kernel " << k << " offset " << offset << " len " << len;
+      }
+      ASSERT_EQ(Crc32(data), reg ^ 0xFFFFFFFFu)
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// Chunk splits on each side of the 64-byte CLMUL threshold: a chunk of
+// 0..130 bytes, then the rest, then again in three chunks.
+TEST(Crc32, AccumulatorSplitsAroundClmulThreshold) {
+  const Bytes buf = RandomBytes(300, 11);
+  const std::uint32_t want = ReferenceCrc32(buf);
+  const ByteSpan all(buf);
+  for (std::size_t a = 0; a <= 130; ++a) {
+    Crc32Accumulator two;
+    two.Update(all.first(a));
+    two.Update(all.subspan(a));
+    EXPECT_EQ(two.Finish(), want) << "split " << a;
+    for (std::size_t b : {std::size_t{15}, std::size_t{63}, std::size_t{64},
+                          std::size_t{65}}) {
+      Crc32Accumulator three;
+      three.Update(all.first(a));
+      three.Update(all.subspan(a, b));
+      three.Update(all.subspan(a + b));
+      EXPECT_EQ(three.Finish(), want) << "split " << a << "+" << b;
+    }
+  }
+}
+
+TEST(Crc32, KernelsMatchOnCheckVectorFullPageAndLargeBuffer) {
+  const char* s = "123456789";
+  const ByteSpan check(reinterpret_cast<const std::uint8_t*>(s), 9);
+  const Bytes ff(4096, 0xFF);
+  const Bytes big = RandomBytes(2u << 20, 13);
+  const std::uint32_t want_ff = ReferenceCrc32(ff);
+  const std::uint32_t want_big = ReferenceCrc32(big);
+  for (detail::Crc32Kernel kernel : AvailableKernels()) {
+    EXPECT_EQ(kernel(0xFFFFFFFFu, check) ^ 0xFFFFFFFFu, 0xCBF43926u);
+    EXPECT_EQ(kernel(0xFFFFFFFFu, ff) ^ 0xFFFFFFFFu, want_ff);
+    EXPECT_EQ(kernel(0xFFFFFFFFu, big) ^ 0xFFFFFFFFu, want_big);
+  }
+  EXPECT_EQ(Crc32(ff), want_ff);
+  EXPECT_EQ(Crc32(big), want_big);
+}
+
+// A CPU with PCLMULQDQ and SSE4.1 must run the CLMUL kernel, so a build
+// that silently falls back to the table loop fails here.
+TEST(Crc32, DispatchPicksClmulWhereTheCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
+    ASSERT_NE(detail::Crc32ClmulKernel(), nullptr);
+    EXPECT_EQ(detail::Crc32SelectedKernel(), detail::Crc32ClmulKernel());
+    return;
+  }
+#endif
+  EXPECT_EQ(detail::Crc32ClmulKernel(), nullptr);
+  EXPECT_EQ(detail::Crc32SelectedKernel(), &detail::Crc32Portable);
+}
+
+TEST(Crc32, BytesTotalCountsEveryUpdate) {
+  const Bytes data(100, 1);
+  const std::uint64_t before = Crc32BytesTotal();
+  Crc32Accumulator acc;
+  acc.Update(ByteSpan(data).first(40));
+  acc.Update(ByteSpan(data).subspan(40));
+  (void)Crc32(data);
+  EXPECT_EQ(Crc32BytesTotal() - before, 200u);
 }
 
 TEST(Rng, DeterministicFromSeed) {

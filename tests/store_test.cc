@@ -5,13 +5,16 @@
 // restart cycle with the netfs unavailable throughout — lives here.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "apps/programs.h"
+#include "apps/slm.h"
 #include "ckpt/generation.h"
 #include "ckpt/store/replica.h"
 #include "ckpt/store/tiered_store.h"
+#include "common/crc32.h"
 #include "coord/coordinator.h"
 #include "cruz/cluster.h"
 #include "obs/trace_query.h"
@@ -582,6 +585,81 @@ TEST(TieredStore, NoRoomForOneImageFailsWithDiskFull) {
               0u);
     EXPECT_EQ(store.NewestIntact().value_or(0), newest);
   }
+}
+
+
+// Host work pin: how many times each image byte goes through CRC-32 in
+// one tiered generation checkpoint + restart (DESIGN.md §12). The slm
+// grids are incompressible, so images are mostly raw pages and the
+// counter divides into whole passes. The residue (compressible pages
+// CRC'd at full size, manifests, journal records) stays under 1% of the
+// image bytes. Cutting a pass lowers its pin here.
+TEST(TieredStore, CrcPassesPerImageByteArePinned) {
+  apps::RegisterSlmProgram();
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  apps::SlmConfig base;
+  base.nranks = 2;
+  base.rows = 256;
+  base.cols = 512;
+  base.iterations = 1u << 31;
+  base.exit_when_done = false;
+  std::vector<os::PodId> pods;
+  std::vector<coord::Coordinator::Member> members;
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    pods.push_back(c.CreatePod(r, "slm" + std::to_string(r)));
+    base.peers.push_back(c.pods(r).Find(pods.back())->ip);
+  }
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    apps::SlmConfig cfg = base;
+    cfg.rank = r;
+    c.pods(r).SpawnInPod(pods[r], "cruz.slm_rank", apps::SlmArgs(cfg));
+    members.push_back(c.MemberFor(r, pods[r]));
+  }
+  c.sim().RunFor(200 * kMillisecond);
+
+  coord::Coordinator::Options options = TieredOptions();
+  options.variant = coord::ProtocolVariant::kOptimized;
+  options.compress = true;
+  const std::uint64_t before = Crc32BytesTotal();
+  auto ckpt_result = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(ckpt_result.stats.success) << ckpt_result.stats.abort_reason;
+  const std::uint64_t after_ckpt = Crc32BytesTotal();
+  ASSERT_GT(c.tiered().PendingFlushCount(), 0u);
+  c.sim().RunFor(kSecond);
+  ASSERT_EQ(c.tiered().PendingFlushCount(), 0u);
+  const std::uint64_t after_flush = Crc32BytesTotal();
+  for (std::uint32_t r = 0; r < 2; ++r) c.pods(r).DestroyPod(pods[r]);
+  auto restart = c.RunGenerationRestart(members, options);
+  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+  const std::uint64_t after_restart = Crc32BytesTotal();
+
+  ckpt::GenerationStore store(c.tiered());
+  auto manifest = store.ReadManifest(ckpt_result.generation);
+  ASSERT_TRUE(manifest.has_value());
+  std::uint64_t image_bytes = 0;
+  for (const ckpt::ManifestEntry& e : *manifest) image_bytes += e.size;
+  ASSERT_GT(image_bytes, 1u << 20);
+  auto passes = [&](std::uint64_t crc_bytes) {
+    const double ratio = static_cast<double>(crc_bytes) / image_bytes;
+    EXPECT_NEAR(ratio, std::round(ratio), 0.01) << "a partial pass";
+    return static_cast<int>(std::lround(ratio));
+  };
+  // Checkpoint, 3 passes:
+  //   EncodePage's per-page CRC (ckpt/page_codec.cc);
+  //   Serialize's image frame CRC (ckpt/image.cc);
+  //   CommitImage's replica CRC (ckpt/store/tiered_store.cc).
+  EXPECT_EQ(passes(after_ckpt - before), 3);
+  // Flush, 1 pass:
+  //   AttemptFlush -> FindAnyCopy checks the copy it sends to the netfs.
+  EXPECT_EQ(passes(after_flush - after_ckpt), 1);
+  // Restart, 7 passes:
+  //   GenerationStore::Verify: Resolve's tier check, the manifest CRC,
+  //   the image frame CRC and DecodePage's per-page CRC (4);
+  //   the agent's restore: Resolve's tier check, the image frame CRC and
+  //   DecodePage's per-page CRC (3).
+  EXPECT_EQ(passes(after_restart - after_flush), 7);
 }
 
 }  // namespace
