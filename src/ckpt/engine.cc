@@ -294,21 +294,30 @@ PodSnapshot CheckpointEngine::SnapshotPod(pod::PodManager& pods,
   return snap;
 }
 
-PodCheckpoint CheckpointEngine::LoadImageChain(os::FileStore& fs,
-                                               const std::string& path,
-                                               std::uint64_t* bytes_read) {
+PodCheckpoint CheckpointEngine::LoadImageChain(
+    TieredStore& store, os::Node* reader, const std::string& path,
+    bool trace, TieredStore::ResolveResult* head, std::uint64_t* bytes_read) {
   // Walk parent links to the full base image, then overlay forward.
   std::vector<PodCheckpoint> chain;
   std::string current = path;
   std::uint64_t total = 0;
   for (;;) {
+    PodCheckpoint link;
+    auto decode = [&link](const cruz::Bytes& image) {
+      link = PodCheckpoint::Deserialize(image);
+    };
     cruz::Bytes image;
-    if (!SysOk(fs.ReadFile(current, image))) {
-      throw UsageError("checkpoint image missing from shared FS: " +
-                       current);
+    TieredStore::ResolveResult rr;
+    SysResult r = store.Resolve(reader, current, image, &rr, trace, decode);
+    if (SysErrno(r) == CRUZ_EIO) {
+      throw CodecError("no intact copy of checkpoint image " + current);
     }
+    if (!SysOk(r)) {
+      throw UsageError("checkpoint image missing: " + current);
+    }
+    if (head != nullptr && chain.empty()) *head = rr;
     total += image.size();
-    chain.push_back(PodCheckpoint::Deserialize(image));
+    chain.push_back(std::move(link));
     if (!chain.back().incremental) break;
     CRUZ_CHECK(!chain.back().parent_image.empty(),
                "incremental image without a parent link");

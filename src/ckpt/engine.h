@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "ckpt/image.h"
-#include "os/file_store.h"
+#include "ckpt/store/tiered_store.h"
 #include "pod/pod.h"
 
 namespace cruz::ckpt {
@@ -118,15 +118,19 @@ class CheckpointEngine {
                                  const CaptureOptions& options,
                                  CaptureStats* stats = nullptr);
 
-  // Loads a checkpoint image from a file store — the shared netfs, or a
-  // tier-resolving view over the local/partner/netfs hierarchy —
-  // resolving the incremental parent chain (oldest-to-newest page
-  // overlay). Throws CodecError on corruption, UsageError on a missing
-  // link. `bytes_read`, if set, receives the total size of every link
-  // read (the restore cost model's storage volume).
-  static PodCheckpoint LoadImageChain(os::FileStore& fs,
-                                      const std::string& path,
-                                      std::uint64_t* bytes_read = nullptr);
+  // Loads a checkpoint image through the checkpoint store, resolving
+  // the incremental parent chain (oldest-to-newest page overlay). Each
+  // link resolves across tiers for `reader` (nullptr: no local tier, no
+  // rebuild) with the decode as the copy check, so each copy is decoded
+  // at most once and a corrupt one falls back to the next tier. `trace`
+  // is Resolve's. Throws CodecError when a link has copies but none
+  // decodes, UsageError when it has none. `head`, if set, receives how
+  // the head image resolved; `bytes_read` the total size of every link
+  // (the restore cost model's storage volume).
+  static PodCheckpoint LoadImageChain(
+      TieredStore& store, os::Node* reader, const std::string& path,
+      bool trace = true, TieredStore::ResolveResult* head = nullptr,
+      std::uint64_t* bytes_read = nullptr);
 
   // Rebuilds a pod from a checkpoint. Processes are installed SIGSTOPped;
   // call ResumePod to let them run.

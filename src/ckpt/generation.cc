@@ -159,22 +159,22 @@ bool GenerationStore::Verify(std::uint64_t gen) const {
   std::optional<std::vector<ManifestEntry>> manifest = ReadManifest(gen);
   if (!manifest.has_value()) return false;
   // The generation is restartable iff every image has at least one
-  // intact replica on some tier; the verification probe reads through the
-  // tier-resolving view (untraced — it is not a restore).
-  TieredReadView fs(store(), /*reader=*/nullptr, /*trace=*/false);
+  // intact copy on some tier. The probe reads through the store
+  // untraced (it is not a restore); decoding the chain is each copy's
+  // check, and the head copy must also be the one the manifest records.
   for (const ManifestEntry& e : *manifest) {
-    cruz::Bytes image;
-    if (!SysOk(fs.ReadFile(e.image_path, image))) return false;
-    if (image.size() != e.size || cruz::Crc32(image) != e.crc32) {
-      CRUZ_WARN("ckpt") << "generation " << gen << ": " << e.image_path
-                        << " fails the manifest size/CRC check";
-      return false;
-    }
+    TieredStore::ResolveResult head;
     try {
-      CheckpointEngine::LoadImageChain(fs, e.image_path);
+      CheckpointEngine::LoadImageChain(store(), /*reader=*/nullptr,
+                                       e.image_path, /*trace=*/false, &head);
     } catch (const cruz::CruzError&) {
       CRUZ_WARN("ckpt") << "generation " << gen << ": " << e.image_path
                         << " does not deserialize";
+      return false;
+    }
+    if (head.size != e.size || head.crc32 != e.crc32) {
+      CRUZ_WARN("ckpt") << "generation " << gen << ": " << e.image_path
+                        << " fails the manifest size/CRC check";
       return false;
     }
   }

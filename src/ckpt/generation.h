@@ -4,8 +4,9 @@
 // per-generation directory and the generation becomes visible only when a
 // manifest is committed after every agent reported <done> — so storage
 // never exposes a half-written checkpoint as restorable. The manifest
-// records, per member pod, the image path plus its size and CRC-32, which
-// lets restart verify every image *before* touching any pod and fall back
+// records, per member pod, the image path plus its size and frame CRC-32
+// (the trailer PodCheckpoint::Serialize wrote), which lets restart
+// verify every image *before* touching any pod and fall back
 // to the newest older generation that is still fully intact (e.g. after
 // silent media corruption of the latest images). Aborted generations are
 // discarded wholesale by deleting everything under their directory.
@@ -34,7 +35,7 @@ struct ManifestEntry {
   os::PodId pod = os::kNoPod;
   std::string image_path;
   std::uint64_t size = 0;     // image bytes at commit time
-  std::uint32_t crc32 = 0;    // CRC-32 of the whole image file
+  std::uint32_t crc32 = 0;    // the image's frame trailer (its CRC-32)
   // Where the image lived at commit time (tiered policy: local + partner;
   // the netfs replica appears later via the background flush and is
   // always consulted as the last resort). Empty for one-tier images,
@@ -83,10 +84,12 @@ class GenerationStore {
   std::optional<std::vector<ManifestEntry>> ReadManifest(
       std::uint64_t gen) const;
 
-  // Deep verification: manifest intact and every member image present
-  // with the recorded size and CRC-32, and deserializable (including its
-  // incremental parent chain). This is what restart runs before choosing
-  // a generation.
+  // Deep verification, with no CRC pass of its own: the manifest is
+  // intact (its own CRC), and for every member image the head copy the
+  // store resolves has the recorded size and frame trailer and the whole
+  // incremental chain decodes (frame and per-page CRCs), a copy that
+  // fails falling back to the next tier. This is what restart runs
+  // before choosing a generation.
   bool Verify(std::uint64_t gen) const;
 
   // Newest committed generation that passes Verify, scanning backwards.

@@ -153,7 +153,8 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
   return out.Take();
 }
 
-PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
+cruz::ByteSpan PodCheckpoint::CheckFrame(cruz::ByteSpan image,
+                                        bool* compressed) {
   cruz::ByteReader outer(image);
   cruz::ByteSpan magic = outer.GetSpan(8);
   if (!std::equal(magic.begin(), magic.end(),
@@ -165,21 +166,31 @@ PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
     throw cruz::CodecError("unsupported image version " +
                            std::to_string(version));
   }
-  bool compressed = version == kVersionCompressed;
-  if (compressed) {
+  if (version == kVersionCompressed) {
     std::uint8_t codec = outer.GetU8();
     if (codec > static_cast<std::uint8_t>(PageCodec::kRle)) {
       throw cruz::CodecError("unsupported image page codec " +
                              std::to_string(codec));
     }
   }
-  cruz::Bytes body = outer.GetBlob();
+  cruz::ByteSpan body = outer.GetSpan(outer.GetU32());
   std::uint32_t crc = outer.GetU32();
   if (crc != cruz::Crc32(body)) {
     throw cruz::CodecError("checkpoint image CRC mismatch");
   }
+  if (compressed != nullptr) *compressed = version == kVersionCompressed;
+  return body;
+}
 
-  cruz::ByteReader r(body);
+std::uint32_t PodCheckpoint::FrameTrailer(cruz::ByteSpan image) {
+  if (image.size() < 4) return 0;
+  cruz::ByteReader r(image.last(4));
+  return r.GetU32();
+}
+
+PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
+  bool compressed = false;
+  cruz::ByteReader r(CheckFrame(image, &compressed));
   PodCheckpoint ck;
   ck.pod_id = r.GetU32();
   ck.pod_name = r.GetString();

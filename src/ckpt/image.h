@@ -155,7 +155,17 @@ struct PodCheckpoint {
   // `compress == false` emits the version-1 format byte-for-byte;
   // `compress == true` emits version 2 with RLE-compressed pages.
   cruz::Bytes Serialize(bool compress = false) const;
+  // Checks the frame (magic, version, codec id, body length and the
+  // CRC-32 trailer) and decodes the body, whose per-page CRCs are
+  // checked too. Throws CodecError.
   static PodCheckpoint Deserialize(cruz::ByteSpan image);
+  // The frame check alone: returns the body the trailer covers and sets
+  // `compressed` for a version-2 image. Throws CodecError.
+  static cruz::ByteSpan CheckFrame(cruz::ByteSpan image,
+                                   bool* compressed = nullptr);
+  // The CRC-32 the frame trailer records: the image's last four bytes,
+  // read without checking them; 0 for a file too short to hold one.
+  static std::uint32_t FrameTrailer(cruz::ByteSpan image);
 
   // Overlays this (incremental) image's pages and current state onto
   // `base`, producing the full state at this image's generation. Every

@@ -4,8 +4,9 @@
 // hierarchy: the writer's local disk (tier 1), its ring partner's disk
 // (tier 2), and — once the background flush lands — the shared netfs
 // (tier 3). The generation manifest records the replica set captured at
-// commit time (local + partner, with per-tier CRCs); the netfs replica
-// is implicit and always consulted as the last resort.
+// commit time (local + partner, each with the image's size and frame
+// trailer); the netfs replica is implicit. Restore does not read the
+// set: TieredStore::Resolve probes every tier itself.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +41,7 @@ struct Replica {
   Tier tier = Tier::kNone;
   std::uint32_t node_index = 0;  // holder (0 for the netfs tier)
   std::uint64_t size = 0;
-  std::uint32_t crc32 = 0;
+  std::uint32_t crc32 = 0;  // the image's frame trailer (its CRC-32)
 };
 
 }  // namespace cruz::ckpt

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/crc32.h"
+#include "ckpt/image.h"
 #include "common/log.h"
 #include "obs/trace.h"
 
@@ -92,14 +92,15 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
   // Tier writes run in parallel at the writer's disk rate.
   const DurationNs cost = writer.DiskWriteDuration(bytes);
 
+  // The image's own frame CRC is its record; no pass is taken here.
+  const std::uint32_t crc = PodCheckpoint::FrameTrailer(image);
+
   if (!tiered) {
     // One tier: the shared netfs, written synchronously. No replicas, no
     // flush, and no per-image trace: the agent's save span covers it.
-    // Nothing checks a one-tier copy against a CRC, so none is taken
-    // here; CommitRecord computes it on demand.
     SysResult w = WriteNetfs(path, image);
     if (!SysOk(w)) return w;
-    Index(path, ImageMeta{bytes, 0, writer.index(), /*flushed=*/true,
+    Index(path, ImageMeta{bytes, crc, writer.index(), /*flushed=*/true,
                           /*tiered=*/false});
     sim_.metrics().counter("ckpt.store.commits_total").Add(1);
     if (duration != nullptr) *duration = cost;
@@ -107,7 +108,6 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
     return static_cast<SysResult>(bytes);
   }
 
-  const std::uint32_t crc = Crc32(image);
   std::vector<Replica> out;
   // Tier 1: the writer's own disk. -ENOSPC evicts the oldest non-current
   // generation's files from this disk and retries.
@@ -171,18 +171,19 @@ std::optional<Replica> TieredStore::CommitRecord(
   Replica record{Tier::kNone, it->second.writer, it->second.size,
                  it->second.crc32};
   if (!it->second.tiered) {
-    // A one-tier image exists only on the netfs: take its CRC there.
+    // A one-tier image exists only on the netfs: take its record there.
     cruz::Bytes image;
     if (!SysOk(netfs_.ReadFile(path, image))) return std::nullopt;
     record.size = image.size();
-    record.crc32 = Crc32(image);
+    record.crc32 = PodCheckpoint::FrameTrailer(image);
   }
   return record;
 }
 
 void TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes) {
   const std::string gen = GenPrefixOf(path);
-  Index(path, ImageMeta{bytes.size(), Crc32(bytes), 0, false});
+  Index(path, ImageMeta{bytes.size(), PodCheckpoint::FrameTrailer(bytes), 0,
+                        false, /*tiered=*/true, /*image=*/false});
   // Metadata is tiny and must survive any single failure domain: every
   // live node keeps a copy, and the netfs copy lands when it can.
   for (os::Node* n : ring_) {
@@ -227,48 +228,70 @@ std::vector<std::string> TieredStore::ListAll(
   return std::vector<std::string>(paths.begin(), paths.end());
 }
 
+bool TieredStore::Intact(const std::string& path, const cruz::Bytes& bytes,
+                         const CopyCheck& check) const {
+  auto it = index_.find(path);
+  const ImageMeta* record = it != index_.end() ? &it->second : nullptr;
+  if (record != nullptr &&
+      (bytes.size() != record->size ||
+       PodCheckpoint::FrameTrailer(bytes) != record->crc32)) {
+    return false;
+  }
+  try {
+    if (check) {
+      check(bytes);
+    } else if (record == nullptr || record->image) {
+      PodCheckpoint::CheckFrame(bytes);
+    }
+    return true;
+  } catch (const CodecError&) {
+    return false;
+  }
+}
+
 SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
                                cruz::Bytes& out, ResolveResult* rr,
-                               bool trace) {
+                               bool trace, const CopyCheck& check) {
   ResolveResult scratch;
   ResolveResult& res = rr != nullptr ? *rr : scratch;
   res = ResolveResult{};
   auto meta_it = index_.find(path);
-  if (meta_it != index_.end() && !meta_it->second.tiered) {
-    // A one-tier image was only ever on the netfs. Its readers check the
-    // bytes themselves (manifest CRC, image frame CRC); no disk probe, no
-    // rebuild, no per-image trace.
-    SysResult r = netfs_.ReadFile(path, out);
-    if (!SysOk(r)) return r;
-    res.source = Tier::kNetfs;
-    if (trace) {
-      sim_.metrics().counter("ckpt.store.restore_source_netfs").Add(1);
-    }
-    return r;
-  }
-  auto valid = [&](const cruz::Bytes& bytes) {
-    if (meta_it == index_.end()) return true;  // no commit-time record
-    return bytes.size() == meta_it->second.size &&
-           Crc32(bytes) == meta_it->second.crc32;
-  };
   std::string chain;
   auto note = [&](const std::string& s) {
     if (!chain.empty()) chain += ",";
     chain += s;
     ++res.fallbacks;
   };
-  const std::string guarded = std::string(kPartnerPrefix) + path;
+  bool rejected = false;
+  // Reads one copy; true if it exists and passes its check.
   auto try_store = [&](const os::MemFileStore& store, const std::string& p,
                        const std::string& label) {
     cruz::Bytes bytes;
     if (!SysOk(store.ReadFile(p, bytes))) return false;
-    if (!valid(bytes)) {
+    if (!Intact(path, bytes, check)) {
+      rejected = true;
       note(label + ":crc");
       return false;
     }
+    res.size = bytes.size();
+    res.crc32 = PodCheckpoint::FrameTrailer(bytes);
     out = std::move(bytes);
     return true;
   };
+
+  if (meta_it != index_.end() && !meta_it->second.tiered) {
+    // A one-tier image was only ever on the netfs: no disk probe, no
+    // rebuild, no per-image trace.
+    if (!try_store(netfs_, path, "netfs")) {
+      return SysErr(rejected ? CRUZ_EIO : CRUZ_ENOENT);
+    }
+    res.source = Tier::kNetfs;
+    if (trace) {
+      sim_.metrics().counter("ckpt.store.restore_source_netfs").Add(1);
+    }
+    return static_cast<SysResult>(out.size());
+  }
+  const std::string guarded = std::string(kPartnerPrefix) + path;
 
   bool found = false;
   // Tier 1: the reader's own disk — its copy, or one it guards.
@@ -306,16 +329,12 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   }
   // Tier 3: the shared netfs, last resort.
   if (!found) {
-    cruz::Bytes bytes;
-    SysResult r = netfs_.ReadFile(path, bytes);
-    if (SysOk(r) && valid(bytes)) {
-      out = std::move(bytes);
+    const std::size_t before = res.fallbacks;
+    if (try_store(netfs_, path, "netfs")) {
       found = true;
       res.source = Tier::kNetfs;
-    } else if (SysOk(r)) {
-      note("netfs:crc");
-    } else {
-      note(SysErrno(r) == CRUZ_EIO ? "netfs:unavailable" : "netfs:miss");
+    } else if (res.fallbacks == before) {
+      note(netfs_.available() ? "netfs:miss" : "netfs:unavailable");
     }
   }
 
@@ -326,7 +345,7 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
           "ckpt", "ckpt.store.resolve_failed",
           obs::TraceAttrs{}.Arg("path", path).Arg("chain", chain));
     }
-    return SysErr(CRUZ_ENOENT);
+    return SysErr(rejected ? CRUZ_EIO : CRUZ_ENOENT);
   }
 
   if (!chain.empty()) chain += ",";
@@ -370,30 +389,16 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   return static_cast<SysResult>(out.size());
 }
 
-bool TieredStore::HasAnyReplica(const std::string& path) const {
-  const std::string guarded = std::string(kPartnerPrefix) + path;
-  for (os::Node* n : ring_) {
-    if (n->failed()) continue;
-    if (n->disk().Exists(path) || n->disk().Exists(guarded)) return true;
-  }
-  return netfs_.Exists(path);
-}
-
 bool TieredStore::FindAnyCopy(const std::string& path,
                               cruz::Bytes& out) const {
-  auto meta_it = index_.find(path);
   const std::string guarded = std::string(kPartnerPrefix) + path;
   for (os::Node* n : ring_) {
     if (n->failed()) continue;
     for (const std::string& p : {path, guarded}) {
       cruz::Bytes bytes;
       if (!SysOk(n->disk().ReadFile(p, bytes))) continue;
-      // Never propagate a copy that disagrees with the commit record.
-      if (meta_it != index_.end() &&
-          (bytes.size() != meta_it->second.size ||
-           Crc32(bytes) != meta_it->second.crc32)) {
-        continue;
-      }
+      // Never propagate a copy that fails its check.
+      if (!Intact(path, bytes, nullptr)) continue;
       out = std::move(bytes);
       return true;
     }
@@ -702,30 +707,6 @@ std::uint64_t TieredStore::BytesUnderPrefix(const std::string& prefix) const {
     if (SysOk(s)) total += static_cast<std::uint64_t>(s);
   }
   return total;
-}
-
-SysResult TieredReadView::ReadFile(const std::string& path,
-                                   cruz::Bytes& out) const {
-  auto it = cache_.find(path);
-  if (it != cache_.end()) {
-    out = it->second;
-    return static_cast<SysResult>(out.size());
-  }
-  TieredStore::ResolveResult rr;
-  SysResult r = store_.Resolve(reader_, path, out, &rr, trace_);
-  if (!SysOk(r)) return r;
-  if (!have_head_) {
-    have_head_ = true;
-    head_result_ = rr;
-  }
-  cache_[path] = out;
-  return r;
-}
-
-SysResult TieredReadView::FileSize(const std::string& path) const {
-  cruz::Bytes bytes;
-  SysResult r = ReadFile(path, bytes);
-  return SysOk(r) ? static_cast<SysResult>(bytes.size()) : r;
 }
 
 }  // namespace cruz::ckpt

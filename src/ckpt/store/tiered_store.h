@@ -16,15 +16,21 @@
 // Each image commit picks a policy. Tiered: CommitImage lands the image
 // on tier 1 + tier 2 and returns the replica set the agent reports in
 // <done>; the netfs flush runs in the background. One-tier (the paper's
-// path): the netfs alone, written synchronously. Restore path: Resolve
-// reads local → partner → netfs, falling back across tiers on -ENOENT
-// or CRC mismatch, rebuilds missing local copies ("rebuild-on-restart"),
-// and traces the chosen source + fallback chain as ckpt.store.* events
-// so cruz_analyze can attribute restore traffic per tier; a one-tier
-// image is read from the netfs directly. Eviction keeps the last K
-// generations on the node disks once they are durable on the netfs, and
-// -ENOSPC on any tier evicts old generations rather than failing the
-// checkpoint. A discarded generation is fenced against late images.
+// path): the netfs alone, written synchronously. Either way the commit
+// record is the image's size and its frame trailer (the CRC-32 that
+// PodCheckpoint::Serialize wrote), read from the image, not computed.
+// Restore path: Resolve reads local → partner → netfs, falling back
+// across tiers on a missing copy or one that fails its check (size and
+// trailer against the record, then the reader's own check), rebuilds
+// missing local copies ("rebuild-on-restart"), and traces the chosen
+// source + fallback chain as ckpt.store.* events so cruz_analyze can
+// attribute restore traffic per tier; a one-tier image is read from the
+// netfs directly. Eviction keeps the last K generations on the node
+// disks once they are durable on the netfs. -ENOSPC on a node disk
+// evicts old generations rather than failing the checkpoint; on the
+// netfs it discards an older, non-newest committed generation, and
+// fails the write when none qualifies. A discarded generation is fenced
+// against late images.
 //
 // The store is pure state + scheduling. Each tier write costs one
 // Node::DiskWriteDuration: the partner copy and the netfs flush run at
@@ -32,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -43,7 +50,6 @@
 #include "common/sysresult.h"
 #include "common/units.h"
 #include "fault/fault.h"
-#include "os/file_store.h"
 #include "os/netfs.h"
 #include "os/node.h"
 #include "sim/simulator.h"
@@ -61,7 +67,13 @@ class TieredStore {
   struct ResolveResult {
     Tier source = Tier::kNone;
     std::size_t fallbacks = 0;  // tiers/copies tried before success
+    std::uint64_t size = 0;     // the chosen copy's size
+    std::uint32_t crc32 = 0;    // and its frame trailer
   };
+
+  // A reader's check of one stored copy: throws CodecError if the copy
+  // is not intact. Resolve runs it after the free size/trailer compare.
+  using CopyCheck = std::function<void(const cruz::Bytes&)>;
 
   TieredStore(sim::Simulator& sim, os::NetworkFileSystem& netfs);
 
@@ -89,9 +101,10 @@ class TieredStore {
                         cruz::Bytes image, bool tiered,
                         std::vector<Replica>* replicas, DurationNs* duration);
 
-  // Size and CRC-32 of an image this store committed and has not removed
-  // since: the commit-time record for a tiered image; for a one-tier
-  // image, read from its netfs copy (nullopt if that read fails).
+  // Size and frame trailer of an image this store committed and has not
+  // removed since: the commit-time record for a tiered image; for a
+  // one-tier image, read from its netfs copy (nullopt if that read
+  // fails).
   std::optional<Replica> CommitRecord(const std::string& path) const;
 
   // Metadata (generation manifests, SEQ), whatever the images' policy:
@@ -107,16 +120,18 @@ class TieredStore {
 
   // --- restore path -------------------------------------------------------
   // Cross-tier read: reader-local → partner tier (any other live node,
-  // own copy or guarded copy) → netfs. Copies whose size/CRC disagree
-  // with the commit-time record are skipped (fallback). When `reader` is
-  // set and the winning copy was remote, the local tier is repopulated.
-  // A one-tier image is read from the netfs as is: its readers check it.
-  // `trace` controls ckpt.store.resolve events + restore-source counters
-  // (restores trace; verification probes do not).
+  // own copy or guarded copy) → netfs; a one-tier image is read from the
+  // netfs only. Each copy read is checked once: its size and trailer
+  // against the commit record (no CRC pass), then `check`, or the image
+  // frame check when `check` is unset. A copy that fails falls back to
+  // the next tier ("<tier>:crc" in the chain). When `reader` is set and
+  // the winning copy was remote, the local tier is repopulated. `trace`
+  // controls ckpt.store.resolve events + restore-source counters
+  // (restores trace; verification probes do not). Returns the size, -EIO
+  // if every copy found failed its check, or -ENOENT if there was none.
   SysResult Resolve(os::Node* reader, const std::string& path,
                     cruz::Bytes& out, ResolveResult* rr = nullptr,
-                    bool trace = true);
-  bool HasAnyReplica(const std::string& path) const;
+                    bool trace = true, const CopyCheck& check = nullptr);
 
   // --- GC -----------------------------------------------------------------
   // Removes every copy of `path` (all disks, both prefixes, netfs) and
@@ -145,10 +160,11 @@ class TieredStore {
  private:
   struct ImageMeta {
     std::uint64_t size = 0;
-    std::uint32_t crc32 = 0;  // 0 for one-tier images (see CommitRecord)
+    std::uint32_t crc32 = 0;  // the frame trailer: the file's last 4 bytes
     std::uint32_t writer = 0;
     bool flushed = false;
     bool tiered = true;  // false: one-tier, the netfs copy is the only one
+    bool image = true;   // false: metadata, whose readers check it
   };
   struct FlushState {
     std::uint32_t writer = 0;
@@ -161,7 +177,13 @@ class TieredStore {
   void AttemptFlush(const std::string& path);
   // Records a committed file in the index and its generation's file set.
   void Index(const std::string& path, const ImageMeta& meta);
-  // Finds any live copy of `path` on the node disks (own or guarded).
+  // The copy check of `bytes`, a copy of `path`: size and trailer
+  // against its commit record (if any), then `check`; unset, the frame
+  // check for an image and nothing more for metadata.
+  bool Intact(const std::string& path, const cruz::Bytes& bytes,
+              const CopyCheck& check) const;
+  // Finds an intact copy of `path` on the live node disks (own or
+  // guarded).
   bool FindAnyCopy(const std::string& path, cruz::Bytes& out) const;
   // Frees space on `node`'s disk by dropping the oldest generation's
   // files (preferring netfs-durable ones), excluding `keep_prefix`.
@@ -191,7 +213,7 @@ class TieredStore {
   static constexpr DurationNs kFlushRetry = 100 * kMillisecond;
   static constexpr DurationNs kFlushRetryMax = 2 * kSecond;
   static constexpr std::size_t kMaxFlushAttempts = 64;
-  // Commit-time truth per image path: expected size/CRC and durability.
+  // Commit-time truth per path: expected size/trailer and durability.
   std::map<std::string, ImageMeta> index_;
   std::map<std::string, FlushState> pending_flush_;
   // Generation prefix -> files committed under it (images + manifests).
@@ -203,37 +225,6 @@ class TieredStore {
   bool test_skip_discard_fence_ = false;
   bool reaper_scheduled_ = false;
   std::uint64_t flush_attempts_total_ = 0;
-};
-
-// FileStore view over the hierarchy for one reader: LoadImageChain and
-// the generation verifier read through this, so every link of an
-// incremental chain resolves across tiers independently. Reads are
-// memoized per view (one resolve — and one trace event — per path).
-class TieredReadView : public os::FileStore {
- public:
-  TieredReadView(TieredStore& store, os::Node* reader, bool trace = true)
-      : store_(store), reader_(reader), trace_(trace) {}
-
-  bool Exists(const std::string& path) const override {
-    return store_.HasAnyReplica(path);
-  }
-  SysResult ReadFile(const std::string& path,
-                     cruz::Bytes& out) const override;
-  SysResult FileSize(const std::string& path) const override;
-
-  // Resolution of the first (head) path read through this view, for
-  // restore-source attribution.
-  const TieredStore::ResolveResult& head_result() const {
-    return head_result_;
-  }
-
- private:
-  TieredStore& store_;
-  os::Node* reader_;
-  bool trace_;
-  mutable bool have_head_ = false;
-  mutable TieredStore::ResolveResult head_result_;
-  mutable std::map<std::string, cruz::Bytes> cache_;
 };
 
 }  // namespace cruz::ckpt

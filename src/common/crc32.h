@@ -1,8 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected 0xEDB88320). It guards every
-// checkpoint trust boundary: page records (ckpt/page_codec), image frames
-// (ckpt/image), tiered-store replicas and netfs flushes
-// (ckpt/store/tiered_store), generation manifests (ckpt/generation) and
-// coordinator journal records (coord/journal).
+// checkpoint trust boundary: page records (ckpt/page_codec), image
+// frames (ckpt/image), generation manifests (ckpt/generation) and
+// coordinator journal records (coord/journal). The checkpoint store
+// takes no CRC of its own: an image's frame trailer is its commit
+// record, and the frame check or the decode checks each copy it reads.
 #pragma once
 
 #include <cstdint>

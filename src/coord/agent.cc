@@ -555,14 +555,14 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   // Read through the store's resolver (a tiered image: local → partner →
   // netfs, with rebuild-on-restart), so every link of an incremental
   // chain finds the best intact copy independently.
-  ckpt::TieredReadView view(store_, &node_);
+  ckpt::TieredStore::ResolveResult head;
   // Total bytes read from storage: the image plus any incremental
   // parents the chain resolves through (restore cost model).
   std::uint64_t chain_bytes = 0;
   ckpt::PodCheckpoint ck;
   try {
-    ck = ckpt::CheckpointEngine::LoadImageChain(view, m.image_path,
-                                                &chain_bytes);
+    ck = ckpt::CheckpointEngine::LoadImageChain(
+        store_, &node_, m.image_path, /*trace=*/true, &head, &chain_bytes);
   } catch (const cruz::CruzError& e) {
     // Missing or corrupt (CRC-failing) image on every tier: report
     // instead of going silent so the coordinator can abort and fall back.
@@ -599,8 +599,8 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
       .Arg("chain_bytes", chain_bytes);
   // Which tier actually served the head image — this is what
   // cruz_analyze aggregates into the restore-source attribution.
-  op_.restore_source = static_cast<std::uint8_t>(view.head_result().source);
-  restore_attrs.Arg("source", ckpt::TierName(view.head_result().source));
+  op_.restore_source = static_cast<std::uint8_t>(head.source);
+  restore_attrs.Arg("source", ckpt::TierName(head.source));
   op_.save_span = node_.os().sim().tracer().BeginSpan(
       "agent", "agent.restore", std::move(restore_attrs));
 

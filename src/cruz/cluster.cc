@@ -251,9 +251,9 @@ Cluster::GenerationOpResult Cluster::SettleGenerationCheckpoint(
       ckpt::ManifestEntry e;
       e.pod = op->members[i].pod;
       e.image_path = op->stats.image_paths.at(i);
-      // Size and CRC come from the store's record (a tiered one without
-      // touching the possibly unavailable netfs); a tiered <done> also
-      // reported where the image landed.
+      // Size and frame trailer come from the store's record (a tiered
+      // one without touching the possibly unavailable netfs); a tiered
+      // <done> also reported where the image landed.
       std::optional<ckpt::Replica> record = tiered_->CommitRecord(e.image_path);
       if (!record.has_value()) {
         CRUZ_WARN("cruz") << e.image_path << ": no commit record";

@@ -1,10 +1,8 @@
 // Storage substrate shared by the netfs and per-node local disks.
 //
-// FileStore is the minimal read interface a checkpoint consumer needs
-// (restore walks an image chain by path); MemFileStore is the full
-// in-memory filesystem model behind both os::NetworkFileSystem and
-// os::LocalDiskStore. It adds two failure-domain knobs the tiered
-// checkpoint store exercises:
+// MemFileStore is the in-memory filesystem model behind both
+// os::NetworkFileSystem and os::LocalDiskStore. It has two
+// failure-domain knobs the checkpoint store exercises:
 //
 //  - a capacity budget: writes that would exceed it fail with -ENOSPC
 //    instead of silently growing (0 = unlimited), and
@@ -25,29 +23,15 @@
 
 namespace cruz::os {
 
-// Read-side interface: enough to locate and load checkpoint images.
-// CheckpointEngine::LoadImageChain takes this, so a restore can read
-// from a plain filesystem or from a tier-resolving view alike.
-class FileStore {
- public:
-  virtual ~FileStore() = default;
-
-  virtual bool Exists(const std::string& path) const = 0;
-  // Returns the byte count read, or -ENOENT / -EIO.
-  virtual SysResult ReadFile(const std::string& path,
-                             cruz::Bytes& out) const = 0;
-  virtual SysResult FileSize(const std::string& path) const = 0;
-};
-
 // In-memory filesystem with a capacity budget and an availability flag.
-class MemFileStore : public FileStore {
+class MemFileStore {
  public:
   MemFileStore() = default;
   explicit MemFileStore(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  bool Exists(const std::string& path) const override {
+  bool Exists(const std::string& path) const {
     return available_ && files_.count(path) != 0;
   }
 
@@ -57,7 +41,7 @@ class MemFileStore : public FileStore {
   // Appends, creating if missing.
   SysResult AppendFile(const std::string& path, cruz::ByteSpan content);
   // Returns -ENOENT if missing.
-  SysResult ReadFile(const std::string& path, cruz::Bytes& out) const override;
+  SysResult ReadFile(const std::string& path, cruz::Bytes& out) const;
   // Reads [offset, offset+n) into out; short reads at EOF. -ENOENT if
   // missing.
   SysResult ReadAt(const std::string& path, std::uint64_t offset,
@@ -67,7 +51,7 @@ class MemFileStore : public FileStore {
   SysResult WriteAt(const std::string& path, std::uint64_t offset,
                     cruz::ByteSpan data, bool create);
   SysResult Remove(const std::string& path);
-  SysResult FileSize(const std::string& path) const override;
+  SysResult FileSize(const std::string& path) const;
 
   std::vector<std::string> List(const std::string& prefix) const;
 

@@ -38,6 +38,13 @@ bool PodProcessLive(Cluster& c, std::size_t node, os::PodId pod) {
   return proc != nullptr && proc->state() == os::ProcessState::kLive;
 }
 
+std::string ArgOf(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.attrs.args) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
 // Identically seeded runs must produce identical fault-event logs and
 // identical protocol outcomes — this is what makes a chaos failure
 // replayable from its seed.
@@ -319,35 +326,60 @@ TEST(Fault, NodeCrashRebootThenGenerationRestart) {
   EXPECT_GT(apps::ReadCounter(*proc), before);
 }
 
-// Silent bit corruption injected at image-write time survives the commit
-// (the manifest CRC is computed over the already-corrupt bytes) but is
-// caught by the deep verification pass — the image's own CRC trailer
-// fails to deserialize — so restart falls back to the older generation.
+// Silent bit corruption injected at image-write time survives the commit:
+// the commit record is the frame trailer the image carries, and a flip
+// that misses the trailer leaves it as written. The deep verification
+// pass catches it, because the image's frame CRC fails to check, so
+// restart falls back to the older generation. A tiered image corrupted
+// this way never reaches the netfs: no disk copy passes the flush's frame
+// check, so the flush is abandoned instead of copying the broken bytes.
 TEST(Fault, SilentImageCorruptionCaughtAtRestart) {
-  ClusterConfig config;
-  config.num_nodes = 2;
-  Cluster c(config);
-  os::PodId id = SpawnCounterPod(c, 0, "job");
-  c.sim().RunFor(20 * kMillisecond);
-  auto g1 = c.RunGenerationCheckpoint({c.MemberFor(0, id)});
-  ASSERT_TRUE(g1.stats.success);
+  for (bool tiered : {false, true}) {
+    SCOPED_TRACE(tiered ? "tiered" : "one-tier");
+    ClusterConfig config;
+    config.num_nodes = 2;
+    Cluster c(config);
+    coord::Coordinator::Options options;
+    options.tiered = tiered;
+    os::PodId id = SpawnCounterPod(c, 0, "job");
+    c.sim().RunFor(20 * kMillisecond);
+    auto g1 = c.RunGenerationCheckpoint({c.MemberFor(0, id)}, options);
+    ASSERT_TRUE(g1.stats.success);
 
-  fault::FaultPlan plan(13);
-  plan.ArmImageCorruption("node1");
-  c.ArmFaults(plan);
-  c.sim().RunFor(20 * kMillisecond);
-  auto g2 = c.RunGenerationCheckpoint({c.MemberFor(0, id)});
-  ASSERT_TRUE(g2.stats.success);  // the corruption is silent at write time
-  EXPECT_EQ(plan.CountEvents(fault::FaultKind::kImageCorrupt), 1u);
+    fault::FaultPlan plan(13);
+    plan.ArmImageCorruption("node1");
+    c.ArmFaults(plan);
+    c.sim().RunFor(20 * kMillisecond);
+    auto g2 = c.RunGenerationCheckpoint({c.MemberFor(0, id)}, options);
+    ASSERT_TRUE(g2.stats.success);  // the corruption is silent at write time
+    EXPECT_EQ(plan.CountEvents(fault::FaultKind::kImageCorrupt), 1u);
 
-  c.pods(0).DestroyPod(id);
-  c.sim().RunFor(10 * kMillisecond);
-  auto rs = c.RunGenerationRestart({c.MemberFor(0, id)});
-  EXPECT_TRUE(rs.stats.success);
-  EXPECT_TRUE(rs.fell_back);
-  EXPECT_EQ(rs.generation, g1.generation);
-  EXPECT_EQ(rs.latest_committed, g2.generation);
-  EXPECT_TRUE(PodProcessLive(c, 0, id));
+    if (tiered) {
+      const std::string corrupt = g2.stats.image_paths.at(0);
+      c.sim().RunFor(2 * kSecond);
+      EXPECT_EQ(c.tiered().PendingFlushCount(), 0u);
+      EXPECT_FALSE(c.tiered().FlushedToNetfs(corrupt));
+      EXPECT_FALSE(c.fs().Exists(corrupt));
+      obs::TraceQuery query(c.sim().tracer());
+      std::size_t abandoned = 0;
+      for (const obs::TraceEvent* e : query.Select(
+               obs::TraceQuery::Filter{}.Name("ckpt.store.flush_abandoned"))) {
+        EXPECT_EQ(ArgOf(*e, "path"), corrupt);
+        EXPECT_EQ(ArgOf(*e, "reason"), "no intact source copy");
+        ++abandoned;
+      }
+      EXPECT_EQ(abandoned, 1u);
+    }
+
+    c.pods(0).DestroyPod(id);
+    c.sim().RunFor(10 * kMillisecond);
+    auto rs = c.RunGenerationRestart({c.MemberFor(0, id)}, options);
+    EXPECT_TRUE(rs.stats.success);
+    EXPECT_TRUE(rs.fell_back);
+    EXPECT_EQ(rs.generation, g1.generation);
+    EXPECT_EQ(rs.latest_committed, g2.generation);
+    EXPECT_TRUE(PodProcessLive(c, 0, id));
+  }
 }
 
 // Duplicated and delayed control messages alone (no loss) must never

@@ -128,7 +128,7 @@ TEST(Incremental, DeltaCapturesOnlyDirtyPages) {
       *c.node(0).os().FindProcess(c.pods(0).ToRealPid(id, vpid)));
   c.pods(0).DestroyPod(id);
   PodCheckpoint merged =
-      CheckpointEngine::LoadImageChain(c.node(0).os().fs(),
+      CheckpointEngine::LoadImageChain(c.tiered(), nullptr,
                                        "/ckpt/delta.img");
   EXPECT_EQ(merged.processes[0].pages.size(), base_pages);
   os::PodId restored = CheckpointEngine::RestorePod(c.pods(0), merged);
@@ -148,7 +148,7 @@ TEST(Incremental, MissingParentLinkFails) {
   orphan.incremental = true;
   orphan.parent_image = "/ckpt/nonexistent.img";
   c.node(0).os().fs().WriteFile("/ckpt/orphan.img", orphan.Serialize());
-  EXPECT_THROW(CheckpointEngine::LoadImageChain(c.node(0).os().fs(),
+  EXPECT_THROW(CheckpointEngine::LoadImageChain(c.tiered(), nullptr,
                                                 "/ckpt/orphan.img"),
                UsageError);
 }
@@ -285,7 +285,7 @@ TEST(CopyOnWrite, PodResumesBeforeDiskWriteFinishes) {
   // The image on disk is complete and restorable.
   c.pods(0).DestroyPod(id);
   PodCheckpoint ck = CheckpointEngine::LoadImageChain(
-      c.fs(), stats.image_paths[0]);
+      c.tiered(), nullptr, stats.image_paths[0]);
   os::PodId restored = CheckpointEngine::RestorePod(c.pods(0), ck);
   CheckpointEngine::ResumePod(c.pods(0), restored);
   c.sim().RunFor(10 * kMillisecond);
@@ -390,7 +390,8 @@ TEST(Incremental, DeltaAfterCowCaptureHoldsOnlyPostSnapshotPages) {
   c.fs().WriteFile("/ckpt/cowdelta.img", delta.Serialize(true));
   c.pods(0).DestroyPod(id);
   PodCheckpoint merged =
-      CheckpointEngine::LoadImageChain(c.fs(), "/ckpt/cowdelta.img");
+      CheckpointEngine::LoadImageChain(c.tiered(), nullptr,
+                                       "/ckpt/cowdelta.img");
   os::PodId restored = CheckpointEngine::RestorePod(c.pods(0), merged);
   os::Process* rp =
       c.node(0).os().FindProcess(c.pods(0).ToRealPid(restored, vpid));

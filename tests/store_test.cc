@@ -221,68 +221,87 @@ TEST(TieredStore, NodeAndTier1LossRestoresFromPartner) {
 
 // CRC-checked fallback: a silently corrupted local copy is skipped for
 // the partner's, a corrupted partner copy for the netfs replica, and the
-// resolve trace names the rejected tiers.
+// resolve trace names the rejected tiers. Two kinds of rot: a 2-byte
+// file, which the size compare against the commit record rejects, and a
+// same-size bit flip, which only the copy's decode catches.
 TEST(TieredStore, CorruptCopiesFallBackAcrossTiers) {
-  ClusterConfig config;
-  config.num_nodes = 3;
-  Cluster c(config);
-  os::PodId a = SpawnCounterPod(c, 0, "a");
-  os::PodId b = SpawnCounterPod(c, 1, "b");
-  c.sim().RunFor(10 * kMillisecond);
+  for (bool same_size : {false, true}) {
+    SCOPED_TRACE(same_size ? "same-size bit flip" : "2-byte rot");
+    ClusterConfig config;
+    config.num_nodes = 3;
+    Cluster c(config);
+    os::PodId a = SpawnCounterPod(c, 0, "a");
+    os::PodId b = SpawnCounterPod(c, 1, "b");
+    c.sim().RunFor(10 * kMillisecond);
 
-  auto ckpt_result = c.RunGenerationCheckpoint(
-      {c.MemberFor(0, a), c.MemberFor(1, b)}, TieredOptions());
-  ASSERT_TRUE(ckpt_result.stats.success) << ckpt_result.stats.abort_reason;
-  c.sim().RunFor(2 * kSecond);  // flush to the netfs
+    auto ckpt_result = c.RunGenerationCheckpoint(
+        {c.MemberFor(0, a), c.MemberFor(1, b)}, TieredOptions());
+    ASSERT_TRUE(ckpt_result.stats.success) << ckpt_result.stats.abort_reason;
+    c.sim().RunFor(2 * kSecond);  // flush to the netfs
 
-  ckpt::GenerationStore store(c.tiered());
-  auto manifest = store.ReadManifest(ckpt_result.generation);
-  ASSERT_TRUE(manifest.has_value());
-  const ckpt::ManifestEntry* entry_a = nullptr;
-  for (const ckpt::ManifestEntry& e : *manifest) {
-    if (e.pod == a) entry_a = &e;
+    ckpt::GenerationStore store(c.tiered());
+    auto manifest = store.ReadManifest(ckpt_result.generation);
+    ASSERT_TRUE(manifest.has_value());
+    const ckpt::ManifestEntry* entry_a = nullptr;
+    for (const ckpt::ManifestEntry& e : *manifest) {
+      if (e.pod == a) entry_a = &e;
+    }
+    ASSERT_NE(entry_a, nullptr);
+
+    // Rot both disk copies of pod a's image; only the netfs replica is
+    // still intact.
+    os::Node* writer =
+        c.tiered().NodeByIndex(entry_a->replicas[0].node_index);
+    os::Node* partner =
+        c.tiered().NodeByIndex(entry_a->replicas[1].node_index);
+    ASSERT_NE(writer, nullptr);
+    ASSERT_NE(partner, nullptr);
+    const std::string guarded =
+        std::string(ckpt::TieredStore::kPartnerPrefix) + entry_a->image_path;
+    for (auto [disk, path] :
+         {std::pair{&writer->disk(), entry_a->image_path},
+          std::pair{&partner->disk(), guarded}}) {
+      Bytes rotten{0xba, 0xad};
+      if (same_size) {
+        ASSERT_TRUE(SysOk(disk->ReadFile(path, rotten)));
+        rotten[rotten.size() / 2] ^= 0x40;
+      }
+      disk->WriteFile(path, std::move(rotten));
+    }
+
+    c.pods(0).DestroyPod(a);
+    c.pods(1).DestroyPod(b);
+    c.sim().RunFor(5 * kMillisecond);
+    auto restart = c.RunGenerationRestart(
+        {c.MemberFor(0, a), c.MemberFor(1, b)}, TieredOptions());
+    ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+
+    ASSERT_EQ(restart.stats.restore_sources.size(), 2u);
+    EXPECT_EQ(restart.stats.restore_sources[0], kNetfs);  // pod a fell back
+    EXPECT_EQ(restart.stats.restore_sources[1], kLocal);  // pod b untouched
+
+    obs::TraceQuery query(c.sim().tracer());
+    bool saw_fallback_chain = false;
+    for (const obs::TraceEvent* e : query.Select(
+             obs::TraceQuery::Filter{}.Name("ckpt.store.resolve"))) {
+      if (ArgOf(*e, "path") != entry_a->image_path) continue;
+      if (ArgOf(*e, "source") != "netfs") continue;
+      std::string chain = ArgOf(*e, "chain");
+      EXPECT_NE(chain.find("local:crc"), std::string::npos) << chain;
+      EXPECT_NE(chain.find(":crc"), std::string::npos) << chain;
+      saw_fallback_chain = true;
+    }
+    EXPECT_TRUE(saw_fallback_chain);
+
+    // Rebuild-on-restart replaced the rotten local copy with an intact
+    // one.
+    Bytes rebuilt;
+    ASSERT_TRUE(SysOk(writer->disk().ReadFile(entry_a->image_path, rebuilt)));
+    EXPECT_EQ(rebuilt.size(), entry_a->size);
+    Bytes durable;
+    ASSERT_TRUE(SysOk(c.fs().ReadFile(entry_a->image_path, durable)));
+    EXPECT_EQ(rebuilt, durable);
   }
-  ASSERT_NE(entry_a, nullptr);
-
-  // Rot both disk copies of pod a's image; only the netfs replica is
-  // still intact.
-  os::Node* writer = c.tiered().NodeByIndex(entry_a->replicas[0].node_index);
-  os::Node* partner = c.tiered().NodeByIndex(entry_a->replicas[1].node_index);
-  ASSERT_NE(writer, nullptr);
-  ASSERT_NE(partner, nullptr);
-  writer->disk().WriteFile(entry_a->image_path, Bytes{0xba, 0xad});
-  partner->disk().WriteFile(
-      std::string(ckpt::TieredStore::kPartnerPrefix) + entry_a->image_path,
-      Bytes{0xba, 0xad});
-
-  c.pods(0).DestroyPod(a);
-  c.pods(1).DestroyPod(b);
-  c.sim().RunFor(5 * kMillisecond);
-  auto restart = c.RunGenerationRestart(
-      {c.MemberFor(0, a), c.MemberFor(1, b)}, TieredOptions());
-  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
-
-  ASSERT_EQ(restart.stats.restore_sources.size(), 2u);
-  EXPECT_EQ(restart.stats.restore_sources[0], kNetfs);  // pod a fell back
-  EXPECT_EQ(restart.stats.restore_sources[1], kLocal);  // pod b untouched
-
-  obs::TraceQuery query(c.sim().tracer());
-  bool saw_fallback_chain = false;
-  for (const obs::TraceEvent* e :
-       query.Select(obs::TraceQuery::Filter{}.Name("ckpt.store.resolve"))) {
-    if (ArgOf(*e, "path") != entry_a->image_path) continue;
-    if (ArgOf(*e, "source") != "netfs") continue;
-    std::string chain = ArgOf(*e, "chain");
-    EXPECT_NE(chain.find("local:crc"), std::string::npos) << chain;
-    EXPECT_NE(chain.find(":crc"), std::string::npos) << chain;
-    saw_fallback_chain = true;
-  }
-  EXPECT_TRUE(saw_fallback_chain);
-
-  // Rebuild-on-restart replaced the rotten local copy with an intact one.
-  Bytes rebuilt;
-  ASSERT_TRUE(SysOk(writer->disk().ReadFile(entry_a->image_path, rebuilt)));
-  EXPECT_EQ(rebuilt.size(), entry_a->size);
 }
 
 // -ENOSPC on a node disk evicts the oldest netfs-durable generation's
@@ -589,77 +608,80 @@ TEST(TieredStore, NoRoomForOneImageFailsWithDiskFull) {
 
 
 // Host work pin: how many times each image byte goes through CRC-32 in
-// one tiered generation checkpoint + restart (DESIGN.md §12). The slm
-// grids are incompressible, so images are mostly raw pages and the
-// counter divides into whole passes. The residue (compressible pages
-// CRC'd at full size, manifests, journal records) stays under 1% of the
-// image bytes. Cutting a pass lowers its pin here.
+// one generation checkpoint + restart of a 2-rank slm job (DESIGN.md
+// §12), under both policies. The slm grids are incompressible, so images
+// are mostly raw pages and the counter divides into whole passes. The
+// residue (compressible pages CRC'd at full size, manifests, journal
+// records) stays under 1% of the image bytes. Cutting a pass lowers its
+// pin here.
 TEST(TieredStore, CrcPassesPerImageByteArePinned) {
   apps::RegisterSlmProgram();
-  ClusterConfig config;
-  config.num_nodes = 2;
-  Cluster c(config);
-  apps::SlmConfig base;
-  base.nranks = 2;
-  base.rows = 256;
-  base.cols = 512;
-  base.iterations = 1u << 31;
-  base.exit_when_done = false;
-  std::vector<os::PodId> pods;
-  std::vector<coord::Coordinator::Member> members;
-  for (std::uint32_t r = 0; r < 2; ++r) {
-    pods.push_back(c.CreatePod(r, "slm" + std::to_string(r)));
-    base.peers.push_back(c.pods(r).Find(pods.back())->ip);
-  }
-  for (std::uint32_t r = 0; r < 2; ++r) {
-    apps::SlmConfig cfg = base;
-    cfg.rank = r;
-    c.pods(r).SpawnInPod(pods[r], "cruz.slm_rank", apps::SlmArgs(cfg));
-    members.push_back(c.MemberFor(r, pods[r]));
-  }
-  c.sim().RunFor(200 * kMillisecond);
+  for (bool tiered : {true, false}) {
+    SCOPED_TRACE(tiered ? "tiered" : "one-tier");
+    ClusterConfig config;
+    config.num_nodes = 2;
+    Cluster c(config);
+    apps::SlmConfig base;
+    base.nranks = 2;
+    base.rows = 256;
+    base.cols = 512;
+    base.iterations = 1u << 31;
+    base.exit_when_done = false;
+    std::vector<os::PodId> pods;
+    std::vector<coord::Coordinator::Member> members;
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      pods.push_back(c.CreatePod(r, "slm" + std::to_string(r)));
+      base.peers.push_back(c.pods(r).Find(pods.back())->ip);
+    }
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      apps::SlmConfig cfg = base;
+      cfg.rank = r;
+      c.pods(r).SpawnInPod(pods[r], "cruz.slm_rank", apps::SlmArgs(cfg));
+      members.push_back(c.MemberFor(r, pods[r]));
+    }
+    c.sim().RunFor(200 * kMillisecond);
 
-  coord::Coordinator::Options options = TieredOptions();
-  options.variant = coord::ProtocolVariant::kOptimized;
-  options.compress = true;
-  const std::uint64_t before = Crc32BytesTotal();
-  auto ckpt_result = c.RunGenerationCheckpoint(members, options);
-  ASSERT_TRUE(ckpt_result.stats.success) << ckpt_result.stats.abort_reason;
-  const std::uint64_t after_ckpt = Crc32BytesTotal();
-  ASSERT_GT(c.tiered().PendingFlushCount(), 0u);
-  c.sim().RunFor(kSecond);
-  ASSERT_EQ(c.tiered().PendingFlushCount(), 0u);
-  const std::uint64_t after_flush = Crc32BytesTotal();
-  for (std::uint32_t r = 0; r < 2; ++r) c.pods(r).DestroyPod(pods[r]);
-  auto restart = c.RunGenerationRestart(members, options);
-  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
-  const std::uint64_t after_restart = Crc32BytesTotal();
+    coord::Coordinator::Options options;
+    options.tiered = tiered;
+    options.variant = coord::ProtocolVariant::kOptimized;
+    options.compress = true;
+    const std::uint64_t before = Crc32BytesTotal();
+    auto ckpt_result = c.RunGenerationCheckpoint(members, options);
+    ASSERT_TRUE(ckpt_result.stats.success) << ckpt_result.stats.abort_reason;
+    const std::uint64_t after_ckpt = Crc32BytesTotal();
+    EXPECT_EQ(c.tiered().PendingFlushCount() > 0, tiered);
+    c.sim().RunFor(kSecond);
+    ASSERT_EQ(c.tiered().PendingFlushCount(), 0u);
+    const std::uint64_t after_flush = Crc32BytesTotal();
+    for (std::uint32_t r = 0; r < 2; ++r) c.pods(r).DestroyPod(pods[r]);
+    auto restart = c.RunGenerationRestart(members, options);
+    ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+    const std::uint64_t after_restart = Crc32BytesTotal();
 
-  ckpt::GenerationStore store(c.tiered());
-  auto manifest = store.ReadManifest(ckpt_result.generation);
-  ASSERT_TRUE(manifest.has_value());
-  std::uint64_t image_bytes = 0;
-  for (const ckpt::ManifestEntry& e : *manifest) image_bytes += e.size;
-  ASSERT_GT(image_bytes, 1u << 20);
-  auto passes = [&](std::uint64_t crc_bytes) {
-    const double ratio = static_cast<double>(crc_bytes) / image_bytes;
-    EXPECT_NEAR(ratio, std::round(ratio), 0.01) << "a partial pass";
-    return static_cast<int>(std::lround(ratio));
-  };
-  // Checkpoint, 3 passes:
-  //   EncodePage's per-page CRC (ckpt/page_codec.cc);
-  //   Serialize's image frame CRC (ckpt/image.cc);
-  //   CommitImage's replica CRC (ckpt/store/tiered_store.cc).
-  EXPECT_EQ(passes(after_ckpt - before), 3);
-  // Flush, 1 pass:
-  //   AttemptFlush -> FindAnyCopy checks the copy it sends to the netfs.
-  EXPECT_EQ(passes(after_flush - after_ckpt), 1);
-  // Restart, 7 passes:
-  //   GenerationStore::Verify: Resolve's tier check, the manifest CRC,
-  //   the image frame CRC and DecodePage's per-page CRC (4);
-  //   the agent's restore: Resolve's tier check, the image frame CRC and
-  //   DecodePage's per-page CRC (3).
-  EXPECT_EQ(passes(after_restart - after_flush), 7);
+    ckpt::GenerationStore store(c.tiered());
+    auto manifest = store.ReadManifest(ckpt_result.generation);
+    ASSERT_TRUE(manifest.has_value());
+    std::uint64_t image_bytes = 0;
+    for (const ckpt::ManifestEntry& e : *manifest) image_bytes += e.size;
+    ASSERT_GT(image_bytes, 1u << 20);
+    auto passes = [&](std::uint64_t crc_bytes) {
+      const double ratio = static_cast<double>(crc_bytes) / image_bytes;
+      EXPECT_NEAR(ratio, std::round(ratio), 0.01) << "a partial pass";
+      return static_cast<int>(std::lround(ratio));
+    };
+    // Checkpoint and settle, 2 passes:
+    //   EncodePage's per-page CRC (ckpt/page_codec.cc);
+    //   Serialize's image frame CRC (ckpt/image.cc).
+    // The commit record reads the frame trailer instead of CRCing.
+    EXPECT_EQ(passes(after_ckpt - before), 2);
+    // Flush, 1 pass for a tiered image, none for a one-tier one:
+    //   AttemptFlush -> FindAnyCopy frame-checks the copy it sends.
+    EXPECT_EQ(passes(after_flush - after_ckpt), tiered ? 1 : 0);
+    // Restart, 4 passes: the chain decodes twice, each time checking the
+    // image frame CRC and DecodePage's per-page CRC, once in
+    // GenerationStore::Verify and once in the agent's restore.
+    EXPECT_EQ(passes(after_restart - after_flush), 4);
+  }
 }
 
 }  // namespace
