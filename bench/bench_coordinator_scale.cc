@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "apps/programs.h"
+#include "bench_gate.h"
 #include "cruz/cluster.h"
 #include "obs/causal/causal_graph.h"
 #include "obs/causal/critical_path.h"
@@ -242,36 +243,20 @@ int main() {
                    "critical-path tiling"
                  : "UNEXPECTED RESULTS");
 
-  std::FILE* gate = std::fopen("BENCH_coordinator_scale.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate,
-                 "{\"bench\": \"coordinator_scale\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit, const char* direction) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"%s\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit,
-                   direction);
-      first = false;
-    };
+  {
+    bench::BenchGate gate("coordinator_scale");
     for (const ScaleResult& r : results) {
       std::string tag = std::string(r.fan_out == 0 ? "flat" : "hier") +
                         "_n" + std::to_string(r.nodes);
-      metric("messages_" + tag, r.total_messages, "msgs", "lower");
-      metric("max_endpoint_fanout_" + tag, r.max_endpoint_fanout, "dsts",
-             "lower");
-      metric("latency_" + tag, r.latency_ms, "ms", "lower");
+      gate.Metric("messages_" + tag, r.total_messages, "msgs");
+      gate.Metric("max_endpoint_fanout_" + tag, r.max_endpoint_fanout,
+                  "dsts");
+      gate.Metric("latency_" + tag, r.latency_ms, "ms");
       if (r.fan_out != 0) {
-        metric("cp_shard_wait_" + tag, r.cp_shard_wait_us, "us", "lower");
-        metric("cp_commit_wait_" + tag, r.cp_commit_wait_us, "us",
-               "lower");
+        gate.Metric("cp_shard_wait_" + tag, r.cp_shard_wait_us, "us");
+        gate.Metric("cp_commit_wait_" + tag, r.cp_commit_wait_us, "us");
       }
     }
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
-    std::printf("wrote BENCH_coordinator_scale.json\n");
   }
   return ok ? 0 : 1;
 }

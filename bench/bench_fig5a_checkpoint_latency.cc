@@ -21,6 +21,7 @@
 
 #include "apps/programs.h"
 #include "apps/slm.h"
+#include "bench_gate.h"
 #include "ckpt/generation.h"
 #include "common/crc32.h"
 #include "coord/coordinator.h"
@@ -312,53 +313,38 @@ int main() {
 
   // Regression-gate metrics (sim-time values and host work counts, all
   // deterministic).
-  std::FILE* gate = std::fopen("BENCH_fig5a.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate, "{\"bench\": \"fig5a\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit, const char* direction) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"%s\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit,
-                   direction);
-      first = false;
-    };
+  {
+    bench::BenchGate gate("fig5a");
     for (const SweepResult& r : sweep) {
-      metric("mean_latency_ms_n" + std::to_string(r.nodes),
-             r.mean_latency_ms, "ms", "lower");
+      gate.Metric("mean_latency_ms_n" + std::to_string(r.nodes),
+                  r.mean_latency_ms, "ms");
     }
-    metric("stw_downtime_ms", stw_downtime_largest, "ms", "lower");
-    metric("cow_downtime_ms", cow_downtime_largest, "ms", "lower");
-    metric("cow_total_ms", cow_total_largest, "ms", "lower");
+    gate.Metric("stw_downtime_ms", stw_downtime_largest, "ms");
+    gate.Metric("cow_downtime_ms", cow_downtime_largest, "ms");
+    gate.Metric("cow_total_ms", cow_total_largest, "ms");
     // Critical-path breakdown of the largest sweep, cross-checked above
     // against the coordinator's full_latency per op.
-    metric("critical_path_save_ms", sweep.back().cp_mean_save_ms, "ms",
-           "lower");
-    metric("critical_path_commit_wait_us",
-           sweep.back().cp_mean_commit_wait_us, "us", "lower");
-    metric("critical_path_unattributed_pct",
-           sweep.back().cp_mean_unattributed_pct, "pct", "lower");
+    gate.Metric("critical_path_save_ms", sweep.back().cp_mean_save_ms, "ms");
+    gate.Metric("critical_path_commit_wait_us",
+                sweep.back().cp_mean_commit_wait_us, "us");
+    gate.Metric("critical_path_unattributed_pct",
+                sweep.back().cp_mean_unattributed_pct, "pct");
     // Multi-tier storage: synchronous commit (local + partner), the
     // background netfs flush lag, the netfs-down + node-loss restart,
     // and how many images each disk tier actually served.
-    metric("tiered_commit_ms", tiered_commit_ms, "ms", "lower");
-    metric("tiered_flush_lag_ms", tiered_flush_lag_ms, "ms", "lower");
-    metric("tiered_degraded_restart_ms", tiered_degraded_restart_ms, "ms",
-           "lower");
-    metric("tiered_restore_local_total",
-           static_cast<double>(restored_local), "count", "higher");
-    metric("tiered_restore_partner_total",
-           static_cast<double>(restored_partner), "count", "higher");
+    gate.Metric("tiered_commit_ms", tiered_commit_ms, "ms");
+    gate.Metric("tiered_flush_lag_ms", tiered_flush_lag_ms, "ms");
+    gate.Metric("tiered_degraded_restart_ms", tiered_degraded_restart_ms,
+                "ms");
+    gate.Metric("tiered_restore_local_total",
+                static_cast<double>(restored_local), "count", "higher");
+    gate.Metric("tiered_restore_partner_total",
+                static_cast<double>(restored_partner), "count", "higher");
     // Host work, counted rather than timed, so it is gated exactly too.
     for (int i = 0; i < 3; ++i) {
-      metric(std::string("work_crc_passes_") + kCrcPhases[i], crc_passes[i],
-             "count", "lower");
+      gate.Metric(std::string("work_crc_passes_") + kCrcPhases[i],
+                  crc_passes[i], "count");
     }
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
-    std::printf("wrote BENCH_fig5a.json\n");
   }
   return (flat && second_scale && cow_cuts_downtime && spans_agree &&
           attribution_ok && tiered_ok && crc_ok)

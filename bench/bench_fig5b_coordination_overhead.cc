@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_gate.h"
 #include "slm_sweep.h"
 
 int main() {
@@ -56,33 +57,19 @@ int main() {
               microsecond_scale ? "on the paper's scale" : "OFF SCALE",
               slope, grows_slowly ? "paper-like slope" : "UNEXPECTED");
 
-  std::FILE* gate = std::fopen("BENCH_fig5b.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate, "{\"bench\": \"fig5b\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit, const char* direction) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"%s\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit,
-                   direction);
-      first = false;
-    };
+  {
+    bench::BenchGate gate("fig5b");
     for (const SweepResult& r : sweep) {
-      metric("mean_overhead_us_n" + std::to_string(r.nodes),
-             r.mean_overhead_us, "us", "lower");
+      gate.Metric("mean_overhead_us_n" + std::to_string(r.nodes),
+                  r.mean_overhead_us, "us");
     }
-    metric("overhead_slope_us_per_node", slope, "us", "lower");
+    gate.Metric("overhead_slope_us_per_node", slope, "us");
     // The causally-attributed commit-wait is the piece of the overhead
     // the coordinator itself contributes; gate it alongside.
     for (const SweepResult& r : sweep) {
-      metric("critical_path_commit_wait_us_n" + std::to_string(r.nodes),
-             r.cp_mean_commit_wait_us, "us", "lower");
+      gate.Metric("critical_path_commit_wait_us_n" + std::to_string(r.nodes),
+                  r.cp_mean_commit_wait_us, "us");
     }
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
-    std::printf("wrote BENCH_fig5b.json\n");
   }
   bool attribution_ok = true;
   for (const SweepResult& r : sweep) {

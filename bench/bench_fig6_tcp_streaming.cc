@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "apps/programs.h"
+#include "bench_gate.h"
 #include "cruz/cluster.h"
 #include "obs/trace_query.h"
 
@@ -191,21 +192,13 @@ int main() {
     std::printf("wrote BENCH_fig6_trace.json (%zu bytes)\n",
                 trace.size());
   }
-  if (std::FILE* gate = std::fopen("BENCH_fig6.json", "w")) {
-    std::fprintf(
-        gate,
-        "{\"bench\": \"fig6\", \"metrics\": [\n"
-        "  {\"name\": \"checkpoint_latency_ms\", \"value\": %.6f, "
-        "\"unit\": \"ms\", \"direction\": \"lower\"},\n"
-        "  {\"name\": \"recovery_after_completion_ms\", \"value\": %.6f, "
-        "\"unit\": \"ms\", \"direction\": \"lower\"},\n"
-        "  {\"name\": \"post_recovery_rate_mbps\", \"value\": %.6f, "
-        "\"unit\": \"Mb/s\", \"direction\": \"higher\"}\n"
-        "]}\n",
-        ToMillis(stats.checkpoint_latency),
-        recovered_at - ToMillis(stats.checkpoint_latency), post_rate);
-    std::fclose(gate);
-    std::printf("wrote BENCH_fig6.json\n");
+  {
+    bench::BenchGate gate("fig6");
+    gate.Metric("checkpoint_latency_ms", ToMillis(stats.checkpoint_latency),
+                "ms");
+    gate.Metric("recovery_after_completion_ms",
+                recovered_at - ToMillis(stats.checkpoint_latency), "ms");
+    gate.Metric("post_recovery_rate_mbps", post_rate, "Mb/s", "higher");
   }
 
   bool ok = done && stalled_at >= 0 && resumed_at > stalled_at &&

@@ -10,8 +10,9 @@
 //                   set + kernel state, independent of ballast size.
 //   post-copy     — stops for the hot set only; the residue is demand-
 //                   fetched after resume (counted as degradation).
-//   hybrid        — one pre-copy round, then post-copy: the stop moves
-//                   kernel state only.
+//   hybrid        — pre-copy rounds until the stop threshold or the
+//                   round cap, then post-copy: the stop moves kernel
+//                   state only.
 //
 // The table sweeps pod ballast sizes; every metric is sim-time derived
 // and deterministic. Emits BENCH_migration.json for check_regression.py.
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "apps/kvstore.h"
+#include "bench_gate.h"
 #include "ckpt/live_migrate.h"
 #include "cruz/cluster.h"
 #include "slm_sweep.h"
@@ -167,18 +169,8 @@ int main() {
                  : "UNEXPECTED");
 
   // Regression-gate metrics (sim-time, hence deterministic and exact).
-  std::FILE* gate = std::fopen("BENCH_migration.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate, "{\"bench\": \"migration\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"lower\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit);
-      first = false;
-    };
+  {
+    bench::BenchGate gate("migration");
     for (std::uint64_t pages : sizes) {
       std::string suffix = "_p" + std::to_string(pages);
       for (ckpt::MigrateMode mode : kModes) {
@@ -187,21 +179,18 @@ int main() {
         for (char& ch : m) {
           if (ch == '-') ch = '_';
         }
-        metric(m + "_downtime_ms" + suffix, ToMillis(r.stats.downtime),
-               "ms");
+        gate.Metric(m + "_downtime_ms" + suffix, ToMillis(r.stats.downtime),
+                    "ms");
       }
       const ModeResult& post = table[pages][ckpt::MigrateMode::kPostCopy];
-      metric("post_copy_total_ms" + suffix,
-             ToMillis(post.stats.total_duration), "ms");
-      metric("post_copy_degradation_ms" + suffix,
-             ToMillis(post.stats.degradation), "ms");
-      metric("post_copy_pages_fetched" + suffix,
-             static_cast<double>(post.stats.pages_fetched_on_demand),
-             "pages");
+      gate.Metric("post_copy_total_ms" + suffix,
+                  ToMillis(post.stats.total_duration), "ms");
+      gate.Metric("post_copy_degradation_ms" + suffix,
+                  ToMillis(post.stats.degradation), "ms");
+      gate.Metric("post_copy_pages_fetched" + suffix,
+                  static_cast<double>(post.stats.pages_fetched_on_demand),
+                  "pages");
     }
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
-    std::printf("wrote BENCH_migration.json\n");
   }
   return ok ? 0 : 1;
 }

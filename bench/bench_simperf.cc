@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apps/programs.h"
+#include "bench_gate.h"
 #include "cruz/cluster.h"
 #include "net/ethernet_switch.h"
 #include "net/nic.h"
@@ -328,35 +329,18 @@ int main() {
   std::printf("\nshape check: %s\n",
               ok ? "indexed heap bounded" : "UNEXPECTED");
 
-  std::FILE* gate = std::fopen("BENCH_simperf.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate, "{\"bench\": \"simperf\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit, const char* direction,
-                      double threshold) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"%s\"",
-                   first ? "" : ",\n", name.c_str(), value, unit,
-                   direction);
-      if (threshold > 0) {
-        std::fprintf(gate, ", \"threshold\": %.2f", threshold);
-      }
-      std::fprintf(gate, "}");
-      first = false;
-    };
+  {
+    cruz::bench::BenchGate gate("simperf");
     // Wall-clock rates get a wide per-metric threshold (CI machines
     // vary); the deterministic footprint is gated exactly.
-    metric("pure_timer_events_per_sec", pure, "events/s", "higher", 0.5);
-    metric("storm_events_per_sec", storm.events_per_sec, "events/s",
-           "higher", 0.5);
-    metric("storm_peak_queue_slots",
-           static_cast<double>(storm.peak_storage), "slots", "lower", 0);
-    metric("net_storm_events_per_sec", net, "events/s", "higher", 0.5);
-    metric("ckpt_cycle_events_per_sec", ckpt, "events/s", "higher", 0.5);
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
+    gate.Metric("pure_timer_events_per_sec", pure, "events/s", "higher", 0.5);
+    gate.Metric("storm_events_per_sec", storm.events_per_sec, "events/s",
+                "higher", 0.5);
+    gate.Metric("storm_peak_queue_slots",
+                static_cast<double>(storm.peak_storage), "slots");
+    gate.Metric("net_storm_events_per_sec", net, "events/s", "higher", 0.5);
+    gate.Metric("ckpt_cycle_events_per_sec", ckpt, "events/s", "higher",
+                0.5);
   }
   return ok ? 0 : 1;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "apps/kvstore.h"
+#include "bench_gate.h"
 #include "ckpt/live_migrate.h"
 #include "cruz/cluster.h"
 #include "load/loadgen.h"
@@ -267,31 +268,18 @@ int main() {
                    "exact, zero verification failures"
                  : "UNEXPECTED");
 
-  std::FILE* gate = std::fopen("BENCH_slo.json", "w");
-  if (gate != nullptr) {
-    std::fprintf(gate, "{\"bench\": \"slo\", \"metrics\": [\n");
-    bool first = true;
-    auto metric = [&](const std::string& name, double value,
-                      const char* unit) {
-      std::fprintf(gate,
-                   "%s  {\"name\": \"%s\", \"value\": %.6f, "
-                   "\"unit\": \"%s\", \"direction\": \"lower\"}",
-                   first ? "" : ",\n", name.c_str(), value, unit);
-      first = false;
-    };
+  {
+    bench::BenchGate gate("slo");
     for (const Row& row : rows) {
       std::string suffix = "_p" + std::to_string(row.pages);
       std::string base = row.spec->name;
-      metric(base + "_violation_windows" + suffix,
-             static_cast<double>(row.r.violations), "windows");
-      metric(base + "_worst_p95_ms" + suffix, row.r.worst_p95_ms, "ms");
-      metric(base + "_worst_p999_ms" + suffix, row.r.worst_p999_ms,
-             "ms");
-      metric(base + "_recovery_ms" + suffix, row.r.recovery_ms, "ms");
+      gate.Metric(base + "_violation_windows" + suffix,
+                  static_cast<double>(row.r.violations), "windows");
+      gate.Metric(base + "_worst_p95_ms" + suffix, row.r.worst_p95_ms, "ms");
+      gate.Metric(base + "_worst_p999_ms" + suffix, row.r.worst_p999_ms,
+                  "ms");
+      gate.Metric(base + "_recovery_ms" + suffix, row.r.recovery_ms, "ms");
     }
-    std::fprintf(gate, "\n]}\n");
-    std::fclose(gate);
-    std::printf("wrote BENCH_slo.json\n");
   }
   return ok ? 0 : 1;
 }

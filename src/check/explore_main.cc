@@ -7,12 +7,18 @@
 //   cruz_explore --mutation NAME          inject a deliberate bug
 //   cruz_explore --artifact-dir PATH      write repro_seed_<N>.txt on failure
 //   cruz_explore --list-invariants        print the invariant catalog
+//   cruz_explore --verdicts               print one baseline line per run
+//   cruz_explore --baseline FILE          print only runs whose line
+//                                         differs from FILE's
 //
-// Exit status is 0 iff every run passed the oracle.
+// A baseline is a saved --verdicts sweep (tests/goldens/
+// explorer_sweep_seeds_0_63.txt is one). Exit status is 0 iff every run
+// passed the oracle; with --baseline, 0 iff no run's line changed.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,6 +39,21 @@ using cruz::check::ScenarioGenerator;
 using cruz::check::Shrinker;
 using cruz::check::ShrinkResult;
 
+// Baseline lines keyed by their first token ("seed=N"); other lines,
+// such as the "explored ..." trailer, are skipped.
+using Baseline = std::map<std::string, std::string>;
+
+std::optional<Baseline> LoadBaseline(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  Baseline baseline;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("seed=", 0) != 0) continue;
+    baseline[line.substr(0, line.find(' '))] = line;
+  }
+  return baseline;
+}
+
 struct Args {
   bool has_range = false;
   std::uint64_t seed_begin = 0;
@@ -44,6 +65,8 @@ struct Args {
   RunOptions options;
   std::string artifact_dir;
   bool list_invariants = false;
+  bool verdicts = false;
+  std::optional<Baseline> baseline;
 };
 
 void Usage(const char* argv0) {
@@ -51,7 +74,8 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s [--seeds A..B] [--seed N] [--repro STR] [--shrink]\n"
       "          [--shrink-max-runs N] [--mutation NAME]\n"
-      "          [--artifact-dir PATH] [--list-invariants]\n",
+      "          [--artifact-dir PATH] [--list-invariants]\n"
+      "          [--verdicts] [--baseline FILE]\n",
       argv0);
 }
 
@@ -106,6 +130,15 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.artifact_dir = value;
     } else if (flag == "--list-invariants") {
       args.list_invariants = true;
+    } else if (flag == "--verdicts") {
+      args.verdicts = true;
+    } else if (flag == "--baseline") {
+      if (!next(value)) return false;
+      args.baseline = LoadBaseline(value);
+      if (!args.baseline.has_value()) {
+        std::fprintf(stderr, "cannot read baseline: %s\n", value.c_str());
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -148,13 +181,25 @@ void WriteArtifact(const Args& args, const std::string& tag,
   }
 }
 
-// Runs one scenario; returns true on pass. On failure prints the
-// violations, optionally shrinks, and writes an artifact.
+// Runs one scenario; returns true when it passes or, against a baseline,
+// when its verdict line is unchanged. On failure prints the violations,
+// optionally shrinks, and writes an artifact.
 bool RunOne(Explorer& explorer, const Args& args, const Scenario& scenario,
             const std::string& tag) {
   RunResult run = explorer.RunScenario(scenario);
-  std::printf("%s\n", run.summary.c_str());
+  if (args.baseline.has_value()) {
+    std::string key = run.verdict.substr(0, run.verdict.find(' '));
+    auto it = args.baseline->find(key);
+    if (it != args.baseline->end() && it->second == run.verdict) return true;
+    std::printf("changed: %s\n  baseline: %s\n  now:      %s\n",
+                key.c_str(),
+                it == args.baseline->end() ? "(none)" : it->second.c_str(),
+                run.verdict.c_str());
+    return false;
+  }
+  std::printf("%s\n", (args.verdicts ? run.verdict : run.summary).c_str());
   if (run.passed) return true;
+  if (args.verdicts) return false;
   for (const auto& v : run.violations) {
     std::printf("  violation[%s]: %s\n", v.invariant.c_str(),
                 v.detail.c_str());
@@ -226,8 +271,9 @@ int main(int argc, char** argv) {
                    "repro_" + std::to_string(repro_index++)));
   }
 
-  std::printf("explored %llu scenario(s): %llu failed\n",
+  std::printf("explored %llu scenario(s): %llu %s\n",
               static_cast<unsigned long long>(total),
-              static_cast<unsigned long long>(failed));
+              static_cast<unsigned long long>(failed),
+              args.baseline.has_value() ? "changed" : "failed");
   return failed == 0 ? 0 : 1;
 }

@@ -637,6 +637,12 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
                             : std::to_string(result.violations.size()) +
                                   " violation(s)");
   result.summary = summary.str();
+  result.verdict = "seed=" + std::to_string(scenario.seed) +
+                   (result.passed ? " ok" : " FAIL");
+  for (const Violation& v : result.violations) {
+    result.verdict += " violation=" + v.invariant;
+  }
+  result.verdict += " " + scenario.Encode();
   return result;
 }
 

@@ -52,6 +52,14 @@ std::uint64_t PodSnapshot::EstimatedStateBytes() const {
   return meta_.StateBytes() + SnapshotPages() * os::kPageSize;
 }
 
+const os::MemorySnapshot::Page* PodSnapshot::FindPage(
+    os::Pid vpid, std::uint64_t page_index) const {
+  for (const ProcessMemory& m : memory_) {
+    if (m.vpid == vpid) return m.memory.Find(page_index);
+  }
+  return nullptr;
+}
+
 PodCheckpoint PodSnapshot::Materialize() const {
   PodCheckpoint ck = meta_;
   for (const ProcessMemory& m : memory_) {

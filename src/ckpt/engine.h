@@ -75,6 +75,12 @@ class PodSnapshot {
   // used by the agent's cost model before the image exists.
   std::uint64_t EstimatedStateBytes() const;
 
+  // The frozen content of page `page_index` of process `vpid`; nullptr
+  // when the snapshot holds no such page. Post-copy migration serves the
+  // pages it left on the source from here.
+  const os::MemorySnapshot::Page* FindPage(os::Pid vpid,
+                                           std::uint64_t page_index) const;
+
   // Assembles the full checkpoint from the frozen page handles. Pure:
   // may be called any number of times, at any (simulated) time after the
   // snapshot, with identical results.

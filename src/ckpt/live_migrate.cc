@@ -26,46 +26,43 @@ const char* MigrateModeName(MigrateMode mode) {
 
 namespace {
 
-DurationNs TransferTime(std::uint64_t bytes,
-                        const LiveMigrateOptions& options) {
-  return options.network_bytes_per_sec == 0
-             ? 0
-             : bytes * kSecond / options.network_bytes_per_sec;
+DurationNs TransferTime(std::uint64_t bytes) {
+  return bytes * kSecond / kMigrateBytesPerSec;
+}
+
+// A raw (v1) image is its bare kernel state plus, per page, the page
+// index and the page: full = bare + (kPageIndexBytes + kPageSize) * pages.
+constexpr std::uint64_t kPageIndexBytes = sizeof(std::uint64_t);
+
+// Sums `bytes(memory)` over the pod's processes.
+template <typename Fn>
+std::uint64_t PodBytes(pod::PodManager& pods, os::PodId id, Fn bytes) {
+  os::Os& os = pods.node().os();
+  std::uint64_t total = 0;
+  for (os::Pid pid : os.PodProcesses(id)) {
+    if (os::Process* proc = os.FindProcess(pid)) total += bytes(proc->memory());
+  }
+  return total;
+}
+
+std::uint64_t ResidentBytes(pod::PodManager& pods, os::PodId id) {
+  return PodBytes(pods, id, [](os::Memory& m) { return m.ResidentBytes(); });
+}
+
+std::uint64_t DirtyBytes(pod::PodManager& pods, os::PodId id) {
+  return PodBytes(pods, id, [](os::Memory& m) {
+    return m.DirtyPageCount() * os::kPageSize;
+  });
 }
 
 // Counts the pod's current dirty bytes and clears the tracking, starting
 // the next pre-copy window. The pod keeps running.
 std::uint64_t SweepDirtyBytes(pod::PodManager& pods, os::PodId id) {
-  os::Os& os = pods.node().os();
-  std::uint64_t bytes = 0;
-  for (os::Pid pid : os.PodProcesses(id)) {
-    os::Process* proc = os.FindProcess(pid);
-    if (proc == nullptr) continue;
-    bytes += proc->memory().dirty_pages().size() * os::kPageSize;
-    proc->memory().ClearDirty();
-  }
-  return bytes;
-}
-
-// The non-page state that must cross the network during any stop:
-// registers, fd tables, connection/pipe/IPC records — approximated by
-// the serialized image size minus the raw page payload. StateBytes()
-// alone counts buffered *data*, which is zero for a socketless pod, and
-// a stop never moves zero bytes.
-std::uint64_t KernelStateBytes(const PodCheckpoint& ck,
-                               std::uint64_t page_bytes) {
-  std::uint64_t wire = ck.Serialize(/*compress=*/false).size();
-  return wire > page_bytes ? wire - page_bytes : 0;
-}
-
-std::uint64_t ResidentBytes(pod::PodManager& pods, os::PodId id) {
-  os::Os& os = pods.node().os();
-  std::uint64_t bytes = 0;
-  for (os::Pid pid : os.PodProcesses(id)) {
-    os::Process* proc = os.FindProcess(pid);
-    if (proc != nullptr) bytes += proc->memory().ResidentBytes();
-  }
-  return bytes;
+  return PodBytes(pods, id, [](os::Memory& m) {
+    std::uint64_t bytes = m.DirtyPageCount() * os::kPageSize;
+    m.ClearDirty();
+    return bytes;
+  });
 }
 
 // Migrate op ids live in their own namespace (bit 62 set) so they can
@@ -76,76 +73,15 @@ std::uint64_t NextMigrateOpId(sim::Simulator& sim) {
   return (1ull << 62) | ops.value();
 }
 
-// The op span is charged to the source node (the migrator runs there);
-// attribution reads the agent attr to name a straggler node.
-obs::SpanId BeginOpSpan(pod::PodManager& source, MigrateMode mode,
-                        std::uint64_t op_id, os::PodId pod) {
-  os::Os& os = source.node().os();
-  return os.sim().tracer().BeginSpan(
-      "migrate", std::string("migrate.op.") + MigrateModeName(mode),
-      obs::TraceAttrs{}.Agent(os.node_name()).Op(op_id).Pod(pod));
-}
-
-// The shared final phase of the stop-bounded modes: stop, capture, move
-// the pod, resume, report. `residual_bytes` is what still has to cross
-// the network while the pod is stopped.
-void FinalPhase(pod::PodManager& source, pod::PodManager& target,
-                os::PodId id, const LiveMigrateOptions& options,
-                TimeNs started, LiveMigrateStats stats, obs::SpanId op_span,
-                LiveMigrator::DoneFn done) {
-  sim::Simulator& sim = source.node().os().sim();
-  TimeNs stop_time = sim.Now();
-  obs::SpanId downtime_span = sim.tracer().BeginSpan(
-      "migrate", "migrate.downtime",
-      obs::TraceAttrs{}
-          .Agent(source.node().os().node_name())
-          .Op(stats.op_id)
-          .Pod(id)
-          .Phase("stop-copy"));
-  CheckpointEngine::StopPod(source, id);
-  PodCheckpoint ck = CheckpointEngine::CapturePod(source, id);
-  // Residual transfer: the final dirty pages plus the non-memory state
-  // (sockets, pipes, IPC — everything except the pre-copied pages).
-  std::uint64_t page_bytes = 0;
-  for (const ProcessRecord& proc : ck.processes) {
-    page_bytes += proc.pages.size() * os::kPageSize;
-  }
-  std::uint64_t kernel_state = KernelStateBytes(ck, page_bytes);
-  stats.final_bytes += kernel_state;
-  std::uint64_t final_bytes = stats.final_bytes;
-  DurationNs transfer = TransferTime(final_bytes, options);
-  source.DestroyPod(id);
-  sim.Schedule(transfer, [&target, ck = std::move(ck), stats, stop_time,
-                          started, op_span, downtime_span,
-                          done = std::move(done)]() mutable {
-    sim::Simulator& sim2 = target.node().os().sim();
-    os::PodId restored = CheckpointEngine::RestorePod(target, ck);
-    CheckpointEngine::ResumePod(target, restored);
-    stats.pod = restored;
-    stats.downtime = sim2.Now() - stop_time;
-    stats.total_duration = sim2.Now() - started;
-    sim2.tracer().EndSpan(downtime_span);
-    sim2.tracer().EndSpan(op_span);
-    CRUZ_INFO("migrate") << "pod " << restored << " migrated ("
-                         << MigrateModeName(stats.mode)
-                         << "): rounds=" << stats.rounds << " downtime="
-                         << ToMillis(stats.downtime) << "ms";
-    done(stats);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Post-copy page-server session
-// ---------------------------------------------------------------------------
-
-// Shared state of one in-flight post-copy (or hybrid) migration: the
-// source's frozen page image, the target's residue bookkeeping, and the
-// demand/push protocol state. Lives until full residency.
-struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
+// One in-flight migration, from the first pre-copy round (or hot window)
+// to completion. After the stop it is also the post-copy page server:
+// the source's frozen capture, the target's residue bookkeeping, and the
+// demand/push protocol state. Lives until the migration completes.
+struct Migration : std::enable_shared_from_this<Migration> {
   using PageKey = std::pair<os::Pid, std::uint64_t>;  // (vpid, page index)
 
   sim::Simulator* sim = nullptr;
-  pod::PodManager* source = nullptr;  // page server's side (liveness gate)
+  pod::PodManager* source = nullptr;
   pod::PodManager* target = nullptr;
   os::PodId pod_id = os::kNoPod;
   LiveMigrateOptions options;
@@ -153,7 +89,14 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   TimeNs started = 0;
   TimeNs stop_time = 0;
   obs::SpanId op_span = obs::kInvalidSpanId;
+  obs::SpanId downtime_span = obs::kInvalidSpanId;
   LiveMigrator::DoneFn done;
+
+  // Post-copy and hybrid leave pages on the source and demand-page them.
+  bool Paged() const {
+    return stats.mode == MigrateMode::kPostCopy ||
+           stats.mode == MigrateMode::kHybrid;
+  }
 
   // Fault-hook attribution: page requests travel target -> source, page
   // responses source -> target.
@@ -162,10 +105,10 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   std::uint32_t source_ip = 0;
   std::uint32_t target_ip = 0;
 
-  // Frozen source image: per-vpid shared-page snapshots taken while the
-  // pod was stopped. Released (cleared) only at full residency; a
-  // request arriving later is refused, never served.
-  std::map<os::Pid, os::MemorySnapshot> frozen;
+  // The capture taken at the stop. Paged modes keep it as the frozen
+  // page store until full residency; a request arriving later is
+  // refused, never served.
+  PodSnapshot frozen;
   bool released = false;
 
   std::map<os::Pid, os::Pid> real_pid;  // vpid -> real pid on the target
@@ -177,6 +120,162 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   std::map<PageKey, TimeNs> fault_started;  // degradation accounting
   std::map<PageKey, obs::SpanId> fetch_span;
   std::map<PageKey, TimeNs> push_sent;  // in-flight pushes (loss re-push)
+
+  // One pre-copy round: copy this round's pages while the pod runs
+  // (round 1 the whole resident set, later rounds what the previous
+  // round dirtied), then either run another round or stop.
+  void PrecopyRound() {
+    std::uint64_t round_bytes;
+    if (stats.rounds == 0) {
+      SweepDirtyBytes(*source, pod_id);  // start the first dirty window
+      round_bytes = ResidentBytes(*source, pod_id);
+    } else {
+      round_bytes = SweepDirtyBytes(*source, pod_id);
+    }
+    stats.rounds += 1;
+    stats.precopy_bytes += round_bytes;
+    DurationNs transfer = TransferTime(round_bytes);
+    stats.round_breakdown.push_back(MigrateRound{round_bytes, transfer});
+    auto self = shared_from_this();
+    sim->Schedule(transfer, [self] {
+      if (self->source->Find(self->pod_id) == nullptr) return;  // vanished
+      // Peek at what got dirtied while this round was in flight.
+      std::uint64_t dirty_now = DirtyBytes(*self->source, self->pod_id);
+      if (dirty_now > kStopThresholdBytes &&
+          self->stats.rounds < kMaxPrecopyRounds) {
+        self->PrecopyRound();
+        return;
+      }
+      // Pre-copy moves the dirty remainder during the stop; hybrid
+      // demand-pages it.
+      if (self->stats.mode == MigrateMode::kPreCopy) {
+        self->stats.final_bytes = dirty_now;
+      }
+      self->Stop();
+    });
+  }
+
+  // The one stop of every mode: capture once, charge what crosses the
+  // network while the pod is stopped, and restore on the target after
+  // that transfer. `stats.final_bytes` holds the page payload the mode
+  // moves during the stop (stop-and-copy: every page; pre-copy: the
+  // final dirty set); post-copy's hot set is charged here.
+  void Stop() {
+    os::Os& src_os = source->node().os();
+    stop_time = sim->Now();
+    downtime_span = sim->tracer().BeginSpan(
+        "migrate", "migrate.downtime",
+        obs::TraceAttrs{}
+            .Agent(src_os.node_name())
+            .Op(stats.op_id)
+            .Pod(pod_id)
+            .Phase("stop-copy"));
+    CheckpointEngine::StopPod(*source, pod_id);
+
+    // The pages left behind, sampled before the capture resets the dirty
+    // baseline. Post-copy moves the hot (dirty) set and leaves the rest;
+    // hybrid already pre-copied the clean pages and leaves the dirty ones.
+    if (Paged()) {
+      bool leave_dirty = stats.mode == MigrateMode::kHybrid;
+      for (os::Pid pid : src_os.PodProcesses(pod_id)) {
+        os::Process* proc = src_os.FindProcess(pid);
+        if (proc == nullptr) continue;
+        std::set<std::uint64_t>& miss =
+            residue[source->ToVirtualPid(pod_id, pid)];
+        for (const auto& [index, page] : proc->memory().pages()) {
+          if (proc->memory().IsDirty(index) == leave_dirty) {
+            miss.insert(index);
+          }
+        }
+        remaining += miss.size();
+      }
+    }
+
+    frozen = CheckpointEngine::SnapshotPod(*source, pod_id, CaptureOptions{});
+    PodCheckpoint ck = frozen.Materialize();
+    std::uint64_t resident_pages = 0;
+    for (ProcessRecord& p : ck.processes) {
+      const std::set<std::uint64_t>& miss = residue[p.vpid];
+      std::erase_if(p.pages, [&miss](const PageRecord& page) {
+        return miss.count(page.page_index) != 0;
+      });
+      resident_pages += p.pages.size();
+    }
+    // The stop moves the bare kernel structures (registers, fd tables,
+    // connections, pipes, IPC — the image with its pages removed), one
+    // page index per missing page (the directory the target faults on),
+    // and whatever of each resident page record has not crossed yet:
+    // its index for the stop-bounded modes (the payload is in
+    // final_bytes), the whole record for post-copy's hot set, nothing
+    // for hybrid's pre-copied pages.
+    std::uint64_t resident_record_bytes = kPageIndexBytes;
+    if (stats.mode == MigrateMode::kPostCopy) {
+      resident_record_bytes += os::kPageSize;
+    } else if (stats.mode == MigrateMode::kHybrid) {
+      resident_record_bytes = 0;
+    }
+    std::uint64_t bare = frozen.meta().Serialize(/*compress=*/false).size();
+    stats.final_bytes += bare + kPageIndexBytes * remaining +
+                         resident_record_bytes * resident_pages;
+    if (Paged()) {
+      stats.pages_total = resident_pages + remaining;
+      stats.pages_resident_at_resume = resident_pages;
+    } else {
+      frozen = PodSnapshot{};  // nothing left to serve
+    }
+
+    if (Paged() && options.test_resume_both_sides) {
+      // Breaking mutation: the source keeps its (running!) copy.
+      CheckpointEngine::ResumePod(*source, pod_id);
+    } else {
+      source->DestroyPod(pod_id);
+    }
+    auto self = shared_from_this();
+    sim->Schedule(TransferTime(stats.final_bytes),
+                  [self, ck = std::move(ck)] { self->Resume(ck); });
+  }
+
+  // Target side of the stop: restore with the residue marked missing,
+  // resume, and start serving the residue (or finish if there is none).
+  void Resume(const PodCheckpoint& ck) {
+    os::Os& os = target->node().os();
+    os::PodId restored = CheckpointEngine::RestorePod(*target, ck);
+    if (Paged()) {
+      for (const ProcessRecord& p : ck.processes) {
+        os::Pid real = target->ToRealPid(restored, p.vpid);
+        if (real == os::kNoPid) continue;
+        os::Process* proc = os.FindProcess(real);
+        if (proc == nullptr) continue;
+        real_pid[p.vpid] = real;
+        for (std::uint64_t page : residue[p.vpid]) {
+          proc->memory().MarkMissing(page);
+        }
+        auto self = shared_from_this();
+        os::Pid vpid = p.vpid;
+        os.SetPageFaultHandler(real, [self, vpid](std::uint64_t page) {
+          self->OnFault(vpid, page);
+        });
+      }
+    }
+    CheckpointEngine::ResumePod(*target, restored);
+    stats.pod = restored;
+    stats.downtime = sim->Now() - stop_time;
+    sim->tracer().EndSpan(downtime_span);
+    if (Paged()) {
+      sim->tracer().Instant("migrate", "migrate.postcopy.resume",
+                            obs::TraceAttrs{}
+                                .Op(stats.op_id)
+                                .Pod(restored)
+                                .Arg("resident",
+                                     stats.pages_resident_at_resume)
+                                .Arg("residue", remaining));
+    }
+    if (remaining == 0) {
+      Finish();
+    } else {
+      SchedulePush();
+    }
+  }
 
   bool IsMissing(const PageKey& key) const {
     auto it = residue.find(key.first);
@@ -231,10 +330,10 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
     fault::MessageFate fate = RequestFate();
     int deliveries = fate.drop ? 0 : (fate.duplicate ? 2 : 1);
     for (int i = 0; i < deliveries; ++i) {
-      sim->Schedule(options.page_latency + fate.delay,
+      sim->Schedule(kPageLatency + fate.delay,
                     [self, key] { self->ServeRequest(key); });
     }
-    sim->Schedule(options.page_request_timeout, [self, key] {
+    sim->Schedule(kPageRequestTimeout, [self, key] {
       if (self->finished || !self->IsMissing(key)) return;
       if (self->demand_pending.count(key) == 0) return;
       self->SendRequest(key, /*retransmit=*/true);
@@ -247,9 +346,7 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   // empty machine, not the frozen image.
   mutable bool source_dead = false;
   bool SourceDead() const {
-    if (!source_dead && source != nullptr && source->node().failed()) {
-      source_dead = true;
-    }
+    if (!source_dead && source->node().failed()) source_dead = true;
     return source_dead;
   }
 
@@ -271,10 +368,7 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
       stats.late_serves += 1;
       return;
     }
-    auto fit = frozen.find(key.first);
-    if (fit == frozen.end() || fit->second.Find(key.second) == nullptr) {
-      return;
-    }
+    if (frozen.FindPage(key.first, key.second) == nullptr) return;
     if (options.test_drop_page_response) {
       // Breaking mutation: the page is accounted as delivered but never
       // sent, so "done" fires with pages still missing on the target.
@@ -285,7 +379,7 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
     int deliveries = fate.drop ? 0 : (fate.duplicate ? 2 : 1);
     auto self = shared_from_this();
     for (int i = 0; i < deliveries; ++i) {
-      sim->Schedule(options.page_latency + fate.delay, [self, key, demand] {
+      sim->Schedule(kPageLatency + fate.delay, [self, key, demand] {
         self->DeliverPage(key, demand);
       });
     }
@@ -297,9 +391,8 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
       stats.duplicate_fills_dropped += 1;
       return;
     }
-    auto fit = frozen.find(key.first);
-    if (fit == frozen.end()) return;
-    const os::MemorySnapshot::Page* content = fit->second.Find(key.second);
+    const os::MemorySnapshot::Page* content =
+        frozen.FindPage(key.first, key.second);
     if (content == nullptr) return;
     auto pit = real_pid.find(key.first);
     if (pit == real_pid.end()) return;
@@ -348,7 +441,7 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   // pages with an outstanding demand fetch or a recent in-flight push.
   void SchedulePush() {
     auto self = shared_from_this();
-    sim->Schedule(options.push_interval, [self] { self->PushNext(); });
+    sim->Schedule(kPushInterval, [self] { self->PushNext(); });
   }
 
   void PushNext() {
@@ -360,7 +453,7 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
         if (demand_pending.count(key) != 0) continue;
         auto sent = push_sent.find(key);
         if (sent != push_sent.end() &&
-            now - sent->second < options.page_request_timeout) {
+            now - sent->second < kPageRequestTimeout) {
           continue;  // in flight; re-eligible if the response was lost
         }
         push_sent[key] = now;
@@ -372,32 +465,37 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
     if (remaining > 0) SchedulePush();  // everything in flight: poll again
   }
 
-  // Full residency: release the frozen image, detach the fault handlers,
-  // and report. This is the only place the source lets go of its copy.
+  // Completion: every page is resident on the target. Releases the
+  // frozen capture, detaches the fault handlers, and reports. This is
+  // the only place the source lets go of its copy.
   void Finish() {
     if (finished) return;
     finished = true;
     released = true;
-    frozen.clear();
+    frozen = PodSnapshot{};
     os::Os& os = target->node().os();
     for (const auto& [vpid, real] : real_pid) {
       os.ClearPageFaultHandler(real);
     }
     stats.total_duration = sim->Now() - started;
-    sim->tracer().EndSpan(
-        op_span, {{"pages_fetched",
-                   std::to_string(stats.pages_fetched_on_demand)},
-                  {"pages_pushed", std::to_string(stats.pages_pushed)}});
-    sim->metrics()
-        .counter("migrate.postcopy.pages_fetched_total")
-        .Add(stats.pages_fetched_on_demand);
-    sim->metrics()
-        .counter("migrate.postcopy.pages_pushed_total")
-        .Add(stats.pages_pushed);
+    if (Paged()) {
+      sim->tracer().EndSpan(
+          op_span, {{"pages_fetched",
+                     std::to_string(stats.pages_fetched_on_demand)},
+                    {"pages_pushed", std::to_string(stats.pages_pushed)}});
+      sim->metrics()
+          .counter("migrate.postcopy.pages_fetched_total")
+          .Add(stats.pages_fetched_on_demand);
+      sim->metrics()
+          .counter("migrate.postcopy.pages_pushed_total")
+          .Add(stats.pages_pushed);
+    } else {
+      sim->tracer().EndSpan(op_span);
+    }
     CRUZ_INFO("migrate") << "pod " << stats.pod << " migrated ("
                          << MigrateModeName(stats.mode)
-                         << "): downtime=" << ToMillis(stats.downtime)
-                         << "ms degradation="
+                         << "): rounds=" << stats.rounds << " downtime="
+                         << ToMillis(stats.downtime) << "ms degradation="
                          << ToMillis(stats.degradation) << "ms fetched="
                          << stats.pages_fetched_on_demand << " pushed="
                          << stats.pages_pushed;
@@ -405,300 +503,56 @@ struct PostCopySession : std::enable_shared_from_this<PostCopySession> {
   }
 };
 
-// The post-copy stop: capture while sampling dirty sets, transfer kernel
-// state (+ the hot set when it was not pre-copied), restore with the
-// residue marked missing, resume, and hand off to the page server.
-//
-// `resident_is_dirty` selects which pages travel with the pod:
-//   * post-copy: the pages dirtied during the hot window (the working
-//     set); they cross the network during the stop.
-//   * hybrid: the complement of the dirty set — those pages were already
-//     pre-copied, so only kernel state crosses during the stop.
-void PostCopyStop(pod::PodManager& source, pod::PodManager& target,
-                  os::PodId id, const LiveMigrateOptions& options,
-                  TimeNs started, LiveMigrateStats stats,
-                  obs::SpanId op_span, bool resident_is_dirty,
-                  LiveMigrator::DoneFn done) {
-  sim::Simulator& sim = source.node().os().sim();
-  os::Os& src_os = source.node().os();
-  TimeNs stop_time = sim.Now();
-  obs::SpanId downtime_span = sim.tracer().BeginSpan(
-      "migrate", "migrate.downtime",
-      obs::TraceAttrs{}
-          .Agent(src_os.node_name())
-          .Op(stats.op_id)
-          .Pod(id)
-          .Phase("stop-copy"));
-  CheckpointEngine::StopPod(source, id);
-
-  auto session = std::make_shared<PostCopySession>();
-  session->sim = &sim;
-  session->target = &target;
-  session->pod_id = id;
-  session->options = options;
-  session->started = started;
-  session->stop_time = stop_time;
-  session->op_span = op_span;
-  session->done = std::move(done);
-  session->source = &source;
-  session->source_node = source.node().name();
-  session->target_node = target.node().name();
-  if (!src_os.stack().interfaces().empty()) {
-    session->source_ip = src_os.stack().interfaces().front().ip.value;
-  }
-  if (!target.node().os().stack().interfaces().empty()) {
-    session->target_ip =
-        target.node().os().stack().interfaces().front().ip.value;
-  }
-
-  // Sample per-process dirty sets and freeze the full image BEFORE the
-  // capture (capture resets the dirty baseline).
-  std::map<os::Pid, std::set<std::uint64_t>> resident;
-  for (os::Pid pid : src_os.PodProcesses(id)) {
-    os::Process* proc = src_os.FindProcess(pid);
-    if (proc == nullptr) continue;
-    os::Pid vpid = source.ToVirtualPid(id, pid);
-    const std::set<std::uint64_t>& dirty = proc->memory().dirty_pages();
-    os::MemorySnapshot snap = proc->memory().Snapshot();
-    std::set<std::uint64_t>& keep = resident[vpid];
-    std::set<std::uint64_t>& miss = session->residue[vpid];
-    for (const auto& [index, page] : snap.pages()) {
-      bool is_dirty = dirty.count(index) != 0;
-      if (is_dirty == resident_is_dirty) {
-        keep.insert(index);
-      } else {
-        miss.insert(index);
-      }
-    }
-    session->remaining += miss.size();
-    session->frozen.emplace(vpid, std::move(snap));
-  }
-
-  PodCheckpoint ck = CheckpointEngine::CapturePod(source, id);
-  std::uint64_t resident_pages = 0;
-  for (ProcessRecord& p : ck.processes) {
-    const std::set<std::uint64_t>& keep = resident[p.vpid];
-    std::erase_if(p.pages, [&keep](const PageRecord& page) {
-      return keep.count(page.page_index) == 0;
-    });
-    resident_pages += p.pages.size();
-  }
-  // Split the filtered image into the bare kernel structures (registers,
-  // fd tables, connections — always cross during the stop) and the
-  // resident page records (payload + per-page headers). Hybrid's
-  // resident pages already crossed during its pre-copy round, so only
-  // post-copy's hot set pays for its page records here.
-  std::uint64_t full_wire = ck.Serialize(/*compress=*/false).size();
-  std::vector<std::vector<PageRecord>> parked;
-  parked.reserve(ck.processes.size());
-  for (ProcessRecord& p : ck.processes) {
-    parked.push_back(std::move(p.pages));
-    p.pages.clear();
-  }
-  std::uint64_t bare_kernel = ck.Serialize(/*compress=*/false).size();
-  auto parked_it = parked.begin();
-  for (ProcessRecord& p : ck.processes) {
-    p.pages = std::move(*parked_it++);
-  }
-  std::uint64_t resident_wire =
-      full_wire > bare_kernel ? full_wire - bare_kernel : 0;
-  stats.pages_total = resident_pages + session->remaining;
-  stats.pages_resident_at_resume = resident_pages;
-  // Either way the target must learn which pages are NOT coming — the
-  // missing-page directory, one page index per residue page — before it
-  // can resume and fault on them.
-  stats.final_bytes += bare_kernel +
-                       sizeof(std::uint64_t) * session->remaining +
-                       (resident_is_dirty ? resident_wire : 0);
-  DurationNs transfer = TransferTime(stats.final_bytes, options);
-
-  if (options.test_resume_both_sides) {
-    // Breaking mutation: the source keeps its (running!) copy.
-    CheckpointEngine::ResumePod(source, id);
-  } else {
-    source.DestroyPod(id);
-  }
-
-  sim.Schedule(transfer, [session, ck = std::move(ck), stats,
-                          downtime_span]() mutable {
-    pod::PodManager& tgt = *session->target;
-    sim::Simulator& sim2 = tgt.node().os().sim();
-    os::Os& os = tgt.node().os();
-    os::PodId restored = CheckpointEngine::RestorePod(tgt, ck);
-    for (const ProcessRecord& p : ck.processes) {
-      os::Pid real = tgt.ToRealPid(restored, p.vpid);
-      if (real == os::kNoPid) continue;
-      os::Process* proc = os.FindProcess(real);
-      if (proc == nullptr) continue;
-      session->real_pid[p.vpid] = real;
-      for (std::uint64_t page : session->residue[p.vpid]) {
-        proc->memory().MarkMissing(page);
-      }
-      os::Pid vpid = p.vpid;
-      os.SetPageFaultHandler(real, [session, vpid](std::uint64_t page) {
-        session->OnFault(vpid, page);
-      });
-    }
-    CheckpointEngine::ResumePod(tgt, restored);
-    stats.pod = restored;
-    stats.downtime = sim2.Now() - session->stop_time;
-    sim2.tracer().EndSpan(downtime_span);
-    sim2.tracer().Instant("migrate", "migrate.postcopy.resume",
-                          obs::TraceAttrs{}
-                              .Op(stats.op_id)
-                              .Pod(restored)
-                              .Arg("resident",
-                                   stats.pages_resident_at_resume)
-                              .Arg("residue", session->remaining));
-    session->stats = stats;
-    if (session->remaining == 0) {
-      session->Finish();
-    } else {
-      session->SchedulePush();
-    }
-  });
-}
-
-// One pre-copy round; calls `stop` (with stats.final_bytes set to the
-// dirty bytes observed at the stop decision) once the dirty set is small
-// enough or the round limit hits.
-void PrecopyRound(pod::PodManager& source, pod::PodManager& target,
-                  os::PodId id, LiveMigrateOptions options, TimeNs started,
-                  LiveMigrateStats stats,
-                  std::function<void(LiveMigrateStats)> stop) {
-  sim::Simulator& sim = source.node().os().sim();
-  // Copy this round's pages while the pod runs: round 1 copies the whole
-  // resident set; later rounds copy what the previous round dirtied.
-  std::uint64_t round_bytes;
-  if (stats.rounds == 0) {
-    SweepDirtyBytes(source, id);  // start the first dirty window
-    round_bytes = ResidentBytes(source, id);
-  } else {
-    round_bytes = SweepDirtyBytes(source, id);
-  }
-  stats.rounds += 1;
-  stats.precopy_bytes += round_bytes;
-  DurationNs transfer = TransferTime(round_bytes, options);
-  stats.round_breakdown.push_back(MigrateRound{round_bytes, transfer});
-  sim.Schedule(transfer, [&source, &target, id, options, started, stats,
-                          stop = std::move(stop)]() mutable {
-    if (source.Find(id) == nullptr) return;  // pod vanished mid-migration
-    // Peek at what got dirtied while this round was in flight.
-    std::uint64_t dirty_now = 0;
-    os::Os& os = source.node().os();
-    for (os::Pid pid : os.PodProcesses(id)) {
-      os::Process* proc = os.FindProcess(pid);
-      if (proc != nullptr) {
-        dirty_now += proc->memory().dirty_pages().size() * os::kPageSize;
-      }
-    }
-    if (dirty_now > options.stop_threshold_bytes &&
-        stats.rounds < options.max_rounds) {
-      PrecopyRound(source, target, id, options, started, stats,
-                   std::move(stop));
-      return;
-    }
-    stats.final_bytes = dirty_now;
-    stop(stats);
-  });
-}
-
 }  // namespace
-
-void LiveMigrator::Migrate(pod::PodManager& source,
-                           pod::PodManager& target, os::PodId pod,
-                           const LiveMigrateOptions& options, DoneFn done) {
-  CRUZ_CHECK(source.Find(pod) != nullptr, "Migrate: no such pod");
-  sim::Simulator& sim = source.node().os().sim();
-  LiveMigrateStats stats;
-  stats.mode = MigrateMode::kPreCopy;
-  stats.op_id = NextMigrateOpId(sim);
-  obs::SpanId op_span = BeginOpSpan(source, stats.mode, stats.op_id, pod);
-  TimeNs started = sim.Now();
-  PrecopyRound(source, target, pod, options, started, stats,
-               [&source, &target, pod, options, started, op_span,
-                done = std::move(done)](LiveMigrateStats s) mutable {
-                 FinalPhase(source, target, pod, options, started,
-                            std::move(s), op_span, std::move(done));
-               });
-}
-
-void LiveMigrator::StopAndCopy(pod::PodManager& source,
-                               pod::PodManager& target, os::PodId pod,
-                               const LiveMigrateOptions& options,
-                               DoneFn done) {
-  CRUZ_CHECK(source.Find(pod) != nullptr, "StopAndCopy: no such pod");
-  sim::Simulator& sim = source.node().os().sim();
-  LiveMigrateStats stats;
-  stats.mode = MigrateMode::kStopAndCopy;
-  stats.op_id = NextMigrateOpId(sim);
-  obs::SpanId op_span = BeginOpSpan(source, stats.mode, stats.op_id, pod);
-  TimeNs started = sim.Now();
-  stats.final_bytes = ResidentBytes(source, pod);
-  FinalPhase(source, target, pod, options, started, std::move(stats),
-             op_span, std::move(done));
-}
-
-void LiveMigrator::PostCopy(pod::PodManager& source,
-                            pod::PodManager& target, os::PodId pod,
-                            const LiveMigrateOptions& options, DoneFn done) {
-  CRUZ_CHECK(source.Find(pod) != nullptr, "PostCopy: no such pod");
-  sim::Simulator& sim = source.node().os().sim();
-  LiveMigrateStats stats;
-  stats.mode = MigrateMode::kPostCopy;
-  stats.op_id = NextMigrateOpId(sim);
-  obs::SpanId op_span = BeginOpSpan(source, stats.mode, stats.op_id, pod);
-  TimeNs started = sim.Now();
-  // Hot-set observation window: clear the dirty tracking, let the pod run
-  // briefly, and take what it dirtied as the working-set estimate.
-  SweepDirtyBytes(source, pod);
-  sim.Schedule(options.hot_window, [&source, &target, pod, options, started,
-                                    stats, op_span,
-                                    done = std::move(done)]() mutable {
-    if (source.Find(pod) == nullptr) return;  // pod vanished
-    PostCopyStop(source, target, pod, options, started, std::move(stats),
-                 op_span, /*resident_is_dirty=*/true, std::move(done));
-  });
-}
-
-void LiveMigrator::Hybrid(pod::PodManager& source, pod::PodManager& target,
-                          os::PodId pod, const LiveMigrateOptions& options,
-                          DoneFn done) {
-  CRUZ_CHECK(source.Find(pod) != nullptr, "Hybrid: no such pod");
-  sim::Simulator& sim = source.node().os().sim();
-  LiveMigrateStats stats;
-  stats.mode = MigrateMode::kHybrid;
-  stats.op_id = NextMigrateOpId(sim);
-  obs::SpanId op_span = BeginOpSpan(source, stats.mode, stats.op_id, pod);
-  TimeNs started = sim.Now();
-  PrecopyRound(source, target, pod, options, started, stats,
-               [&source, &target, pod, options, started,
-                op_span, done = std::move(done)](LiveMigrateStats s) mutable {
-                 // The dirty remainder is demand-paged, not stop-copied.
-                 s.final_bytes = 0;
-                 PostCopyStop(source, target, pod, options, started,
-                              std::move(s), op_span,
-                              /*resident_is_dirty=*/false, std::move(done));
-               });
-}
 
 void LiveMigrator::MigrateWithMode(pod::PodManager& source,
                                    pod::PodManager& target, os::PodId pod,
                                    MigrateMode mode,
                                    const LiveMigrateOptions& options,
                                    DoneFn done) {
+  CRUZ_CHECK(source.Find(pod) != nullptr, "MigrateWithMode: no such pod");
+  os::Os& src_os = source.node().os();
+  os::Os& dst_os = target.node().os();
+  auto m = std::make_shared<Migration>();
+  m->sim = &src_os.sim();
+  m->source = &source;
+  m->target = &target;
+  m->pod_id = pod;
+  m->options = options;
+  m->done = std::move(done);
+  m->source_node = source.node().name();
+  m->target_node = target.node().name();
+  if (!src_os.stack().interfaces().empty()) {
+    m->source_ip = src_os.stack().interfaces().front().ip.value;
+  }
+  if (!dst_os.stack().interfaces().empty()) {
+    m->target_ip = dst_os.stack().interfaces().front().ip.value;
+  }
+  m->stats.mode = mode;
+  m->stats.op_id = NextMigrateOpId(*m->sim);
+  // The op span is charged to the source node (the migrator runs there);
+  // attribution reads the agent attr to name a straggler node.
+  m->op_span = m->sim->tracer().BeginSpan(
+      "migrate", std::string("migrate.op.") + MigrateModeName(mode),
+      obs::TraceAttrs{}.Agent(src_os.node_name()).Op(m->stats.op_id).Pod(pod));
+  m->started = m->sim->Now();
   switch (mode) {
     case MigrateMode::kStopAndCopy:
-      StopAndCopy(source, target, pod, options, std::move(done));
+      m->stats.final_bytes = ResidentBytes(source, pod);
+      m->Stop();
       return;
     case MigrateMode::kPreCopy:
-      Migrate(source, target, pod, options, std::move(done));
+    case MigrateMode::kHybrid:
+      m->PrecopyRound();
       return;
     case MigrateMode::kPostCopy:
-      PostCopy(source, target, pod, options, std::move(done));
-      return;
-    case MigrateMode::kHybrid:
-      Hybrid(source, target, pod, options, std::move(done));
+      // Hot-set observation window: clear the dirty tracking, let the pod
+      // run briefly, and take what it dirtied as the working-set estimate.
+      SweepDirtyBytes(source, pod);
+      m->sim->Schedule(options.hot_window, [m] {
+        if (m->source->Find(m->pod_id) == nullptr) return;  // pod vanished
+        m->Stop();
+      });
       return;
   }
 }

@@ -18,9 +18,10 @@
 //     page-response channel, with a background push draining the residue.
 //     Downtime is minimal; the cost reappears as *degradation* — time the
 //     resumed pod spends stalled on demand fetches.
-//   * Hybrid runs N pre-copy rounds, then post-copies the remainder: the
-//     stop transfers kernel state only, pages still dirty at the stop are
-//     demand-paged. (VM-style "pre-copy + post-copy residue".)
+//   * Hybrid runs pre-copy rounds until the stop threshold or the round
+//     cap, then post-copies the remainder: the stop transfers kernel state
+//     only, pages still dirty at the stop are demand-paged. (VM-style
+//     "pre-copy + post-copy residue".)
 //
 // The page channel is modeled on the simulated network's cost model:
 // request/response latencies and a retransmit timer, with every message
@@ -58,30 +59,36 @@ enum class MigrateMode : std::uint8_t {
 
 const char* MigrateModeName(MigrateMode mode);
 
-struct LiveMigrateOptions {
-  int max_rounds = 5;
-  // Pre-copy stops early once a round's dirty set is this small.
-  std::uint64_t stop_threshold_bytes = 128 * 1024;
-  // Migration-stream bandwidth (gigabit-class by default).
-  std::uint64_t network_bytes_per_sec = 110 * kMiB;
+// The fixed cost model of the migration stream and the post-copy page
+// channel.
+//
+// Pre-copy (and hybrid) stop once a round's dirty set is this small, or
+// after this many rounds.
+inline constexpr int kMaxPrecopyRounds = 5;
+inline constexpr std::uint64_t kStopThresholdBytes = 128 * 1024;
+// Migration-stream bandwidth (gigabit-class).
+inline constexpr std::uint64_t kMigrateBytesPerSec = 110 * kMiB;
+// One-way page-channel latency (request and response each pay it).
+inline constexpr DurationNs kPageLatency = 100 * kMicrosecond;
+// Demand-fetch retransmit timer: a missing page still absent this long
+// after its request was sent is requested again. Also the age after
+// which an unanswered background push is sent again.
+inline constexpr DurationNs kPageRequestTimeout = 2 * kMillisecond;
+// Pacing of the background residue push (one page per tick).
+inline constexpr DurationNs kPushInterval = 50 * kMicrosecond;
 
-  // --- post-copy knobs -----------------------------------------------------
-  // Observation window before the stop: pages dirtied during it form the
-  // hot set that moves with the pod (a cheap working-set estimate).
+struct LiveMigrateOptions {
+  // Post-copy observation window before the stop: pages dirtied during
+  // it form the hot set that moves with the pod (a cheap working-set
+  // estimate).
   DurationNs hot_window = 2 * kMillisecond;
-  // One-way page-channel latency (request and response each pay it).
-  DurationNs page_latency = 100 * kMicrosecond;
-  // Demand-fetch retransmit timer: a missing page still absent this long
-  // after its request was sent is requested again.
-  DurationNs page_request_timeout = 2 * kMillisecond;
-  // Pacing of the background residue push (one page per tick).
-  DurationNs push_interval = 50 * kMicrosecond;
   // Consulted for every page-channel message (drop/duplicate/delay);
   // nullptr = fault-free channel.
   fault::Injector* injector = nullptr;
 
   // --- test-only protocol mutations (check/explorer.h) ---------------------
-  // Skips the source-side pod destroy: both sides end up with a copy.
+  // Post-copy and hybrid: skips the source-side pod destroy, so both
+  // sides end up with a copy.
   bool test_resume_both_sides = false;
   // The source accounts pushed/served pages as delivered without sending
   // the response: "done" fires with pages still missing on the target.
@@ -127,34 +134,16 @@ class LiveMigrator {
  public:
   using DoneFn = std::function<void(const LiveMigrateStats&)>;
 
-  // Migrates `pod` from `source`'s node to `target`'s node with pre-copy
-  // rounds. Asynchronous: runs over simulated time and invokes `done`
-  // once the pod is resumed on the target. The pod id, addresses, and
-  // all connections are preserved exactly as in checkpoint-restart.
-  static void Migrate(pod::PodManager& source, pod::PodManager& target,
-                      os::PodId pod, const LiveMigrateOptions& options,
-                      DoneFn done);
-
-  // Baseline for comparison: classic stop-and-copy (stop, transfer
-  // everything, restore, resume). Same interface.
-  static void StopAndCopy(pod::PodManager& source, pod::PodManager& target,
-                          os::PodId pod, const LiveMigrateOptions& options,
-                          DoneFn done);
-
-  // Post-copy: short hot-set observation window, minimal stop (kernel
-  // state + hot set), resume on target, demand-fetch + background-push
-  // the residue. `done` fires at FULL residency, not at resume.
-  static void PostCopy(pod::PodManager& source, pod::PodManager& target,
-                       os::PodId pod, const LiveMigrateOptions& options,
-                       DoneFn done);
-
-  // Hybrid: pre-copy rounds, then post-copy whatever is still dirty at
-  // the stop. Downtime covers only the kernel-state transfer.
-  static void Hybrid(pod::PodManager& source, pod::PodManager& target,
-                     os::PodId pod, const LiveMigrateOptions& options,
-                     DoneFn done);
-
-  // Mode dispatcher (harness / explorer convenience).
+  // Migrates `pod` from `source`'s node to `target`'s node. Asynchronous:
+  // runs over simulated time and invokes `done` once the migration is
+  // complete — at resume on the target for stop-and-copy and pre-copy,
+  // at full residency for post-copy and hybrid. The pod id, addresses
+  // and all connections are preserved exactly as in checkpoint-restart.
+  //
+  // Every mode ends in the same stop: capture the pod once, restore it
+  // on the target with the pages the mode leaves behind marked missing
+  // (none for stop-and-copy and pre-copy), resume, and serve the missing
+  // pages from the frozen capture until the target holds them all.
   static void MigrateWithMode(pod::PodManager& source,
                               pod::PodManager& target, os::PodId pod,
                               MigrateMode mode,

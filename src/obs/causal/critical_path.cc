@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "obs/causal/trace_io.h"
+#include "obs/trace.h"
 
 namespace cruz::obs::causal {
 
@@ -67,20 +68,6 @@ std::string FormatPct(DurationNs part, DurationNs total) {
 std::string Pad(std::string s, std::size_t width) {
   while (s.size() < width) s += ' ';
   return s;
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
 }
 
 // One op's worth of lookup state over the shared event stream.
@@ -500,9 +487,9 @@ std::string CriticalPathAnalyzer::RenderJson(
     const OpBreakdown& op = ops[i];
     if (i != 0) out += ',';
     out += "{\"op\":" + std::to_string(op.op_id) + ",\"kind\":";
-    AppendEscaped(out, op.kind);
+    AppendJsonString(out, op.kind);
     out += ",\"coordinator\":";
-    AppendEscaped(out, op.coordinator);
+    AppendJsonString(out, op.coordinator);
     out += ",\"success\":";
     out += op.success ? "true" : "false";
     out += ",\"begin_ns\":" + std::to_string(op.begin) +
@@ -515,9 +502,9 @@ std::string CriticalPathAnalyzer::RenderJson(
       const RestoreSource& r = op.restore_sources[j];
       if (j != 0) out += ',';
       out += "{\"node\":";
-      AppendEscaped(out, r.node);
+      AppendJsonString(out, r.node);
       out += ",\"source\":";
-      AppendEscaped(out, r.source);
+      AppendJsonString(out, r.source);
       out += ",\"ns\":" + std::to_string(r.ns) + "}";
     }
     out += "],\"phases\":[";
@@ -525,9 +512,9 @@ std::string CriticalPathAnalyzer::RenderJson(
       const PhaseTotal& p = op.phases[j];
       if (j != 0) out += ',';
       out += "{\"phase\":";
-      AppendEscaped(out, p.phase);
+      AppendJsonString(out, p.phase);
       out += ",\"ns\":" + std::to_string(p.total) + ",\"straggler\":";
-      AppendEscaped(out, p.straggler);
+      AppendJsonString(out, p.straggler);
       out += ",\"straggler_ns\":" + std::to_string(p.straggler_ns) + "}";
     }
     out += "],\"segments\":[";
@@ -536,9 +523,9 @@ std::string CriticalPathAnalyzer::RenderJson(
       if (j != 0) out += ',';
       out += "{\"begin_ns\":" + std::to_string(s.begin) +
              ",\"end_ns\":" + std::to_string(s.end) + ",\"phase\":";
-      AppendEscaped(out, s.phase);
+      AppendJsonString(out, s.phase);
       out += ",\"node\":";
-      AppendEscaped(out, s.node);
+      AppendJsonString(out, s.node);
       out += "}";
     }
     out += "]}";

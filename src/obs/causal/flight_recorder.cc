@@ -2,27 +2,9 @@
 
 #include "obs/causal/causal_graph.h"
 #include "obs/causal/trace_io.h"
+#include "obs/trace.h"
 
 namespace cruz::obs::causal {
-
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 std::string FlightRecorder::Capture(std::vector<TraceEvent> events,
                                     const FlightTrigger& trigger,
@@ -49,11 +31,11 @@ std::string FlightRecorder::Capture(std::vector<TraceEvent> events,
 
   std::string out = "{\"trigger\":{\"ts_ns\":" + std::to_string(trigger.ts) +
                     ",\"op\":" + std::to_string(trigger.op) + ",\"kind\":";
-  AppendEscaped(out, trigger.kind);
+  AppendJsonString(out, trigger.kind);
   out += ",\"detail\":";
-  AppendEscaped(out, trigger.detail);
+  AppendJsonString(out, trigger.detail);
   out += ",\"repro\":";
-  AppendEscaped(out, trigger.repro);
+  AppendJsonString(out, trigger.repro);
   out += "},\"window\":{\"begin_ns\":" + std::to_string(lo) +
          ",\"end_ns\":" + std::to_string(trigger.ts) +
          ",\"events\":" + std::to_string(evs.size()) + ",\"truncated\":";
@@ -71,7 +53,7 @@ std::string FlightRecorder::Capture(std::vector<TraceEvent> events,
     out += "{\"send_seq\":" + std::to_string(evs[e.send].seq) +
            ",\"recv_seq\":" + std::to_string(evs[e.recv].seq) +
            ",\"corr\":";
-    AppendEscaped(out, e.corr);
+    AppendJsonString(out, e.corr);
     out += ",\"duplicate\":";
     out += e.duplicate ? "true" : "false";
     out += "}";

@@ -38,6 +38,9 @@ struct Parser {
     while (pos < text.size()) {
       char c = text[pos++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;

@@ -3,8 +3,9 @@
 // cruz_analyze consumes files the simulation itself wrote (trace JSONL,
 // MetricsRegistry::ExportJson snapshots), so this parser only needs to be
 // correct for well-formed JSON, not forgiving: any syntax error fails the
-// parse. Object keys keep insertion order; numbers keep their raw text so
-// 64-bit nanosecond timestamps round-trip exactly.
+// parse, a raw control character inside a string included. Object keys
+// keep insertion order; numbers keep their raw text so 64-bit nanosecond
+// timestamps round-trip exactly.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "obs/causal/trace_io.h"
+#include "obs/trace.h"
 
 namespace cruz::obs::causal {
 
@@ -20,20 +21,6 @@ std::string FormatMs(DurationNs ns) {
                 static_cast<unsigned long long>(ns / 1000000),
                 static_cast<unsigned long long>(ns % 1000000));
   return buf;
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
 }
 
 DurationNs Overlap(TimeNs a_begin, TimeNs a_end, TimeNs b_begin,
@@ -193,15 +180,15 @@ std::string RenderSloJson(const SloReport& report) {
            ",\"begin_ns\":" + std::to_string(a.window_begin) +
            ",\"end_ns\":" + std::to_string(a.window_end) +
            ",\"objective\":";
-    AppendEscaped(out, a.objective);
+    AppendJsonString(out, a.objective);
     out += ",\"observed_ns\":" + std::to_string(a.observed_ns) +
            ",\"threshold_ns\":" + std::to_string(a.threshold_ns) +
            ",\"count\":" + std::to_string(a.count) + ",\"phase\":";
-    AppendEscaped(out, a.phase);
+    AppendJsonString(out, a.phase);
     out += ",\"node\":";
-    AppendEscaped(out, a.node);
+    AppendJsonString(out, a.node);
     out += ",\"op\":" + std::to_string(a.op_id) + ",\"kind\":";
-    AppendEscaped(out, a.op_kind);
+    AppendJsonString(out, a.op_kind);
     out += ",\"overlap_ns\":" + std::to_string(a.overlap_ns) + "}";
   }
   out += "],\"attributed\":" + std::to_string(report.attributed) + "}\n";

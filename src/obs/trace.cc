@@ -7,9 +7,8 @@
 
 namespace cruz::obs {
 
-namespace {
-
-void AppendEscaped(std::string& out, const std::string& s) {
+void AppendJsonString(std::string& out, std::string_view s) {
+  out += '"';
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -28,13 +27,10 @@ void AppendEscaped(std::string& out, const std::string& s) {
         }
     }
   }
+  out += '"';
 }
 
-void AppendString(std::string& out, const std::string& s) {
-  out += '"';
-  AppendEscaped(out, s);
-  out += '"';
-}
+namespace {
 
 // Nanoseconds rendered as microseconds with exactly three decimals:
 // integer formatting only, so the output is byte-stable.
@@ -60,12 +56,12 @@ void AppendArgs(std::string& out, const TraceAttrs& a) {
   if (!a.phase.empty()) {
     sep();
     out += "\"phase\":";
-    AppendString(out, a.phase);
+    AppendJsonString(out, a.phase);
   }
   if (!a.agent.empty()) {
     sep();
     out += "\"agent\":";
-    AppendString(out, a.agent);
+    AppendJsonString(out, a.agent);
   }
   if (a.pod != 0) {
     sep();
@@ -74,13 +70,13 @@ void AppendArgs(std::string& out, const TraceAttrs& a) {
   if (!a.conn.empty()) {
     sep();
     out += "\"conn\":";
-    AppendString(out, a.conn);
+    AppendJsonString(out, a.conn);
   }
   for (const auto& [key, value] : a.args) {
     sep();
-    AppendString(out, key);
+    AppendJsonString(out, key);
     out += ':';
-    AppendString(out, value);
+    AppendJsonString(out, value);
   }
   out += '}';
 }
@@ -176,9 +172,9 @@ std::string Tracer::ExportChromeJson() const {
       out += ",\"s\":\"t\"";
     }
     out += ",\"cat\":";
-    AppendString(out, e.category);
+    AppendJsonString(out, e.category);
     out += ",\"name\":";
-    AppendString(out, e.name);
+    AppendJsonString(out, e.name);
     out += ",\"args\":";
     AppendArgs(out, e.attrs);
     out += '}';
@@ -190,7 +186,7 @@ std::string Tracer::ExportChromeJson() const {
     out += "\n{\"ph\":\"M\",\"pid\":1,\"tid\":" +
            std::to_string(i + 2) +
            ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    AppendString(out, tid_names[i]);
+    AppendJsonString(out, tid_names[i]);
     out += "}}";
   }
   out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"" +
@@ -210,9 +206,9 @@ void AppendJsonlEvent(std::string& out, const TraceEvent& e) {
   // order that is stable across runs of the same seed).
   out += ",\"seq\":" + std::to_string(e.seq);
   out += ",\"cat\":";
-  AppendString(out, e.category);
+  AppendJsonString(out, e.category);
   out += ",\"name\":";
-  AppendString(out, e.name);
+  AppendJsonString(out, e.name);
   out += ",\"args\":";
   AppendArgs(out, e.attrs);
   out += '}';

@@ -25,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,6 +33,11 @@
 #include "common/units.h"
 
 namespace cruz::obs {
+
+// Appends `s` as a JSON string literal, quotes included. Quote,
+// backslash and every control character are escaped, so the result
+// always parses. Every JSON exporter in obs writes strings through it.
+void AppendJsonString(std::string& out, std::string_view s);
 
 enum class EventKind : std::uint8_t { kSpan, kInstant };
 

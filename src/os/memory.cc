@@ -32,6 +32,14 @@ const std::set<std::uint64_t>& Memory::dirty_pages() const {
   return dirty_cache_;
 }
 
+std::size_t Memory::DirtyPageCount() const {
+  std::size_t n = 0;
+  for (const auto& [word_index, word] : dirty_words_) {
+    n += static_cast<std::size_t>(std::popcount(word));
+  }
+  return n;
+}
+
 Memory::Page& Memory::PageForWrite(std::uint64_t page_index) {
   if (!missing_.empty() && missing_.count(page_index) != 0) {
     throw PageFault{page_index};

@@ -145,6 +145,9 @@ class Memory {
     dirty_cache_.clear();
     dirty_cache_valid_ = true;
   }
+  // Number of dirty pages: a popcount over the bitmap, so counting never
+  // builds the ordered set.
+  std::size_t DirtyPageCount() const;
   bool IsDirty(std::uint64_t page_index) const {
     auto it = dirty_words_.find(page_index >> 6);
     return it != dirty_words_.end() &&

@@ -21,6 +21,7 @@
 #include "obs/causal/flight_recorder.h"
 #include "obs/causal/json_lite.h"
 #include "obs/causal/metrics_io.h"
+#include "obs/causal/slo_report.h"
 #include "obs/causal/trace_io.h"
 #include "obs/trace_query.h"
 
@@ -530,11 +531,12 @@ TEST(CriticalPath, PostCopyFetchStallsMatchReportedDegradation) {
   options.hot_window = 200 * kMicrosecond;
   bool done = false;
   ckpt::LiveMigrateStats stats;
-  ckpt::LiveMigrator::PostCopy(c.pods(0), c.pods(1), id, options,
-                               [&](const ckpt::LiveMigrateStats& s) {
-                                 stats = s;
-                                 done = true;
-                               });
+  ckpt::LiveMigrator::MigrateWithMode(
+      c.pods(0), c.pods(1), id, ckpt::MigrateMode::kPostCopy, options,
+      [&](const ckpt::LiveMigrateStats& s) {
+        stats = s;
+        done = true;
+      });
   ASSERT_TRUE(
       c.sim().RunWhile([&] { return done; }, c.sim().Now() + 600 * kSecond));
   ASSERT_GT(stats.degradation, 0);
@@ -567,6 +569,61 @@ TEST(CriticalPath, PostCopyFetchStallsMatchReportedDegradation) {
 // it must reproduce the live registry's Prometheus exposition byte for
 // byte, quantiles included, for values spread over the exact range and
 // many log-linear buckets.
+// Every JSON renderer in obs escapes strings with the one shared
+// escaper, so a string carrying control characters survives a round trip
+// through json_lite, which rejects raw ones.
+TEST(JsonExport, ControlCharactersRoundTripThroughEveryRenderer) {
+  const std::string nasty = std::string("a\"b\\c\rd\ne\tf\x01g\x1fh", 15);
+  auto parse = [](const std::string& text) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(ParseJson(text, doc, error)) << error << " in " << text;
+    return doc;
+  };
+
+  obs::TraceEvent event;
+  event.name = nasty;
+  event.attrs.Agent(nasty).Arg("detail", nasty);
+  std::string line;
+  obs::AppendJsonlEvent(line, event);
+  JsonValue trace = parse(line);
+  ASSERT_NE(trace.Find("name"), nullptr);
+  EXPECT_EQ(trace.Find("name")->text, nasty);
+
+  obs::causal::OpBreakdown op;
+  op.kind = nasty;
+  op.coordinator = nasty;
+  op.restore_sources.push_back({nasty, nasty, 1});
+  op.phases.push_back({nasty, 1, nasty, 1});
+  op.segments.push_back({0, 1, nasty, nasty});
+  JsonValue path = parse(obs::causal::CriticalPathAnalyzer::RenderJson(
+      {op}, obs::causal::MatchStats{}));
+  ASSERT_NE(path.Find("ops"), nullptr);
+  ASSERT_EQ(path.Find("ops")->items.size(), 1u);
+  EXPECT_EQ(path.Find("ops")->items[0].Find("kind")->text, nasty);
+
+  obs::causal::SloReport report;
+  obs::causal::SloAttribution violation;
+  violation.objective = nasty;
+  violation.phase = nasty;
+  violation.node = nasty;
+  violation.op_kind = nasty;
+  report.violations.push_back(violation);
+  JsonValue slo = parse(obs::causal::RenderSloJson(report));
+  ASSERT_NE(slo.Find("violations"), nullptr);
+  ASSERT_EQ(slo.Find("violations")->items.size(), 1u);
+  EXPECT_EQ(slo.Find("violations")->items[0].Find("objective")->text, nasty);
+
+  obs::causal::FlightTrigger trigger;
+  trigger.kind = nasty;
+  trigger.detail = nasty;
+  trigger.repro = nasty;
+  JsonValue flight =
+      parse(obs::causal::FlightRecorder::Capture({event}, trigger));
+  ASSERT_NE(flight.Find("trigger"), nullptr);
+  EXPECT_EQ(flight.Find("trigger")->Find("detail")->text, nasty);
+}
+
 TEST(MetricsImport, ExportJsonRoundTripReExposesIdentically) {
   obs::MetricsRegistry live;
   live.counter("coord.ops_total").Add(3);

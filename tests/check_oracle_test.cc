@@ -327,13 +327,7 @@ TEST(ExplorerTest, GoldenSweepVerdictsAndReprosSeeds0To63) {
   Explorer explorer;
   std::string out;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    RunResult r = explorer.RunSeed(seed);
-    out += "seed=" + std::to_string(seed);
-    out += r.passed ? " ok" : " FAIL";
-    for (const Violation& v : r.violations) {
-      out += " violation=" + v.invariant;
-    }
-    out += " " + r.scenario.Encode() + "\n";
+    out += explorer.RunSeed(seed).verdict + "\n";
   }
   cruz::testing::ExpectMatchesGolden("explorer_sweep_seeds_0_63.txt", out);
 }

@@ -225,6 +225,32 @@ TEST(Engine, CaptureIsNonDestructive) {
   EXPECT_GT(apps::ReadCounter(*c.node(0).os().FindProcess(real)), frozen);
 }
 
+// Live migration charges a stop from one serialization of the image with
+// its pages removed: a raw (v1) image is exactly that plus, per page, a
+// u64 index and the page. FindPage reads the snapshot's frozen pages.
+TEST(Engine, RawImageIsBarePlusFixedPageRecords) {
+  Cluster c;
+  os::PodId id = c.CreatePod(0, "job");
+  os::Pid vpid =
+      c.pods(0).SpawnInPod(id, "cruz.counter", apps::CounterArgs(1u << 30));
+  os::Process* proc =
+      c.node(0).os().FindProcess(c.pods(0).ToRealPid(id, vpid));
+  proc->memory().InstallPage(0x900, cruz::Bytes(os::kPageSize, 0x5a));
+  c.sim().RunFor(10 * kMillisecond);
+  PodSnapshot snap = CheckpointEngine::SnapshotPod(c.pods(0), id, {});
+  PodCheckpoint ck = snap.Materialize();
+  std::uint64_t pages = snap.SnapshotPages();
+  ASSERT_GT(pages, 1u);
+  EXPECT_EQ(ck.Serialize(/*compress=*/false).size(),
+            snap.meta().Serialize(/*compress=*/false).size() +
+                pages * (sizeof(std::uint64_t) + os::kPageSize));
+  const os::MemorySnapshot::Page* page = snap.FindPage(vpid, 0x900);
+  ASSERT_NE(page, nullptr);
+  EXPECT_EQ((*page)[0], 0x5a);
+  EXPECT_EQ(snap.FindPage(vpid, 0x901), nullptr);
+  EXPECT_EQ(snap.FindPage(vpid + 1, 0x900), nullptr);
+}
+
 TEST(Engine, LocalRestoreContinuesExactly) {
   Cluster c;
   os::PodId id = c.CreatePod(0, "job");

@@ -734,10 +734,9 @@ TEST(Fault, SourceCrashMidDemandPagingFailsCleanlyAndRestarts) {
   ckpt::LiveMigrateOptions options;
   options.hot_window = 200 * kMicrosecond;
   bool done = false;
-  ckpt::LiveMigrator::PostCopy(c.pods(0), c.pods(1), id, options,
-                               [&](const ckpt::LiveMigrateStats&) {
-                                 done = true;
-                               });
+  ckpt::LiveMigrator::MigrateWithMode(
+      c.pods(0), c.pods(1), id, ckpt::MigrateMode::kPostCopy, options,
+      [&](const ckpt::LiveMigrateStats&) { done = true; });
   c.sim().RunFor(200 * kMillisecond);
   EXPECT_EQ(plan.CountEvents(fault::FaultKind::kNodeCrash), 1u);
   EXPECT_FALSE(done);  // the migration can never reach full residency

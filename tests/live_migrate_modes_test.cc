@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "apps/programs.h"
@@ -127,6 +128,62 @@ TEST(LiveMigrateModes, AllModesProduceIdenticalOutcomes) {
               static_cast<std::size_t>(pre.stats.rounds));
     EXPECT_GE(pre.stats.rounds, 1);
     EXPECT_GE(hybrid.stats.rounds, 1);
+  }
+}
+
+// Every LiveMigrateStats field, one line, in declaration order.
+std::string FormatStats(const LiveMigrateStats& s) {
+  std::string out = std::string(MigrateModeName(s.mode)) +
+                    " rounds=" + std::to_string(s.rounds) + " breakdown=[";
+  for (const MigrateRound& r : s.round_breakdown) {
+    out += std::to_string(r.dirty_bytes) + "/" + std::to_string(r.duration) +
+           ",";
+  }
+  out += "] precopy=" + std::to_string(s.precopy_bytes) +
+         " final=" + std::to_string(s.final_bytes) +
+         " downtime=" + std::to_string(s.downtime) +
+         " total=" + std::to_string(s.total_duration) +
+         " degradation=" + std::to_string(s.degradation) +
+         " pages=" + std::to_string(s.pages_total) + "/" +
+         std::to_string(s.pages_resident_at_resume) + "/" +
+         std::to_string(s.pages_fetched_on_demand) + "/" +
+         std::to_string(s.pages_pushed) +
+         " dup=" + std::to_string(s.duplicate_fills_dropped) +
+         " late=" + std::to_string(s.late_serves) +
+         " retx=" + std::to_string(s.requests_retransmitted) +
+         " op=" + std::to_string(s.op_id) + " pod=" + std::to_string(s.pod);
+  return out;
+}
+
+// Pins every stats field of all four modes for one seeded run, so a
+// refactor of the migration driver must reproduce its byte charges,
+// timings and page accounting exactly.
+TEST(LiveMigrateModes, StatsOfEveryModeArePinned) {
+  SeedMatrix m = RunAllModes(3);
+  const std::map<MigrateMode, std::string> expected = {
+      {MigrateMode::kStopAndCopy,
+       "stop-and-copy rounds=0 breakdown=[] precopy=0 final=2401111 "
+       "downtime=20817071 total=20817071 degradation=0 pages=0/0/0/0 dup=0 "
+       "late=0 retx=0 op=4611686018427387905 pod=1001"},
+      {MigrateMode::kPreCopy,
+       "pre-copy rounds=5 breakdown=[2396160/20774147,217088/1882102,"
+       "217088/1882102,217088/1882102,217088/1882102,] precopy=3264512 "
+       "final=222039 downtime=1925026 total=30227581 degradation=0 "
+       "pages=0/0/0/0 dup=0 late=0 retx=0 op=4611686018427387905 pod=1001"},
+      {MigrateMode::kPostCopy,
+       "post-copy rounds=0 breakdown=[] precopy=0 final=123735 "
+       "downtime=1072753 total=28972753 degradation=904000 "
+       "pages=585/29/4/552 dup=2 late=0 retx=0 op=4611686018427387905 "
+       "pod=1001"},
+      {MigrateMode::kHybrid,
+       "hybrid rounds=5 breakdown=[2396160/20774147,217088/1882102,"
+       "217088/1882102,217088/1882102,217088/1882102,] precopy=3264512 "
+       "final=695 downtime=6025 total=30558580 degradation=2038000 "
+       "pages=585/532/10/43 dup=1 late=0 retx=0 op=4611686018427387905 "
+       "pod=1001"},
+  };
+  for (const auto& [mode, line] : expected) {
+    EXPECT_EQ(FormatStats(m.runs[mode].stats), line);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "apps/programs.h"
 #include "ckpt/live_migrate.h"
 #include "cruz/cluster.h"
+#include "os/program.h"
 
 namespace cruz::ckpt {
 namespace {
@@ -44,12 +45,10 @@ TEST(LiveMigrate, DowntimeFractionOfStopAndCopy) {
       (mode == 0 ? live : naive) = s;
       done = true;
     };
-    if (mode == 0) {
-      LiveMigrator::Migrate(c.pods(0), c.pods(1), id, options, on_done);
-    } else {
-      LiveMigrator::StopAndCopy(c.pods(0), c.pods(1), id, options,
-                                on_done);
-    }
+    LiveMigrator::MigrateWithMode(
+        c.pods(0), c.pods(1), id,
+        mode == 0 ? MigrateMode::kPreCopy : MigrateMode::kStopAndCopy,
+        options, on_done);
     ASSERT_TRUE(c.sim().RunWhile([&] { return done; },
                                  c.sim().Now() + 600 * kSecond));
     // The pod runs on the target afterwards.
@@ -69,28 +68,49 @@ TEST(LiveMigrate, DowntimeFractionOfStopAndCopy) {
   EXPECT_LT(live.final_bytes, 512 * 1024u);
 }
 
+// Rewrites every page of a 64-page (256 KiB) pool each step, so the
+// dirty set never falls to the pre-copy stop threshold.
+class PoolWriterProgram : public os::Program {
+ public:
+  static constexpr std::uint64_t kPoolPage = 0x2000;
+  static constexpr std::uint64_t kPoolPages = 64;
+
+  void Step(os::ProcessCtx& ctx) override {
+    for (std::uint64_t i = 0; i < kPoolPages; ++i) {
+      ctx.Mem().WriteU64((kPoolPage + i) * os::kPageSize, ctx.Reg(3));
+    }
+    ctx.Reg(3) += 1;
+    ctx.ChargeCpu(20 * kMicrosecond);
+  }
+};
+
 TEST(LiveMigrate, WriteHeavyPodStillConverges) {
-  // The counter program dirties its status page constantly; with an
-  // aggressive threshold the round limit forces the stop.
+  // Every round finds more than the stop threshold dirty, so only the
+  // round cap stops pre-copy.
+  static_assert(PoolWriterProgram::kPoolPages * os::kPageSize >
+                kStopThresholdBytes);
+  os::ProgramRegistry::Instance().Register(
+      "test.pool_writer", [] { return std::make_unique<PoolWriterProgram>(); });
   ClusterConfig config;
   config.num_nodes = 2;
   Cluster c(config);
-  os::Pid vpid = 0;
-  os::PodId id = MakeBigPod(c, 0, 256, &vpid);
+  os::PodId id = c.CreatePod(0, "heavy");
+  os::Pid vpid = c.pods(0).SpawnInPod(id, "test.pool_writer", {});
   c.sim().RunFor(20 * kMillisecond);
-  LiveMigrateOptions options;
-  options.stop_threshold_bytes = 0;  // never "small enough"
-  options.max_rounds = 4;
   bool done = false;
   LiveMigrateStats stats;
-  LiveMigrator::Migrate(c.pods(0), c.pods(1), id, options,
-                        [&](const LiveMigrateStats& s) {
-                          stats = s;
-                          done = true;
-                        });
+  LiveMigrator::MigrateWithMode(c.pods(0), c.pods(1), id,
+                                MigrateMode::kPreCopy, {},
+                                [&](const LiveMigrateStats& s) {
+                                  stats = s;
+                                  done = true;
+                                });
   ASSERT_TRUE(c.sim().RunWhile([&] { return done; },
                                c.sim().Now() + 600 * kSecond));
-  EXPECT_EQ(stats.rounds, 4);
+  EXPECT_EQ(stats.rounds, kMaxPrecopyRounds);
+  for (std::size_t i = 1; i < stats.round_breakdown.size(); ++i) {
+    EXPECT_GT(stats.round_breakdown[i].dirty_bytes, kStopThresholdBytes);
+  }
   os::Pid real = c.pods(1).ToRealPid(stats.pod, vpid);
   EXPECT_NE(c.node(1).os().FindProcess(real), nullptr);
 }
@@ -125,8 +145,9 @@ TEST(LiveMigrate, ConnectionSurvivesLiveMigration) {
   c.sim().RunFor(20 * kMillisecond);
 
   bool migrated = false;
-  LiveMigrator::Migrate(c.pods(0), c.pods(1), id, {},
-                        [&](const LiveMigrateStats&) { migrated = true; });
+  LiveMigrator::MigrateWithMode(
+      c.pods(0), c.pods(1), id, MigrateMode::kPreCopy, {},
+      [&](const LiveMigrateStats&) { migrated = true; });
   ASSERT_TRUE(c.sim().RunWhile([&] { return migrated; },
                                c.sim().Now() + 600 * kSecond));
   c.sim().RunFor(120 * kSecond);

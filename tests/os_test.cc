@@ -634,6 +634,7 @@ TEST(OsMemory, DirtyBitmapMatchesReferenceSet) {
     EXPECT_EQ(m.IsDirty(page), ref.count(page) != 0);
     std::uint64_t probe = next() % (std::uint64_t{1} << 40);
     EXPECT_EQ(m.IsDirty(probe), ref.count(probe) != 0);
+    EXPECT_EQ(m.DirtyPageCount(), ref.size());
     if (step % 97 == 0) {
       EXPECT_EQ(m.dirty_pages(), ref);
     }
@@ -641,6 +642,7 @@ TEST(OsMemory, DirtyBitmapMatchesReferenceSet) {
   EXPECT_EQ(m.dirty_pages(), ref);
   m.ClearDirty();
   EXPECT_TRUE(m.dirty_pages().empty());
+  EXPECT_EQ(m.DirtyPageCount(), 0u);
 }
 
 // Demand-paging (post-copy migration) unit semantics: a missing page

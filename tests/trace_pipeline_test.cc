@@ -507,10 +507,9 @@ TEST(TracePipeline, GoldenPostCopyMigrationExports) {
     }
     c.sim().RunFor(profile.migrate_at);
     bool done = false;
-    ckpt::LiveMigrator::PostCopy(c.pods(0), c.pods(1), id, options,
-                                 [&](const ckpt::LiveMigrateStats&) {
-                                   done = true;
-                                 });
+    ckpt::LiveMigrator::MigrateWithMode(
+        c.pods(0), c.pods(1), id, ckpt::MigrateMode::kPostCopy, options,
+        [&](const ckpt::LiveMigrateStats&) { done = true; });
     EXPECT_TRUE(c.sim().RunWhile([&] { return done; },
                                  c.sim().Now() + 600 * kSecond));
     c.sim().RunFor(100 * kMillisecond);
