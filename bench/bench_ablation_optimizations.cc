@@ -5,11 +5,15 @@
 //   (b) copy-on-write checkpoint-and-continue — resume the application
 //       right after the in-memory capture while the disk write proceeds
 //       (application stall time per protocol variant).
+//
+// Every printed row is simulated time or image size, so each is written
+// to BENCH_ablation.json as an exact metric for the regression gate.
 #include <cstdio>
 #include <vector>
 
 #include "apps/programs.h"
 #include "apps/slm.h"
+#include "bench_gate.h"
 #include "cruz/cluster.h"
 
 namespace {
@@ -18,7 +22,7 @@ using namespace cruz;
 
 // --- (a) incremental vs full image sizes -------------------------------------
 
-void RunIncrementalAblation() {
+void RunIncrementalAblation(bench::BenchGate& gate) {
   std::printf("--- (a) incremental checkpointing: slm, 2 nodes, 5 "
               "generations ---\n\n");
   std::printf("%6s %18s %18s %20s %20s\n", "gen", "full img (KiB)",
@@ -76,6 +80,11 @@ void RunIncrementalAblation() {
   for (int gen = 0; gen < 5; ++gen) {
     std::printf("%6d %18.1f %18.1f %20.2f %20.2f\n", gen, full_kib[gen],
                 incr_kib[gen], full_ms[gen], incr_ms[gen]);
+    const std::string g = "_g" + std::to_string(gen);
+    gate.Metric("full_image_kib" + g, full_kib[gen], "KiB");
+    gate.Metric("incr_image_kib" + g, incr_kib[gen], "KiB");
+    gate.Metric("full_latency_ms" + g, full_ms[gen], "ms");
+    gate.Metric("incr_latency_ms" + g, incr_ms[gen], "ms");
   }
   std::printf("\n(generation 0 is always full; slm dirties only its "
               "boundary rows, so the deltas are ~%.0fx smaller and the "
@@ -148,7 +157,8 @@ double MeasureStallMs(coord::ProtocolVariant variant, bool cow) {
 
 int main() {
   std::printf("== Ablation: §5.2 checkpoint optimizations ==\n\n");
-  RunIncrementalAblation();
+  bench::BenchGate gate("ablation");
+  RunIncrementalAblation(gate);
 
   std::printf("--- (b) application stall during a checkpoint (2 nodes, "
               "~250 ms disk write) ---\n\n");
@@ -161,6 +171,9 @@ int main() {
   std::printf("%34s %14.1f\n", "Fig. 2 blocking", blocking);
   std::printf("%34s %14.1f\n", "Fig. 4 optimized", optimized);
   std::printf("%34s %14.1f\n", "Fig. 4 + copy-on-write", cow);
+  gate.Metric("stall_ms_blocking", blocking, "ms");
+  gate.Metric("stall_ms_optimized", optimized, "ms");
+  gate.Metric("stall_ms_cow", cow, "ms");
 
   bool ok = blocking > 100 && cow >= 0 && cow < blocking / 10 &&
             optimized <= blocking + 1;

@@ -23,9 +23,11 @@
 #include "apps/slm.h"
 #include "bench_gate.h"
 #include "ckpt/generation.h"
+#include "ckpt/image.h"
 #include "common/crc32.h"
 #include "coord/coordinator.h"
 #include "cruz/cluster.h"
+#include "obs/trace_query.h"
 #include "slm_sweep.h"
 
 int main() {
@@ -245,12 +247,17 @@ int main() {
   // One clean tiered generation cycle of a 2-rank slm job: the checkpoint
   // and its settle, the background flush, a restart. The grids are
   // incompressible, so the bytes CRC'd divide into whole passes over the
-  // image bytes; a leftover over 1% of a pass fails the bench.
+  // image bytes; a leftover over 1% of a pass fails the bench. The same
+  // cycle counts the page bytes the checkpoint serialized and the restart
+  // deserialized, as passes over the generation's pages × kPageSize.
   std::printf("\n== host work: CRC-32 passes per image byte (tiered slm "
               "cycle) ==\n\n");
   const char* kCrcPhases[3] = {"checkpoint", "flush", "restart"};
   double crc_passes[3] = {0, 0, 0};
   bool crc_ok = true;
+  // Page bytes the checkpoint serialized and the restart deserialized,
+  // and the generation's page bytes (pages × kPageSize).
+  std::uint64_t serialize_bytes = 0, deserialize_bytes = 0, page_bytes = 0;
   {
     apps::RegisterSlmProgram();
     ClusterConfig config;
@@ -281,15 +288,27 @@ int main() {
     options.variant = coord::ProtocolVariant::kOptimized;
     options.compress = true;
     std::uint64_t crc_bytes[4] = {Crc32BytesTotal(), 0, 0, 0};
+    const std::uint64_t serialized = ckpt::PageBytesSerializedTotal();
     auto ck = c.RunGenerationCheckpoint(members, options);
     crc_bytes[1] = Crc32BytesTotal();
+    serialize_bytes = ckpt::PageBytesSerializedTotal() - serialized;
     c.sim().RunFor(kSecond);
     crc_bytes[2] = Crc32BytesTotal();
     for (std::uint32_t r = 0; r < 2; ++r) c.pods(r).DestroyPod(pods[r]);
+    const std::uint64_t deserialized = ckpt::PageBytesDeserializedTotal();
     auto rs = c.RunGenerationRestart(members, options);
     crc_bytes[3] = Crc32BytesTotal();
+    deserialize_bytes = ckpt::PageBytesDeserializedTotal() - deserialized;
     crc_ok = ck.stats.success && rs.stats.success &&
              c.tiered().PendingFlushCount() == 0;
+    // The generation's pages, as each member's save span counted them.
+    obs::TraceQuery q(c.sim().tracer());
+    for (const obs::TraceEvent* save : q.Select(
+             obs::TraceQuery::Filter{}.Name("agent.save").Op(ck.stats.op_id))) {
+      for (const auto& [key, value] : save->attrs.args) {
+        if (key == "pages") page_bytes += std::stoull(value) * os::kPageSize;
+      }
+    }
 
     std::uint64_t image_bytes = 0;
     auto manifest = ckpt::GenerationStore(c.tiered())
@@ -309,6 +328,12 @@ int main() {
     }
     std::printf("shape check: CRC'd bytes %s whole passes per image byte\n",
                 crc_ok ? "are" : "are NOT");
+    crc_ok = crc_ok && page_bytes > 0;
+    std::printf("\n%12s %18s\n", "phase", "passes per page");
+    std::printf("%12s %18.4f\n", "serialize",
+                static_cast<double>(serialize_bytes) / page_bytes);
+    std::printf("%12s %18.4f\n", "deserialize",
+                static_cast<double>(deserialize_bytes) / page_bytes);
   }
 
   // Regression-gate metrics (sim-time values and host work counts, all
@@ -345,6 +370,10 @@ int main() {
       gate.Metric(std::string("work_crc_passes_") + kCrcPhases[i],
                   crc_passes[i], "count");
     }
+    gate.Metric("work_serialize_passes_checkpoint",
+                static_cast<double>(serialize_bytes) / page_bytes, "count");
+    gate.Metric("work_deserialize_passes_restart",
+                static_cast<double>(deserialize_bytes) / page_bytes, "count");
   }
   return (flat && second_scale && cow_cuts_downtime && spans_agree &&
           attribution_ok && tiered_ok && crc_ok)

@@ -38,12 +38,6 @@ struct CaptureStats {
   // extracted (the paper holds them "only for the duration needed to save
   // the socket states").
   DurationNs network_lock_hold = 0;
-  // Downtime/total split, filled by the agent's cost model: how long the
-  // pod was actually stopped (with copy-on-write this covers only the
-  // in-memory snapshot; stop-the-world covers the whole save) and the
-  // full capture time including the background serialize + disk write.
-  DurationNs downtime = 0;
-  DurationNs total = 0;
 };
 
 struct CaptureOptions {

@@ -1,5 +1,6 @@
 #include "ckpt/image.h"
 
+#include <atomic>
 #include <map>
 
 #include "common/crc32.h"
@@ -12,6 +13,9 @@ namespace {
 constexpr char kMagic[8] = {'C', 'R', 'U', 'Z', 'I', 'M', 'G', '1'};
 constexpr std::uint32_t kVersionRaw = 1;         // raw fixed-size pages
 constexpr std::uint32_t kVersionCompressed = 2;  // per-page codec blobs
+
+std::atomic<std::uint64_t> g_page_bytes_serialized{0};
+std::atomic<std::uint64_t> g_page_bytes_deserialized{0};
 
 void PutMac(cruz::ByteWriter& w, net::MacAddress mac) {
   w.PutBytes(mac.octets.data(), 6);
@@ -126,6 +130,8 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
         body.PutBytes(page.content);
       }
     }
+    g_page_bytes_serialized.fetch_add(p.pages.size() * os::kPageSize,
+                                      std::memory_order_relaxed);
     body.PutU32(static_cast<std::uint32_t>(p.fds.size()));
     for (const FdRecord& f : p.fds) {
       body.PutU32(static_cast<std::uint32_t>(f.fd));
@@ -305,6 +311,8 @@ PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
       }
       p.pages.push_back(std::move(page));
     }
+    g_page_bytes_deserialized.fetch_add(pages * os::kPageSize,
+                                        std::memory_order_relaxed);
     std::uint32_t fds = r.GetU32();
     for (std::uint32_t j = 0; j < fds; ++j) {
       FdRecord f;
@@ -359,6 +367,14 @@ PodCheckpoint PodCheckpoint::MergeOnto(const PodCheckpoint& base) const {
     proc.pages = std::move(combined);
   }
   return merged;
+}
+
+std::uint64_t PageBytesSerializedTotal() {
+  return g_page_bytes_serialized.load(std::memory_order_relaxed);
+}
+
+std::uint64_t PageBytesDeserializedTotal() {
+  return g_page_bytes_deserialized.load(std::memory_order_relaxed);
 }
 
 }  // namespace cruz::ckpt

@@ -174,4 +174,11 @@ struct PodCheckpoint {
   PodCheckpoint MergeOnto(const PodCheckpoint& base) const;
 };
 
+// Page bytes (pages × kPageSize) that Serialize encoded and Deserialize
+// decoded since process start, over all threads. Host-side work
+// counters, like Crc32BytesTotal(): they never enter a trace or an
+// export.
+std::uint64_t PageBytesSerializedTotal();
+std::uint64_t PageBytesDeserializedTotal();
+
 }  // namespace cruz::ckpt

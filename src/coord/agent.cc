@@ -61,7 +61,7 @@ void CheckpointAgent::Reset() {
     EndOpSpans("agent-reset");
     ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
     RemoveDropFilter();
-    if (!op_.is_restart && op_.image_written) {
+    if (!op_.image_path.empty()) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
     }
     op_active_ = false;
@@ -254,10 +254,9 @@ void CheckpointAgent::CountImage(std::uint64_t image_bytes,
   }
 }
 
-void CheckpointAgent::FailSave(const std::string& partial_image,
-                               const char* why) {
+void CheckpointAgent::FailSave(const char* why) {
   EndOpSpans("save-failed");
-  DiscardCheckpointImage(op_.pod, partial_image);
+  DiscardCheckpointImage(op_.pod, op_.image_path);
   if (!op_.resumed) {
     ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
     RemoveDropFilter();
@@ -268,9 +267,9 @@ void CheckpointAgent::FailSave(const std::string& partial_image,
   FailLocalOp(coordinator, request, why);
 }
 
-void CheckpointAgent::BeginSaveSpans(
-    const char* mode, const ckpt::CaptureStats& stats,
-    std::optional<std::uint64_t> image_bytes) {
+void CheckpointAgent::BeginSaveSpans(const char* mode,
+                                     const ckpt::CaptureStats& stats,
+                                     const std::optional<cruz::Bytes>& image) {
   obs::TraceAttrs save;
   save.Op(op_.op_id)
       .Phase("save")
@@ -279,7 +278,7 @@ void CheckpointAgent::BeginSaveSpans(
       .Arg("mode", mode)
       .Arg("state_bytes", stats.state_bytes)
       .Arg("pages", stats.snapshot_pages);
-  if (image_bytes.has_value()) save.Arg("image_bytes", *image_bytes);
+  if (image.has_value()) save.Arg("image_bytes", image->size());
   obs::Tracer& tracer = node_.os().sim().tracer();
   op_.save_span = tracer.BeginSpan("agent", "agent.save", std::move(save));
   op_.downtime_span = tracer.BeginSpan(
@@ -289,6 +288,14 @@ void CheckpointAgent::BeginSaveSpans(
           .Phase("downtime")
           .Agent(node_.name())
           .Pod(op_.pod));
+}
+
+void CheckpointAgent::EndDowntime() {
+  op_.resume_ready = true;
+  node_.os().sim().tracer().EndSpan(op_.downtime_span);
+  op_.downtime_span = obs::kInvalidSpanId;
+  node_.os().sim().metrics().histogram("agent.downtime_us")
+      .Record(op_.downtime / kMicrosecond);
 }
 
 void CheckpointAgent::SendDone() {
@@ -374,9 +381,10 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
   // pod still requires isolation, so both install it).
   InstallDropFilter(pod->ip);
 
-  // Step 2: stop the pod's processes and take the local checkpoint. The
-  // state snapshot happens now; the durations below model how long the
-  // real extraction and disk write take.
+  // Step 2: stop the pod's processes and snapshot its state. Kernel state
+  // is extracted eagerly, memory is frozen as shared COW page handles.
+  // The durations below model how long the real extraction, the
+  // serialization and the disk write take.
   ckpt::CaptureOptions capture;
   auto previous = last_image_.find(m.pod_id);
   if (m.incremental && previous != last_image_.end()) {
@@ -384,160 +392,97 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
     capture.parent_image = previous->second.first;
     capture.generation = previous->second.second + 1;
   }
-  if (m.copy_on_write) {
-    // Forked checkpoint (§5.2): snapshot now, write out in the background
-    // after the pod has resumed.
-    StartForkedCheckpoint(m, capture);
-    return;
-  }
   ckpt::CaptureStats stats;
-  ckpt::PodCheckpoint ck =
-      ckpt::CheckpointEngine::CapturePod(pods_, m.pod_id, capture, &stats);
-  cruz::Bytes image = ck.Serialize(m.compress);
-  std::uint64_t image_bytes = image.size();
-  BeginSaveSpans("stop-the-world", stats, image_bytes);
-  if (fault_ != nullptr && fault_->FailImageWrite(node_.name(),
-                                                  m.image_path)) {
-    // Disk write error: the local checkpoint cannot complete. Resume the
-    // pod (its in-memory state is untouched), invalidate the incremental
-    // baseline (dirty bits were consumed by the capture), and tell the
-    // coordinator to abort.
-    FailSave("", "image write I/O error");
-    return;
-  }
-  if (fault_ != nullptr) {
-    // Silent media corruption: the write "succeeds" but the stored bytes
-    // differ. Only the CRC check on restore/verify can catch this.
-    fault_->MaybeCorruptImage(node_.name(), m.image_path, image);
-  }
-  DurationNs write_duration = 0;
-  if (const char* why = StoreImage(m.image_path, std::move(image), m.tiered,
-                                   &write_duration)) {
-    FailSave("", why);
-    return;
-  }
+  auto serialize = [snap = ckpt::CheckpointEngine::SnapshotPod(
+                        pods_, m.pod_id, capture, &stats),
+                    compress = m.compress] {
+    return snap.Materialize().Serialize(compress);
+  };
+  // From here on the snapshot has consumed the dirty bits: an abort or a
+  // failed save must discard the image path and the incremental baseline.
   op_.image_path = m.image_path;
-  op_.image_written = true;
-  last_image_[m.pod_id] = {m.image_path, capture.generation};
-  CountImage(image_bytes, stats.state_bytes);
-
-  DurationNs capture_cost = kFilterConfigCost +
-                            stats.processes * kPerProcessStopCost +
-                            stats.network_lock_hold;
-  DurationNs local = capture_cost +
-                     image_bytes * kSecond / kSerializeBytesPerSec +
-                     write_duration;
-  op_.local_duration = local;
-  // Stop-the-world: the pod stays stopped for the entire local save.
-  op_.downtime = local;
   ++checkpoints_served_;
+
+  // The mode decides when the image is serialized and what the serialize
+  // window bills. Stop-the-world: the pod stays stopped, so its image is
+  // final now and the window bills the image's size. Copy-on-write (§5.2):
+  // the pod runs on, the frozen snapshot is serialized at the write
+  // instant, and the window bills the state bytes.
+  const bool cow = m.copy_on_write;
+  std::optional<cruz::Bytes> image;
+  if (!cow) image = serialize();
+  const std::uint64_t billed = image ? image->size() : stats.state_bytes;
+  const DurationNs capture_cost = kFilterConfigCost +
+                                  stats.processes * kPerProcessStopCost +
+                                  stats.network_lock_hold;
+  const DurationNs window =
+      capture_cost + billed * kSecond / kSerializeBytesPerSec;
+  op_.local_duration = window;  // + disk, known at the write instant
+  op_.downtime = capture_cost;  // stop-the-world: the whole save, below
+  BeginSaveSpans(cow ? "copy-on-write" : "stop-the-world", stats, image);
+
+  // The mode's other decision: when the pod may resume. Copy-on-write:
+  // as soon as the snapshot exists; its writes from here on hit COW
+  // faults instead of the frozen pages. Stop-the-world: at <done>.
+  std::uint64_t op_id = op_.op_id;
+  if (cow) {
+    node_.os().sim().Schedule(capture_cost, [this, op_id] {
+      if (Stale(op_id)) return;
+      EndDowntime();
+      MaybeResume();
+    });
+  }
 
   // Fig. 4 optimization: announce communication-disabled immediately so
-  // the coordinator can grant early resume permission.
+  // the coordinator can grant early resume permission (with copy-on-write
+  // it overlaps the background save).
   if (op_.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
 
-  // Step 3: <done> once the local checkpoint (dominated by the disk
-  // write) completes.
-  std::uint64_t op_id = op_.op_id;
-  node_.os().sim().Schedule(local, [this, op_id] {
-    if (crashed_ || !op_active_ || op_.op_id != op_id) return;
-    obs::Tracer& tracer = node_.os().sim().tracer();
-    tracer.EndSpan(op_.save_span, {{"outcome", "ok"}});
-    op_.save_span = obs::kInvalidSpanId;
-    tracer.EndSpan(op_.downtime_span);
-    op_.downtime_span = obs::kInvalidSpanId;
-    obs::MetricsRegistry& metrics = node_.os().sim().metrics();
-    metrics.histogram("agent.save_us").Record(op_.local_duration /
-                                              kMicrosecond);
-    metrics.histogram("agent.downtime_us").Record(op_.downtime /
-                                                  kMicrosecond);
-    SendDone();
-  });
-}
-
-void CheckpointAgent::StartForkedCheckpoint(
-    const CoordMessage& m, const ckpt::CaptureOptions& capture) {
-  // Stop-the-world phase: kernel state is extracted eagerly, memory is
-  // frozen as shared COW page handles — O(page table), not O(image).
-  ckpt::CaptureStats stats;
-  ckpt::PodSnapshot snap =
-      ckpt::CheckpointEngine::SnapshotPod(pods_, m.pod_id, capture, &stats);
-
-  DurationNs capture_cost = kFilterConfigCost +
-                            stats.processes * kPerProcessStopCost +
-                            stats.network_lock_hold;
-  DurationNs serialize_cost =
-      stats.state_bytes * kSecond / kSerializeBytesPerSec;
-  op_.downtime = capture_cost;
-  op_.local_duration = capture_cost + serialize_cost;  // + disk, known later
-  ++checkpoints_served_;
-
-  // The image is serialized later, so its size is not known yet.
-  BeginSaveSpans("copy-on-write", stats, std::nullopt);
-
-  // The pod may resume as soon as the in-memory snapshot exists; its
-  // writes from here on hit COW faults instead of the frozen pages.
-  std::uint64_t op_id = op_.op_id;
-  node_.os().sim().Schedule(capture_cost, [this, op_id] {
-    if (crashed_ || !op_active_ || op_.op_id != op_id) return;
-    op_.resume_ready = true;
-    node_.os().sim().tracer().EndSpan(op_.downtime_span);
-    op_.downtime_span = obs::kInvalidSpanId;
-    node_.os().sim().metrics().histogram("agent.downtime_us")
-        .Record(op_.downtime / kMicrosecond);
-    MaybeResume();
-  });
-
-  // Fig. 4: announce communication-disabled immediately, so the early
-  // resume permission overlaps the background save.
-  if (op_.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
-
-  // Background write-out. Materialization is deferred to the end of the
-  // serialize window — by then the pod has typically been running (and
-  // writing) for a while, which is exactly what the COW snapshot defends
-  // against: the image bytes are still the snapshot-point state.
-  bool compress = m.compress;
-  bool tiered = m.tiered;
-  std::string image_path = m.image_path;
-  std::uint32_t generation = capture.generation;
-  std::uint64_t state_bytes = stats.state_bytes;
+  // Write instant, at the end of the serialize window: the file appears
+  // in storage now but counts as partial until <done> commits it; an
+  // abort or crash before then GCs it.
   node_.os().sim().Schedule(
-      capture_cost + serialize_cost,
-      [this, op_id, snap = std::move(snap), compress, tiered, image_path,
-       generation, state_bytes] {
-        if (crashed_ || !op_active_ || op_.op_id != op_id) return;
-        cruz::Bytes image = snap.Materialize().Serialize(compress);
-        std::uint64_t image_bytes = image.size();
+      window, [this, op_id, cow, serialize = std::move(serialize),
+               image = std::move(image), tiered = m.tiered,
+               generation = capture.generation,
+               state_bytes = stats.state_bytes]() mutable {
+        if (Stale(op_id)) return;
+        cruz::Bytes bytes = image ? std::move(*image) : serialize();
+        const std::uint64_t image_bytes = bytes.size();
         if (fault_ != nullptr) {
-          fault_->MaybeCorruptImage(node_.name(), image_path, image);
+          // Silent media corruption: the write "succeeds" but the stored
+          // bytes differ. Only the CRC check on restore/verify catches it.
+          fault_->MaybeCorruptImage(node_.name(), op_.image_path, bytes);
         }
-        // The file appears in storage now but counts as partial until
-        // <done> commits it; an abort or crash before then GCs it.
         DurationNs disk = 0;
         if (const char* why =
-                StoreImage(image_path, std::move(image), tiered, &disk)) {
-          FailSave(image_path, why);
+                StoreImage(op_.image_path, std::move(bytes), tiered, &disk)) {
+          FailSave(why);
           return;
         }
-        op_.image_path = image_path;
-        op_.image_written = true;
         CountImage(image_bytes, state_bytes);
         op_.local_duration += disk;
-        node_.os().sim().Schedule(disk, [this, op_id, image_path,
-                                         generation] {
-          if (crashed_ || !op_active_ || op_.op_id != op_id) return;
+
+        // Step 3, the done instant: the disk write completes.
+        node_.os().sim().Schedule(disk, [this, op_id, cow, generation] {
+          if (Stale(op_id)) return;
           if (fault_ != nullptr &&
-              fault_->FailImageWrite(node_.name(), image_path)) {
-            // The background write failed after the pod already resumed:
-            // GC the partial image, invalidate the incremental baseline,
-            // and fail the op. The previous generation stays latest.
-            FailSave(image_path, "background image write I/O error");
+              fault_->FailImageWrite(node_.name(), op_.image_path)) {
+            // Disk write error: GC the partial image, invalidate the
+            // incremental baseline, resume the pod if still stopped, and
+            // fail the op. The previous generation stays latest.
+            FailSave("image write I/O error");
             return;
           }
-          last_image_[op_.pod] = {image_path, generation};
+          last_image_[op_.pod] = {op_.image_path, generation};
           node_.os().sim().tracer().EndSpan(op_.save_span,
                                             {{"outcome", "ok"}});
           op_.save_span = obs::kInvalidSpanId;
+          if (!cow) {
+            // Stop-the-world: the pod was stopped for the entire save.
+            op_.downtime = op_.local_duration;
+            EndDowntime();
+          }
           node_.os().sim().metrics().histogram("agent.save_us")
               .Record(op_.local_duration / kMicrosecond);
           SendDone();
@@ -606,7 +551,7 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
 
   std::uint64_t op_id = m.op_id;
   node_.os().sim().Schedule(local, [this, op_id, ck = std::move(ck)] {
-    if (crashed_ || !op_active_ || op_.op_id != op_id) return;
+    if (Stale(op_id)) return;
     // Restore at the end of the load window; the §4.1 send-buffer replay
     // fires here, against the still-installed drop filter.
     ckpt::CheckpointEngine::RestorePod(pods_, ck);
@@ -665,7 +610,7 @@ void CheckpointAgent::MaybeResume() {
 
   std::uint64_t op_id = op_.op_id;
   node_.os().sim().Schedule(resume_cost, [this, op_id, resume_cost] {
-    if (crashed_ || !op_active_ || op_.op_id != op_id) return;
+    if (Stale(op_id)) return;
     op_.continue_done_sent = true;
     node_.os().sim().tracer().EndSpan(op_.continue_span);
     op_.continue_span = obs::kInvalidSpanId;
@@ -704,7 +649,7 @@ void CheckpointAgent::HandleAbort(const CoordMessage& m) {
         obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
     ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
     RemoveDropFilter();
-    if (!op_.is_restart && op_.image_written) {
+    if (!op_.image_path.empty()) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
     }
     op_active_ = false;

@@ -105,8 +105,11 @@ class CheckpointAgent {
     bool resumed = false;
     bool done_sent = false;
     bool continue_done_sent = false;
-    std::string image_path;      // written by this checkpoint op
-    bool image_written = false;  // true once the image is on the FS
+    // The image this checkpoint op writes; set once the pod is
+    // snapshotted, whether or not the file is in storage yet (an abort
+    // from then on must discard it and the incremental baseline). Empty
+    // for restarts.
+    std::string image_path;
     // Where this op's image landed (tiered policy; reported in <done>)
     // and, for restarts, which tier actually served it (ckpt::Tier as u8).
     std::vector<ckpt::Replica> replicas;
@@ -122,13 +125,17 @@ class CheckpointAgent {
     obs::SpanId continue_span = obs::kInvalidSpanId;
   };
 
+  // True once `op_id` is no longer this agent's live op (a scheduled
+  // step of it must do nothing).
+  bool Stale(std::uint64_t op_id) const {
+    return crashed_ || !op_active_ || op_.op_id != op_id;
+  }
   void OnDatagram(net::Endpoint from, const cruz::Bytes& payload);
   void HandleCheckpoint(const CoordMessage& m, net::Endpoint from);
+  // The local save, one pipeline for both capture modes: snapshot, then
+  // serialize, store and <done>. The mode decides only when the pod may
+  // resume and when the image is serialized.
   void StartLocalCheckpoint(const CoordMessage& m);
-  // Forked (copy-on-write) checkpoint: short stop-the-world snapshot,
-  // then a background serialize + disk write after the pod resumes.
-  void StartForkedCheckpoint(const CoordMessage& m,
-                             const ckpt::CaptureOptions& capture);
   void HandleRestart(const CoordMessage& m, net::Endpoint from);
   void HandleContinue(const CoordMessage& m);
   void HandleAbort(const CoordMessage& m);
@@ -153,13 +160,16 @@ class CheckpointAgent {
   const char* StoreImage(const std::string& path, cruz::Bytes image,
                          bool tiered, DurationNs* duration);
   void CountImage(std::uint64_t image_bytes, std::uint64_t state_bytes);
-  // Opens the active checkpoint's save and pod-downtime spans.
+  // Opens the active checkpoint's save and pod-downtime spans; the save
+  // span records the image's size if it is already serialized.
   void BeginSaveSpans(const char* mode, const ckpt::CaptureStats& stats,
-                      std::optional<std::uint64_t> image_bytes);
-  // The local save failed: discard `partial_image` (may be empty) and the
-  // incremental baseline, resume the pod if still stopped, report
-  // <failed>.
-  void FailSave(const std::string& partial_image, const char* why);
+                      const std::optional<cruz::Bytes>& image);
+  // The local save failed: discard the op's image and the incremental
+  // baseline, resume the pod if still stopped, report <failed>.
+  void FailSave(const char* why);
+  // The pod may resume from now on: closes the downtime span and records
+  // the downtime.
+  void EndDowntime();
   // The local part is complete (the pod may resume once allowed): <done>,
   // then resume / finish if due.
   void SendDone();

@@ -117,18 +117,21 @@ TEST(OracleSelfTest, EachMutationTripsItsInvariant) {
   }
 }
 
-// Late image commits: in seed 2056 a delayed <checkpoint>, in seed 3359
-// one relayed by a sub-coordinator whose <shard-abort> was dropped,
-// reaches an agent after its generation was discarded. The discard
-// fence refuses the write; with the fence off (the paired mutation) the
-// image outlives its generation and no-partial-state catches it.
+// Late image commits: in seed 2056 a delayed <checkpoint> reaches an
+// agent after its generation was discarded; in seed 6639 a delayed
+// <flush-ack> holds one member's save back until another member's
+// disk-write error has aborted the op, and that member's <abort> is
+// delayed past its write instant. The discard fence refuses the write;
+// with the fence off (the paired mutation) the image outlives its
+// generation and no-partial-state catches it.
 TEST(OracleSelfTest, DiscardFenceRefusesLateImageCommits) {
   const std::vector<std::string> repros = {
       "cruzrepro1 seed=2056 nodes=2 wl=1 units=12 tiered=1 migrate=0 "
       "op=0,46,1,1,1,0,3320331193 fault=1,1,147,0 fault=0,0,73,0 "
       "fault=3,0,0,1 fault=2,0,113,13",
-      "cruzrepro1 seed=3359 nodes=7 wl=2 units=2 tiered=1 fanout=3 "
-      "migrate=0 op=0,47,0,0,0,0,2154692856 fault=0,0,227,0 fault=3,0,0,1",
+      "cruzrepro1 seed=6639 nodes=6 wl=0 units=166912 fanout=2 migrate=2 "
+      "op=3,38,2,1,0,0,1100432595 op=0,56,2,0,0,0,507490155 "
+      "fault=2,1,290,27 fault=1,1,206,0 fault=3,1,0,1",
   };
   for (const std::string& repro : repros) {
     SCOPED_TRACE(repro);
