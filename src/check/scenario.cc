@@ -116,7 +116,7 @@ std::optional<Scenario> Scenario::Decode(const std::string& repro) {
     } else if (key == "migrate" && fields.size() == 1 && fields[0] <= 3) {
       s.migrate_mode = static_cast<std::uint8_t>(fields[0]);
     } else if (key == "op" && fields.size() == 7 && fields[0] <= 3 &&
-               fields[2] <= 2) {
+               fields[2] <= 1) {
       OpSpec op;
       op.kind = static_cast<OpKind>(fields[0]);
       op.pre_delay = static_cast<DurationNs>(fields[1]) * kMillisecond;
@@ -174,10 +174,12 @@ Scenario ScenarioGenerator::FromSeed(std::uint64_t seed) {
     op.incremental = rng.NextBernoulli(0.4);
     op.copy_on_write = rng.NextBernoulli(0.4);
     // Copy-on-write requires the early-continue variant (the pod resumes
-    // before disk-done, so the blocking handshake does not apply).
-    op.variant = op.copy_on_write
+    // before disk-done, so the blocking handshake does not apply). The
+    // draw stays three-way, with the retired third variant folded into
+    // blocking, so every other seed keeps its exact schedule.
+    op.variant = op.copy_on_write || rng.NextBelow(3) == 1
                      ? coord::ProtocolVariant::kOptimized
-                     : static_cast<coord::ProtocolVariant>(rng.NextBelow(3));
+                     : coord::ProtocolVariant::kBlocking;
     op.compress = rng.NextBernoulli(0.3);
     op.placement_salt = static_cast<std::uint32_t>(rng.NextU64());
     s.ops.push_back(op);

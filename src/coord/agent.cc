@@ -14,8 +14,6 @@ constexpr DurationNs kFilterConfigCost = 10 * kMicrosecond;
 constexpr DurationNs kPerProcessStopCost = 20 * kMicrosecond;
 constexpr DurationNs kPerProcessResumeCost = 10 * kMicrosecond;
 constexpr std::uint64_t kSerializeBytesPerSec = 1 * kGiB;
-// Flush baseline: per-channel drain time before acking a marker.
-constexpr DurationNs kChannelDrainCost = 200 * kMicrosecond;
 }  // namespace
 
 CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods,
@@ -135,12 +133,6 @@ void CheckpointAgent::OnDatagram(net::Endpoint from,
       break;
     case MsgType::kPing:
       HandlePing(m, from);
-      break;
-    case MsgType::kFlushMarker:
-      HandleFlushMarker(m, from);
-      break;
-    case MsgType::kFlushAck:
-      HandleFlushAck(m);
       break;
     default:
       break;
@@ -304,7 +296,6 @@ void CheckpointAgent::SendDone() {
   CoordMessage done = Reply(MsgType::kDone);
   done.local_duration = op_.local_duration;
   done.downtime = op_.downtime;
-  done.extra_messages = op_.flush_messages;
   done.replicas = op_.replicas;
   done.restore_source = op_.restore_source;
   last_done_reply_ = done;
@@ -327,30 +318,6 @@ void CheckpointAgent::HandleCheckpoint(const CoordMessage& m,
   op_.pod = m.pod_id;
   op_.variant = m.variant;
   op_.coordinator = from;
-  op_.pending_request = m;
-  if (early_flush_op_ == m.op_id && early_flush_messages_ > 0) {
-    op_.flush_messages += early_flush_messages_;
-    early_flush_messages_ = 0;
-  }
-
-  if (m.variant == ProtocolVariant::kFlushBaseline && !m.peers.empty()) {
-    // Baseline: flush every channel with markers before checkpointing —
-    // the O(N²) step Cruz eliminates.
-    for (std::uint32_t peer : m.peers) {
-      if (net::Ipv4Address{peer} == node_.ip()) continue;
-      CoordMessage marker;
-      marker.type = MsgType::kFlushMarker;
-      marker.op_id = m.op_id;
-      marker.epoch = m.epoch;
-      marker.sender_index = node_.ip().value;
-      Send(net::Endpoint{net::Ipv4Address{peer}, kAgentPort}, marker);
-      ++op_.flush_messages;
-      op_.flush_acks_pending.insert(peer);
-    }
-    if (!op_.flush_acks_pending.empty()) {
-      return;  // StartLocalCheckpoint resumes once all acks are in
-    }
-  }
   StartLocalCheckpoint(m);
 }
 
@@ -376,9 +343,8 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
       return;
     }
   }
-  // Step 1: configure the packet filter (Cruz protocol; the flush baseline
-  // has already drained channels and does not need it, but stopping the
-  // pod still requires isolation, so both install it).
+  // Step 1: configure the packet filter; in-flight pod traffic is
+  // dropped, not drained (TCP retransmits it after the resume).
   InstallDropFilter(pod->ip);
 
   // Step 2: stop the pod's processes and snapshot its state. Kernel state
@@ -673,45 +639,6 @@ void CheckpointAgent::HandlePing(const CoordMessage& m, net::Endpoint from) {
   pong.epoch = m.epoch;
   pong.pod_id = m.pod_id;
   Send(from, pong);
-}
-
-// ---------------------------------------------------------------------------
-// Flush baseline (CoCheck/MPVM style)
-// ---------------------------------------------------------------------------
-
-void CheckpointAgent::HandleFlushMarker(const CoordMessage& m,
-                                        net::Endpoint from) {
-  // Model draining the channel from the marker's sender, then ack.
-  CoordMessage ack;
-  ack.type = MsgType::kFlushAck;
-  ack.op_id = m.op_id;
-  ack.epoch = m.epoch;
-  ack.sender_index = node_.ip().value;
-  node_.os().sim().Schedule(kChannelDrainCost, [this, from, ack] {
-    if (crashed_) return;
-    Send(from, ack);
-  });
-  if (op_active_ && m.op_id == op_.op_id) {
-    ++op_.flush_messages;
-  } else {
-    // Our own <checkpoint> request hasn't arrived yet; remember the
-    // marker so the op can claim it once it activates.
-    if (early_flush_op_ != m.op_id) {
-      early_flush_op_ = m.op_id;
-      early_flush_messages_ = 0;
-    }
-    ++early_flush_messages_;
-  }
-}
-
-void CheckpointAgent::HandleFlushAck(const CoordMessage& m) {
-  if (!op_active_ || m.op_id != op_.op_id) return;
-  op_.flush_acks_pending.erase(m.sender_index);
-  if (op_.flush_acks_pending.empty() && op_.pending_request.has_value()) {
-    CoordMessage request = *op_.pending_request;
-    op_.pending_request.reset();
-    StartLocalCheckpoint(request);
-  }
 }
 
 }  // namespace cruz::coord

@@ -11,8 +11,8 @@
 //
 // The agent also implements the Fig. 4 optimized variant (resume as soon
 // as the local save completes, once the coordinator confirms communication
-// is disabled everywhere) and the CoCheck/MPVM-style all-to-all flush
-// baseline used for the message-complexity comparison.
+// is disabled everywhere). It never talks to another agent: no channel is
+// flushed, which is what keeps an op at O(N) messages (§5.2).
 //
 // Local operation costs are modeled explicitly: per-process stop cost, the
 // network-stack lock hold while socket state is extracted, image
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "ckpt/engine.h"
 #include "ckpt/store/replica.h"
@@ -114,9 +113,6 @@ class CheckpointAgent {
     // and, for restarts, which tier actually served it (ckpt::Tier as u8).
     std::vector<ckpt::Replica> replicas;
     std::uint8_t restore_source = 255;
-    std::uint32_t flush_messages = 0;
-    std::set<std::uint32_t> flush_acks_pending;
-    std::optional<CoordMessage> pending_request;  // original request
     // Tracing: the local save/restore window, the pod-stopped window
     // (ends when the pod becomes locally resumable), and the continue
     // (resume) window.
@@ -140,8 +136,6 @@ class CheckpointAgent {
   void HandleContinue(const CoordMessage& m);
   void HandleAbort(const CoordMessage& m);
   void HandlePing(const CoordMessage& m, net::Endpoint from);
-  void HandleFlushMarker(const CoordMessage& m, net::Endpoint from);
-  void HandleFlushAck(const CoordMessage& m);
   void MaybeResume();
   void MaybeFinishOp();
   void InstallDropFilter(net::Ipv4Address pod_ip);
@@ -209,12 +203,6 @@ class CheckpointAgent {
   CoordMessage last_continue_done_reply_;
   net::Endpoint last_coordinator_;
   bool op_active_ = false;
-  // Flush-baseline markers that arrive before this agent's own
-  // <checkpoint> request (the coordinator serializes requests, so at
-  // large N a peer's marker can outrace ours). Held here and credited
-  // to the op when it activates, keeping the message count exact.
-  std::uint64_t early_flush_op_ = 0;
-  std::uint32_t early_flush_messages_ = 0;
   std::uint64_t checkpoints_served_ = 0;
   std::uint64_t restarts_served_ = 0;
   // Correlation sequence for send instants (CoordMessage::corr_seq).

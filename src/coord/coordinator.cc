@@ -148,14 +148,7 @@ void Coordinator::Begin(bool is_restart, std::vector<Member> members,
     roster[i].pod = members[i].pod;
     roster[i].image_path = image_paths[i];
   }
-  // The flush baseline stays flat — its all-to-all marker traffic is the
-  // point of that comparison.
-  const bool flush = options_.variant == ProtocolVariant::kFlushBaseline;
-  if (flush) {
-    for (const Member& m : members) request.peers.push_back(m.agent_ip.value);
-  }
-  driver_.Begin(std::move(request), std::move(roster),
-                flush ? 0 : options_.fan_out,
+  driver_.Begin(std::move(request), std::move(roster), options_.fan_out,
                 {options_.retransmit_interval, options_.max_retransmit_rounds});
   stats_.shard_count = driver_.shard_count();
   stats_.max_endpoint_fanout = driver_.max_fanout();

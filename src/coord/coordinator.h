@@ -9,8 +9,8 @@
 //   Step 4: wait for <continue-done> from all agents.
 //
 // This is the minimum message count needed for atomicity (two-phase
-// commit): O(N) messages, versus the O(N²) all-to-all flush of the
-// MPVM/CoCheck/LAM-MPI baselines (also implemented, for comparison).
+// commit): O(N) messages, versus the O(N²) all-to-all channel flush of
+// MPVM/CoCheck/LAM-MPI (§5.2; not implemented here).
 // With the Fig. 4 optimization the <continue> is sent as soon as every
 // agent reports communication disabled, letting each node resume right
 // after its own local save.
@@ -107,9 +107,7 @@ class Coordinator {
     // Hierarchical coordination (DESIGN.md §13): partition the members
     // into contiguous shards of at most fan_out agents, each driven by
     // the sub-coordinator on the shard's first node, so the root
-    // addresses ⌈N/fan_out⌉ endpoints instead of N. 0 = flat. Ignored
-    // by the flush baseline (its all-to-all marker traffic is the point
-    // of that comparison).
+    // addresses ⌈N/fan_out⌉ endpoints instead of N. 0 = flat.
     std::uint32_t fan_out = 0;
   };
 
@@ -130,7 +128,7 @@ class Coordinator {
     // full_latency − max_local − max_continue (Fig. 5b metric).
     DurationNs coordination_overhead = 0;
     std::uint32_t coordinator_messages = 0;  // sent by the coordinator
-    std::uint32_t total_messages = 0;  // + agent replies + flush traffic
+    std::uint32_t total_messages = 0;  // + agent replies + shard traffic
     // Failure-handling counters.
     std::uint32_t retransmits = 0;  // messages re-sent after loss
     std::uint32_t timeouts = 0;     // overall-timeout expirations (0/1)

@@ -1,5 +1,7 @@
 #include "coord/message.h"
 
+#include <string_view>
+
 #include "common/error.h"
 #include "fault/fault.h"
 #include "os/node.h"
@@ -16,8 +18,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kRestart: return "restart";
     case MsgType::kAbort: return "abort";
     case MsgType::kCommDisabled: return "comm-disabled";
-    case MsgType::kFlushMarker: return "flush-marker";
-    case MsgType::kFlushAck: return "flush-ack";
     case MsgType::kFailed: return "failed";
     case MsgType::kPing: return "ping";
     case MsgType::kPong: return "pong";
@@ -85,10 +85,13 @@ cruz::Bytes CoordMessage::Encode() const {
   w.PutU64(local_duration);
   w.PutU64(downtime);
   w.PutU32(extra_messages);
-  w.PutU32(sender_index);
+  // Two retired u32 fields stay on the wire as zeros: the NIC and the
+  // switch charge transmit time per byte, so a shorter datagram would
+  // shift every simulated timing. Shrinking it is a recalibration of its
+  // own, together with modelling contended transfers.
+  w.PutU32(0);
   w.PutU32(corr_seq);
-  w.PutU32(static_cast<std::uint32_t>(peers.size()));
-  for (std::uint32_t p : peers) w.PutU32(p);
+  w.PutU32(0);
   w.PutBool(tiered);
   w.PutU8(restore_source);
   PutReplicas(w, replicas);
@@ -108,16 +111,17 @@ cruz::Bytes CoordMessage::Encode() const {
 CoordMessage CoordMessage::Decode(cruz::ByteSpan wire) {
   cruz::ByteReader r(wire);
   CoordMessage m;
-  std::uint8_t type = r.GetU8();
-  if (type < 1 || type > static_cast<std::uint8_t>(MsgType::kPageResponse)) {
+  // Every u8 is a valid MsgType object; the ones without a name (0, the
+  // retired 8 and 9, past the last type) are not on the protocol.
+  m.type = static_cast<MsgType>(r.GetU8());
+  if (std::string_view(MsgTypeName(m.type)) == "unknown") {
     throw cruz::CodecError("invalid coordination message type");
   }
-  m.type = static_cast<MsgType>(type);
   m.op_id = r.GetU64();
   m.epoch = r.GetU64();
   m.pod_id = r.GetU32();
   std::uint8_t variant = r.GetU8();
-  if (variant > static_cast<std::uint8_t>(ProtocolVariant::kFlushBaseline)) {
+  if (variant > static_cast<std::uint8_t>(ProtocolVariant::kOptimized)) {
     throw cruz::CodecError("invalid protocol variant");
   }
   m.variant = static_cast<ProtocolVariant>(variant);
@@ -128,10 +132,9 @@ CoordMessage CoordMessage::Decode(cruz::ByteSpan wire) {
   m.local_duration = r.GetU64();
   m.downtime = r.GetU64();
   m.extra_messages = r.GetU32();
-  m.sender_index = r.GetU32();
+  r.GetU32();  // retired, written as zero
   m.corr_seq = r.GetU32();
-  std::uint32_t n = r.GetU32();
-  for (std::uint32_t i = 0; i < n; ++i) m.peers.push_back(r.GetU32());
+  r.GetU32();  // retired, written as zero
   m.tiered = r.GetBool();
   m.restore_source = r.GetU8();
   m.replicas = GetReplicas(r);

@@ -3,9 +3,7 @@
 // The Checkpoint Coordinator and per-node Checkpoint Agents exchange these
 // over UDP using node-level addresses (never pod addresses), so the
 // netfilter drop rule a checkpoint installs can never cut off control
-// traffic (paper footnote 4). The flush-marker messages implement the
-// CoCheck/MPVM-style all-to-all baseline used for the O(N) vs O(N²)
-// comparison.
+// traffic (paper footnote 4).
 #pragma once
 
 #include <cstdint>
@@ -41,8 +39,7 @@ enum class MsgType : std::uint8_t {
   kRestart = 5,       // coordinator -> agent: restore from image
   kAbort = 6,         // coordinator -> agent: cancel, resume as-is
   kCommDisabled = 7,  // agent -> coordinator: Fig. 4 early notification
-  kFlushMarker = 8,   // agent -> agent: flush-baseline channel marker
-  kFlushAck = 9,      // agent -> agent: marker acknowledged
+  // 8 and 9 are retired; Decode rejects them.
   // Failure-model extensions (the paper notes the protocol "can be
   // extended in a straightforward way to tolerate Coordinator and Agent
   // failures"):
@@ -79,7 +76,6 @@ enum class ProtocolVariant : std::uint8_t {
   kBlocking = 0,   // Fig. 2: all nodes resume after global completion
   kOptimized = 1,  // Fig. 4: resume as soon as local save completes,
                    // once communication is disabled everywhere
-  kFlushBaseline = 2,  // CoCheck/MPVM-style all-to-all flush before saving
 };
 
 // One agent in a sub-coordinator's shard. Downward (kShardCheckpoint /
@@ -128,17 +124,15 @@ struct CoordMessage {
   // were actually stopped. Under copy-on-write this covers only the
   // stop-the-world snapshot, not the background write-out.
   DurationNs downtime = 0;
-  // Extra agent-to-agent messages (flush baseline) for the message count.
+  // Messages exchanged below the sender (a sub-coordinator's shard
+  // traffic), for the op's message count.
   std::uint32_t extra_messages = 0;
-  std::uint32_t sender_index = 0;  // member index (flush marker routing)
   // Correlation sequence: monotonic per sending process, assigned at every
   // Send (a retransmission is a new send, a wire-level duplicate is not).
   // Together with the sender address it names one transmission, which is
   // how the causal analyzer joins send instants to receive instants even
   // under drop/dup/delay fault plans. 0 = unset (pre-correlation sender).
   std::uint32_t corr_seq = 0;
-  // Peer agent addresses (flush baseline: who to exchange markers with).
-  std::vector<std::uint32_t> peers;
   // Tiered mode, kDone after a checkpoint: where the agent's image landed
   // (local + partner replicas), recorded in the generation manifest.
   std::vector<ckpt::Replica> replicas;

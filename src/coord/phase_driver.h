@@ -89,8 +89,8 @@ class PhaseDriver {
     // fragments (the endpoint settles once the reply's member_total are
     // in).
     std::set<std::uint32_t> reported;
-    // Highest cumulative message count the endpoint reported (shard
-    // traffic, or flush markers at depth 1).
+    // Highest cumulative message count the endpoint reported (depth 2:
+    // its shard's traffic; always 0 at depth 1).
     std::uint32_t messages = 0;
   };
 
@@ -115,10 +115,10 @@ class PhaseDriver {
   // Sets up one exchange over `members` (distinct agent addresses): flat
   // when fan_out == 0, else over contiguous shards of ≤ fan_out members.
   // `request` is the agents' <checkpoint> or <restart>: op id, epoch,
-  // variant and flags, the flush baseline's peers, and the op timeout a
-  // shard roster carries so an orphaned sub self-cleans. Each endpoint
-  // gets it with its depth's type, its pod, and its image path or shard
-  // roster. Sends nothing; Start() does.
+  // variant and flags, and the op timeout a shard roster carries so an
+  // orphaned sub self-cleans. Each endpoint gets it with its depth's
+  // type, its pod, and its image path or shard roster. Sends nothing;
+  // Start() does.
   void Begin(CoordMessage request, std::vector<ShardMember> members,
              std::uint32_t fan_out, Retransmit retransmit);
   // Step 1: sends the request to every endpoint and arms retransmission.

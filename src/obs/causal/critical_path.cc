@@ -319,7 +319,7 @@ OpBreakdown CriticalPathAnalyzer::AnalyzeSpan(
             cur = local_chain(sender, cs->ts, /*resume_gate=*/true);
           }
         } else {
-          break;  // ping / flush traffic: not part of the walk
+          break;  // ping traffic: not part of the walk
         }
       }
     }

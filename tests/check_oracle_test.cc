@@ -51,7 +51,7 @@ const std::vector<MutationCase>& MutationCases() {
       // skipped (seed 16 of the generator, verbatim).
       {Mutation::kSkipDropFilter, "comm-silence",
        "cruzrepro1 seed=16 nodes=4 wl=1 units=250 op=0,11,1,1,1,1,1894681497 "
-       "op=1,52,2,0,0,0,1157989296 op=0,41,2,0,0,0,2546676988 "
+       "op=1,52,0,0,0,0,1157989296 op=0,41,0,0,0,0,2546676988 "
        "fault=2,1,151,8"},
       {Mutation::kCommitFailedGeneration, "gen-commit",
        "cruzrepro1 seed=2 nodes=2 wl=2 units=4000 op=0,10,0,0,0,0,0 "
@@ -117,21 +117,21 @@ TEST(OracleSelfTest, EachMutationTripsItsInvariant) {
   }
 }
 
-// Late image commits: in seed 2056 a delayed <checkpoint> reaches an
-// agent after its generation was discarded; in seed 6639 a delayed
-// <flush-ack> holds one member's save back until another member's
-// disk-write error has aborted the op, and that member's <abort> is
-// delayed past its write instant. The discard fence refuses the write;
-// with the fence off (the paired mutation) the image outlives its
+// Late image commits: in seeds 2056 and 7893 a delayed <checkpoint>
+// reaches an agent after its generation was discarded (in 7893 one
+// member's disk-write error aborts the op first, and the other member's
+// <abort> never overtakes its request). The discard fence refuses the
+// write; with the fence off (the paired mutation) the image outlives its
 // generation and no-partial-state catches it.
 TEST(OracleSelfTest, DiscardFenceRefusesLateImageCommits) {
   const std::vector<std::string> repros = {
       "cruzrepro1 seed=2056 nodes=2 wl=1 units=12 tiered=1 migrate=0 "
       "op=0,46,1,1,1,0,3320331193 fault=1,1,147,0 fault=0,0,73,0 "
       "fault=3,0,0,1 fault=2,0,113,13",
-      "cruzrepro1 seed=6639 nodes=6 wl=0 units=166912 fanout=2 migrate=2 "
-      "op=3,38,2,1,0,0,1100432595 op=0,56,2,0,0,0,507490155 "
-      "fault=2,1,290,27 fault=1,1,206,0 fault=3,1,0,1",
+      "cruzrepro1 seed=7893 nodes=2 wl=1 units=292 migrate=3 "
+      "op=3,61,1,0,1,0,2480400056 op=0,32,0,1,0,1,104857056 "
+      "op=0,54,0,0,0,0,921054591 fault=0,0,161,0 fault=3,1,0,1 "
+      "fault=2,1,96,7 fault=3,0,0,1",
   };
   for (const std::string& repro : repros) {
     SCOPED_TRACE(repro);
@@ -214,6 +214,13 @@ TEST(ScenarioCodec, RejectsMalformedRepros) {
                    .has_value());  // single-node clusters are invalid
   EXPECT_FALSE(
       Scenario::Decode("cruzrepro1 seed=1 nodes=2 wl=9 units=1").has_value());
+  // Op variant 2 names a retired protocol variant.
+  EXPECT_FALSE(Scenario::Decode(
+                   "cruzrepro1 seed=1 nodes=2 wl=0 units=1 op=0,10,2,0,0,0,0")
+                   .has_value());
+  EXPECT_TRUE(Scenario::Decode(
+                  "cruzrepro1 seed=1 nodes=2 wl=0 units=1 op=0,10,1,0,0,0,0")
+                  .has_value());
 }
 
 TEST(ScenarioCodec, GenerationIsDeterministic) {

@@ -1,7 +1,11 @@
 // Edge cases of the coordination API and protocol: coordinator busy
 // preconditions, restart with a missing image, checkpoint of an unknown
-// pod, and agents that receive protocol messages out of any operation.
+// pod, agents that receive protocol messages out of any operation, and
+// the control-message codec's accepted values.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "apps/programs.h"
 #include "common/error.h"
@@ -134,6 +138,62 @@ TEST(CoordEdge, ManyPodsOneCheckpointEach) {
                   i)]).size(),
               1u);
   }
+}
+
+// Every message type on the protocol survives the codec and has a name;
+// every other type byte (0, the retired 8 and 9, past the last) and the
+// retired third protocol variant fail to decode. The encoded length is
+// pinned: a shorter datagram would shift every simulated transmit time.
+TEST(CoordEdge, MessageCodecAcceptsExactlyTheProtocol) {
+  const std::vector<MsgType> kTypes = {
+      MsgType::kCheckpoint,        MsgType::kDone,
+      MsgType::kContinue,          MsgType::kContinueDone,
+      MsgType::kRestart,           MsgType::kAbort,
+      MsgType::kCommDisabled,      MsgType::kFailed,
+      MsgType::kPing,              MsgType::kPong,
+      MsgType::kShardCheckpoint,   MsgType::kShardRestart,
+      MsgType::kShardContinue,     MsgType::kShardAbort,
+      MsgType::kShardDone,         MsgType::kShardContinueDone,
+      MsgType::kShardCommDisabled, MsgType::kShardFailed,
+      MsgType::kShardPong,         MsgType::kPageRequest,
+      MsgType::kPageResponse,
+  };
+  for (MsgType type : kTypes) {
+    CoordMessage m;
+    m.type = type;
+    m.op_id = 42;
+    m.variant = ProtocolVariant::kOptimized;
+    m.corr_seq = 7;
+    CoordMessage back = CoordMessage::Decode(m.Encode());
+    EXPECT_EQ(back.type, type);
+    EXPECT_EQ(back.op_id, 42u);
+    EXPECT_EQ(back.variant, ProtocolVariant::kOptimized);
+    EXPECT_EQ(back.corr_seq, 7u);
+    EXPECT_STRNE(MsgTypeName(type), "unknown");
+  }
+
+  const cruz::Bytes wire = CoordMessage{}.Encode();
+  EXPECT_EQ(wire.size(), 83u);
+  for (unsigned byte = 0; byte <= 0xFF; ++byte) {
+    const bool known =
+        std::find(kTypes.begin(), kTypes.end(),
+                  static_cast<MsgType>(byte)) != kTypes.end();
+    cruz::Bytes typed = wire;
+    typed[0] = static_cast<std::uint8_t>(byte);
+    if (known) {
+      EXPECT_NO_THROW(CoordMessage::Decode(typed)) << byte;
+    } else {
+      EXPECT_THROW(CoordMessage::Decode(typed), cruz::CodecError) << byte;
+    }
+  }
+  // The variant byte follows type, op id, epoch and pod id.
+  constexpr std::size_t kVariantOffset = 1 + 8 + 8 + 4;
+  cruz::Bytes variant = wire;
+  variant[kVariantOffset] = 1;
+  EXPECT_EQ(CoordMessage::Decode(variant).variant,
+            ProtocolVariant::kOptimized);
+  variant[kVariantOffset] = 2;
+  EXPECT_THROW(CoordMessage::Decode(variant), cruz::CodecError);
 }
 
 }  // namespace

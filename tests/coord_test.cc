@@ -1,7 +1,7 @@
 // Tests for coordinated checkpoint-restart of distributed applications:
-// the Fig. 2 blocking protocol, the Fig. 4 optimized variant, the
-// CoCheck-style flush baseline (message complexity), coordinated restart
-// after total failure, and coordinator fault handling.
+// the Fig. 2 blocking protocol, the Fig. 4 optimized variant, the O(N)
+// message count, coordinated restart after total failure, and
+// coordinator fault handling.
 #include <gtest/gtest.h>
 
 #include "apps/programs.h"
@@ -153,7 +153,7 @@ TEST(Coordinated, OptimizedVariantResumesEarly) {
   EXPECT_EQ(job.ReceiverStatus(c).mismatches, 0u);
 }
 
-TEST(Coordinated, FlushBaselineUsesQuadraticMessages) {
+TEST(Coordinated, CheckpointUsesLinearMessages) {
   for (std::uint32_t n : {2u, 4u}) {
     ClusterConfig config;
     config.num_nodes = n;
@@ -168,21 +168,15 @@ TEST(Coordinated, FlushBaselineUsesQuadraticMessages) {
     }
     c.sim().RunFor(10 * kMillisecond);
 
-    Coordinator::Options cruz_opts;
-    cruz_opts.image_prefix = "/ckpt/cruz" + std::to_string(n);
-    Coordinator::OpStats cruz_stats = c.RunCheckpoint(members, cruz_opts);
-    ASSERT_TRUE(cruz_stats.success);
+    Coordinator::Options opts;
+    opts.image_prefix = "/ckpt/cruz" + std::to_string(n);
+    Coordinator::OpStats stats = c.RunCheckpoint(members, opts);
+    ASSERT_TRUE(stats.success);
 
-    Coordinator::Options flush_opts;
-    flush_opts.variant = ProtocolVariant::kFlushBaseline;
-    flush_opts.image_prefix = "/ckpt/flush" + std::to_string(n);
-    Coordinator::OpStats flush_stats = c.RunCheckpoint(members, flush_opts);
-    ASSERT_TRUE(flush_stats.success);
-
-    // Cruz: O(N) messages. Baseline adds N*(N-1) marker messages.
-    EXPECT_EQ(cruz_stats.coordinator_messages, 2 * n);
-    EXPECT_GE(flush_stats.total_messages,
-              cruz_stats.total_messages + n * (n - 1));
+    // O(N): <checkpoint> and <continue> out, <done> and <continue-done>
+    // back, and no agent-to-agent traffic.
+    EXPECT_EQ(stats.coordinator_messages, 2 * n);
+    EXPECT_EQ(stats.total_messages, 4 * n);
   }
 }
 
