@@ -232,6 +232,69 @@ TEST(NetStack, GratuitousArpUpdatesPeers) {
   EXPECT_EQ(p.a.stack().arp_requests_sent(), arps);
 }
 
+// Raw frames that fail the Ethernet parse reach the stack's input path
+// (the NIC only checks the destination MAC) and must be dropped there
+// without throwing and without touching ARP or socket state. Each
+// malformed frame carries a body that *would* change state if it were
+// parsed as ARP or IPv4.
+TEST(NetStack, MalformedFramesDropWithoutSideEffects) {
+  StackPair p;
+  SocketId sock = p.b.stack().CreateUdpSocket();
+  p.b.stack().UdpBind(sock, {p.b.ip(), 5000});
+  const net::MacAddress b_mac = p.b.stack().interfaces().front().mac;
+
+  // A gratuitous ARP for a made-up address (would fill b's ARP cache) and
+  // a UDP datagram for b's bound socket (would land in its queue).
+  const net::Ipv4Address ghost = net::Ipv4Address::Parse("10.0.0.60");
+  net::ArpPacket announce;
+  announce.sender_mac = net::MacAddress::FromId(0x60);
+  announce.sender_ip = ghost;
+  announce.target_ip = ghost;
+  auto frame = [&](net::EtherType type, cruz::Bytes payload) {
+    net::EthernetFrame f;
+    f.dst = b_mac;
+    f.src = net::MacAddress::FromId(0x60);
+    f.ether_type = type;
+    f.payload = std::move(payload);
+    return f.Encode();
+  };
+  cruz::Bytes arp_wire = frame(net::EtherType::kArp, announce.Encode());
+  cruz::Bytes udp_wire =
+      frame(net::EtherType::kIpv4,
+            p.MakeUdp(p.a.ip(), p.b.ip(), 6000, 5000).Encode());
+
+  std::vector<cruz::Bytes> malformed;
+  for (std::size_t len : {0, 1, 6, 12, 13}) {  // runts: < 14-byte header
+    malformed.emplace_back(arp_wire.begin(), arp_wire.begin() + len);
+    malformed.emplace_back(udp_wire.begin(), udp_wire.begin() + len);
+  }
+  for (std::uint16_t type : {0x0000, 0x86DD, 0x0801, 0x0805}) {
+    for (cruz::Bytes w : {arp_wire, udp_wire}) {  // unknown EtherType
+      w[12] = static_cast<std::uint8_t>(type >> 8);
+      w[13] = static_cast<std::uint8_t>(type);
+      malformed.push_back(std::move(w));
+    }
+  }
+  for (const cruz::Bytes& w : malformed) {
+    EXPECT_NO_THROW(p.b.stack().OnFrame(w)) << w.size() << " bytes";
+  }
+  p.sim.RunFor(10 * kMillisecond);
+
+  EXPECT_EQ(p.b.stack().ip_rx(), 0u);
+  EXPECT_TRUE(p.b.stack().FindUdp(sock)->rx.empty());
+  EXPECT_EQ(p.b.stack().arp_requests_sent(), 0u);
+  // The ghost address is still unresolved: sending to it must ARP.
+  SocketId sender = p.b.stack().CreateUdpSocket();
+  p.b.stack().UdpBind(sender, {p.b.ip(), 6000});
+  p.b.stack().UdpSendTo(sender, {ghost, 1}, cruz::Bytes{1});
+  EXPECT_EQ(p.b.stack().arp_requests_sent(), 1u);
+
+  // The well-formed originals still work (the checks above are not
+  // vacuous).
+  p.b.stack().OnFrame(udp_wire);
+  EXPECT_EQ(p.b.stack().FindUdp(sock)->rx.size(), 1u);
+}
+
 TEST(NetStack, UdpServiceProcessingSerializes) {
   StackPair p;
   p.b.stack().set_udp_service_processing_cost(100 * kMicrosecond);
