@@ -17,10 +17,18 @@
 // and agree with the coordinator's own full_latency within 1%, with the
 // shard-wait phase attributing the sub-coordinator aggregation time.
 //
+// Each scenario also reports its simulator event count
+// (work_sim_events_*: cluster setup, warm-up and the checkpoint), a
+// deterministic host-work counter gated exactly like the sim metrics.
+// A pod's gratuitous ARP floods every switch port, so this is where an
+// O(N²) packet path would show.
+//
 // Emits BENCH_coordinator_scale.json for the regression gate
-// (check_regression.py). CRUZ_BENCH_SMOKE=1 stops the sweep at N = 128;
-// the committed baseline is generated in smoke mode, so the nightly
-// N = 1000 points show up as NEW (informational) rather than gated.
+// (check_regression.py). CRUZ_BENCH_SMOKE=1 stops the sweep at N = 512,
+// so the "hierarchy beats flat at >= 512 nodes" check runs on every
+// push; the committed baseline is generated in smoke mode, so the
+// nightly N = 1000 points show up as NEW (informational) rather than
+// gated.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -52,6 +60,7 @@ struct ScaleResult {
   double cp_commit_wait_us = 0;
   double cp_freeze_wait_us = 0;
   double cp_save_ms = 0;
+  std::uint64_t sim_events = 0;  // events the whole scenario executed
 };
 
 // Failure artifacts (the nightly CI sweep uploads these): the raw trace
@@ -114,6 +123,7 @@ ScaleResult RunScale(std::uint32_t nodes, std::uint32_t fan_out) {
   result.shard_count = stats.shard_count;
   result.max_endpoint_fanout = stats.max_endpoint_fanout;
   result.latency_ms = ToMillis(stats.full_latency);
+  result.sim_events = cluster.sim().events_executed();
   if (!stats.success) {
     DumpFailureArtifacts(cluster, stats, nodes, fan_out, "op-failed");
     return result;
@@ -155,11 +165,8 @@ int main() {
 
   const bool smoke = BenchSmoke();
   constexpr std::uint32_t kFanOut = 32;
-  std::vector<std::uint32_t> sweep = {32, 128};
-  if (!smoke) {
-    sweep.push_back(512);
-    sweep.push_back(1000);
-  }
+  std::vector<std::uint32_t> sweep = {32, 128, 512};
+  if (!smoke) sweep.push_back(1000);
 
   std::printf("== Coordinator scale: flat vs hierarchical (fan-out %u)%s "
               "==\n\n",
@@ -252,6 +259,8 @@ int main() {
       gate.Metric("max_endpoint_fanout_" + tag, r.max_endpoint_fanout,
                   "dsts");
       gate.Metric("latency_" + tag, r.latency_ms, "ms");
+      gate.Metric("work_sim_events_" + tag,
+                  static_cast<double>(r.sim_events), "events");
       if (r.fan_out != 0) {
         gate.Metric("cp_shard_wait_" + tag, r.cp_shard_wait_us, "us");
         gate.Metric("cp_commit_wait_" + tag, r.cp_commit_wait_us, "us");

@@ -1,5 +1,8 @@
 #include "net/ethernet_switch.h"
 
+#include <memory>
+#include <utility>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "net/nic.h"
@@ -69,9 +72,7 @@ void EthernetSwitch::Ingress(std::size_t port, Bytes wire) {
     return;
   }
   // Random loss on the ingress link (models cable/NIC drops).
-  if (links_[port].loss_probability > 0.0 &&
-      rng_.NextBernoulli(links_[port].loss_probability)) {
-    ++dropped_frames_;
+  if (LostOnLink(port)) {
     RecycleFrameBuffer(std::move(wire));
     return;
   }
@@ -101,27 +102,30 @@ void EthernetSwitch::Ingress(std::size_t port, Bytes wire) {
     }
   }
   // Broadcast or unknown unicast: flood all ports except ingress.
-  ++flooded_frames_;
-  for (std::size_t p = 0; p < ports_.size(); ++p) {
-    if (p != port && ports_[p] != nullptr) {
-      Bytes copy = AcquireFrameBuffer();
-      copy.assign(wire.begin(), wire.end());
-      DeliverTo(p, std::move(copy));
-    }
-  }
-  RecycleFrameBuffer(std::move(wire));
+  Flood(port, std::move(wire));
 }
 
-void EthernetSwitch::DeliverTo(std::size_t port, Bytes frame) {
-  // Egress link loss.
+bool EthernetSwitch::LostOnLink(std::size_t port) {
   if (links_[port].loss_probability > 0.0 &&
       rng_.NextBernoulli(links_[port].loss_probability)) {
     ++dropped_frames_;
+    return true;
+  }
+  return false;
+}
+
+DurationNs EthernetSwitch::EgressDelay(std::size_t port,
+                                       std::size_t frame_bytes) const {
+  return forwarding_latency_ + links_[port].propagation_delay +
+         TransmitTimeNs(frame_bytes, links_[port].bits_per_second);
+}
+
+void EthernetSwitch::DeliverTo(std::size_t port, Bytes frame) {
+  if (LostOnLink(port)) {
     RecycleFrameBuffer(std::move(frame));
     return;
   }
-  DurationNs delay = forwarding_latency_ + links_[port].propagation_delay +
-                     TransmitTimeNs(frame.size(), links_[port].bits_per_second);
+  DurationNs delay = EgressDelay(port, frame.size());
   Nic* nic = ports_[port];
   sim_.Schedule(delay, [this, port, nic, frame = std::move(frame)]() mutable {
     // The port may have been reassigned while the frame was in flight
@@ -131,6 +135,47 @@ void EthernetSwitch::DeliverTo(std::size_t port, Bytes frame) {
     }
     RecycleFrameBuffer(std::move(frame));
   });
+}
+
+void EthernetSwitch::Flood(std::size_t ingress, Bytes wire) {
+  ++flooded_frames_;
+  // One delivery event per distinct egress delay, all reading the one
+  // ingress buffer: a flood to N ports costs one frame and (on a uniform
+  // link) one event instead of N copies and N events. Loss is still drawn
+  // per port in port order, so the RNG stream is unchanged. Per-port
+  // events for one instant would have carried consecutive sequence
+  // numbers, so nothing could run between them; whatever a delivery
+  // schedules fires after the batch either way (DESIGN.md §12).
+  struct Batch {
+    DurationNs delay;
+    std::vector<std::pair<std::size_t, Nic*>> ports;  // port order
+  };
+  std::vector<Batch> batches;  // distinct delays are few: linear lookup
+  for (std::size_t p = 0; p < ports_.size(); ++p) {
+    if (p == ingress || ports_[p] == nullptr || LostOnLink(p)) continue;
+    DurationNs delay = EgressDelay(p, wire.size());
+    Batch* batch = nullptr;
+    for (Batch& b : batches) {
+      if (b.delay == delay) batch = &b;
+    }
+    if (batch == nullptr) batch = &batches.emplace_back(Batch{delay, {}});
+    batch->ports.emplace_back(p, ports_[p]);
+  }
+  if (batches.empty()) {
+    RecycleFrameBuffer(std::move(wire));
+    return;
+  }
+  auto frame = std::make_shared<Bytes>(std::move(wire));  // read-only
+  for (Batch& b : batches) {
+    sim_.Schedule(b.delay, [this, frame, ports = std::move(b.ports)]() {
+      for (auto [port, nic] : ports) {
+        // Same in-flight reassignment check as DeliverTo.
+        if (ports_[port] == nic) nic->DeliverFromWire(*frame);
+      }
+      // The last batch to fire returns the buffer to the pool.
+      if (frame.use_count() == 1) RecycleFrameBuffer(std::move(*frame));
+    });
+  }
 }
 
 Bytes EthernetSwitch::AcquireFrameBuffer() {

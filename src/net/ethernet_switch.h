@@ -67,9 +67,17 @@ class EthernetSwitch {
   std::uint64_t dropped_frames() const { return dropped_frames_; }
 
  private:
+  // Draws the link's random loss for one frame (counting a drop).
+  bool LostOnLink(std::size_t port);
+  // Forwarding + propagation + serialization onto the egress link.
+  DurationNs EgressDelay(std::size_t port, std::size_t frame_bytes) const;
   // Takes ownership of the frame; unicast forwards move the ingress
   // buffer straight through without a copy.
   void DeliverTo(std::size_t port, Bytes frame);
+  // Broadcast / unknown unicast: every attached port but the ingress one,
+  // batched into one event per distinct egress delay over one shared
+  // frame.
+  void Flood(std::size_t ingress, Bytes wire);
 
   sim::Simulator& sim_;
   LinkParams default_link_;

@@ -31,29 +31,45 @@ void EthernetFrame::EncodeHeader(ByteWriter& w, MacAddress dst,
   w.PutU16(static_cast<std::uint16_t>(ether_type));
 }
 
-EthernetFrame Decode_(ByteReader& r) {
+namespace {
+
+std::optional<EtherType> KnownEtherType(std::uint16_t et) {
+  if (et != static_cast<std::uint16_t>(EtherType::kIpv4) &&
+      et != static_cast<std::uint16_t>(EtherType::kArp)) {
+    return std::nullopt;
+  }
+  return static_cast<EtherType>(et);
+}
+
+}  // namespace
+
+EthernetFrame EthernetFrame::Decode(ByteSpan wire) {
+  ByteReader r(wire);
   EthernetFrame f;
   ByteSpan dst = r.GetSpan(6);
   std::copy(dst.begin(), dst.end(), f.dst.octets.begin());
   ByteSpan src = r.GetSpan(6);
   std::copy(src.begin(), src.end(), f.src.octets.begin());
   std::uint16_t et = r.GetU16();
-  if (et != static_cast<std::uint16_t>(EtherType::kIpv4) &&
-      et != static_cast<std::uint16_t>(EtherType::kArp)) {
-    throw CodecError("unknown EtherType " + std::to_string(et));
-  }
-  f.ether_type = static_cast<EtherType>(et);
+  std::optional<EtherType> type = KnownEtherType(et);
+  if (!type) throw CodecError("unknown EtherType " + std::to_string(et));
+  f.ether_type = *type;
   f.payload = r.GetBytes(r.remaining());
   return f;
 }
 
-EthernetFrame EthernetFrame::Decode(ByteSpan wire) {
-  ByteReader r(wire);
-  return Decode_(r);
+std::optional<EtherType> EthernetFrame::PeekEtherType(ByteSpan wire) {
+  if (wire.size() < kEthernetHeaderSize) return std::nullopt;
+  return KnownEtherType(static_cast<std::uint16_t>(wire[12] << 8 | wire[13]));
 }
 
 Bytes ArpPacket::Encode() const {
-  ByteWriter w(28);
+  ByteWriter w(kArpPacketSize);
+  EncodeInto(w);
+  return w.Take();
+}
+
+void ArpPacket::EncodeInto(ByteWriter& w) const {
   w.PutU16(1);       // hardware type: Ethernet
   w.PutU16(0x0800);  // protocol type: IPv4
   w.PutU8(6);        // hardware size
@@ -63,7 +79,6 @@ Bytes ArpPacket::Encode() const {
   w.PutU32(sender_ip.value);
   w.PutBytes(target_mac.octets.data(), 6);
   w.PutU32(target_ip.value);
-  return w.Take();
 }
 
 ArpPacket ArpPacket::Decode(ByteSpan wire) {

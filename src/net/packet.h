@@ -28,6 +28,7 @@ enum class IpProto : std::uint8_t {
 };
 
 constexpr std::size_t kEthernetHeaderSize = 14;
+constexpr std::size_t kArpPacketSize = 28;  // Ethernet/IPv4 ARP body
 constexpr std::size_t kIpv4HeaderSize = 20;
 constexpr std::size_t kUdpHeaderSize = 8;
 // Ethernet payload MTU; the simulated e1000 uses the standard 1500.
@@ -49,6 +50,12 @@ struct EthernetFrame {
                            EtherType ether_type);
 
   std::size_t WireSize() const { return kEthernetHeaderSize + payload.size(); }
+
+  // The EtherType of a raw frame, read in place so receivers can hand the
+  // L3 decoder `wire.subspan(kEthernetHeaderSize)` without copying the
+  // payload. nullopt for a runt (shorter than the header) or an EtherType
+  // this stack does not speak; Decode() throws for the same frames.
+  static std::optional<EtherType> PeekEtherType(ByteSpan wire);
 };
 
 enum class ArpOp : std::uint16_t {
@@ -64,6 +71,9 @@ struct ArpPacket {
   Ipv4Address target_ip;
 
   Bytes Encode() const;
+  // Appends the kArpPacketSize-byte body to `w`; Encode() is this on a
+  // fresh buffer.
+  void EncodeInto(ByteWriter& w) const;
   static ArpPacket Decode(ByteSpan wire);
 
   // A gratuitous ARP announces (ip, mac) to update caches after migration.

@@ -97,12 +97,7 @@ void NetworkStack::AnnounceAddress(net::Ipv4Address ip, net::MacAddress mac) {
   arp.sender_ip = ip;
   arp.target_mac = net::MacAddress{};
   arp.target_ip = ip;
-  net::EthernetFrame frame;
-  frame.dst = net::MacAddress::Broadcast();
-  frame.src = mac;
-  frame.ether_type = net::EtherType::kArp;
-  frame.payload = arp.Encode();
-  if (nic_ != nullptr) nic_->Transmit(frame.Encode());
+  TransmitArp(arp, net::MacAddress::Broadcast());
 }
 
 // ---------------------------------------------------------------------------
@@ -226,12 +221,20 @@ void NetworkStack::SendArpRequest(net::Ipv4Address target,
   arp.sender_mac = out_if.mac;
   arp.sender_ip = out_if.ip;
   arp.target_ip = target;
-  net::EthernetFrame frame;
-  frame.dst = net::MacAddress::Broadcast();
-  frame.src = out_if.mac;
-  frame.ether_type = net::EtherType::kArp;
-  frame.payload = arp.Encode();
-  if (nic_ != nullptr) nic_->Transmit(frame.Encode());
+  TransmitArp(arp, net::MacAddress::Broadcast());
+}
+
+void NetworkStack::TransmitArp(const net::ArpPacket& arp,
+                               net::MacAddress dst_mac) {
+  if (nic_ == nullptr) return;
+  // Header and body in one pooled buffer, as TransmitIpv4 does. The frame
+  // source is the MAC the packet speaks for.
+  ByteWriter w(nic_->AcquireFrameBuffer(),
+               net::kEthernetHeaderSize + net::kArpPacketSize);
+  net::EthernetFrame::EncodeHeader(w, dst_mac, arp.sender_mac,
+                                   net::EtherType::kArp);
+  arp.EncodeInto(w);
+  nic_->Transmit(w.Take());
 }
 
 void NetworkStack::TransmitIpv4(const net::Ipv4Packet& pkt,
@@ -253,22 +256,22 @@ void NetworkStack::TransmitIpv4(const net::Ipv4Packet& pkt,
 // ---------------------------------------------------------------------------
 
 void NetworkStack::OnFrame(cruz::ByteSpan wire) {
-  net::EthernetFrame frame;
-  try {
-    frame = net::EthernetFrame::Decode(wire);
-  } catch (const cruz::CodecError&) {
-    return;  // malformed frame: dropped, as hardware would
-  }
-  if (frame.ether_type == net::EtherType::kArp) {
+  // The EtherType is read in place and the L3 decoder parses a view of
+  // the payload: a broadcast reaches every stack on the switch, and none
+  // of them copies the frame body to look at it.
+  std::optional<net::EtherType> type = net::EthernetFrame::PeekEtherType(wire);
+  if (!type) return;  // runt or unknown EtherType: dropped, as hardware would
+  cruz::ByteSpan payload = wire.subspan(net::kEthernetHeaderSize);
+  if (*type == net::EtherType::kArp) {
     try {
-      HandleArp(net::ArpPacket::Decode(frame.payload));
+      HandleArp(net::ArpPacket::Decode(payload));
     } catch (const cruz::CodecError&) {
     }
     return;
   }
   net::Ipv4Packet pkt;
   try {
-    pkt = net::Ipv4Packet::Decode(frame.payload);
+    pkt = net::Ipv4Packet::Decode(payload);
   } catch (const cruz::CodecError&) {
     return;
   }
@@ -326,12 +329,7 @@ void NetworkStack::HandleArp(const net::ArpPacket& arp) {
       reply.sender_ip = owned->ip;
       reply.target_mac = arp.sender_mac;
       reply.target_ip = arp.sender_ip;
-      net::EthernetFrame frame;
-      frame.dst = arp.sender_mac;
-      frame.src = owned->mac;
-      frame.ether_type = net::EtherType::kArp;
-      frame.payload = reply.Encode();
-      if (nic_ != nullptr) nic_->Transmit(frame.Encode());
+      TransmitArp(reply, arp.sender_mac);
     }
   }
 }

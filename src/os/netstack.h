@@ -205,6 +205,8 @@ class NetworkStack {
                     net::MacAddress dst_mac);
   void ResolveAndSend(net::Ipv4Packet pkt, const Interface& out_if);
   void SendArpRequest(net::Ipv4Address target, const Interface& out_if);
+  // Frames `arp` (from arp.sender_mac to `dst_mac`) and transmits it.
+  void TransmitArp(const net::ArpPacket& arp, net::MacAddress dst_mac);
   const Interface* RouteSourceInterface(net::Ipv4Address src) const;
 
   // Wires a connection's callbacks to a socket object.
