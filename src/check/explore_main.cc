@@ -12,7 +12,7 @@
 //                                         differs from FILE's
 //
 // A baseline is a saved --verdicts sweep (tests/goldens/
-// explorer_sweep_seeds_0_63.txt is one). Exit status is 0 iff every run
+// explorer_sweep_seeds_0_199.txt is one). Exit status is 0 iff every run
 // passed the oracle; with --baseline, 0 iff no run's line changed.
 #include <cstdint>
 #include <cstdio>

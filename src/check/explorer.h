@@ -67,7 +67,7 @@ struct RunResult {
   std::string summary;  // one line: scenario + outcome
   // One line a sweep baseline stores and compares ("seed=N ok|FAIL",
   // each violated invariant, then the repro string), the format of
-  // tests/goldens/explorer_sweep_seeds_0_63.txt.
+  // tests/goldens/explorer_sweep_seeds_0_199.txt.
   std::string verdict;
   // Filled only on failure: the run's trace export (JSONL, feeds
   // cruz_analyze) and the flight-recorder artifact for the violation

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -339,7 +340,18 @@ TEST(ExplorerTest, GoldenSweepVerdictsAndReprosSeeds0To63) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     out += explorer.RunSeed(seed).verdict + "\n";
   }
-  cruz::testing::ExpectMatchesGolden("explorer_sweep_seeds_0_63.txt", out);
+  // The committed sweep covers seeds 0..199 (the cruz_explore_baseline
+  // ctest checks all of it through the CLI); this pins its first 64 lines
+  // in-process.
+  std::ifstream golden(
+      cruz::testing::GoldenPath("explorer_sweep_seeds_0_199.txt"));
+  ASSERT_TRUE(golden.good());
+  std::string expected;
+  std::string line;
+  for (int i = 0; i < 64 && std::getline(golden, line); ++i) {
+    expected += line + "\n";
+  }
+  EXPECT_EQ(out, expected);
 }
 
 }  // namespace

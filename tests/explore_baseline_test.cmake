@@ -1,12 +1,12 @@
-# cruz_explore --baseline against the committed 0..63 golden sweep: the
+# cruz_explore --baseline against the committed 0..199 golden sweep: the
 # whole range matches it, and a baseline with one verdict flipped makes
 # the tool name exactly that seed and exit nonzero.
 #
 #   cmake -DEXPLORE=<cruz_explore> -DGOLDEN=<sweep file> -DWORK_DIR=<dir> \
 #         -P explore_baseline_test.cmake
-execute_process(COMMAND ${EXPLORE} --seeds 0..64 --baseline ${GOLDEN}
+execute_process(COMMAND ${EXPLORE} --seeds 0..200 --baseline ${GOLDEN}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
-if(NOT rc EQUAL 0 OR NOT out STREQUAL "explored 64 scenario(s): 0 changed\n")
+if(NOT rc EQUAL 0 OR NOT out STREQUAL "explored 200 scenario(s): 0 changed\n")
   message(FATAL_ERROR "golden sweep differs (exit ${rc}):\n${out}")
 endif()
 
