@@ -18,16 +18,10 @@ constexpr std::uint64_t kSerializeBytesPerSec = 1 * kGiB;
 
 CheckpointAgent::CheckpointAgent(os::Node& node, pod::PodManager& pods,
                                  ckpt::TieredStore& store)
-    : node_(node), pods_(pods), store_(store) {
-  node_.stack().RegisterUdpService(
-      kAgentPort, [this](net::Endpoint from, const cruz::Bytes& payload) {
-        OnDatagram(from, payload);
-      });
-}
-
-CheckpointAgent::~CheckpointAgent() {
-  node_.stack().UnregisterUdpService(kAgentPort);
-}
+    : Participant(node, PhaseDriver::kAgents, "agent",
+                  /*sent_metric=*/nullptr, /*resend_continue_done=*/true),
+      pods_(pods),
+      store_(store) {}
 
 void CheckpointAgent::EndOpSpans(const char* outcome) {
   obs::Tracer& tracer = node_.os().sim().tracer();
@@ -42,8 +36,8 @@ void CheckpointAgent::EndOpSpans(const char* outcome) {
 }
 
 void CheckpointAgent::Crash() {
-  if (crashed_) return;
-  crashed_ = true;
+  if (crashed()) return;
+  port_.set_deaf(true);
   EndOpSpans("agent-crash");
   node_.os().sim().tracer().Instant(
       "agent", "agent.crash", obs::TraceAttrs{}.Agent(node_.name()));
@@ -51,8 +45,8 @@ void CheckpointAgent::Crash() {
 }
 
 void CheckpointAgent::Reset() {
-  crashed_ = false;
-  if (op_active_) {
+  port_.set_deaf(false);
+  if (active_) {
     // Recover the wreckage of the interrupted op: the pod may be stopped
     // behind a drop filter, and a checkpoint may have left a partial
     // image that will never be committed.
@@ -62,81 +56,34 @@ void CheckpointAgent::Reset() {
     if (!op_.image_path.empty()) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
     }
-    op_active_ = false;
   }
   op_ = ActiveOp{};
   // Volatile agent state does not survive a process restart.
-  max_epoch_seen_ = 0;
+  Forget();
   last_image_.clear();
-  last_completed_op_ = 0;
-  last_aborted_op_ = 0;
-  last_completed_was_checkpoint_ = false;
-  last_completed_pod_ = os::kNoPod;
-  last_completed_image_path_.clear();
   CRUZ_INFO("agent") << node_.name() << ": agent process restarted";
 }
 
-void CheckpointAgent::Send(net::Endpoint to, CoordMessage m) {
-  // Correlate before the fault layer decides the message's fate: a
-  // dropped transmission must still leave a send instant (that is what
-  // makes the loss visible as an unmatched causal edge), and a wire-level
-  // duplicate shares the corr id (two recvs joining one send).
-  m.corr_seq = ++next_corr_seq_;
-  node_.os().sim().tracer().Instant(
-      "agent", "agent.msg.send",
-      obs::TraceAttrs{}
-          .Op(m.op_id)
-          .Agent(node_.name())
-          .Arg("type", MsgTypeName(m.type))
-          .Arg("corr", CorrId(m, node_.ip().ToString()))
-          .Arg("dst", to.ip.ToString()));
-  TransmitControl(node_, fault_, kAgentPort, to, m);
+bool CheckpointAgent::Accept(const CoordMessage& m) {
+  // After the receive instant: even a message that crashes the agent was
+  // delivered, and the flight recorder wants that edge on record.
+  if (port_.fault() != nullptr &&
+      port_.fault()->CrashAgentOnMessage(node_.name(),
+                                         static_cast<std::uint8_t>(m.type))) {
+    Crash();
+    return false;
+  }
+  return true;
 }
 
-void CheckpointAgent::OnDatagram(net::Endpoint from,
-                                 const cruz::Bytes& payload) {
-  if (crashed_) return;  // a dead agent process hears nothing
-  // Receive instant first — even a message that crashes the agent below
-  // was delivered, and the flight recorder wants that edge on record.
-  CoordMessage m;
-  if (!ReceiveControl(node_, "agent", from, payload, m)) return;
-  if (fault_ != nullptr &&
-      fault_->CrashAgentOnMessage(node_.name(),
-                                  static_cast<std::uint8_t>(m.type))) {
-    Crash();
+void CheckpointAgent::Serve(const CoordMessage& m) {
+  if (m.type == MsgType::kRestart) {
+    StartRestart(m);
     return;
   }
-  // Epoch fencing: requests below the observed high-water mark come from
-  // a dead coordinator incarnation or a long-delayed duplicate; acting on
-  // them could roll the pod back under a newer op. Drop silently.
-  if (PhaseDriver::kAgents.IsRequest(m.type)) {
-    if (m.epoch < max_epoch_seen_) {
-      CRUZ_WARN("agent") << node_.name() << ": fenced stale "
-                         << static_cast<int>(m.type) << " (epoch "
-                         << m.epoch << " < " << max_epoch_seen_ << ")";
-      return;
-    }
-    max_epoch_seen_ = m.epoch;
-  }
-  switch (m.type) {
-    case MsgType::kCheckpoint:
-      HandleCheckpoint(m, from);
-      break;
-    case MsgType::kRestart:
-      HandleRestart(m, from);
-      break;
-    case MsgType::kContinue:
-      HandleContinue(m);
-      break;
-    case MsgType::kAbort:
-      HandleAbort(m);
-      break;
-    case MsgType::kPing:
-      HandlePing(m, from);
-      break;
-    default:
-      break;
-  }
+  op_ = ActiveOp{};
+  op_.pod = m.pod_id;
+  StartLocalCheckpoint(m);
 }
 
 void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
@@ -148,7 +95,7 @@ void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
   }
   node_.os().sim().tracer().Instant(
       "agent", "agent.filter.install",
-      obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
+      obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(op_.pod));
 }
 
 void CheckpointAgent::RemoveDropFilter() {
@@ -157,25 +104,20 @@ void CheckpointAgent::RemoveDropFilter() {
     op_.filter_id = 0;
     node_.os().sim().tracer().Instant(
         "agent", "agent.filter.remove",
-        obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
+        obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(op_.pod));
   }
 }
 
-void CheckpointAgent::FailLocalOp(net::Endpoint coordinator,
-                                  const CoordMessage& m, const char* why) {
-  CRUZ_WARN("agent") << node_.name() << ": op " << m.op_id
+void CheckpointAgent::FailLocalOp(const char* why) {
+  active_ = false;
+  CRUZ_WARN("agent") << node_.name() << ": op " << op_id()
                      << " failed locally: " << why;
   node_.os().sim().tracer().Instant(
       "agent", "agent.failed",
-      obs::TraceAttrs{}.Op(m.op_id).Agent(node_.name()).Pod(m.pod_id).Arg(
-          "why", why));
+      obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(
+          request_.pod_id).Arg("why", why));
   node_.os().sim().metrics().counter("agent.local_failures_total").Add();
-  CoordMessage failed;
-  failed.type = MsgType::kFailed;
-  failed.op_id = m.op_id;
-  failed.epoch = m.epoch;
-  failed.pod_id = m.pod_id;
-  Send(coordinator, failed);
+  Send(coordinator_, Reply(MsgType::kFailed));
 }
 
 void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
@@ -188,41 +130,11 @@ void CheckpointAgent::DiscardCheckpointImage(os::PodId pod,
   last_image_.erase(pod);
 }
 
-CoordMessage CheckpointAgent::Reply(MsgType type) const {
-  CoordMessage m;
-  m.type = type;
-  m.op_id = op_.op_id;
-  m.epoch = op_.epoch;
-  m.pod_id = op_.pod;
-  return m;
-}
-
-bool CheckpointAgent::AnswerRepeat(const CoordMessage& m,
-                                   net::Endpoint from) {
-  if (op_active_) {
-    // Duplicate of the in-flight request (coordinator retransmission):
-    // re-send any reply the coordinator may have missed.
-    if (m.op_id == op_.op_id && op_.done_sent) {
-      Send(op_.coordinator, last_done_reply_);
-    }
-    return true;  // one coordinated operation at a time
-  }
-  if (m.op_id == last_completed_op_) {
-    // Fully served already; the coordinator lost our replies.
-    Send(from, last_done_reply_);
-    Send(from, last_continue_done_reply_);
-    return true;
-  }
-  // The op's <abort> overtook this delayed request; serving it now
-  // would freeze the pod for an op nobody is coordinating.
-  return m.op_id == last_aborted_op_;
-}
-
 void CheckpointAgent::AnnounceCommDisabled() {
-  Send(op_.coordinator, Reply(MsgType::kCommDisabled));
+  Send(coordinator_, Reply(MsgType::kCommDisabled));
   node_.os().sim().tracer().Instant(
       "agent", "agent.comm_disabled",
-      obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
+      obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(op_.pod));
 }
 
 const char* CheckpointAgent::StoreImage(const std::string& path,
@@ -253,17 +165,14 @@ void CheckpointAgent::FailSave(const char* why) {
     ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
     RemoveDropFilter();
   }
-  CoordMessage request = Reply(MsgType::kFailed);
-  net::Endpoint coordinator = op_.coordinator;
-  op_active_ = false;
-  FailLocalOp(coordinator, request, why);
+  FailLocalOp(why);
 }
 
 void CheckpointAgent::BeginSaveSpans(const char* mode,
                                      const ckpt::CaptureStats& stats,
                                      const std::optional<cruz::Bytes>& image) {
   obs::TraceAttrs save;
-  save.Op(op_.op_id)
+  save.Op(op_id())
       .Phase("save")
       .Agent(node_.name())
       .Pod(op_.pod)
@@ -276,7 +185,7 @@ void CheckpointAgent::BeginSaveSpans(const char* mode,
   op_.downtime_span = tracer.BeginSpan(
       "agent", "agent.downtime",
       obs::TraceAttrs{}
-          .Op(op_.op_id)
+          .Op(op_id())
           .Phase("downtime")
           .Agent(node_.name())
           .Pod(op_.pod));
@@ -290,45 +199,28 @@ void CheckpointAgent::EndDowntime() {
       .Record(op_.downtime / kMicrosecond);
 }
 
-void CheckpointAgent::SendDone() {
+void CheckpointAgent::ReportDone() {
   op_.resume_ready = true;
-  op_.done_sent = true;
   CoordMessage done = Reply(MsgType::kDone);
   done.local_duration = op_.local_duration;
   done.downtime = op_.downtime;
   done.replicas = op_.replicas;
   done.restore_source = op_.restore_source;
-  last_done_reply_ = done;
-  Send(op_.coordinator, done);
+  SendDone(done);
   MaybeResume();
-  MaybeFinishOp();
+  Complete();
 }
 
 // ---------------------------------------------------------------------------
 // Checkpoint
 // ---------------------------------------------------------------------------
 
-void CheckpointAgent::HandleCheckpoint(const CoordMessage& m,
-                                       net::Endpoint from) {
-  if (AnswerRepeat(m, from)) return;
-  op_ = ActiveOp{};
-  op_active_ = true;
-  op_.op_id = m.op_id;
-  op_.epoch = m.epoch;
-  op_.pod = m.pod_id;
-  op_.variant = m.variant;
-  op_.coordinator = from;
-  StartLocalCheckpoint(m);
-}
-
 void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
   pod::Pod* pod = pods_.Find(m.pod_id);
   if (pod == nullptr) {
     CRUZ_WARN("agent") << node_.name() << ": checkpoint for unknown pod "
                        << m.pod_id;
-    net::Endpoint coordinator = op_.coordinator;
-    op_active_ = false;
-    FailLocalOp(coordinator, m, "unknown pod");
+    FailLocalOp("unknown pod");
     return;
   }
   // A pod mid post-copy migration still has demand-paged (missing)
@@ -337,9 +229,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
   for (os::Pid pid : node_.os().PodProcesses(m.pod_id)) {
     os::Process* proc = node_.os().FindProcess(pid);
     if (proc != nullptr && proc->memory().HasMissingPages()) {
-      net::Endpoint coordinator = op_.coordinator;
-      op_active_ = false;
-      FailLocalOp(coordinator, m, "pod is demand-paging (migration)");
+      FailLocalOp("pod is demand-paging (migration)");
       return;
     }
   }
@@ -390,7 +280,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
   // The mode's other decision: when the pod may resume. Copy-on-write:
   // as soon as the snapshot exists; its writes from here on hit COW
   // faults instead of the frozen pages. Stop-the-world: at <done>.
-  std::uint64_t op_id = op_.op_id;
+  const std::uint64_t op_id = this->op_id();
   if (cow) {
     node_.os().sim().Schedule(capture_cost, [this, op_id] {
       if (Stale(op_id)) return;
@@ -402,7 +292,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
   // Fig. 4 optimization: announce communication-disabled immediately so
   // the coordinator can grant early resume permission (with copy-on-write
   // it overlaps the background save).
-  if (op_.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
+  if (m.variant == ProtocolVariant::kOptimized) AnnounceCommDisabled();
 
   // Write instant, at the end of the serialize window: the file appears
   // in storage now but counts as partial until <done> commits it; an
@@ -415,10 +305,11 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
         if (Stale(op_id)) return;
         cruz::Bytes bytes = image ? std::move(*image) : serialize();
         const std::uint64_t image_bytes = bytes.size();
-        if (fault_ != nullptr) {
+        if (port_.fault() != nullptr) {
           // Silent media corruption: the write "succeeds" but the stored
           // bytes differ. Only the CRC check on restore/verify catches it.
-          fault_->MaybeCorruptImage(node_.name(), op_.image_path, bytes);
+          port_.fault()->MaybeCorruptImage(node_.name(), op_.image_path,
+                                           bytes);
         }
         DurationNs disk = 0;
         if (const char* why =
@@ -432,8 +323,8 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
         // Step 3, the done instant: the disk write completes.
         node_.os().sim().Schedule(disk, [this, op_id, cow, generation] {
           if (Stale(op_id)) return;
-          if (fault_ != nullptr &&
-              fault_->FailImageWrite(node_.name(), op_.image_path)) {
+          if (port_.fault() != nullptr &&
+              port_.fault()->FailImageWrite(node_.name(), op_.image_path)) {
             // Disk write error: GC the partial image, invalidate the
             // incremental baseline, resume the pod if still stopped, and
             // fail the op. The previous generation stays latest.
@@ -451,7 +342,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
           }
           node_.os().sim().metrics().histogram("agent.save_us")
               .Record(op_.local_duration / kMicrosecond);
-          SendDone();
+          ReportDone();
         });
       });
 }
@@ -460,9 +351,7 @@ void CheckpointAgent::StartLocalCheckpoint(const CoordMessage& m) {
 // Restart
 // ---------------------------------------------------------------------------
 
-void CheckpointAgent::HandleRestart(const CoordMessage& m,
-                                    net::Endpoint from) {
-  if (AnswerRepeat(m, from)) return;
+void CheckpointAgent::StartRestart(const CoordMessage& m) {
   // Read through the store's resolver (a tiered image: local → partner →
   // netfs, with rebuild-on-restart), so every link of an incremental
   // chain finds the best intact copy independently.
@@ -478,18 +367,12 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
     // Missing or corrupt (CRC-failing) image on every tier: report
     // instead of going silent so the coordinator can abort and fall back.
     CRUZ_WARN("agent") << node_.name() << ": restart failed: " << e.what();
-    FailLocalOp(from, m, "image unreadable");
+    FailLocalOp("image unreadable");
     return;
   }
 
   op_ = ActiveOp{};
-  op_active_ = true;
-  op_.op_id = m.op_id;
-  op_.epoch = m.epoch;
   op_.pod = ck.pod_id;
-  op_.variant = m.variant;
-  op_.is_restart = true;
-  op_.coordinator = from;
 
   // Communication is disabled as the FIRST step of restart, before any
   // state is restored: restored TCP state must not transmit until all
@@ -503,7 +386,7 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
   ++restarts_served_;
 
   obs::TraceAttrs restore_attrs;
-  restore_attrs.Op(op_.op_id)
+  restore_attrs.Op(op_id())
       .Phase("restore")
       .Agent(node_.name())
       .Pod(op_.pod)
@@ -525,7 +408,7 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
     op_.save_span = obs::kInvalidSpanId;
     node_.os().sim().metrics().histogram("agent.restore_us")
         .Record(op_.local_duration / kMicrosecond);
-    SendDone();
+    ReportDone();
   });
 }
 
@@ -533,16 +416,7 @@ void CheckpointAgent::HandleRestart(const CoordMessage& m,
 // Continue / abort / resume / liveness
 // ---------------------------------------------------------------------------
 
-void CheckpointAgent::HandleContinue(const CoordMessage& m) {
-  if (!op_active_) {
-    // The op already completed but our <continue-done> was lost; the
-    // coordinator is retransmitting <continue>. Re-send the reply.
-    if (m.op_id == last_completed_op_) {
-      Send(last_coordinator_, last_continue_done_reply_);
-    }
-    return;
-  }
-  if (m.op_id != op_.op_id) return;
+void CheckpointAgent::Continue(net::Endpoint) {
   op_.continue_received = true;
   MaybeResume();
 }
@@ -553,7 +427,7 @@ void CheckpointAgent::MaybeResume() {
   // soon as communication is disabled everywhere; the agent additionally
   // waits until it is locally safe to resume — after the save (Fig. 4),
   // or already after the in-memory capture with copy-on-write.
-  if (!op_active_ || op_.resumed) return;
+  if (!active_ || op_.resumed) return;
   if (!op_.continue_received || !op_.resume_ready) return;
   op_.resumed = true;
 
@@ -561,12 +435,12 @@ void CheckpointAgent::MaybeResume() {
   op_.continue_span = tracer.BeginSpan(
       "agent", "agent.continue",
       obs::TraceAttrs{}
-          .Op(op_.op_id)
+          .Op(op_id())
           .Phase("continue")
           .Agent(node_.name())
           .Pod(op_.pod));
   tracer.Instant("agent", "agent.resume",
-                 obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(
+                 obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(
                      op_.pod));
   ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
   RemoveDropFilter();
@@ -574,71 +448,39 @@ void CheckpointAgent::MaybeResume() {
       kFilterConfigCost +
       pods_.node().os().PodProcesses(op_.pod).size() * kPerProcessResumeCost;
 
-  std::uint64_t op_id = op_.op_id;
+  const std::uint64_t op_id = this->op_id();
   node_.os().sim().Schedule(resume_cost, [this, op_id, resume_cost] {
     if (Stale(op_id)) return;
-    op_.continue_done_sent = true;
     node_.os().sim().tracer().EndSpan(op_.continue_span);
     op_.continue_span = obs::kInvalidSpanId;
     CoordMessage done = Reply(MsgType::kContinueDone);
     done.local_duration = resume_cost;
-    last_continue_done_reply_ = done;
-    last_coordinator_ = op_.coordinator;
-    Send(op_.coordinator, done);
-    MaybeFinishOp();
+    SendContinueDone(done);
+    Complete();
   });
 }
 
-void CheckpointAgent::MaybeFinishOp() {
-  // The operation is over once both replies are out; with copy-on-write
-  // the <continue-done> can precede the <done>.
-  if (op_active_ && op_.done_sent && op_.continue_done_sent) {
-    last_completed_op_ = op_.op_id;
-    last_completed_was_checkpoint_ = !op_.is_restart;
-    last_completed_pod_ = op_.pod;
-    last_completed_image_path_ = op_.image_path;
-    op_active_ = false;
+void CheckpointAgent::Cancel(bool) {
+  // Resume the pod as if nothing happened, and delete the partially
+  // written image: an aborted checkpoint must leave no trace in storage.
+  EndOpSpans("aborted");
+  node_.os().sim().tracer().Instant(
+      "agent", "agent.abort",
+      obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(op_.pod));
+  ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+  RemoveDropFilter();
+  if (!op_.image_path.empty()) {
+    DiscardCheckpointImage(op_.pod, op_.image_path);
   }
+  active_ = false;
 }
 
-void CheckpointAgent::HandleAbort(const CoordMessage& m) {
-  // Fence any copy of this op's request that is still in flight (delayed
-  // original or coordinator retransmit): once aborted, never serve it.
-  last_aborted_op_ = m.op_id;
-  if (op_active_ && m.op_id == op_.op_id) {
-    // Cancel: resume the pod as if nothing happened, and delete the
-    // partially-written image — an aborted checkpoint must leave no
-    // trace in the shared FS.
-    EndOpSpans("aborted");
-    node_.os().sim().tracer().Instant(
-        "agent", "agent.abort",
-        obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Pod(op_.pod));
-    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
-    RemoveDropFilter();
-    if (!op_.image_path.empty()) {
-      DiscardCheckpointImage(op_.pod, op_.image_path);
-    }
-    op_active_ = false;
-    return;
-  }
-  if (!op_active_ && m.op_id == last_completed_op_ &&
-      last_completed_was_checkpoint_) {
-    // This agent finished its local part, but the op aborted globally
-    // (another member failed): its committed-looking image is garbage.
-    DiscardCheckpointImage(last_completed_pod_, last_completed_image_path_);
-    last_completed_image_path_.clear();
-  }
-}
-
-void CheckpointAgent::HandlePing(const CoordMessage& m, net::Endpoint from) {
-  // Liveness probe: answer regardless of op state — the probe asks "is
-  // the agent process alive", not "is the op done".
-  CoordMessage pong;
-  pong.type = MsgType::kPong;
-  pong.op_id = m.op_id;
-  pong.epoch = m.epoch;
-  pong.pod_id = m.pod_id;
-  Send(from, pong);
+void CheckpointAgent::AbortCompleted() {
+  // This agent finished its local part, but the op aborted globally
+  // (another member failed): its committed-looking image is garbage.
+  if (op_.image_path.empty()) return;
+  DiscardCheckpointImage(op_.pod, op_.image_path);
+  op_.image_path.clear();
 }
 
 }  // namespace cruz::coord

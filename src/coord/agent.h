@@ -20,13 +20,14 @@
 // time. The agent reports its local duration in <done>, which is how the
 // coordinator separates local work from coordination overhead (§6).
 //
-// Failure model: the agent fences stale coordinators by epoch, reports
-// local failures (<failed>) instead of going silent, answers liveness
-// probes (<ping>/<pong>), deletes its partial image when an op aborts,
-// and can be crashed/reset by the fault-injection framework — Crash()
-// models the agent process dying (it stops responding until Reset(),
-// which performs the recovery a restarted agent would: resume the pod,
-// drop the filter, discard the partial image).
+// Failure model: the agent keeps the receiver rules every participant
+// keeps (coord/participant.h: epoch and abort fencing, supersede, the
+// reply cache, <ping>/<pong>), reports local failures (<failed>) instead
+// of going silent, deletes its partial image when an op aborts, and can
+// be crashed/reset by the fault-injection framework — Crash() models the
+// agent process dying (it stops responding until Reset(), which performs
+// the recovery a restarted agent would: resume the pod, drop the filter,
+// discard the partial image).
 #pragma once
 
 #include <cstdint>
@@ -36,6 +37,7 @@
 #include "ckpt/engine.h"
 #include "ckpt/store/replica.h"
 #include "coord/message.h"
+#include "coord/participant.h"
 #include "fault/fault.h"
 #include "obs/trace.h"
 #include "os/node.h"
@@ -47,23 +49,16 @@ class TieredStore;
 
 namespace cruz::coord {
 
-class CheckpointAgent {
+class CheckpointAgent : public Participant {
  public:
   // Every image this agent saves or restores goes through `store`.
   CheckpointAgent(os::Node& node, pod::PodManager& pods,
                   ckpt::TieredStore& store);
-  ~CheckpointAgent();
-
-  CheckpointAgent(const CheckpointAgent&) = delete;
-  CheckpointAgent& operator=(const CheckpointAgent&) = delete;
 
   os::Node& node() { return node_; }
 
   std::uint64_t checkpoints_served() const { return checkpoints_served_; }
   std::uint64_t restarts_served() const { return restarts_served_; }
-
-  // Deterministic fault injection (tests/benches); nullptr disables.
-  void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
 
   // Sabotage hook for oracle self-tests: report the drop filter as
   // installed (the trace instant still fires) without actually adding it
@@ -76,7 +71,6 @@ class CheckpointAgent {
   // filter stays installed — exactly the wreckage a real agent crash
   // leaves behind).
   void Crash();
-  bool crashed() const { return crashed_; }
 
   // Recovery performed by a restarted agent process: resume a stopped
   // pod, remove the leftover drop filter, delete the partial image of an
@@ -86,12 +80,7 @@ class CheckpointAgent {
 
  private:
   struct ActiveOp {
-    std::uint64_t op_id = 0;
-    std::uint64_t epoch = 0;
     os::PodId pod = os::kNoPod;
-    ProtocolVariant variant = ProtocolVariant::kBlocking;
-    bool is_restart = false;
-    net::Endpoint coordinator;
     std::uint64_t filter_id = 0;
     DurationNs local_duration = 0;
     // How long the pod's processes are stopped: the whole save for a
@@ -102,12 +91,10 @@ class CheckpointAgent {
     bool resume_ready = false;
     bool continue_received = false;
     bool resumed = false;
-    bool done_sent = false;
-    bool continue_done_sent = false;
     // The image this checkpoint op writes; set once the pod is
     // snapshotted, whether or not the file is in storage yet (an abort
-    // from then on must discard it and the incremental baseline). Empty
-    // for restarts.
+    // from then on must discard it and the incremental baseline, and so
+    // must an abort of the op once completed). Empty for restarts.
     std::string image_path;
     // Where this op's image landed (tiered policy; reported in <done>)
     // and, for restarts, which tier actually served it (ckpt::Tier as u8).
@@ -124,29 +111,21 @@ class CheckpointAgent {
   // True once `op_id` is no longer this agent's live op (a scheduled
   // step of it must do nothing).
   bool Stale(std::uint64_t op_id) const {
-    return crashed_ || !op_active_ || op_.op_id != op_id;
+    return crashed() || !active_ || this->op_id() != op_id;
   }
-  void OnDatagram(net::Endpoint from, const cruz::Bytes& payload);
-  void HandleCheckpoint(const CoordMessage& m, net::Endpoint from);
+  bool Accept(const CoordMessage& m) override;
+  void Serve(const CoordMessage& m) override;
+  void Continue(net::Endpoint from) override;
+  void Cancel(bool superseded) override;
+  void AbortCompleted() override;
   // The local save, one pipeline for both capture modes: snapshot, then
   // serialize, store and <done>. The mode decides only when the pod may
   // resume and when the image is serialized.
   void StartLocalCheckpoint(const CoordMessage& m);
-  void HandleRestart(const CoordMessage& m, net::Endpoint from);
-  void HandleContinue(const CoordMessage& m);
-  void HandleAbort(const CoordMessage& m);
-  void HandlePing(const CoordMessage& m, net::Endpoint from);
+  void StartRestart(const CoordMessage& m);
   void MaybeResume();
-  void MaybeFinishOp();
   void InstallDropFilter(net::Ipv4Address pod_ip);
   void RemoveDropFilter();
-  void Send(net::Endpoint to, CoordMessage m);
-  // A reply about the active op: type, op id, epoch and pod.
-  CoordMessage Reply(MsgType type) const;
-  // Handles a <checkpoint>/<restart> this agent must not start: while
-  // busy, an op it already served (re-sending the replies the coordinator
-  // missed), or an op whose <abort> overtook it. True if handled.
-  bool AnswerRepeat(const CoordMessage& m, net::Endpoint from);
   // Fig. 4: tells the coordinator communication is disabled here.
   void AnnounceCommDisabled();
   // Commits the active op's image with the request's storage policy.
@@ -166,49 +145,24 @@ class CheckpointAgent {
   void EndDowntime();
   // The local part is complete (the pod may resume once allowed): <done>,
   // then resume / finish if due.
-  void SendDone();
+  void ReportDone();
   // Closes any spans the active op still holds open (abort/crash paths).
   void EndOpSpans(const char* outcome);
-  // Local failure: clean up, report <failed> so the coordinator aborts
-  // fast instead of waiting out its timeout.
-  void FailLocalOp(net::Endpoint coordinator, const CoordMessage& m,
-                   const char* why);
+  // Local failure: the op ends, and <failed> tells the coordinator to
+  // abort fast instead of waiting out its timeout.
+  void FailLocalOp(const char* why);
   // Deletes the partial image of an aborted checkpoint and invalidates
   // the incremental baseline (the next capture must be full).
   void DiscardCheckpointImage(os::PodId pod, const std::string& path);
 
-  os::Node& node_;
   pod::PodManager& pods_;
-  fault::Injector* fault_ = nullptr;
   ckpt::TieredStore& store_;
   bool test_skip_filter_ = false;
-  bool crashed_ = false;
   ActiveOp op_;
-  // Fencing: highest epoch observed from any coordinator; lower-epoch
-  // requests are stale (dead coordinator, delayed duplicate) and ignored.
-  std::uint64_t max_epoch_seen_ = 0;
   // Incremental chains: last image written per pod (path, generation).
   std::map<os::PodId, std::pair<std::string, std::uint32_t>> last_image_;
-  // Message-loss tolerance: replies for the most recently completed op,
-  // re-sent when the coordinator retransmits a request we already served.
-  std::uint64_t last_completed_op_ = 0;
-  // Abort fencing: a delayed <checkpoint>/<restart> can arrive after its
-  // op's <abort> already did; serving it would freeze the pod for a dead
-  // coordinator op and leak an orphan image.
-  std::uint64_t last_aborted_op_ = 0;
-  bool last_completed_was_checkpoint_ = false;
-  os::PodId last_completed_pod_ = os::kNoPod;
-  std::string last_completed_image_path_;
-  CoordMessage last_done_reply_;
-  CoordMessage last_continue_done_reply_;
-  net::Endpoint last_coordinator_;
-  bool op_active_ = false;
   std::uint64_t checkpoints_served_ = 0;
   std::uint64_t restarts_served_ = 0;
-  // Correlation sequence for send instants (CoordMessage::corr_seq).
-  // Deliberately not cleared by Reset(): trace identity must stay unique
-  // across simulated agent-process restarts within one run.
-  std::uint32_t next_corr_seq_ = 0;
 };
 
 }  // namespace cruz::coord

@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "ckpt/store/tiered_store.h"
 #include "common/error.h"
 #include "common/log.h"
 #include "obs/trace.h"
@@ -14,7 +13,10 @@ Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
                          std::string journal_path)
     : node_(node),
       journal_(node.os().fs(), std::move(journal_path)),
-      store_(store),
+      port_(node, "coord", kCoordinatorPort, "coord.messages_sent",
+            [this](net::Endpoint from, const CoordMessage& m) {
+              OnMessage(from, m);
+            }),
       driver_(node, store,
               PhaseDriver::Hooks{
                   .send =
@@ -23,8 +25,8 @@ Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
                         // A shard roster can exceed the Ethernet MTU (the
                         // stack does not IP-fragment): split it across
                         // datagrams; the sub starts once it holds them all.
-                        for (CoordMessage& frag : FragmentRoster(m)) {
-                          SendControl(dst, port, std::move(frag));
+                        for (const CoordMessage& frag : FragmentRoster(m)) {
+                          SendControl(dst, port, frag);
                         }
                       },
                   .on_comm_disabled = [this] { BroadcastContinue(); },
@@ -41,11 +43,6 @@ Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
                       },
                   .on_retry_cap = [this] { AbortOp("retry cap"); },
               }) {
-  node_.stack().RegisterUdpService(
-      kCoordinatorPort,
-      [this](net::Endpoint from, const cruz::Bytes& payload) {
-        OnDatagram(from, payload);
-      });
   RecoverFromJournal();
 }
 
@@ -59,7 +56,6 @@ Coordinator::~Coordinator() {
   if (heartbeat_event_ != sim::kInvalidEventId) {
     node_.os().sim().Cancel(heartbeat_event_);
   }
-  node_.stack().UnregisterUdpService(kCoordinatorPort);
 }
 
 void Coordinator::RecoverFromJournal() {
@@ -81,12 +77,13 @@ void Coordinator::RecoverFromJournal() {
   CRUZ_WARN("coord") << "journal recovery: aborting in-flight "
                      << (intent.is_restart ? "restart" : "checkpoint")
                      << " op epoch " << intent.epoch;
-  recovery_.images_removed = AbortJournaledOp(
-      journal_, intent, store_,
-      [this](net::Ipv4Address dst, std::uint16_t port,
-             const CoordMessage& abort) {
-        TransmitControl(node_, fault_, kCoordinatorPort, {dst, port}, abort);
-      });
+  CoordMessage request;
+  request.type = intent.is_restart ? MsgType::kRestart : MsgType::kCheckpoint;
+  request.op_id = request.epoch = intent.epoch;
+  driver_.Begin(request, intent.members, intent.fan_out, {});
+  recovery_.images_removed = driver_.Abort();
+  journal_.AppendOutcome(JournalRecord::Type::kAbort, intent.epoch,
+                         intent.is_restart);
 }
 
 void Coordinator::Checkpoint(std::vector<Member> members, Options options,
@@ -196,24 +193,10 @@ void Coordinator::Begin(bool is_restart, std::vector<Member> members,
 }
 
 void Coordinator::SendControl(net::Ipv4Address dst, std::uint16_t port,
-                              CoordMessage m) {
+                              const CoordMessage& m) {
   ++stats_.coordinator_messages;
   ++stats_.total_messages;
-  // Every transmission gets a fresh correlation sequence (a retransmit is
-  // a new transmission; a wire-level duplicate injected below it is not),
-  // so each send instant names exactly one intended delivery.
-  m.corr_seq = ++next_corr_seq_;
-  node_.os().sim().tracer().Instant(
-      "coord", "coord.msg.send",
-      obs::TraceAttrs{}
-          .Op(stats_.op_id)
-          .Agent(node_.name())
-          .Pod(m.pod_id)
-          .Arg("type", MsgTypeName(m.type))
-          .Arg("corr", CorrId(m, node_.ip().ToString()))
-          .Arg("dst", dst.ToString()));
-  node_.os().sim().metrics().counter("coord.messages_sent").Add();
-  TransmitControl(node_, fault_, kCoordinatorPort, {dst, port}, m);
+  port_.Send({dst, port}, m, m.pod_id);
 }
 
 void Coordinator::OnAllDone() {
@@ -249,13 +232,10 @@ void Coordinator::AbortOp(const std::string& reason) {
   Finish(false);
 }
 
-void Coordinator::OnDatagram(net::Endpoint from,
-                             const cruz::Bytes& payload) {
-  CoordMessage m;
-  if (!ReceiveControl(node_, "coord", from, payload, m)) return;
+void Coordinator::OnMessage(net::Endpoint from, const CoordMessage& m) {
   if (!op_active_ || m.op_id != stats_.op_id) return;
   ++stats_.total_messages;
-  if (m.type == MsgType::kPong || m.type == MsgType::kShardPong) {
+  if (m.type == driver_.wire().pong) {
     missed_heartbeats_[from.ip.value] = 0;
     return;
   }
@@ -291,7 +271,7 @@ void Coordinator::HeartbeatTick() {
     ping.op_id = stats_.op_id;
     ping.epoch = stats_.epoch;
     ping.pod_id = ep.pod;
-    SendControl(ep.ip, driver_.wire().port, std::move(ping));
+    SendControl(ep.ip, driver_.wire().port, ping);
   }
   ScheduleHeartbeat();
 }

@@ -51,7 +51,6 @@
 #include "coord/journal.h"
 #include "coord/message.h"
 #include "coord/phase_driver.h"
-#include "fault/fault.h"
 #include "obs/trace.h"
 #include "os/node.h"
 #include "sim/event_queue.h"
@@ -186,7 +185,9 @@ class Coordinator {
   const RecoveryReport& recovery() const { return recovery_; }
 
   // Deterministic fault injection (tests/benches); nullptr disables.
-  void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
+  void set_fault_injector(fault::Injector* injector) {
+    port_.set_fault_injector(injector);
+  }
 
   // Sabotage hook for oracle self-tests: broadcast <continue> twice from
   // the protocol layer (above the fault-injection hooks, so the extra
@@ -201,11 +202,10 @@ class Coordinator {
   void Begin(bool is_restart, std::vector<Member> members,
              std::vector<std::string> image_paths, Options options,
              DoneFn done);
-  void OnDatagram(net::Endpoint from, const cruz::Bytes& payload);
-  // Sends one message of the current op to dst:port, recording its send
-  // instant and counting it.
+  void OnMessage(net::Endpoint from, const CoordMessage& m);
+  // Sends one message to dst:port, counting it in the op's stats.
   void SendControl(net::Ipv4Address dst, std::uint16_t port,
-                   CoordMessage m);
+                   const CoordMessage& m);
   void OnAllDone();
   void BroadcastContinue();
   void AbortOp(const std::string& reason);
@@ -213,21 +213,17 @@ class Coordinator {
   void ScheduleHeartbeat();
   void HeartbeatTick();
   // Journal replay at construction: fence + clean up a predecessor's
-  // in-flight op.
+  // in-flight op (the driver's Begin over the intent, then Abort).
   void RecoverFromJournal();
 
   os::Node& node_;
   IntentJournal journal_;
-  ckpt::TieredStore& store_;
-  fault::Injector* fault_ = nullptr;
   bool test_duplicate_continue_ = false;
   // Monotonic fencing epoch, persisted through the journal. Each op gets
   // epoch_ + 1; op ids equal epochs so they are also globally unique.
   std::uint64_t epoch_ = 0;
   RecoveryReport recovery_;
-  // Correlation sequence for send instants: monotonic per incarnation,
-  // never reused within a trace (see CoordMessage::corr_seq).
-  std::uint32_t next_corr_seq_ = 0;
+  ControlPort port_;
 
   bool op_active_ = false;
   Options options_;

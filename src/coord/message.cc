@@ -189,54 +189,87 @@ std::vector<CoordMessage> FragmentRoster(const CoordMessage& full) {
   return out;
 }
 
-void TransmitControl(os::Node& node, fault::Injector* fault,
-                     std::uint16_t src_port, net::Endpoint to,
-                     const CoordMessage& m) {
+ControlPort::ControlPort(os::Node& node, std::string category,
+                         std::uint16_t port, const char* sent_metric,
+                         Handler handler)
+    : node_(node),
+      category_(std::move(category)),
+      port_(port),
+      sent_metric_(sent_metric),
+      handler_(std::move(handler)) {
+  node_.stack().RegisterUdpService(
+      port_, [this](net::Endpoint from, const cruz::Bytes& payload) {
+        OnDatagram(from, payload);
+      });
+}
+
+ControlPort::~ControlPort() { node_.stack().UnregisterUdpService(port_); }
+
+void ControlPort::Send(net::Endpoint to, CoordMessage m,
+                       os::PodId trace_pod) {
+  m.corr_seq = ++next_corr_seq_;
+  node_.os().sim().tracer().Instant(
+      category_, category_ + ".msg.send",
+      obs::TraceAttrs{}
+          .Op(m.op_id)
+          .Agent(node_.name())
+          .Pod(trace_pod)
+          .Arg("type", MsgTypeName(m.type))
+          .Arg("corr", CorrId(m, node_.ip().ToString()))
+          .Arg("dst", to.ip.ToString()));
+  if (sent_metric_ != nullptr) {
+    node_.os().sim().metrics().counter(sent_metric_).Add();
+  }
+
   fault::MessageFate fate;
-  if (fault != nullptr) {
-    fate = fault->OnControlSend(node.name(), to.ip.value,
-                                static_cast<std::uint8_t>(m.type));
+  if (fault_ != nullptr) {
+    fate = fault_->OnControlSend(node_.name(), to.ip.value,
+                                 static_cast<std::uint8_t>(m.type));
   }
   if (fate.drop) return;  // lost on the wire; retransmission recovers
 
   net::UdpDatagram dgram;
-  dgram.src_port = src_port;
+  dgram.src_port = port_;
   dgram.dst_port = to.port;
   dgram.payload = m.Encode();
   net::Ipv4Packet pkt;
-  pkt.src = node.ip();
+  pkt.src = node_.ip();
   pkt.dst = to.ip;
   pkt.proto = net::IpProto::kUdp;
   pkt.payload = dgram.Encode();
   int copies = fate.duplicate ? 2 : 1;
   for (int i = 0; i < copies; ++i) {
     if (fate.delay > 0) {
-      // Capture the stack, not the sender: the delayed copy must still go
+      // Capture the stack, not the port: the delayed copy must still go
       // out (or at least not crash) if the sending process dies first.
-      os::NetworkStack* stack = &node.stack();
-      node.os().sim().Schedule(fate.delay,
-                               [stack, pkt] { stack->SendIpv4(pkt); });
+      os::NetworkStack* stack = &node_.stack();
+      node_.os().sim().Schedule(fate.delay,
+                                [stack, pkt] { stack->SendIpv4(pkt); });
     } else {
-      node.stack().SendIpv4(pkt);
+      node_.stack().SendIpv4(pkt);
     }
   }
 }
 
-bool ReceiveControl(os::Node& node, const std::string& category,
-                    net::Endpoint from, const cruz::Bytes& payload,
-                    CoordMessage& out) {
+void ControlPort::OnDatagram(net::Endpoint from,
+                             const cruz::Bytes& payload) {
+  if (deaf_) return;  // a dead process hears nothing
+  CoordMessage m;
   try {
-    out = CoordMessage::Decode(payload);
+    m = CoordMessage::Decode(payload);
   } catch (const cruz::CodecError&) {
-    return false;
+    return;
   }
+  // Recorded before the owner looks at op liveness: a reply for a
+  // finished op is still a real delivery, and the causal analyzer needs
+  // its endpoint.
   obs::TraceAttrs attrs;
-  attrs.Op(out.op_id).Agent(node.name()).Arg("type", MsgTypeName(out.type));
-  if (out.corr_seq != 0) attrs.Arg("corr", CorrId(out, from.ip.ToString()));
+  attrs.Op(m.op_id).Agent(node_.name()).Arg("type", MsgTypeName(m.type));
+  if (m.corr_seq != 0) attrs.Arg("corr", CorrId(m, from.ip.ToString()));
   attrs.Arg("src", from.ip.ToString());
-  node.os().sim().tracer().Instant(category, category + ".msg.recv",
-                                   std::move(attrs));
-  return true;
+  node_.os().sim().tracer().Instant(category_, category_ + ".msg.recv",
+                                    std::move(attrs));
+  handler_(from, m);
 }
 
 }  // namespace cruz::coord

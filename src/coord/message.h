@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -169,23 +170,55 @@ std::string CorrId(const CoordMessage& m, const std::string& sender);
 // <shard-done> report.
 std::vector<CoordMessage> FragmentRoster(const CoordMessage& full);
 
-// Sends `m` to `to` as one UDP datagram from `node`'s own address and
-// `src_port` — never a pod address, so the drop filter a checkpoint
-// installs cannot cut the control channel (paper footnote 4). `fault`
-// (nullptr = none) first decides the message's fate: lost, duplicated
-// and/or delayed. Every coordination packet is built here; each caller
-// records its own send instant before calling.
-void TransmitControl(os::Node& node, fault::Injector* fault,
-                     std::uint16_t src_port, net::Endpoint to,
-                     const CoordMessage& m);
+// One process's end of the control channel: its UDP service on `port`,
+// its correlation sequence, its `<category>.msg.send` / `.msg.recv`
+// instants and the fault plan's fate for each transmission. Every
+// coordination datagram is sent and received through a port, from the
+// node's own address — never a pod address, so the drop filter a
+// checkpoint installs cannot cut the control channel (paper footnote 4).
+class ControlPort {
+ public:
+  using Handler = std::function<void(net::Endpoint from, const CoordMessage&)>;
 
-// Decodes a coordination datagram into `out` and records its
-// `<category>.msg.recv` instant, carrying the corr id the sender stamped.
-// Callers check op liveness only afterwards: a reply for a finished op is
-// still a real delivery, and the causal analyzer needs its endpoint.
-// Returns false (and records nothing) for an undecodable payload.
-bool ReceiveControl(os::Node& node, const std::string& category,
-                    net::Endpoint from, const cruz::Bytes& payload,
-                    CoordMessage& out);
+  // `handler` gets every decodable datagram after its recv instant, which
+  // carries the sender's corr id (an undecodable payload is dropped
+  // unrecorded). `sent_metric` (nullptr = none) counts every send.
+  ControlPort(os::Node& node, std::string category, std::uint16_t port,
+              const char* sent_metric, Handler handler);
+  ~ControlPort();
+
+  ControlPort(const ControlPort&) = delete;
+  ControlPort& operator=(const ControlPort&) = delete;
+
+  // Deterministic fault injection (tests/benches); nullptr disables.
+  void set_fault_injector(fault::Injector* injector) { fault_ = injector; }
+  fault::Injector* fault() const { return fault_; }
+  // A deaf port drops every datagram unheard (a crashed process).
+  void set_deaf(bool deaf) { deaf_ = deaf; }
+  bool deaf() const { return deaf_; }
+  const std::string& category() const { return category_; }
+
+  // Sends `m` as one UDP datagram. It is stamped with a fresh correlation
+  // sequence and its send instant (Pod attribute: `trace_pod`) recorded
+  // before the fault plan decides its fate, so a dropped transmission
+  // still leaves a send instant and a wire duplicate shares its corr id.
+  void Send(net::Endpoint to, CoordMessage m,
+            os::PodId trace_pod = os::kNoPod);
+
+ private:
+  void OnDatagram(net::Endpoint from, const cruz::Bytes& payload);
+
+  os::Node& node_;
+  std::string category_;
+  std::uint16_t port_;
+  const char* sent_metric_;
+  Handler handler_;
+  fault::Injector* fault_ = nullptr;
+  bool deaf_ = false;
+  // Monotonic per port: a retransmission is a new send, a wire-level
+  // duplicate is not. An agent's or sub's port outlives its simulated
+  // process restarts (Crash/Reset), so its trace identity stays unique.
+  std::uint32_t next_corr_seq_ = 0;
+};
 
 }  // namespace cruz::coord

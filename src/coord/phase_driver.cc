@@ -18,6 +18,7 @@ const PhaseDriver::Wire PhaseDriver::kAgents{
     .continue_done = MsgType::kContinueDone,
     .comm_disabled = MsgType::kCommDisabled,
     .failed = MsgType::kFailed,
+    .pong = MsgType::kPong,
     .port = kAgentPort,
     .roster = false,
     .failed_noun = "member",
@@ -33,6 +34,7 @@ const PhaseDriver::Wire PhaseDriver::kShards{
     .continue_done = MsgType::kShardContinueDone,
     .comm_disabled = MsgType::kShardCommDisabled,
     .failed = MsgType::kShardFailed,
+    .pong = MsgType::kShardPong,
     .port = kShardPort,
     .roster = true,
     .failed_noun = "shard",
@@ -206,7 +208,7 @@ void PhaseDriver::OnDone(Endpoint& ep, const CoordMessage& m) {
   if (--done_owed_ == 0) hooks_.on_done();
 }
 
-void PhaseDriver::Abort() {
+std::size_t PhaseDriver::Abort() {
   // At depth 2 abort the sub-coordinators (they fence and clean their
   // shards) AND every agent directly: a crashed sub must not be able to
   // leave its shard frozen behind a dead op.
@@ -224,10 +226,15 @@ void PhaseDriver::Abort() {
   // Aborted checkpoints must not leak partial images on any tier. The
   // agents delete their own images too; this covers members whose agent
   // is dead or was never reached.
-  if (is_restart()) return;
+  if (is_restart()) return 0;
+  std::size_t removed = 0;
   for (const ShardMember& member : members_) {
-    if (!member.image_path.empty()) store_.RemoveEverywhere(member.image_path);
+    if (!member.image_path.empty() &&
+        store_.RemoveEverywhere(member.image_path) > 0) {
+      ++removed;
+    }
   }
+  return removed;
 }
 
 void PhaseDriver::ScheduleRetransmit() {
@@ -283,40 +290,6 @@ void PhaseDriver::NoteRetransmit(MsgType type) {
       obs::TraceAttrs{}.Op(request_.op_id).Agent(node_.name()).Arg(
           "type", MsgTypeName(type)));
   node_.os().sim().metrics().counter("coord.retransmits_total").Add();
-}
-
-std::size_t AbortJournaledOp(
-    IntentJournal& journal, const JournalRecord& intent,
-    ckpt::TieredStore& store,
-    const std::function<void(net::Ipv4Address, std::uint16_t, CoordMessage)>&
-        send) {
-  CoordMessage abort;
-  abort.op_id = intent.epoch;
-  abort.epoch = intent.epoch;
-  if (intent.fan_out > 0) {
-    abort.type = MsgType::kShardAbort;
-    for (std::size_t head = 0; head < intent.members.size();
-         head += intent.fan_out) {
-      send(net::Ipv4Address{intent.members[head].agent_ip}, kShardPort,
-           abort);
-    }
-  }
-  // Fence the agents (they resume their pods and drop the partial state)
-  // and reap whatever images the interrupted checkpoint wrote. Restart
-  // intents read images, they do not own them — no GC.
-  abort.type = MsgType::kAbort;
-  std::size_t removed = 0;
-  for (const ShardMember& m : intent.members) {
-    abort.pod_id = m.pod;
-    send(net::Ipv4Address{m.agent_ip}, kAgentPort, abort);
-    if (!intent.is_restart && !m.image_path.empty() &&
-        store.RemoveEverywhere(m.image_path) > 0) {
-      ++removed;
-    }
-  }
-  journal.AppendOutcome(JournalRecord::Type::kAbort, intent.epoch,
-                        intent.is_restart);
-  return removed;
 }
 
 }  // namespace cruz::coord

@@ -19,9 +19,10 @@
 // broadcast; retransmission (±25% seeded jitter, ×2 backoff capped at 4×
 // the initial interval, and a round cap that only ticks while replies are
 // owed); and aborting (an <abort> to every agent, then image removal on
-// every storage tier). The owner supplies the transport — its own send
-// instant and message accounting — and reacts to the phase transitions
-// through Hooks.
+// every storage tier). The owner supplies the transport — its control
+// port and message accounting — and reacts to the phase transitions
+// through Hooks. The receiving end of the exchange is a Participant
+// (coord/participant.h).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "coord/journal.h"
 #include "coord/message.h"
 #include "os/node.h"
 #include "sim/event_queue.h"
@@ -54,7 +54,7 @@ class PhaseDriver {
   // nouns the root uses when it names a failed or silent endpoint.
   struct Wire {
     MsgType checkpoint, restart, cont, abort;
-    MsgType done, continue_done, comm_disabled, failed;
+    MsgType done, continue_done, comm_disabled, failed, pong;
     std::uint16_t port;
     bool roster;  // requests carry the shard roster; replies aggregate it
     const char* failed_noun;
@@ -95,7 +95,7 @@ class PhaseDriver {
   };
 
   struct Hooks {
-    // Transmits `m` to dst:port: the owner's send instant and accounting.
+    // Transmits `m` to dst:port through the owner's port and accounting.
     std::function<void(net::Ipv4Address dst, std::uint16_t port,
                        CoordMessage m)>
         send;
@@ -130,7 +130,9 @@ class PhaseDriver {
   void BroadcastContinue(int copies = 1);
   // Fences every agent with <abort> (at depth 2 every sub-coordinator with
   // <shard-abort> first) and reaps a checkpoint's images on every tier.
-  void Abort();
+  // Returns how many members' images it removed. Journal recovery is
+  // Begin() over the journaled intent, then Abort().
+  std::size_t Abort();
   // Cancels retransmission; the exchange stays inspectable.
   void Stop();
 
@@ -189,16 +191,5 @@ class PhaseDriver {
   std::uint32_t rounds_ = 0;
   sim::EventId retransmit_event_ = sim::kInvalidEventId;
 };
-
-// Journal replay: aborts a predecessor's in-flight op — a <shard-abort>
-// to each of its sub-coordinators (re-derived from the journaled fan-out:
-// contiguous shards of ≤ fan_out members), an <abort> to every member's
-// agent, and for a checkpoint removal of each member's image on every
-// tier — then journals the abort. Returns how many images were removed.
-std::size_t AbortJournaledOp(
-    IntentJournal& journal, const JournalRecord& intent,
-    ckpt::TieredStore& store,
-    const std::function<void(net::Ipv4Address, std::uint16_t, CoordMessage)>&
-        send);
 
 }  // namespace cruz::coord

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/store/tiered_store.h"
-#include "common/error.h"
 #include "common/log.h"
 #include "sim/simulator.h"
 
@@ -22,16 +20,17 @@ constexpr DurationNs kSelfCleanSlack = 2 * kSecond;
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(os::Node& node, ckpt::TieredStore& store)
-    : node_(node),
+    : Participant(node, PhaseDriver::kShards, "coord",
+                  "coord.shard.messages_sent",
+                  /*resend_continue_done=*/false),
       journal_(node.os().fs(), JournalPath()),
-      store_(store),
       driver_(node, store,
               PhaseDriver::Hooks{
                   .send =
                       [this](net::Ipv4Address dst, std::uint16_t port,
                              CoordMessage m) {
                         ++op_.messages;
-                        Send(net::Endpoint{dst, port}, std::move(m));
+                        Send(net::Endpoint{dst, port}, m);
                       },
                   .on_comm_disabled = [this] { SendShardCommDisabled(); },
                   .on_done =
@@ -53,17 +52,10 @@ ShardCoordinator::ShardCoordinator(os::Node& node, ckpt::TieredStore& store)
                         AbortShardOp("retry cap", /*notify_root=*/true);
                       },
               }) {
-  node_.stack().RegisterUdpService(
-      kShardPort, [this](net::Endpoint from, const cruz::Bytes& payload) {
-        OnDatagram(from, payload);
-      });
   RecoverFromJournal();
 }
 
-ShardCoordinator::~ShardCoordinator() {
-  CancelTimers();
-  node_.stack().UnregisterUdpService(kShardPort);
-}
+ShardCoordinator::~ShardCoordinator() { CancelTimers(); }
 
 std::string ShardCoordinator::JournalPath() const {
   return "/coord/shard_journal_" + node_.name();
@@ -86,16 +78,18 @@ void ShardCoordinator::RecoverFromJournal() {
                      << ": shard journal recovery: aborting in-flight op "
                      << intent.epoch;
   last_aborted_op_ = std::max(last_aborted_op_, intent.epoch);
-  AbortJournaledOp(journal_, intent, store_,
-                   [this](net::Ipv4Address dst, std::uint16_t port,
-                          CoordMessage abort) {
-                     Send(net::Endpoint{dst, port}, std::move(abort));
-                   });
+  CoordMessage request;
+  request.type = intent.is_restart ? MsgType::kRestart : MsgType::kCheckpoint;
+  request.op_id = request.epoch = intent.epoch;
+  driver_.Begin(request, intent.members, intent.fan_out, {});
+  driver_.Abort();
+  journal_.AppendOutcome(JournalRecord::Type::kAbort, intent.epoch,
+                         intent.is_restart);
 }
 
 void ShardCoordinator::Crash() {
-  if (crashed_) return;
-  crashed_ = true;
+  if (crashed()) return;
+  port_.set_deaf(true);
   // A dead process fires no timers: without this the retransmit/self-clean
   // events would keep acting (sending aborts!) from beyond the grave.
   CancelTimers();
@@ -106,15 +100,12 @@ void ShardCoordinator::Crash() {
 }
 
 void ShardCoordinator::Reset() {
-  crashed_ = false;
+  port_.set_deaf(false);
   CancelTimers();
-  op_active_ = false;
   op_ = ActiveOp{};
   // Volatile state does not survive a process restart; the journal
   // restores the fencing epoch and aborts the interrupted op.
-  max_epoch_seen_ = 0;
-  last_completed_op_ = 0;
-  last_aborted_op_ = 0;
+  Forget();
   RecoverFromJournal();
   CRUZ_INFO("coord") << node_.name() << ": sub-coordinator restarted";
 }
@@ -135,133 +126,51 @@ void ShardCoordinator::EndOpSpan(const char* outcome) {
   op_.op_span = obs::kInvalidSpanId;
 }
 
-void ShardCoordinator::Send(net::Endpoint to, CoordMessage m) {
-  // Same correlation discipline as the root and the agents: stamp before
-  // the fault layer so a dropped transmission still leaves a send
-  // instant, and a wire duplicate shares the corr id.
-  m.corr_seq = ++next_corr_seq_;
-  node_.os().sim().tracer().Instant(
-      "coord", "coord.msg.send",
-      obs::TraceAttrs{}
-          .Op(m.op_id)
-          .Agent(node_.name())
-          .Arg("type", MsgTypeName(m.type))
-          .Arg("corr", CorrId(m, node_.ip().ToString()))
-          .Arg("dst", to.ip.ToString()));
-  node_.os().sim().metrics().counter("coord.shard.messages_sent").Add();
-  TransmitControl(node_, fault_, kShardPort, to, m);
+bool ShardCoordinator::Accept(const CoordMessage& m) {
+  // A roster-less request cannot name a shard: malformed input, dropped
+  // before it can move the fences, like an undecodable datagram.
+  if ((m.type == MsgType::kShardCheckpoint ||
+       m.type == MsgType::kShardRestart) &&
+      m.shard_members.empty()) {
+    CRUZ_WARN("coord") << node_.name() << ": dropped "
+                       << MsgTypeName(m.type) << " with no members";
+    return false;
+  }
+  return true;
 }
 
-void ShardCoordinator::OnDatagram(net::Endpoint from,
-                                  const cruz::Bytes& payload) {
-  if (crashed_) return;  // a dead sub-coordinator hears nothing
-  CoordMessage m;
-  if (!ReceiveControl(node_, "coord", from, payload, m)) return;
-  // Epoch fencing, same rule as the agents: requests below the observed
-  // high-water mark come from a dead root incarnation.
-  if (PhaseDriver::kShards.IsRequest(m.type)) {
-    if (m.epoch < max_epoch_seen_) {
-      CRUZ_WARN("coord") << node_.name() << ": fenced stale shard request "
-                         << MsgTypeName(m.type) << " (epoch " << m.epoch
-                         << " < " << max_epoch_seen_ << ")";
-      return;
+bool ShardCoordinator::AddFragment(const CoordMessage& m) {
+  if (op_.started) return false;
+  // Another roster fragment (or a retransmitted one: the dedup absorbs
+  // duplicates).
+  for (const ShardMember& sm : m.shard_members) {
+    if (std::none_of(op_.members.begin(), op_.members.end(),
+                     [&](const ShardMember& have) {
+                       return have.agent_ip == sm.agent_ip;
+                     })) {
+      op_.members.push_back(sm);
     }
-    max_epoch_seen_ = m.epoch;
   }
-  switch (m.type) {
-    case MsgType::kShardCheckpoint:
-    case MsgType::kShardRestart:
-      HandleShardRequest(m, from);
-      break;
-    case MsgType::kShardContinue:
-      HandleShardContinue(m, from);
-      break;
-    case MsgType::kShardAbort:
-      HandleShardAbort(m);
-      break;
-    case MsgType::kPing: {
-      // Liveness: answered even mid-op (the probe asks "is the process
-      // alive", not "is the shard finished").
-      CoordMessage pong;
-      pong.type = MsgType::kShardPong;
-      pong.op_id = m.op_id;
-      pong.epoch = m.epoch;
-      Send(from, pong);
-      break;
-    }
-    case MsgType::kDone:
-    case MsgType::kContinueDone:
-    case MsgType::kCommDisabled:
-    case MsgType::kFailed:
-      HandleAgentReply(m, from);
-      break;
-    default:
-      break;
-  }
+  if (op_.members.size() >= request_.member_total) StartShardOp();
+  return true;
 }
 
-void ShardCoordinator::HandleShardRequest(const CoordMessage& m,
-                                          net::Endpoint from) {
-  if (op_active_ && op_.op_id == m.op_id) {
-    if (op_.started) {
-      // A re-request after our <shard-done> went out means the reply was
-      // lost (the completed-op cache below only covers finished ops):
-      // re-answer. Before <shard-done> the root is just impatient.
-      if (op_.done_sent) SendReply(from, last_done_reply_);
-      return;
-    }
-    // Another roster fragment (or a retransmitted one — the dedup below
-    // absorbs duplicates).
-    for (const ShardMember& sm : m.shard_members) {
-      if (std::none_of(op_.members.begin(), op_.members.end(),
-                       [&](const ShardMember& have) {
-                         return have.agent_ip == sm.agent_ip;
-                       })) {
-        op_.members.push_back(sm);
-      }
-    }
-    if (op_.members.size() >= op_.member_total) StartShardOp();
-    return;
-  }
-  if (m.op_id == last_completed_op_ && last_completed_op_ != 0) {
-    // The root retransmitted a request we already served: the original
-    // <shard-done> was lost. Re-answer from the cache.
-    SendReply(from, last_done_reply_);
-    return;
-  }
-  if (m.op_id <= last_aborted_op_) return;  // overtaken by its abort
-  if (op_active_) {
-    // A newer epoch supersedes the in-flight op: the root gave up on it
-    // (we missed the abort) and moved on.
-    if (m.epoch <= op_.epoch) return;
-    AbortShardOp("superseded", /*notify_root=*/false);
-  }
-  CRUZ_CHECK(!m.shard_members.empty(), "shard request with no members");
-
-  op_active_ = true;
+void ShardCoordinator::Serve(const CoordMessage& m) {
   op_ = ActiveOp{};
-  op_.op_id = m.op_id;
-  op_.epoch = m.epoch;
-  op_.is_restart = m.type == MsgType::kShardRestart;
-  op_.variant = m.variant;
-  op_.root = from;
-  op_.request = m;
   op_.members = m.shard_members;
-  op_.member_total = std::max(
-      m.member_total, static_cast<std::uint32_t>(m.shard_members.size()));
   // Self-clean armed on the first fragment: a roster half-delivered by a
   // dying root must not stay active forever either.
   if (m.op_timeout > 0) {
     timeout_event_ = node_.os().sim().Schedule(
         m.op_timeout + kSelfCleanSlack, [this] {
           timeout_event_ = sim::kInvalidEventId;
-          if (!op_active_) return;
+          if (!active_) return;
           // Orphaned shard: the root would have timed out already. Do
           // not leave pods frozen behind a dead root — abort locally.
           AbortShardOp("self-clean timeout", /*notify_root=*/true);
         });
   }
-  if (op_.members.size() < op_.member_total) return;  // await fragments
+  if (op_.members.size() < m.member_total) return;  // await fragments
   StartShardOp();
 }
 
@@ -270,17 +179,17 @@ void ShardCoordinator::StartShardOp() {
   op_.op_span = node_.os().sim().tracer().BeginSpan(
       "coord", "coord.shard.op",
       obs::TraceAttrs{}
-          .Op(op_.op_id)
+          .Op(op_id())
           .Phase("shard")
           .Agent(node_.name())
-          .Arg("kind", op_.is_restart ? "restart" : "checkpoint")
+          .Arg("kind", is_restart() ? "restart" : "checkpoint")
           .Arg("shard_size", op_.members.size()));
   node_.os().sim().metrics().counter("coord.shard.ops_total").Add();
 
   // Write-ahead intent: a sub-coordinator that dies here must know, on
   // restart, which agents to fence and which images to reap.
-  journal_.Append({JournalRecord::Type::kIntent, op_.epoch, op_.is_restart,
-                   op_.members, /*fan_out=*/0});
+  journal_.Append({JournalRecord::Type::kIntent, request_.epoch,
+                   is_restart(), op_.members, /*fan_out=*/0});
 
   if (test_ack_without_forward_) {
     // Sabotage: lie upward. Fabricate plausible per-member reports and
@@ -291,7 +200,7 @@ void ShardCoordinator::StartShardOp() {
     driver_.Begin(AgentRequest(), {}, /*fan_out=*/0, {});
     std::vector<ShardMember> reports = op_.members;
     for (ShardMember& sm : reports) {
-      if (!op_.is_restart) {
+      if (!is_restart()) {
         sm.replicas = {ckpt::Replica{ckpt::Tier::kLocal, node_.index(),
                                      0, 0}};
       } else {
@@ -299,7 +208,9 @@ void ShardCoordinator::StartShardOp() {
             static_cast<std::uint8_t>(ckpt::Tier::kLocal);
       }
     }
-    if (op_.variant == ProtocolVariant::kOptimized) SendShardCommDisabled();
+    if (request_.variant == ProtocolVariant::kOptimized) {
+      SendShardCommDisabled();
+    }
     SendShardDone(1 * kMillisecond, 1 * kMillisecond, std::move(reports));
     return;
   }
@@ -310,77 +221,52 @@ void ShardCoordinator::StartShardOp() {
 }
 
 CoordMessage ShardCoordinator::AgentRequest() const {
-  CoordMessage request = op_.request;
-  request.type = op_.is_restart ? MsgType::kRestart : MsgType::kCheckpoint;
+  CoordMessage request = request_;
+  request.type = is_restart() ? MsgType::kRestart : MsgType::kCheckpoint;
   request.shard_members.clear();
   request.member_total = 0;
   return request;
 }
 
-void ShardCoordinator::HandleShardContinue(const CoordMessage& m,
-                                           net::Endpoint from) {
-  if (!op_active_ || op_.op_id != m.op_id) {
-    // A completed op sent both replies, so the cache holds this one.
-    if (m.op_id == last_completed_op_ && last_completed_op_ != 0) {
-      Send(from, last_continue_done_reply_);
-    }
-    return;
-  }
+void ShardCoordinator::Continue(net::Endpoint from) {
   if (!op_.started) return;  // roster still assembling; <continue> is stale
   driver_.BroadcastContinue();
   if (!driver_.owes_continue_done()) {
-    if (!op_.continue_done_sent) {
+    if (!continue_done_sent_) {
       SendShardContinueDone();
     } else {
       // Copy-on-write overtake: <continue-done> already went out (and was
       // lost — the root is re-asking) while <done> is still pending.
-      Send(from, last_continue_done_reply_);
+      Send(from, continue_done_reply_);
     }
   }
 }
 
-void ShardCoordinator::HandleShardAbort(const CoordMessage& m) {
-  last_aborted_op_ = std::max(last_aborted_op_, m.op_id);
-  if (op_active_ && op_.op_id == m.op_id) {
-    AbortShardOp("root abort", /*notify_root=*/false);
-  }
+void ShardCoordinator::Cancel(bool superseded) {
+  AbortShardOp(superseded ? "superseded" : "root abort",
+               /*notify_root=*/false);
 }
 
-void ShardCoordinator::HandleAgentReply(const CoordMessage& m,
-                                        net::Endpoint from) {
-  if (!op_active_ || op_.op_id != m.op_id || !op_.started) return;
+void ShardCoordinator::OnReply(net::Endpoint from, const CoordMessage& m) {
+  if (!active_ || op_id() != m.op_id || !op_.started) return;
   ++op_.messages;
   driver_.OnReply(from.ip, m);
-}
-
-void ShardCoordinator::SendReply(net::Endpoint to, const CoordMessage& full) {
-  // The aggregated <shard-done> can exceed the MTU just like the downward
-  // roster; the root accumulates fragments per shard.
-  for (CoordMessage& frag : FragmentRoster(full)) Send(to, std::move(frag));
-}
-
-CoordMessage ShardCoordinator::Upward(MsgType type) const {
-  CoordMessage m;
-  m.type = type;
-  m.op_id = op_.op_id;
-  m.epoch = op_.epoch;
-  return m;
 }
 
 void ShardCoordinator::SendShardCommDisabled() {
   // Fig. 4, aggregated: the whole shard has communication disabled.
   if (op_.comm_disabled_sent) return;
   op_.comm_disabled_sent = true;
-  Send(op_.root, Upward(MsgType::kShardCommDisabled));
+  Send(coordinator_, Reply(MsgType::kShardCommDisabled));
 }
 
 void ShardCoordinator::SendShardDone(DurationNs max_local,
                                      DurationNs max_downtime,
                                      std::vector<ShardMember> reports) {
-  CoordMessage done = Upward(MsgType::kShardDone);
+  CoordMessage done = Reply(MsgType::kShardDone);
   done.local_duration = max_local;
   done.downtime = max_downtime;
-  if (op_.request.tiered) {
+  if (request_.tiered) {
     // Per-member tiered reports (replicas / restore sources) for the
     // root's generation manifest. The root matches members by agent ip,
     // so the image paths stay home — fewer bytes, fewer fragments.
@@ -388,57 +274,52 @@ void ShardCoordinator::SendShardDone(DurationNs max_local,
     for (ShardMember& sm : done.shard_members) sm.image_path.clear();
   }
   done.extra_messages = op_.messages;  // cumulative; root keeps the max
-  op_.done_sent = true;
-  last_done_reply_ = done;
-  SendReply(op_.root, done);
+  // Fragmented like the downward roster; the root reassembles per shard.
+  SendDone(done);
   MaybeCompleteOp();
 }
 
 void ShardCoordinator::SendShardContinueDone() {
-  CoordMessage cd = Upward(MsgType::kShardContinueDone);
+  CoordMessage cd = Reply(MsgType::kShardContinueDone);
   cd.local_duration = driver_.max_continue();
   cd.extra_messages = op_.messages;  // cumulative; root keeps the max
-  last_continue_done_reply_ = cd;
-  Send(op_.root, std::move(cd));
-  op_.continue_done_sent = true;
+  SendContinueDone(cd);
   MaybeCompleteOp();
 }
 
 void ShardCoordinator::MaybeCompleteOp() {
   // Completion: both aggregated acks are out (copy-on-write lets the
   // <continue-done>s overtake the last <done>, so order is free).
-  if (!op_.done_sent || !op_.continue_done_sent) return;
-  journal_.AppendOutcome(JournalRecord::Type::kCommit, op_.epoch,
-                         op_.is_restart);
+  if (!Complete()) return;
+  journal_.AppendOutcome(JournalRecord::Type::kCommit, request_.epoch,
+                         is_restart());
   ++ops_served_;
-  last_completed_op_ = op_.op_id;
   EndOpSpan("ok");
   CancelTimers();
-  op_active_ = false;
 }
 
 void ShardCoordinator::AbortShardOp(const char* reason, bool notify_root) {
-  if (!op_active_) return;
-  CRUZ_WARN("coord") << node_.name() << ": shard op " << op_.op_id
+  if (!active_) return;
+  CRUZ_WARN("coord") << node_.name() << ": shard op " << op_id()
                      << " aborted (" << reason << ")";
   node_.os().sim().tracer().Instant(
       "coord", "coord.shard.abort",
-      obs::TraceAttrs{}.Op(op_.op_id).Agent(node_.name()).Arg("reason",
-                                                              reason));
+      obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Arg("reason",
+                                                            reason));
   node_.os().sim().metrics().counter("coord.shard.aborts_total").Add();
-  last_aborted_op_ = std::max(last_aborted_op_, op_.op_id);
+  last_aborted_op_ = std::max(last_aborted_op_, op_id());
   // A roster still assembling, or one the ack-without-forward sabotage
   // never drove, is fenced all the same: every member known so far.
   if (!op_.started || test_ack_without_forward_) {
     driver_.Begin(AgentRequest(), op_.members, /*fan_out=*/0, {});
   }
   driver_.Abort();
-  if (notify_root) Send(op_.root, Upward(MsgType::kShardFailed));
-  journal_.AppendOutcome(JournalRecord::Type::kAbort, op_.epoch,
-                         op_.is_restart);
+  if (notify_root) Send(coordinator_, Reply(MsgType::kShardFailed));
+  journal_.AppendOutcome(JournalRecord::Type::kAbort, request_.epoch,
+                         is_restart());
   EndOpSpan("abort");
   CancelTimers();
-  op_active_ = false;
+  active_ = false;
 }
 
 }  // namespace cruz::coord

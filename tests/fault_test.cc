@@ -14,6 +14,7 @@
 #include "cruz/cluster.h"
 #include "fault/fault.h"
 #include "migrate_harness.h"
+#include "obs/causal/causal_graph.h"
 #include "obs/trace_query.h"
 
 namespace cruz {
@@ -161,6 +162,22 @@ TEST(Fault, CoordinatorRestartRecoversFromIntentJournal) {
   // Recovery also sent <abort>: the healthy agent resumes its pod.
   c.sim().RunFor(100 * kMillisecond);
   EXPECT_TRUE(PodProcessLive(c, 0, a));
+  // Each recovery <abort> is on record as a send, and the causal analyzer
+  // joins every delivery of one to it (node2's dead agent hears nothing).
+  const auto& events = c.sim().tracer().events();
+  obs::causal::CausalGraph graph = obs::causal::CausalGraph::Build(
+      std::vector<obs::TraceEvent>(events.begin(), events.end()));
+  std::size_t abort_recvs = 0;
+  for (std::size_t i = 0; i < graph.events().size(); ++i) {
+    const obs::TraceEvent& e = graph.events()[i];
+    if (e.name != "agent.msg.recv" || e.attrs.op != 1 ||
+        ArgOf(e, "type") != "abort") {
+      continue;
+    }
+    ++abort_recvs;
+    EXPECT_TRUE(graph.SendFor(i).has_value()) << e.attrs.agent;
+  }
+  EXPECT_EQ(abort_recvs, 1u);
 
   // Restart the dead agent process and verify the cluster is whole: a
   // fresh op succeeds under the next epoch.
