@@ -28,6 +28,7 @@
 #include "coord/coordinator.h"
 #include "cruz/cluster.h"
 #include "obs/trace_query.h"
+#include "os/memory.h"
 #include "slm_sweep.h"
 
 int main() {
@@ -249,7 +250,8 @@ int main() {
   // incompressible, so the bytes CRC'd divide into whole passes over the
   // image bytes; a leftover over 1% of a pass fails the bench. The same
   // cycle counts the page bytes the checkpoint serialized and the restart
-  // deserialized, as passes over the generation's pages × kPageSize.
+  // deserialized, and the page bytes os::Memory copied during the
+  // restart, as passes over the generation's pages × kPageSize.
   std::printf("\n== host work: CRC-32 passes per image byte (tiered slm "
               "cycle) ==\n\n");
   const char* kCrcPhases[3] = {"checkpoint", "flush", "restart"};
@@ -258,6 +260,7 @@ int main() {
   // Page bytes the checkpoint serialized and the restart deserialized,
   // and the generation's page bytes (pages × kPageSize).
   std::uint64_t serialize_bytes = 0, deserialize_bytes = 0, page_bytes = 0;
+  std::uint64_t memory_copy_bytes = 0;
   {
     apps::RegisterSlmProgram();
     ClusterConfig config;
@@ -296,9 +299,11 @@ int main() {
     crc_bytes[2] = Crc32BytesTotal();
     for (std::uint32_t r = 0; r < 2; ++r) c.pods(r).DestroyPod(pods[r]);
     const std::uint64_t deserialized = ckpt::PageBytesDeserializedTotal();
+    const std::uint64_t memory_copied = os::MemoryBytesCopiedTotal();
     auto rs = c.RunGenerationRestart(members, options);
     crc_bytes[3] = Crc32BytesTotal();
     deserialize_bytes = ckpt::PageBytesDeserializedTotal() - deserialized;
+    memory_copy_bytes = os::MemoryBytesCopiedTotal() - memory_copied;
     crc_ok = ck.stats.success && rs.stats.success &&
              c.tiered().PendingFlushCount() == 0;
     // The generation's pages, as each member's save span counted them.
@@ -334,6 +339,8 @@ int main() {
                 static_cast<double>(serialize_bytes) / page_bytes);
     std::printf("%12s %18.4f\n", "deserialize",
                 static_cast<double>(deserialize_bytes) / page_bytes);
+    std::printf("%12s %18.4f\n", "memory copy",
+                static_cast<double>(memory_copy_bytes) / page_bytes);
   }
 
   // Regression-gate metrics (sim-time values and host work counts, all
@@ -374,6 +381,8 @@ int main() {
                 static_cast<double>(serialize_bytes) / page_bytes, "count");
     gate.Metric("work_deserialize_passes_restart",
                 static_cast<double>(deserialize_bytes) / page_bytes, "count");
+    gate.Metric("work_memory_copy_passes_restart",
+                static_cast<double>(memory_copy_bytes) / page_bytes, "count");
   }
   return (flat && second_scale && cow_cuts_downtime && spans_agree &&
           attribution_ok && tiered_ok && crc_ok)

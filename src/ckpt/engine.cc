@@ -69,8 +69,7 @@ PodCheckpoint PodSnapshot::Materialize() const {
         if (m.include.has_value() && m.include->count(page_index) == 0) {
           continue;  // unchanged since the parent image
         }
-        rec.pages.push_back(
-            PageRecord{page_index, cruz::Bytes(page->begin(), page->end())});
+        rec.pages.push_back(PageRecord{page_index, page});
       }
       break;
     }
@@ -314,7 +313,7 @@ PodCheckpoint CheckpointEngine::LoadImageChain(
     auto decode = [&link](const cruz::Bytes& image) {
       link = PodCheckpoint::Deserialize(image);
     };
-    cruz::Bytes image;
+    cruz::SharedBytes image;  // the store's buffer: read, not copied
     TieredStore::ResolveResult rr;
     SysResult r = store.Resolve(reader, current, image, &rr, trace, decode);
     if (SysErrno(r) == CRUZ_EIO) {
@@ -324,7 +323,7 @@ PodCheckpoint CheckpointEngine::LoadImageChain(
       throw UsageError("checkpoint image missing: " + current);
     }
     if (head != nullptr && chain.empty()) *head = rr;
-    total += image.size();
+    total += image->size();
     chain.push_back(std::move(link));
     if (!chain.back().incremental) break;
     CRUZ_CHECK(!chain.back().parent_image.empty(),
@@ -332,7 +331,7 @@ PodCheckpoint CheckpointEngine::LoadImageChain(
     current = chain.back().parent_image;
     CRUZ_CHECK(chain.size() < 1000, "checkpoint chain too long (cycle?)");
   }
-  PodCheckpoint merged = chain.back();  // the full base
+  PodCheckpoint merged = std::move(chain.back());  // the full base
   for (auto it = std::next(chain.rbegin()); it != chain.rend(); ++it) {
     merged = it->MergeOnto(merged);
   }
@@ -456,8 +455,10 @@ os::PodId CheckpointEngine::RestorePod(pod::PodManager& pods,
     for (const ThreadRecord& t : p.threads) {
       proc->InstallThread(t.tid, t.regs);
     }
+    // The image's page handles become the process's pages: nothing is
+    // copied, and a write while `ck` still holds a page copies it first.
     for (const PageRecord& page : p.pages) {
-      proc->memory().InstallPage(page.page_index, page.content);
+      proc->memory().AdoptPage(page.page_index, page.content);
     }
     for (const FdRecord& f : p.fds) {
       auto it = descs.find(f.desc_ref);

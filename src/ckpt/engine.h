@@ -75,7 +75,8 @@ class PodSnapshot {
   const os::MemorySnapshot::Page* FindPage(os::Pid vpid,
                                            std::uint64_t page_index) const;
 
-  // Assembles the full checkpoint from the frozen page handles. Pure:
+  // Assembles the full checkpoint from the frozen page handles, which
+  // the checkpoint shares (O(page table), no page bytes copied). Pure:
   // may be called any number of times, at any (simulated) time after the
   // snapshot, with identical results.
   PodCheckpoint Materialize() const;
@@ -133,7 +134,8 @@ class CheckpointEngine {
       std::uint64_t* bytes_read = nullptr);
 
   // Rebuilds a pod from a checkpoint. Processes are installed SIGSTOPped;
-  // call ResumePod to let them run.
+  // call ResumePod to let them run. The processes adopt `ck`'s page
+  // handles (os::Memory::AdoptPage) rather than copying them.
   static os::PodId RestorePod(pod::PodManager& pods,
                               const PodCheckpoint& ck);
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <map>
+#include <memory>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -17,7 +18,8 @@ constexpr std::uint32_t kVersionCompressed = 2;  // per-page codec blobs
 std::atomic<std::uint64_t> g_page_bytes_serialized{0};
 std::atomic<std::uint64_t> g_page_bytes_deserialized{0};
 
-void PutMac(cruz::ByteWriter& w, net::MacAddress mac) {
+template <typename Writer>
+void PutMac(Writer& w, net::MacAddress mac) {
   w.PutBytes(mac.octets.data(), 6);
 }
 
@@ -44,107 +46,131 @@ std::uint64_t PodCheckpoint::StateBytes() const {
   return n;
 }
 
-cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
-  cruz::ByteWriter body;
-  body.PutU32(pod_id);
-  body.PutString(pod_name);
-  body.PutU32(ip.value);
-  PutMac(body, vif_mac);
-  PutMac(body, fake_mac);
-  body.PutU32(static_cast<std::uint32_t>(next_vpid));
-  body.PutBool(incremental);
-  body.PutU32(generation);
-  body.PutString(parent_image);
+namespace {
 
-  body.PutU32(static_cast<std::uint32_t>(shm.size()));
-  for (const ShmRecord& s : shm) {
-    body.PutU32(static_cast<std::uint32_t>(s.virtual_id));
-    body.PutU32(static_cast<std::uint32_t>(s.key));
-    body.PutBlob(s.data);
+// The image body's one field list, for a ByteCounter (the size pass) or
+// a ByteWriter (the write pass). `put_page(w, bytes)` emits one page
+// record's payload after its index; the passes differ only there.
+template <typename Writer, typename PutPage>
+void PutBody(const PodCheckpoint& ck, Writer& w, PutPage&& put_page) {
+  w.PutU32(ck.pod_id);
+  w.PutString(ck.pod_name);
+  w.PutU32(ck.ip.value);
+  PutMac(w, ck.vif_mac);
+  PutMac(w, ck.fake_mac);
+  w.PutU32(static_cast<std::uint32_t>(ck.next_vpid));
+  w.PutBool(ck.incremental);
+  w.PutU32(ck.generation);
+  w.PutString(ck.parent_image);
+
+  w.PutU32(static_cast<std::uint32_t>(ck.shm.size()));
+  for (const ShmRecord& s : ck.shm) {
+    w.PutU32(static_cast<std::uint32_t>(s.virtual_id));
+    w.PutU32(static_cast<std::uint32_t>(s.key));
+    w.PutBlob(s.data);
   }
-  body.PutU32(static_cast<std::uint32_t>(sems.size()));
-  for (const SemRecord& s : sems) {
-    body.PutU32(static_cast<std::uint32_t>(s.virtual_id));
-    body.PutU32(static_cast<std::uint32_t>(s.key));
-    body.PutU32(static_cast<std::uint32_t>(s.value));
+  w.PutU32(static_cast<std::uint32_t>(ck.sems.size()));
+  for (const SemRecord& s : ck.sems) {
+    w.PutU32(static_cast<std::uint32_t>(s.virtual_id));
+    w.PutU32(static_cast<std::uint32_t>(s.key));
+    w.PutU32(static_cast<std::uint32_t>(s.value));
   }
-  body.PutU32(static_cast<std::uint32_t>(pipes.size()));
-  for (const PipeRecord& p : pipes) {
-    body.PutU64(p.id);
-    body.PutBlob(p.buffer);
+  w.PutU32(static_cast<std::uint32_t>(ck.pipes.size()));
+  for (const PipeRecord& p : ck.pipes) {
+    w.PutU64(p.id);
+    w.PutBlob(p.buffer);
   }
-  body.PutU32(static_cast<std::uint32_t>(descs.size()));
-  for (const DescRecord& d : descs) {
-    body.PutU64(d.ref);
-    body.PutU8(static_cast<std::uint8_t>(d.kind));
-    body.PutString(d.path);
-    body.PutU64(d.offset);
-    body.PutU64(d.pipe_id);
-    body.PutU64(d.socket_ref);
+  w.PutU32(static_cast<std::uint32_t>(ck.descs.size()));
+  for (const DescRecord& d : ck.descs) {
+    w.PutU64(d.ref);
+    w.PutU8(static_cast<std::uint8_t>(d.kind));
+    w.PutString(d.path);
+    w.PutU64(d.offset);
+    w.PutU64(d.pipe_id);
+    w.PutU64(d.socket_ref);
   }
-  body.PutU32(static_cast<std::uint32_t>(conns.size()));
-  for (const ConnRecord& c : conns) {
-    body.PutU64(c.socket_ref);
-    c.conn.Serialize(body);
+  w.PutU32(static_cast<std::uint32_t>(ck.conns.size()));
+  for (const ConnRecord& c : ck.conns) {
+    w.PutU64(c.socket_ref);
+    c.conn.Serialize(w);
   }
-  body.PutU32(static_cast<std::uint32_t>(listeners.size()));
-  for (const ListenerRecord& l : listeners) {
-    body.PutU64(l.socket_ref);
-    body.PutU16(l.port);
-    body.PutU32(static_cast<std::uint32_t>(l.backlog));
-    body.PutU32(static_cast<std::uint32_t>(l.accept_queue.size()));
-    for (std::uint64_t ref : l.accept_queue) body.PutU64(ref);
+  w.PutU32(static_cast<std::uint32_t>(ck.listeners.size()));
+  for (const ListenerRecord& l : ck.listeners) {
+    w.PutU64(l.socket_ref);
+    w.PutU16(l.port);
+    w.PutU32(static_cast<std::uint32_t>(l.backlog));
+    w.PutU32(static_cast<std::uint32_t>(l.accept_queue.size()));
+    for (std::uint64_t ref : l.accept_queue) w.PutU64(ref);
   }
-  body.PutU32(static_cast<std::uint32_t>(udp.size()));
-  for (const UdpRecord& u : udp) {
-    body.PutU64(u.socket_ref);
-    body.PutU16(u.port);
-    body.PutU32(static_cast<std::uint32_t>(u.rx.size()));
+  w.PutU32(static_cast<std::uint32_t>(ck.udp.size()));
+  for (const UdpRecord& u : ck.udp) {
+    w.PutU64(u.socket_ref);
+    w.PutU16(u.port);
+    w.PutU32(static_cast<std::uint32_t>(u.rx.size()));
     for (const auto& [src, payload] : u.rx) {
-      body.PutU32(src.ip.value);
-      body.PutU16(src.port);
-      body.PutBlob(payload);
+      w.PutU32(src.ip.value);
+      w.PutU16(src.port);
+      w.PutBlob(payload);
     }
   }
-  body.PutU32(static_cast<std::uint32_t>(fresh_sockets.size()));
-  for (const FreshSocketRecord& f : fresh_sockets) {
-    body.PutU64(f.socket_ref);
-    body.PutBool(f.bound);
-    body.PutU16(f.port);
+  w.PutU32(static_cast<std::uint32_t>(ck.fresh_sockets.size()));
+  for (const FreshSocketRecord& f : ck.fresh_sockets) {
+    w.PutU64(f.socket_ref);
+    w.PutBool(f.bound);
+    w.PutU16(f.port);
   }
-  body.PutU32(static_cast<std::uint32_t>(processes.size()));
-  for (const ProcessRecord& p : processes) {
-    body.PutU32(static_cast<std::uint32_t>(p.vpid));
-    body.PutString(p.program);
-    body.PutU32(static_cast<std::uint32_t>(p.threads.size()));
+  w.PutU32(static_cast<std::uint32_t>(ck.processes.size()));
+  for (const ProcessRecord& p : ck.processes) {
+    w.PutU32(static_cast<std::uint32_t>(p.vpid));
+    w.PutString(p.program);
+    w.PutU32(static_cast<std::uint32_t>(p.threads.size()));
     for (const ThreadRecord& t : p.threads) {
-      body.PutU32(static_cast<std::uint32_t>(t.tid));
-      for (int i = 0; i < os::kNumRegisters; ++i) body.PutU64(t.regs.r[i]);
+      w.PutU32(static_cast<std::uint32_t>(t.tid));
+      for (int i = 0; i < os::kNumRegisters; ++i) w.PutU64(t.regs.r[i]);
     }
-    body.PutU32(static_cast<std::uint32_t>(p.pages.size()));
+    w.PutU32(static_cast<std::uint32_t>(p.pages.size()));
     for (const PageRecord& page : p.pages) {
-      body.PutU64(page.page_index);
-      if (compress) {
-        body.PutBlob(EncodePage(page.content, PageCodec::kRle));
-      } else {
-        body.PutBytes(page.content);
-      }
+      w.PutU64(page.page_index);
+      put_page(w, *page.content);
     }
-    g_page_bytes_serialized.fetch_add(p.pages.size() * os::kPageSize,
-                                      std::memory_order_relaxed);
-    body.PutU32(static_cast<std::uint32_t>(p.fds.size()));
+    w.PutU32(static_cast<std::uint32_t>(p.fds.size()));
     for (const FdRecord& f : p.fds) {
-      body.PutU32(static_cast<std::uint32_t>(f.fd));
-      body.PutU64(f.desc_ref);
+      w.PutU32(static_cast<std::uint32_t>(f.fd));
+      w.PutU64(f.desc_ref);
     }
-    body.PutU32(static_cast<std::uint32_t>(p.shm_attachments.size()));
+    w.PutU32(static_cast<std::uint32_t>(p.shm_attachments.size()));
     for (const ShmAttachRecord& a : p.shm_attachments) {
-      body.PutU32(static_cast<std::uint32_t>(a.key));
-      body.PutU64(a.addr);
+      w.PutU32(static_cast<std::uint32_t>(a.key));
+      w.PutU64(a.addr);
     }
   }
+}
 
-  cruz::ByteWriter out(body.size() + 25);
+}  // namespace
+
+cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
+  // Size pass: the body's exact length, and each compressed page's
+  // encoded size (which also names the codec the page will use).
+  std::vector<std::uint32_t> page_sizes;
+  cruz::ByteCounter counter;
+  PutBody(*this, counter, [&](cruz::ByteCounter& w, cruz::ByteSpan page) {
+    if (compress) {
+      page_sizes.push_back(static_cast<std::uint32_t>(
+          EncodedPageSize(page, PageCodec::kRle)));
+      w.PutU32(page_sizes.back());
+      w.PutBytes(nullptr, page_sizes.back());  // counted, not written
+    } else {
+      w.PutBytes(page);
+    }
+  });
+  const std::size_t body_size = counter.size();
+  CRUZ_CHECK(body_size <= UINT32_MAX,
+             "Serialize: body exceeds its u32 length field");
+  // Frame: magic, version, [codec id], body length, body, CRC-32.
+  const std::size_t header = 8 + 4 + (compress ? 1 : 0) + 4;
+
+  // Write pass, into a buffer of exactly the image's size.
+  cruz::ByteWriter out(header + body_size + 4);
   out.PutBytes(reinterpret_cast<const std::uint8_t*>(kMagic), 8);
   if (compress) {
     // Self-describing header: version 2 carries the preferred codec id so
@@ -154,8 +180,24 @@ cruz::Bytes PodCheckpoint::Serialize(bool compress) const {
   } else {
     out.PutU32(kVersionRaw);
   }
-  out.PutBlob(body.data());
-  out.PutU32(cruz::Crc32(body.data()));
+  out.PutU32(static_cast<std::uint32_t>(body_size));
+  std::size_t next_page = 0;
+  std::uint64_t pages = 0;
+  PutBody(*this, out, [&](cruz::ByteWriter& w, cruz::ByteSpan page) {
+    ++pages;
+    if (compress) {
+      const std::uint32_t size = page_sizes[next_page++];
+      w.PutU32(size);
+      EncodePageInto(w, page, size);
+    } else {
+      w.PutBytes(page);
+    }
+  });
+  CRUZ_CHECK(out.size() == header + body_size,
+             "Serialize: size pass and write pass disagree");
+  g_page_bytes_serialized.fetch_add(pages * os::kPageSize,
+                                    std::memory_order_relaxed);
+  out.PutU32(cruz::Crc32(cruz::ByteSpan(out.data()).subspan(header)));
   return out.Take();
 }
 
@@ -305,9 +347,11 @@ PodCheckpoint PodCheckpoint::Deserialize(cruz::ByteSpan image) {
       PageRecord page;
       page.page_index = r.GetU64();
       if (compressed) {
-        page.content = DecodePage(r.GetBlob());
+        page.content =
+            std::make_shared<os::Page>(DecodePage(r.GetSpan(r.GetU32())));
       } else {
-        page.content = r.GetBytes(os::kPageSize);
+        cruz::ByteSpan raw = r.GetSpan(os::kPageSize);
+        page.content = std::make_shared<os::Page>(raw.begin(), raw.end());
       }
       p.pages.push_back(std::move(page));
     }
@@ -352,17 +396,17 @@ PodCheckpoint PodCheckpoint::MergeOnto(const PodCheckpoint& base) const {
       }
     }
     if (base_proc == nullptr) continue;
-    std::map<std::uint64_t, const cruz::Bytes*> by_index;
+    std::map<std::uint64_t, os::SharedPage> by_index;
     for (const PageRecord& page : base_proc->pages) {
-      by_index[page.page_index] = &page.content;
+      by_index[page.page_index] = page.content;
     }
     for (const PageRecord& page : proc.pages) {
-      by_index[page.page_index] = &page.content;
+      by_index[page.page_index] = page.content;
     }
     std::vector<PageRecord> combined;
     combined.reserve(by_index.size());
-    for (const auto& [index, content] : by_index) {
-      combined.push_back(PageRecord{index, *content});
+    for (auto& [index, content] : by_index) {
+      combined.push_back(PageRecord{index, std::move(content)});
     }
     proc.pages = std::move(combined);
   }

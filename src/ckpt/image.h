@@ -31,6 +31,7 @@
 #include "common/bytes.h"
 #include "net/address.h"
 #include "os/file.h"
+#include "os/memory.h"
 #include "os/process.h"
 #include "os/types.h"
 #include "tcp/checkpoint_state.h"
@@ -44,7 +45,10 @@ struct ThreadRecord {
 
 struct PageRecord {
   std::uint64_t page_index = 0;
-  cruz::Bytes content;  // kPageSize bytes
+  // kPageSize bytes, shared and never written through: the same handle
+  // the capture's MemorySnapshot, a merged image chain and, after a
+  // restore, the pod's os::Memory hold.
+  os::SharedPage content;
 };
 
 // One open file description (possibly shared by several fds via dup).
@@ -153,11 +157,14 @@ struct PodCheckpoint {
   std::uint64_t StateBytes() const;
 
   // `compress == false` emits the version-1 format byte-for-byte;
-  // `compress == true` emits version 2 with RLE-compressed pages.
+  // `compress == true` emits version 2 with RLE-compressed pages. A size
+  // pass comes first, so the image is written once, in place, into a
+  // buffer of exactly its size (capacity() == size()).
   cruz::Bytes Serialize(bool compress = false) const;
   // Checks the frame (magic, version, codec id, body length and the
   // CRC-32 trailer) and decodes the body, whose per-page CRCs are
-  // checked too. Throws CodecError.
+  // checked too; each page is decoded straight from `image` into its
+  // own handle. Throws CodecError.
   static PodCheckpoint Deserialize(cruz::ByteSpan image);
   // The frame check alone: returns the body the trailer covers and sets
   // `compressed` for a version-2 image. Throws CodecError.
@@ -171,6 +178,7 @@ struct PodCheckpoint {
   // `base`, producing the full state at this image's generation. Every
   // field except memory pages comes from *this; pages are base pages
   // updated with this image's dirty pages, per process (matched by vpid).
+  // Page handles are shared, not copied.
   PodCheckpoint MergeOnto(const PodCheckpoint& base) const;
 };
 

@@ -14,6 +14,9 @@ namespace {
 // A whole page fits one RLE token, so runs never need splitting.
 static_assert(os::kPageSize <= 0xFFFF, "RLE run lengths are u16");
 
+constexpr std::size_t kHeader = 5;  // codec id + CRC-32
+constexpr std::size_t kToken = 3;   // u16 run length + u8 value
+
 // Length of the run of `value` starting at `start`. Scans eight bytes
 // per step: XOR against a splatted word leaves the first mismatching
 // byte nonzero, and the endian-appropriate zero count locates it in
@@ -67,35 +70,42 @@ std::size_t CountRuns(cruz::ByteSpan page, std::size_t limit) {
 
 }  // namespace
 
-cruz::Bytes EncodePage(cruz::ByteSpan page, PageCodec preferred) {
+std::size_t EncodedPageSize(cruz::ByteSpan page, PageCodec preferred) {
   CRUZ_CHECK(page.size() == os::kPageSize, "EncodePage: wrong page size");
-  constexpr std::size_t kHeader = 5;  // codec id + CRC-32
-  constexpr std::size_t kToken = 3;   // u16 run length + u8 value
-  std::uint32_t crc = cruz::Crc32(page);
   if (preferred == PageCodec::kRle) {
     // RLE pays off iff its body (kToken bytes a run) is smaller than the
-    // page, so count runs first and build tokens only for pages that win.
+    // page; counting stops as soon as it cannot.
     const std::size_t max_runs = (page.size() - 1) / kToken;
     std::size_t runs = CountRuns(page, max_runs + 1);
-    if (runs <= max_runs) {
-      cruz::ByteWriter out(kHeader + kToken * runs);
-      out.PutU8(static_cast<std::uint8_t>(PageCodec::kRle));
-      out.PutU32(crc);
-      for (std::size_t i = 0; i < page.size();) {
-        std::uint8_t value = page[i];
-        std::size_t run = RunLength(page, i, value);
-        out.PutU16(static_cast<std::uint16_t>(run));
-        out.PutU8(value);
-        i += run;
-      }
-      return out.Take();
-    }
+    if (runs <= max_runs) return kHeader + kToken * runs;
     // RLE would not shrink this page; store it raw instead.
   }
-  cruz::ByteWriter out(kHeader + page.size());
-  out.PutU8(static_cast<std::uint8_t>(PageCodec::kRaw));
-  out.PutU32(crc);
-  out.PutBytes(page);
+  return kHeader + page.size();
+}
+
+void EncodePageInto(cruz::ByteWriter& out, cruz::ByteSpan page,
+                    std::size_t encoded_size) {
+  CRUZ_CHECK(page.size() == os::kPageSize, "EncodePage: wrong page size");
+  const bool raw = encoded_size == kHeader + page.size();
+  out.PutU8(static_cast<std::uint8_t>(raw ? PageCodec::kRaw : PageCodec::kRle));
+  out.PutU32(cruz::Crc32(page));
+  if (raw) {
+    out.PutBytes(page);
+    return;
+  }
+  for (std::size_t i = 0; i < page.size();) {
+    std::uint8_t value = page[i];
+    std::size_t run = RunLength(page, i, value);
+    out.PutU16(static_cast<std::uint16_t>(run));
+    out.PutU8(value);
+    i += run;
+  }
+}
+
+cruz::Bytes EncodePage(cruz::ByteSpan page, PageCodec preferred) {
+  const std::size_t size = EncodedPageSize(page, preferred);
+  cruz::ByteWriter out(size);
+  EncodePageInto(out, page, size);
   return out.Take();
 }
 

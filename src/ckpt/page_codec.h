@@ -32,6 +32,14 @@ enum class PageCodec : std::uint8_t {
 // encoder falls back to kRaw when RLE would be larger.
 cruz::Bytes EncodePage(cruz::ByteSpan page, PageCodec preferred);
 
+// Size of EncodePage(page, preferred), found by counting runs; no output.
+std::size_t EncodedPageSize(cruz::ByteSpan page, PageCodec preferred);
+// Appends EncodePage(page, preferred) to `out` in place. `encoded_size`
+// is EncodedPageSize(page, preferred): it names the codec the encoder
+// chose, so the runs are not counted twice.
+void EncodePageInto(cruz::ByteWriter& out, cruz::ByteSpan page,
+                    std::size_t encoded_size);
+
 // Decodes one encoded page back to exactly kPageSize bytes. Throws
 // CodecError on unknown codec ids, malformed run structure, truncation,
 // or a CRC mismatch against the recorded raw-page checksum.

@@ -1,6 +1,7 @@
 #include "ckpt/store/tiered_store.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "ckpt/image.h"
 #include "common/log.h"
@@ -94,11 +95,14 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
 
   // The image's own frame CRC is its record; no pass is taken here.
   const std::uint32_t crc = PodCheckpoint::FrameTrailer(image);
+  // Every tier's copy is this one buffer.
+  const cruz::SharedBytes shared =
+      std::make_shared<cruz::Bytes>(std::move(image));
 
   if (!tiered) {
     // One tier: the shared netfs, written synchronously. No replicas, no
     // flush, and no per-image trace: the agent's save span covers it.
-    SysResult w = WriteNetfs(path, image);
+    SysResult w = WriteNetfs(path, shared);
     if (!SysOk(w)) return w;
     Index(path, ImageMeta{bytes, crc, writer.index(), /*flushed=*/true,
                           /*tiered=*/false});
@@ -111,11 +115,11 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
   std::vector<Replica> out;
   // Tier 1: the writer's own disk. -ENOSPC evicts the oldest non-current
   // generation's files from this disk and retries.
-  SysResult local = writer.disk().WriteFile(path, image);
+  SysResult local = writer.disk().WriteShared(path, shared);
   if (SysErrno(local) == CRUZ_ENOSPC) {
     NotifyNoSpace(writer.disk().name(), path);
     while (!SysOk(local) && EvictLocalForSpace(writer, gen)) {
-      local = writer.disk().WriteFile(path, image);
+      local = writer.disk().WriteShared(path, shared);
     }
   }
   if (SysOk(local)) {
@@ -126,11 +130,11 @@ SysResult TieredStore::CommitImage(os::Node& writer, const std::string& path,
   os::Node* partner = PartnerOf(writer.index());
   if (partner != nullptr && !Unreachable(&writer) && !Unreachable(partner)) {
     std::string guarded = std::string(kPartnerPrefix) + path;
-    SysResult pr = partner->disk().WriteFile(guarded, image);
+    SysResult pr = partner->disk().WriteShared(guarded, shared);
     if (SysErrno(pr) == CRUZ_ENOSPC) {
       NotifyNoSpace(partner->disk().name(), path);
       while (!SysOk(pr) && EvictLocalForSpace(*partner, gen)) {
-        pr = partner->disk().WriteFile(guarded, image);
+        pr = partner->disk().WriteShared(guarded, shared);
       }
     }
     if (SysOk(pr)) {
@@ -172,26 +176,28 @@ std::optional<Replica> TieredStore::CommitRecord(
                  it->second.crc32};
   if (!it->second.tiered) {
     // A one-tier image exists only on the netfs: take its record there.
-    cruz::Bytes image;
-    if (!SysOk(netfs_.ReadFile(path, image))) return std::nullopt;
-    record.size = image.size();
-    record.crc32 = PodCheckpoint::FrameTrailer(image);
+    cruz::SharedBytes image;
+    if (!SysOk(netfs_.ReadShared(path, image))) return std::nullopt;
+    record.size = image->size();
+    record.crc32 = PodCheckpoint::FrameTrailer(*image);
   }
   return record;
 }
 
-void TieredStore::PutMeta(const std::string& path, cruz::Bytes bytes) {
+void TieredStore::PutMeta(const std::string& path, cruz::Bytes raw) {
   const std::string gen = GenPrefixOf(path);
-  Index(path, ImageMeta{bytes.size(), PodCheckpoint::FrameTrailer(bytes), 0,
+  Index(path, ImageMeta{raw.size(), PodCheckpoint::FrameTrailer(raw), 0,
                         false, /*tiered=*/true, /*image=*/false});
+  const cruz::SharedBytes bytes =
+      std::make_shared<cruz::Bytes>(std::move(raw));
   // Metadata is tiny and must survive any single failure domain: every
   // live node keeps a copy, and the netfs copy lands when it can.
   for (os::Node* n : ring_) {
     if (n->failed()) continue;
-    SysResult r = n->disk().WriteFile(path, bytes);
+    SysResult r = n->disk().WriteShared(path, bytes);
     if (SysErrno(r) == CRUZ_ENOSPC) {
       NotifyNoSpace(n->disk().name(), path);
-      if (EvictLocalForSpace(*n, gen)) n->disk().WriteFile(path, bytes);
+      if (EvictLocalForSpace(*n, gen)) n->disk().WriteShared(path, bytes);
     }
   }
   if (SysOk(WriteNetfs(path, bytes))) {
@@ -252,6 +258,15 @@ bool TieredStore::Intact(const std::string& path, const cruz::Bytes& bytes,
 SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
                                cruz::Bytes& out, ResolveResult* rr,
                                bool trace, const CopyCheck& check) {
+  cruz::SharedBytes shared;
+  SysResult r = Resolve(reader, path, shared, rr, trace, check);
+  if (SysOk(r)) out = *shared;
+  return r;
+}
+
+SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
+                               cruz::SharedBytes& out, ResolveResult* rr,
+                               bool trace, const CopyCheck& check) {
   ResolveResult scratch;
   ResolveResult& res = rr != nullptr ? *rr : scratch;
   res = ResolveResult{};
@@ -266,15 +281,15 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   // Reads one copy; true if it exists and passes its check.
   auto try_store = [&](const os::MemFileStore& store, const std::string& p,
                        const std::string& label) {
-    cruz::Bytes bytes;
-    if (!SysOk(store.ReadFile(p, bytes))) return false;
-    if (!Intact(path, bytes, check)) {
+    cruz::SharedBytes bytes;
+    if (!SysOk(store.ReadShared(p, bytes))) return false;
+    if (!Intact(path, *bytes, check)) {
       rejected = true;
       note(label + ":crc");
       return false;
     }
-    res.size = bytes.size();
-    res.crc32 = PodCheckpoint::FrameTrailer(bytes);
+    res.size = bytes->size();
+    res.crc32 = PodCheckpoint::FrameTrailer(*bytes);
     out = std::move(bytes);
     return true;
   };
@@ -289,7 +304,7 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
     if (trace) {
       sim_.metrics().counter("ckpt.store.restore_source_netfs").Add(1);
     }
-    return static_cast<SysResult>(out.size());
+    return static_cast<SysResult>(out->size());
   }
   const std::string guarded = std::string(kPartnerPrefix) + path;
 
@@ -352,15 +367,14 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
   chain += std::string(TierName(res.source)) + ":ok";
 
   // Rebuild-on-restart: repopulate the reader's tier-1 cache so the next
-  // restore (and the next flush) is local again.
+  // restore (and the next flush) is local again. The rebuilt copy shares
+  // the winning copy's buffer.
   if (reader != nullptr && res.source != Tier::kLocal) {
-    cruz::Bytes copy = out;
-    SysResult w = reader->disk().WriteFile(path, std::move(copy));
+    SysResult w = reader->disk().WriteShared(path, out);
     if (SysErrno(w) == CRUZ_ENOSPC) {
       NotifyNoSpace(reader->disk().name(), path);
       if (EvictLocalForSpace(*reader, GenPrefixOf(path))) {
-        copy = out;
-        w = reader->disk().WriteFile(path, std::move(copy));
+        w = reader->disk().WriteShared(path, out);
       }
     }
     if (SysOk(w)) {
@@ -386,19 +400,19 @@ SysResult TieredStore::Resolve(os::Node* reader, const std::string& path,
             .Arg("chain", chain)
             .Arg("fallbacks", static_cast<std::uint64_t>(res.fallbacks)));
   }
-  return static_cast<SysResult>(out.size());
+  return static_cast<SysResult>(out->size());
 }
 
 bool TieredStore::FindAnyCopy(const std::string& path,
-                              cruz::Bytes& out) const {
+                              cruz::SharedBytes& out) const {
   const std::string guarded = std::string(kPartnerPrefix) + path;
   for (os::Node* n : ring_) {
     if (n->failed()) continue;
     for (const std::string& p : {path, guarded}) {
-      cruz::Bytes bytes;
-      if (!SysOk(n->disk().ReadFile(p, bytes))) continue;
+      cruz::SharedBytes bytes;
+      if (!SysOk(n->disk().ReadShared(p, bytes))) continue;
       // Never propagate a copy that fails its check.
-      if (!Intact(path, bytes, nullptr)) continue;
+      if (!Intact(path, *bytes, nullptr)) continue;
       out = std::move(bytes);
       return true;
     }
@@ -418,7 +432,7 @@ void TieredStore::AttemptFlush(const std::string& path) {
   ++flush_attempts_total_;
   ++it->second.attempts;
 
-  cruz::Bytes bytes;
+  cruz::SharedBytes bytes;
   if (!FindAnyCopy(path, bytes)) {
     // Every disk copy is gone (node loss + partner loss before the flush
     // landed). Nothing left to make durable.
@@ -501,13 +515,13 @@ bool TieredStore::EvictLocalForSpace(os::Node& node,
 }
 
 SysResult TieredStore::WriteNetfs(const std::string& path,
-                                  const cruz::Bytes& bytes) {
-  SysResult w = netfs_.WriteFile(path, bytes);
+                                  const cruz::SharedBytes& bytes) {
+  SysResult w = netfs_.WriteShared(path, bytes);
   if (SysErrno(w) != CRUZ_ENOSPC) return w;
   NotifyNoSpace("netfs", path);
   while (SysErrno(w) == CRUZ_ENOSPC &&
          EvictGenerationForSpace(GenPrefixOf(path))) {
-    w = netfs_.WriteFile(path, bytes);
+    w = netfs_.WriteShared(path, bytes);
   }
   return w;
 }

@@ -34,7 +34,10 @@
 //
 // The store is pure state + scheduling. Each tier write costs one
 // Node::DiskWriteDuration: the partner copy and the netfs flush run at
-// the writer's local disk rate.
+// the writer's local disk rate. Host memory is separate from that cost
+// model: a committed image is one immutable buffer that its local,
+// partner and netfs copies (and any rebuilt local copy) all share, and
+// reads hand out that buffer rather than a copy of it.
 #pragma once
 
 #include <cstdint>
@@ -130,6 +133,10 @@ class TieredStore {
   // (restores trace; verification probes do not). Returns the size, -EIO
   // if every copy found failed its check, or -ENOENT if there was none.
   SysResult Resolve(os::Node* reader, const std::string& path,
+                    cruz::SharedBytes& out, ResolveResult* rr = nullptr,
+                    bool trace = true, const CopyCheck& check = nullptr);
+  // The same, copying the winning buffer into `out`.
+  SysResult Resolve(os::Node* reader, const std::string& path,
                     cruz::Bytes& out, ResolveResult* rr = nullptr,
                     bool trace = true, const CopyCheck& check = nullptr);
 
@@ -184,13 +191,14 @@ class TieredStore {
               const CopyCheck& check) const;
   // Finds an intact copy of `path` on the live node disks (own or
   // guarded).
-  bool FindAnyCopy(const std::string& path, cruz::Bytes& out) const;
+  bool FindAnyCopy(const std::string& path, cruz::SharedBytes& out) const;
   // Frees space on `node`'s disk by dropping the oldest generation's
   // files (preferring netfs-durable ones), excluding `keep_prefix`.
   bool EvictLocalForSpace(os::Node& node, const std::string& keep_prefix);
   // Writes `path` to the netfs; -ENOSPC discards old generations
   // (EvictGenerationForSpace) until the write fits or none is left.
-  SysResult WriteNetfs(const std::string& path, const cruz::Bytes& bytes);
+  SysResult WriteNetfs(const std::string& path,
+                       const cruz::SharedBytes& bytes);
   // The netfs -ENOSPC rule: discards the oldest committed generation
   // under `current`'s root if it is older than `current` and not the
   // newest committed one. False if none qualifies: the write fails.

@@ -1,13 +1,16 @@
 // Bounds-checked binary codecs.
 //
 // ByteWriter appends fixed-width integers (network byte order), blobs, and
-// length-prefixed strings to a growable buffer. ByteReader consumes the same
-// encoding and throws CodecError on any truncation or overrun, so corrupted
-// packets and checkpoint images fail loudly instead of propagating garbage.
+// length-prefixed strings to a growable buffer. ByteCounter has the same
+// Put* interface and only counts, so one field list can size a buffer
+// exactly before it is written. ByteReader consumes the encoding and
+// throws CodecError on any truncation or overrun, so corrupted packets
+// and checkpoint images fail loudly instead of propagating garbage.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +21,9 @@ namespace cruz {
 
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
+// Immutable bytes with shared ownership: a committed checkpoint image
+// held by several store tiers, or a page held by several images.
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 class ByteWriter {
  public:
@@ -86,6 +92,25 @@ class ByteWriter {
 
  private:
   Bytes buf_;
+};
+
+// Counts the bytes a ByteWriter would append for the same calls.
+class ByteCounter {
+ public:
+  void PutU8(std::uint8_t) { n_ += 1; }
+  void PutU16(std::uint16_t) { n_ += 2; }
+  void PutU32(std::uint32_t) { n_ += 4; }
+  void PutU64(std::uint64_t) { n_ += 8; }
+  void PutBool(bool) { n_ += 1; }
+  void PutBytes(ByteSpan data) { n_ += data.size(); }
+  void PutBytes(const void*, std::size_t n) { n_ += n; }
+  void PutBlob(ByteSpan data) { n_ += 4 + data.size(); }
+  void PutString(const std::string& s) { n_ += 4 + s.size(); }
+
+  std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 class ByteReader {

@@ -9,16 +9,33 @@ bool MemFileStore::WouldOverflow(const std::string& path,
   if (capacity_ == 0) return false;
   std::uint64_t used = TotalBytes();
   auto it = files_.find(path);
-  if (it != files_.end()) used -= it->second.size();
+  if (it != files_.end()) used -= it->second->size();
   return used + incoming > capacity_;
+}
+
+cruz::Bytes& MemFileStore::MutableFile(const std::string& path) {
+  std::shared_ptr<cruz::Bytes>& f = files_[path];
+  if (f == nullptr) {
+    f = std::make_shared<cruz::Bytes>();
+  } else if (f.use_count() > 1) {
+    f = std::make_shared<cruz::Bytes>(*f);
+  }
+  return *f;
 }
 
 SysResult MemFileStore::WriteFile(const std::string& path,
                                   cruz::Bytes content) {
+  return WriteShared(path, std::make_shared<cruz::Bytes>(std::move(content)));
+}
+
+SysResult MemFileStore::WriteShared(const std::string& path,
+                                    cruz::SharedBytes content) {
   if (!available_) return SysErr(CRUZ_EIO);
-  if (WouldOverflow(path, content.size())) return SysErr(CRUZ_ENOSPC);
-  SysResult n = static_cast<SysResult>(content.size());
-  files_[path] = std::move(content);
+  if (WouldOverflow(path, content->size())) return SysErr(CRUZ_ENOSPC);
+  SysResult n = static_cast<SysResult>(content->size());
+  // Buffers are allocated mutable (see the header), so a sole holder may
+  // change this one in place later.
+  files_[path] = std::const_pointer_cast<cruz::Bytes>(std::move(content));
   return n;
 }
 
@@ -27,9 +44,9 @@ SysResult MemFileStore::AppendFile(const std::string& path,
   if (!available_) return SysErr(CRUZ_EIO);
   auto it = files_.find(path);
   std::uint64_t grown =
-      (it != files_.end() ? it->second.size() : 0) + content.size();
+      (it != files_.end() ? it->second->size() : 0) + content.size();
   if (WouldOverflow(path, grown)) return SysErr(CRUZ_ENOSPC);
-  cruz::Bytes& f = files_[path];
+  cruz::Bytes& f = MutableFile(path);
   f.insert(f.end(), content.begin(), content.end());
   return static_cast<SysResult>(content.size());
 }
@@ -39,8 +56,17 @@ SysResult MemFileStore::ReadFile(const std::string& path,
   if (!available_) return SysErr(CRUZ_EIO);
   auto it = files_.find(path);
   if (it == files_.end()) return SysErr(CRUZ_ENOENT);
-  out = it->second;
+  out = *it->second;
   return static_cast<SysResult>(out.size());
+}
+
+SysResult MemFileStore::ReadShared(const std::string& path,
+                                   cruz::SharedBytes& out) const {
+  if (!available_) return SysErr(CRUZ_EIO);
+  auto it = files_.find(path);
+  if (it == files_.end()) return SysErr(CRUZ_ENOENT);
+  out = it->second;
+  return static_cast<SysResult>(out->size());
 }
 
 SysResult MemFileStore::ReadAt(const std::string& path, std::uint64_t offset,
@@ -48,7 +74,7 @@ SysResult MemFileStore::ReadAt(const std::string& path, std::uint64_t offset,
   if (!available_) return SysErr(CRUZ_EIO);
   auto it = files_.find(path);
   if (it == files_.end()) return SysErr(CRUZ_ENOENT);
-  const cruz::Bytes& f = it->second;
+  const cruz::Bytes& f = *it->second;
   if (offset >= f.size()) return 0;
   std::size_t take = std::min<std::uint64_t>(n, f.size() - offset);
   out.insert(out.end(), f.begin() + static_cast<std::ptrdiff_t>(offset),
@@ -63,12 +89,11 @@ SysResult MemFileStore::WriteAt(const std::string& path, std::uint64_t offset,
   if (it == files_.end()) {
     if (!create) return SysErr(CRUZ_ENOENT);
     if (WouldOverflow(path, offset + data.size())) return SysErr(CRUZ_ENOSPC);
-    it = files_.emplace(path, cruz::Bytes{}).first;
-  } else if (offset + data.size() > it->second.size() &&
+  } else if (offset + data.size() > it->second->size() &&
              WouldOverflow(path, offset + data.size())) {
     return SysErr(CRUZ_ENOSPC);
   }
-  cruz::Bytes& f = it->second;
+  cruz::Bytes& f = MutableFile(path);
   if (offset + data.size() > f.size()) {
     f.resize(offset + data.size(), 0);
   }
@@ -86,7 +111,7 @@ SysResult MemFileStore::FileSize(const std::string& path) const {
   if (!available_) return SysErr(CRUZ_EIO);
   auto it = files_.find(path);
   if (it == files_.end()) return SysErr(CRUZ_ENOENT);
-  return static_cast<SysResult>(it->second.size());
+  return static_cast<SysResult>(it->second->size());
 }
 
 std::vector<std::string> MemFileStore::List(const std::string& prefix) const {
@@ -100,7 +125,7 @@ std::vector<std::string> MemFileStore::List(const std::string& prefix) const {
 
 std::uint64_t MemFileStore::TotalBytes() const {
   std::uint64_t n = 0;
-  for (const auto& [path, content] : files_) n += content.size();
+  for (const auto& [path, content] : files_) n += content->size();
   return n;
 }
 

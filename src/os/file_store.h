@@ -9,12 +9,20 @@
 //  - an availability flag: an unavailable store fails every operation
 //    with -EIO, modelling a netfs outage window or an unmounted disk.
 //
+// Each file is a buffer of immutable shared bytes (cruz::SharedBytes):
+// WriteShared stores the caller's buffer itself, so several stores (the
+// tiers of one checkpoint image) can hold one buffer, and ReadShared
+// hands the buffer out without a copy. AppendFile and WriteAt copy
+// a file's buffer before changing it whenever anyone else holds it, so
+// a mutation is never seen through another store or an earlier read.
+//
 // I/O cost is still charged by the caller through the per-node disk
 // model (Node::DiskWriteDuration); the store is pure state.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,10 +46,17 @@ class MemFileStore {
   // Creates or truncates. Returns the byte count written, -ENOSPC when
   // the capacity budget would be exceeded, or -EIO when unavailable.
   SysResult WriteFile(const std::string& path, cruz::Bytes content);
+  // WriteFile storing `content`'s buffer itself (shared, not copied).
+  // Allocate it as mutable Bytes (std::make_shared<cruz::Bytes>): once
+  // this store is its only holder, AppendFile and WriteAt change it in
+  // place.
+  SysResult WriteShared(const std::string& path, cruz::SharedBytes content);
   // Appends, creating if missing.
   SysResult AppendFile(const std::string& path, cruz::ByteSpan content);
   // Returns -ENOENT if missing.
   SysResult ReadFile(const std::string& path, cruz::Bytes& out) const;
+  // ReadFile handing out the file's buffer itself (shared, not copied).
+  SysResult ReadShared(const std::string& path, cruz::SharedBytes& out) const;
   // Reads [offset, offset+n) into out; short reads at EOF. -ENOENT if
   // missing.
   SysResult ReadAt(const std::string& path, std::uint64_t offset,
@@ -76,8 +91,14 @@ class MemFileStore {
   // `path` (replacing whatever is there)?
   bool WouldOverflow(const std::string& path, std::uint64_t incoming) const;
 
+  // `path`'s buffer, ready to change: copied first if anyone else holds
+  // it; created empty if missing.
+  cruz::Bytes& MutableFile(const std::string& path);
+
   std::string name_;
-  std::map<std::string, cruz::Bytes> files_;
+  // Held mutable so a buffer no one else holds changes in place; handed
+  // out and shared only as const.
+  std::map<std::string, std::shared_ptr<cruz::Bytes>> files_;
   std::uint64_t capacity_ = 0;
   bool available_ = true;
 };

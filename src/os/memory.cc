@@ -1,11 +1,26 @@
 #include "os/memory.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "common/error.h"
 
 namespace cruz::os {
+
+namespace {
+
+std::atomic<std::uint64_t> g_bytes_copied{0};
+
+void CountCopy() {
+  g_bytes_copied.fetch_add(kPageSize, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+std::uint64_t MemoryBytesCopiedTotal() {
+  return g_bytes_copied.load(std::memory_order_relaxed);
+}
 
 void Memory::MarkDirty(std::uint64_t page_index) {
   std::uint64_t& word = dirty_words_[page_index >> 6];
@@ -50,10 +65,12 @@ Memory::Page& Memory::PageForWrite(std::uint64_t page_index) {
     it = pages_.emplace(page_index, std::make_shared<Page>(kPageSize, 0))
              .first;
   } else if (it->second.use_count() > 1) {
-    // The page is shared with at least one snapshot: copy before the
-    // write so the snapshot's view stays frozen (COW fault).
+    // The page is shared with at least one snapshot or image: copy
+    // before the write so the other holders' view stays frozen (COW
+    // fault).
     it->second = std::make_shared<Page>(*it->second);
     ++cow_faults_;
+    CountCopy();
   }
   return *it->second;
 }
@@ -170,6 +187,16 @@ void Memory::InstallPage(std::uint64_t page_index, cruz::ByteSpan content) {
   CRUZ_CHECK(content.size() == kPageSize, "InstallPage: wrong size");
   pages_[page_index] =
       std::make_shared<Page>(content.begin(), content.end());
+  CountCopy();
+  MarkDirty(page_index);
+}
+
+void Memory::AdoptPage(std::uint64_t page_index, SharedPage page) {
+  CRUZ_CHECK(page != nullptr && page->size() == kPageSize,
+             "AdoptPage: wrong size");
+  // Pages are allocated mutable (see SharedPage); PageForWrite writes in
+  // place only when this Memory is the page's sole holder.
+  pages_[page_index] = std::const_pointer_cast<Page>(std::move(page));
   MarkDirty(page_index);
 }
 

@@ -13,6 +13,11 @@
 // so the snapshot stays byte-stable while the background write-out
 // serializes it, and the running pod pays only for the pages it touches.
 //
+// A restore adopts the decoded image's page handles instead of copying
+// them (AdoptPage): an adopted page is shared with the image that holds
+// it and is copied by the first write only while that holder lives, as a
+// snapshot-shared page is.
+//
 // Post-copy live migration adds a third page state: *missing*. A missing
 // page has known-but-not-yet-transferred content living on the migration
 // source; any touch raises a PageFault so the OS can suspend the faulting
@@ -36,6 +41,21 @@ namespace cruz::os {
 constexpr std::size_t kPageSize = 4096;
 constexpr std::uint64_t kPageShift = 12;
 
+// One page's bytes, always kPageSize long, and a shared read-only handle
+// to it. Handles are what snapshots, checkpoint images and a restored
+// Memory hold in common. Allocate a page as a mutable Page
+// (std::make_shared<Page>): a Memory that adopts it writes it in place
+// once it is the only holder.
+using Page = std::vector<std::uint8_t>;
+using SharedPage = std::shared_ptr<const Page>;
+
+// Page bytes Memory copied since process start, over all threads: page
+// content installed (InstallPage, FillPage) and pages cloned by COW
+// faults. Adopted pages and application writes are not copies. A
+// host-side work counter, like Crc32BytesTotal(): it never enters a trace
+// or an export.
+std::uint64_t MemoryBytesCopiedTotal();
+
 // Thrown by Memory on any access to a missing (demand-paged) page. The OS
 // catches it in RunStep, rewinds the thread, and parks the whole process
 // until the page server delivers the content.
@@ -49,8 +69,8 @@ struct PageFault {
 // and by page drops in the live address space.
 class MemorySnapshot {
  public:
-  using Page = std::vector<std::uint8_t>;
-  using PageMap = std::map<std::uint64_t, std::shared_ptr<const Page>>;
+  using Page = os::Page;
+  using PageMap = std::map<std::uint64_t, SharedPage>;
 
   MemorySnapshot() = default;
   explicit MemorySnapshot(PageMap pages) : pages_(std::move(pages)) {}
@@ -71,7 +91,7 @@ class MemorySnapshot {
 
 class Memory {
  public:
-  using Page = std::vector<std::uint8_t>;  // always kPageSize long
+  using Page = os::Page;
 
   // --- raw access -----------------------------------------------------------
   void WriteBytes(std::uint64_t addr, cruz::ByteSpan data);
@@ -98,7 +118,13 @@ class Memory {
   }
   std::size_t PageCount() const { return pages_.size(); }
   std::size_t ResidentBytes() const { return pages_.size() * kPageSize; }
+  // Installs a private copy of `content`, marking the page dirty.
   void InstallPage(std::uint64_t page_index, cruz::ByteSpan content);
+  // Installs `page` itself, shared with its other holders and marked
+  // dirty as InstallPage marks it. The first write copies it while
+  // another holder exists (counted in cow_faults), so no holder ever
+  // sees this Memory's writes.
+  void AdoptPage(std::uint64_t page_index, SharedPage page);
   void Clear() {
     pages_.clear();
     missing_.clear();
@@ -129,7 +155,8 @@ class Memory {
   // is byte-stable forever.
   MemorySnapshot Snapshot() const;
 
-  // Pages copied because a write hit a page shared with a snapshot.
+  // Pages copied because a write hit a page shared with a snapshot or an
+  // image.
   std::uint64_t cow_faults() const { return cow_faults_; }
   void ResetCowFaults() { cow_faults_ = 0; }
 
@@ -162,8 +189,8 @@ class Memory {
   // Throws PageFault for the lowest missing page in [addr, addr + n).
   void FaultOnMissing(std::uint64_t addr, std::size_t n) const;
 
-  // Pages are shared with snapshots; a write that hits a shared page
-  // (use_count > 1) clones it first.
+  // Pages are shared with snapshots and adopted from images; a write that
+  // hits a shared page (use_count > 1) clones it first.
   std::map<std::uint64_t, std::shared_ptr<Page>> pages_;
   // Demand-paged pages: content pending delivery, any touch faults.
   std::set<std::uint64_t> missing_;

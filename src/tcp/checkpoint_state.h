@@ -63,7 +63,30 @@ struct TcpConnCheckpoint {
     return n;
   }
 
-  void Serialize(cruz::ByteWriter& w) const;
+  // Writes the record to a cruz::ByteWriter, or sizes it with a
+  // cruz::ByteCounter: one field list for both.
+  template <typename Writer>
+  void Serialize(Writer& w) const {
+    w.PutU32(tuple.local.ip.value);
+    w.PutU16(tuple.local.port);
+    w.PutU32(tuple.remote.ip.value);
+    w.PutU16(tuple.remote.port);
+    w.PutU8(static_cast<std::uint8_t>(state));
+    w.PutU32(iss);
+    w.PutU32(irs);
+    w.PutU32(snd_una);
+    w.PutU32(rcv_nxt);
+    w.PutU16(snd_wnd);
+    w.PutBool(nagle_enabled);
+    w.PutBool(cork_enabled);
+    w.PutU32(cwnd_bytes);
+    w.PutU32(ssthresh_bytes);
+    w.PutBool(app_closed);
+    w.PutBool(fin_acked);
+    w.PutU32(static_cast<std::uint32_t>(send_packets.size()));
+    for (const auto& p : send_packets) w.PutBlob(p);
+    w.PutBlob(recv_pending);
+  }
   static TcpConnCheckpoint Deserialize(cruz::ByteReader& r);
 };
 

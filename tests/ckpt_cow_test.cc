@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "apps/programs.h"
@@ -276,8 +278,10 @@ TEST(PageCodec, CompressedImageIsVersion2AndEquivalent) {
   ProcessRecord p;
   p.vpid = 1;
   p.program = "cruz.counter";
-  p.pages.push_back(PageRecord{4, cruz::Bytes(os::kPageSize, 0xAB)});
-  p.pages.push_back(PageRecord{9, cruz::Bytes(os::kPageSize, 0x00)});
+  p.pages.push_back(
+      PageRecord{4, std::make_shared<cruz::Bytes>(os::kPageSize, 0xAB)});
+  p.pages.push_back(
+      PageRecord{9, std::make_shared<cruz::Bytes>(os::kPageSize, 0x00)});
   ck.processes.push_back(p);
 
   cruz::Bytes raw = ck.Serialize(false);
@@ -287,7 +291,7 @@ TEST(PageCodec, CompressedImageIsVersion2AndEquivalent) {
   PodCheckpoint from_raw = PodCheckpoint::Deserialize(raw);
   PodCheckpoint from_z = PodCheckpoint::Deserialize(compressed);
   EXPECT_EQ(from_raw.Serialize(false), from_z.Serialize(false));
-  EXPECT_EQ(from_z.processes.at(0).pages.at(0).content,
+  EXPECT_EQ(*from_z.processes.at(0).pages.at(0).content,
             cruz::Bytes(os::kPageSize, 0xAB));
 }
 
@@ -375,7 +379,7 @@ TEST_P(CowDifferential, LateMaterializeMatchesSnapshotPoint) {
   for (const PageRecord& page : expected.processes.at(0).pages) {
     EXPECT_EQ(rp->memory().ReadBytes(page.page_index * os::kPageSize,
                                      os::kPageSize),
-              page.content)
+              *page.content)
         << "seed " << seed << " page " << page.page_index;
   }
 }
@@ -474,6 +478,140 @@ TEST(CowCoordinated, CompressedCowImageRestores) {
   std::uint64_t before = apps::ReadCounter(*rp);
   c.sim().RunFor(20 * kMillisecond);
   EXPECT_GT(apps::ReadCounter(*rp), before);  // resumed and running
+}
+
+// --- restore by adoption -------------------------------------------------
+
+// A pod on node 0 running the counter over `npages` installed pages of
+// distinct content.
+struct BallastPod {
+  os::PodId id = os::kNoPod;
+  os::Pid vpid = os::kNoPid;
+};
+
+BallastPod SpawnBallastPod(Cluster& c, std::uint64_t npages) {
+  BallastPod pod;
+  pod.id = c.CreatePod(0, "job");
+  pod.vpid = c.pods(0).SpawnInPod(pod.id, "cruz.counter",
+                                  apps::CounterArgs(1u << 30));
+  os::Process* proc =
+      c.node(0).os().FindProcess(c.pods(0).ToRealPid(pod.id, pod.vpid));
+  for (std::uint64_t i = 0; i < npages; ++i) {
+    proc->memory().InstallPage(
+        0x1000 + i, cruz::Bytes(os::kPageSize, static_cast<std::uint8_t>(i)));
+  }
+  c.sim().RunFor(5 * kMillisecond);
+  return pod;
+}
+
+// Restoring adopts the image's page handles: no page byte is copied into
+// the pod's memory, a write copies a page only while the image still
+// holds it, and no write ever reaches the image, whose re-serialization
+// stays byte-identical.
+TEST(CowRestore, AdoptedPagesNeverWriteThroughToTheImage) {
+  constexpr std::uint64_t kPages = 16;
+  ClusterConfig config;
+  config.num_nodes = 1;
+  Cluster c(config);
+  BallastPod pod = SpawnBallastPod(c, kPages);
+  const cruz::Bytes image =
+      CheckpointEngine::CapturePod(c.pods(0), pod.id).Serialize(true);
+  c.pods(0).DestroyPod(pod.id);
+
+  auto loaded = std::make_unique<PodCheckpoint>(
+      PodCheckpoint::Deserialize(image));
+  const std::uint64_t copied = os::MemoryBytesCopiedTotal();
+  os::PodId restored = CheckpointEngine::RestorePod(c.pods(0), *loaded);
+  EXPECT_EQ(os::MemoryBytesCopiedTotal(), copied) << "restore copied pages";
+  os::Process* proc = c.node(0).os().FindProcess(
+      c.pods(0).ToRealPid(restored, pod.vpid));
+  ASSERT_NE(proc, nullptr);
+  proc->memory().ResetCowFaults();
+
+  // The first half is written while the image holds every page: each
+  // write copies its page first.
+  for (std::uint64_t i = 0; i < kPages / 2; ++i) {
+    proc->memory().WriteBytes((0x1000 + i) * os::kPageSize,
+                              cruz::Bytes(64, 0xFF));
+  }
+  EXPECT_EQ(proc->memory().cow_faults(), kPages / 2);
+  CheckpointEngine::ResumePod(c.pods(0), restored);
+  c.sim().RunFor(5 * kMillisecond);  // the counter writes its status page
+  EXPECT_EQ(loaded->Serialize(true), image);
+  const PodCheckpoint fresh = PodCheckpoint::Deserialize(image);
+  ASSERT_EQ(loaded->processes.at(0).pages.size(),
+            fresh.processes.at(0).pages.size());
+  for (std::size_t i = 0; i < fresh.processes.at(0).pages.size(); ++i) {
+    EXPECT_EQ(*loaded->processes.at(0).pages[i].content,
+              *fresh.processes.at(0).pages[i].content);
+  }
+
+  // With the image gone the pod is each page's only holder: writes land
+  // in place.
+  loaded.reset();
+  const std::uint64_t faults = proc->memory().cow_faults();
+  for (std::uint64_t i = kPages / 2; i < kPages; ++i) {
+    proc->memory().WriteBytes((0x1000 + i) * os::kPageSize,
+                              cruz::Bytes(64, 0xFF));
+  }
+  EXPECT_EQ(proc->memory().cow_faults(), faults);
+}
+
+// Post-copy's stop, by hand: the target adopts the resident pages of an
+// image materialized from the frozen snapshot, faults on the rest, and
+// is filled from the snapshot. However the target writes, the pages the
+// snapshot holds (and serves) keep the bytes they had at the stop.
+TEST(CowRestore, PostCopyTargetWritesNeverReachTheFrozenSnapshot) {
+  constexpr std::uint64_t kPages = 16;
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  BallastPod pod = SpawnBallastPod(c, kPages);
+  PodSnapshot frozen = CheckpointEngine::SnapshotPod(c.pods(0), pod.id, {});
+  std::map<std::uint64_t, cruz::Bytes> at_stop;
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    const os::MemorySnapshot::Page* page =
+        frozen.FindPage(pod.vpid, 0x1000 + i);
+    ASSERT_NE(page, nullptr);
+    at_stop[0x1000 + i] = *page;
+  }
+  // Odd pages stay behind on the source.
+  auto missing = [](std::uint64_t index) { return index % 2 == 1; };
+  {
+    PodCheckpoint ck = frozen.Materialize();
+    for (ProcessRecord& p : ck.processes) {
+      std::erase_if(p.pages, [&](const PageRecord& page) {
+        return page.page_index >= 0x1000 && missing(page.page_index);
+      });
+    }
+    c.pods(0).DestroyPod(pod.id);
+    os::PodId restored = CheckpointEngine::RestorePod(c.pods(1), ck);
+    ASSERT_EQ(restored, pod.id);
+  }
+  os::Pid real = c.pods(1).ToRealPid(pod.id, pod.vpid);
+  os::Process* proc = c.node(1).os().FindProcess(real);
+  ASSERT_NE(proc, nullptr);
+  for (const auto& [index, bytes] : at_stop) {
+    if (missing(index)) proc->memory().MarkMissing(index);
+  }
+  CheckpointEngine::ResumePod(c.pods(1), pod.id);
+  c.sim().RunFor(5 * kMillisecond);
+
+  for (const auto& [index, bytes] : at_stop) {
+    if (missing(index)) {
+      const os::MemorySnapshot::Page* page = frozen.FindPage(pod.vpid, index);
+      ASSERT_TRUE(c.node(1).os().FillPage(
+          real, index, cruz::ByteSpan(page->data(), page->size())));
+    }
+    proc->memory().WriteBytes(index * os::kPageSize, cruz::Bytes(128, 0xEE));
+  }
+  for (const auto& [index, bytes] : at_stop) {
+    const os::MemorySnapshot::Page* page = frozen.FindPage(pod.vpid, index);
+    ASSERT_NE(page, nullptr);
+    EXPECT_EQ(*page, bytes) << "page " << index;
+    EXPECT_EQ(proc->memory().ReadBytes(index * os::kPageSize, 1),
+              cruz::Bytes{0xEE});
+  }
 }
 
 }  // namespace

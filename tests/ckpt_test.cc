@@ -167,7 +167,8 @@ TEST(Image, SerializeDeserializeRoundTrip) {
   p.vpid = 1;
   p.program = "cruz.counter";
   p.threads.push_back(ThreadRecord{0, {}});
-  p.pages.push_back(PageRecord{16, cruz::Bytes(os::kPageSize, 0x11)});
+  p.pages.push_back(
+      PageRecord{16, std::make_shared<cruz::Bytes>(os::kPageSize, 0x11)});
   p.fds.push_back(FdRecord{3, 1});
   p.shm_attachments.push_back(ShmAttachRecord{7, 0x700000});
   ck.processes.push_back(p);
@@ -186,7 +187,7 @@ TEST(Image, SerializeDeserializeRoundTrip) {
   ASSERT_EQ(d2.listeners.size(), 1u);
   EXPECT_EQ(d2.listeners[0].accept_queue, ck.listeners[0].accept_queue);
   ASSERT_EQ(d2.processes.size(), 1u);
-  EXPECT_EQ(d2.processes[0].pages[0].content, p.pages[0].content);
+  EXPECT_EQ(*d2.processes[0].pages[0].content, *p.pages[0].content);
   EXPECT_GT(d2.StateBytes(), 4096u);
 }
 

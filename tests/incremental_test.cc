@@ -48,8 +48,10 @@ TEST(IncrementalImage, MergeOverlaysPages) {
   ProcessRecord bp;
   bp.vpid = 1;
   bp.program = "cruz.counter";
-  bp.pages.push_back(PageRecord{1, cruz::Bytes(os::kPageSize, 0xAA)});
-  bp.pages.push_back(PageRecord{2, cruz::Bytes(os::kPageSize, 0xBB)});
+  bp.pages.push_back(
+      PageRecord{1, std::make_shared<cruz::Bytes>(os::kPageSize, 0xAA)});
+  bp.pages.push_back(
+      PageRecord{2, std::make_shared<cruz::Bytes>(os::kPageSize, 0xBB)});
   base.processes.push_back(bp);
 
   PodCheckpoint delta;
@@ -59,8 +61,10 @@ TEST(IncrementalImage, MergeOverlaysPages) {
   ProcessRecord dp;
   dp.vpid = 1;
   dp.program = "cruz.counter";
-  dp.pages.push_back(PageRecord{2, cruz::Bytes(os::kPageSize, 0xCC)});
-  dp.pages.push_back(PageRecord{3, cruz::Bytes(os::kPageSize, 0xDD)});
+  dp.pages.push_back(
+      PageRecord{2, std::make_shared<cruz::Bytes>(os::kPageSize, 0xCC)});
+  dp.pages.push_back(
+      PageRecord{3, std::make_shared<cruz::Bytes>(os::kPageSize, 0xDD)});
   delta.processes.push_back(dp);
 
   PodCheckpoint merged = delta.MergeOnto(base);
@@ -69,11 +73,11 @@ TEST(IncrementalImage, MergeOverlaysPages) {
   const auto& pages = merged.processes[0].pages;
   ASSERT_EQ(pages.size(), 3u);
   EXPECT_EQ(pages[0].page_index, 1u);
-  EXPECT_EQ(pages[0].content[0], 0xAA);  // untouched base page
+  EXPECT_EQ((*pages[0].content)[0], 0xAA);  // untouched base page
   EXPECT_EQ(pages[1].page_index, 2u);
-  EXPECT_EQ(pages[1].content[0], 0xCC);  // delta wins
+  EXPECT_EQ((*pages[1].content)[0], 0xCC);  // delta wins
   EXPECT_EQ(pages[2].page_index, 3u);
-  EXPECT_EQ(pages[2].content[0], 0xDD);  // new page
+  EXPECT_EQ((*pages[2].content)[0], 0xDD);  // new page
 }
 
 TEST(IncrementalImage, RoundTripKeepsChainFields) {

@@ -399,7 +399,7 @@ TEST(CodecCompat, BitFlippedCompressedPageRaisesCodecError) {
   rec.program = "cruz.counter";
   ckpt::PageRecord pg;
   pg.page_index = 0x2000;
-  pg.content.assign(os::kPageSize, 0xab);
+  pg.content = std::make_shared<Bytes>(os::kPageSize, 0xab);
   rec.pages.push_back(pg);
   ck.processes.push_back(std::move(rec));
 
@@ -407,7 +407,7 @@ TEST(CodecCompat, BitFlippedCompressedPageRaisesCodecError) {
   ASSERT_NO_THROW(ckpt::PodCheckpoint::Deserialize(image));
 
   // Flip one bit in the page's encoded RLE payload.
-  Bytes needle = ckpt::EncodePage(pg.content, ckpt::PageCodec::kRle);
+  Bytes needle = ckpt::EncodePage(*pg.content, ckpt::PageCodec::kRle);
   auto it = std::search(image.begin(), image.end(),
                         needle.begin(), needle.end());
   ASSERT_NE(it, image.end());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -682,6 +683,141 @@ TEST(TieredStore, CrcPassesPerImageByteArePinned) {
     // GenerationStore::Verify and once in the agent's restore.
     EXPECT_EQ(passes(after_restart - after_flush), 4);
   }
+}
+
+// --- image buffer sharing (DESIGN.md, "Image buffer ownership") ----------
+
+// Two stores holding one buffer: a mutation through either store, or a
+// rewrite, or a Clear, never shows through the other store, nor through
+// a view handed out before it.
+TEST(MemFileStore, MutationsOfASharedBufferStayInTheirStore) {
+  auto make = [] {
+    return std::make_shared<Bytes>(Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+  };
+  const Bytes original{1, 2, 3, 4, 5, 6, 7, 8};
+  auto content_of = [](const os::MemFileStore& s, const std::string& p) {
+    Bytes out;
+    EXPECT_TRUE(SysOk(s.ReadFile(p, out)));
+    return out;
+  };
+  os::MemFileStore a("a"), b("b");
+  {
+    SharedBytes shared = make();
+    ASSERT_TRUE(SysOk(a.WriteShared("/img", shared)));
+    ASSERT_TRUE(SysOk(b.WriteShared("/img", shared)));
+  }
+  SharedBytes view_a, view_b;
+  ASSERT_TRUE(SysOk(a.ReadShared("/img", view_a)));
+  ASSERT_TRUE(SysOk(b.ReadShared("/img", view_b)));
+  EXPECT_EQ(view_a.get(), view_b.get()) << "one buffer, two stores";
+
+  ASSERT_TRUE(SysOk(a.WriteAt("/img", 2, Bytes{0xEE, 0xEE}, false)));
+  EXPECT_EQ(content_of(b, "/img"), original);
+  EXPECT_EQ(*view_a, original) << "an earlier read sees no later write";
+  EXPECT_EQ(content_of(a, "/img"), (Bytes{1, 2, 0xEE, 0xEE, 5, 6, 7, 8}));
+
+  ASSERT_TRUE(SysOk(b.AppendFile("/img", Bytes{9})));
+  EXPECT_EQ(*view_b, original);
+  EXPECT_EQ(content_of(b, "/img").size(), 9u);
+  EXPECT_EQ(content_of(a, "/img"), (Bytes{1, 2, 0xEE, 0xEE, 5, 6, 7, 8}));
+
+  SharedBytes shared = make();
+  ASSERT_TRUE(SysOk(a.WriteShared("/img", shared)));
+  ASSERT_TRUE(SysOk(b.WriteShared("/img", shared)));
+  ASSERT_TRUE(SysOk(a.WriteFile("/img", Bytes{0})));
+  EXPECT_EQ(content_of(b, "/img"), original);
+  EXPECT_EQ(*shared, original);
+  a.Clear();
+  EXPECT_EQ(content_of(b, "/img"), original);
+  EXPECT_EQ(*shared, original);
+
+  // A buffer no one else holds changes in place: no copy.
+  shared.reset();
+  view_a.reset();
+  view_b.reset();
+  SharedBytes before, after;
+  ASSERT_TRUE(SysOk(b.ReadShared("/img", before)));
+  const Bytes* buffer = before.get();
+  before.reset();
+  ASSERT_TRUE(SysOk(b.WriteAt("/img", 0, Bytes{0x11}, false)));
+  ASSERT_TRUE(SysOk(b.ReadShared("/img", after)));
+  EXPECT_EQ(after.get(), buffer);
+  EXPECT_EQ((*after)[0], 0x11);
+}
+
+// A committed tiered image is one buffer: the writer's copy, the
+// partner's guarded copy and the flushed netfs copy share its data.
+TEST(TieredStore, EveryTierSharesOneCommittedBuffer) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  c.sim().RunFor(10 * kMillisecond);
+  auto result = c.RunGenerationCheckpoint({c.MemberFor(0, a)},
+                                          TieredOptions());
+  ASSERT_TRUE(result.stats.success) << result.stats.abort_reason;
+  c.sim().RunFor(2 * kSecond);  // flush to the netfs
+  ASSERT_EQ(result.stats.image_paths.size(), 1u);
+  const std::string path = result.stats.image_paths[0];
+  ASSERT_TRUE(c.tiered().FlushedToNetfs(path));
+
+  SharedBytes local, partner, netfs;
+  ASSERT_TRUE(SysOk(c.node(0).disk().ReadShared(path, local)));
+  ASSERT_TRUE(SysOk(c.node(1).disk().ReadShared(
+      std::string(ckpt::TieredStore::kPartnerPrefix) + path, partner)));
+  ASSERT_TRUE(SysOk(c.fs().ReadShared(path, netfs)));
+  EXPECT_EQ(local->data(), partner->data());
+  EXPECT_EQ(local->data(), netfs->data());
+  // Exactly sized: a shared buffer's slack would be held by every tier.
+  EXPECT_EQ(local->capacity(), local->size());
+
+  // Resolve hands out that buffer too.
+  SharedBytes resolved;
+  ASSERT_TRUE(SysOk(c.tiered().Resolve(&c.node(0), path, resolved, nullptr,
+                                       /*trace=*/false)));
+  EXPECT_EQ(resolved->data(), local->data());
+}
+
+// In-place rot of one tier's copy (WriteAt on the shared buffer) stays
+// on that tier: the restart falls back to the intact partner copy, and
+// the partner and netfs copies keep their bytes.
+TEST(TieredStore, InPlaceRotOfOneTierLeavesTheOtherCopiesIntact) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  c.sim().RunFor(10 * kMillisecond);
+  auto result = c.RunGenerationCheckpoint({c.MemberFor(0, a)},
+                                          TieredOptions());
+  ASSERT_TRUE(result.stats.success) << result.stats.abort_reason;
+  c.sim().RunFor(2 * kSecond);
+  const std::string path = result.stats.image_paths.at(0);
+  const std::string guarded =
+      std::string(ckpt::TieredStore::kPartnerPrefix) + path;
+  Bytes intact;
+  ASSERT_TRUE(SysOk(c.node(0).disk().ReadFile(path, intact)));
+
+  Bytes flipped{static_cast<std::uint8_t>(intact[intact.size() / 2] ^ 0x40)};
+  ASSERT_TRUE(SysOk(
+      c.node(0).disk().WriteAt(path, intact.size() / 2, flipped, false)));
+  Bytes partner, netfs;
+  ASSERT_TRUE(SysOk(c.node(1).disk().ReadFile(guarded, partner)));
+  ASSERT_TRUE(SysOk(c.fs().ReadFile(path, netfs)));
+  EXPECT_EQ(partner, intact);
+  EXPECT_EQ(netfs, intact);
+
+  c.pods(0).DestroyPod(a);
+  auto restart = c.RunGenerationRestart({c.MemberFor(0, a)}, TieredOptions());
+  ASSERT_TRUE(restart.stats.success) << restart.stats.abort_reason;
+  ASSERT_EQ(restart.stats.restore_sources.size(), 1u);
+  EXPECT_EQ(restart.stats.restore_sources[0], kPartner);
+  // Rebuild-on-restart replaced the rotten local copy with the partner's
+  // buffer; the partner copy itself never changed.
+  Bytes rebuilt;
+  ASSERT_TRUE(SysOk(c.node(0).disk().ReadFile(path, rebuilt)));
+  EXPECT_EQ(rebuilt, intact);
+  ASSERT_TRUE(SysOk(c.node(1).disk().ReadFile(guarded, partner)));
+  EXPECT_EQ(partner, intact);
 }
 
 }  // namespace
