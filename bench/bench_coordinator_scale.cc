@@ -21,7 +21,10 @@
 // (work_sim_events_*: cluster setup, warm-up and the checkpoint), a
 // deterministic host-work counter gated exactly like the sim metrics.
 // A pod's gratuitous ARP floods every switch port, so this is where an
-// O(N²) packet path would show.
+// O(N²) packet path would show. work_arp_cache_writes_* counts the
+// neighbour-cache inserts and overwrites of every stack: a bystander that
+// hears an announcement for a peer it never talked to writes nothing
+// (DESIGN.md §12).
 //
 // Emits BENCH_coordinator_scale.json for the regression gate
 // (check_regression.py). CRUZ_BENCH_SMOKE=1 stops the sweep at N = 512,
@@ -61,6 +64,7 @@ struct ScaleResult {
   double cp_freeze_wait_us = 0;
   double cp_save_ms = 0;
   std::uint64_t sim_events = 0;  // events the whole scenario executed
+  std::uint64_t arp_cache_writes = 0;  // neighbour-cache inserts+overwrites
 };
 
 // Failure artifacts (the nightly CI sweep uploads these): the raw trace
@@ -124,6 +128,11 @@ ScaleResult RunScale(std::uint32_t nodes, std::uint32_t fan_out) {
   result.max_endpoint_fanout = stats.max_endpoint_fanout;
   result.latency_ms = ToMillis(stats.full_latency);
   result.sim_events = cluster.sim().events_executed();
+  result.arp_cache_writes =
+      cluster.coordinator_node().stack().arp_cache_writes();
+  for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
+    result.arp_cache_writes += cluster.node(i).stack().arp_cache_writes();
+  }
   if (!stats.success) {
     DumpFailureArtifacts(cluster, stats, nodes, fan_out, "op-failed");
     return result;
@@ -261,6 +270,8 @@ int main() {
       gate.Metric("latency_" + tag, r.latency_ms, "ms");
       gate.Metric("work_sim_events_" + tag,
                   static_cast<double>(r.sim_events), "events");
+      gate.Metric("work_arp_cache_writes_" + tag,
+                  static_cast<double>(r.arp_cache_writes), "writes");
       if (r.fan_out != 0) {
         gate.Metric("cp_shard_wait_" + tag, r.cp_shard_wait_us, "us");
         gate.Metric("cp_commit_wait_" + tag, r.cp_commit_wait_us, "us");

@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the substrates the experiments
 // sit on: checkpoint image codec, TCP connection machinery, sparse
-// memory, CRC32, and single-node capture/restore.
+// memory, CRC32, the bystander cost of a flooded ARP, and single-node
+// capture/restore.
 #include <benchmark/benchmark.h>
 
 #include "apps/programs.h"
 #include "ckpt/engine.h"
 #include "common/crc32_detail.h"
 #include "cruz/cluster.h"
+#include "os/node.h"
 #include "tcp/connection.h"
 
 namespace {
@@ -38,6 +40,39 @@ void BM_Crc32Clmul(benchmark::State& state) {
   RunCrc32Kernel(state, detail::Crc32ClmulKernel());
 }
 BENCHMARK(BM_Crc32Clmul)->Arg(64)->Arg(4096)->Arg(2 << 20);
+
+// One gratuitous ARP for an address no stack has talked to, flooded from
+// one of N idle nodes to the other N - 1: switch flood, NIC filter, the
+// in-place EtherType peek, ARP decode and the neighbour-cache lookup of a
+// bystander. `per_port` is host time per delivered port.
+void BM_ArpFlood(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  sim::Simulator sim(1);
+  net::EthernetSwitch ethernet(sim, net::LinkParams{});
+  os::NetworkFileSystem fs;
+  std::vector<std::unique_ptr<os::Node>> nodes;
+  nodes.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    os::NodeConfig config;
+    config.ip = net::Ipv4Address::FromOctets(
+        10, 0, static_cast<std::uint8_t>((i + 1) >> 8),
+        static_cast<std::uint8_t>(i + 1));
+    nodes.push_back(std::make_unique<os::Node>(
+        sim, ethernet, fs, "n" + std::to_string(i), i, config));
+  }
+  const net::Ipv4Address moved = net::Ipv4Address::Parse("10.0.250.1");
+  const net::MacAddress mac = net::MacAddress::FromId(0xA4F);
+  for (auto _ : state) {
+    nodes.front()->stack().AnnounceAddress(moved, mac);
+    sim.Run();
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.counters["per_port"] = benchmark::Counter(
+      static_cast<double>(n - 1),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ArpFlood)->Arg(64)->Arg(512);
 
 void BM_MemorySparseWrite(benchmark::State& state) {
   Bytes chunk(4096, 0x5A);

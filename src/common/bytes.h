@@ -172,13 +172,17 @@ class ByteReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
+  // The bounds check inlines into every Get*; the message is built out of
+  // line, so a decoder's hot path carries no string code.
   void Need(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
-      throw CodecError("ByteReader: truncated input (need " +
-                       std::to_string(n) + " bytes at offset " +
-                       std::to_string(pos_) + ", have " +
-                       std::to_string(data_.size() - pos_) + ")");
-    }
+    if (pos_ + n > data_.size()) ThrowTruncated(n);
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void ThrowTruncated(
+      std::size_t n) const {
+    throw CodecError("ByteReader: truncated input (need " +
+                     std::to_string(n) + " bytes at offset " +
+                     std::to_string(pos_) + ", have " +
+                     std::to_string(data_.size() - pos_) + ")");
   }
 
   ByteSpan data_;

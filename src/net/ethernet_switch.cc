@@ -158,7 +158,12 @@ void EthernetSwitch::Flood(std::size_t ingress, Bytes wire) {
     for (Batch& b : batches) {
       if (b.delay == delay) batch = &b;
     }
-    if (batch == nullptr) batch = &batches.emplace_back(Batch{delay, {}});
+    if (batch == nullptr) {
+      // Sized for every port still to come, so a uniform-link flood (one
+      // batch of N - 1 ports) allocates its list once.
+      batch = &batches.emplace_back(Batch{delay, {}});
+      batch->ports.reserve(ports_.size() - p);
+    }
     batch->ports.emplace_back(p, ports_[p]);
   }
   if (batches.empty()) {

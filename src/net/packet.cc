@@ -82,23 +82,33 @@ void ArpPacket::EncodeInto(ByteWriter& w) const {
 }
 
 ArpPacket ArpPacket::Decode(ByteSpan wire) {
-  ByteReader r(wire);
-  ArpPacket p;
-  if (r.GetU16() != 1 || r.GetU16() != 0x0800 || r.GetU8() != 6 ||
-      r.GetU8() != 4) {
+  // Every stack on the switch decodes each flooded ARP, so the fixed body
+  // is bounds-checked once and read at its offsets. Bytes past it are
+  // Ethernet padding (a 28-byte body rides in a 46-byte minimum payload).
+  if (wire.size() < kArpPacketSize) {
+    throw CodecError("ARP: truncated body (" + std::to_string(wire.size()) +
+                     " of " + std::to_string(kArpPacketSize) + " bytes)");
+  }
+  const std::uint8_t* b = wire.data();
+  auto u16 = [b](std::size_t at) {
+    return static_cast<std::uint16_t>(b[at] << 8 | b[at + 1]);
+  };
+  auto u32 = [&u16](std::size_t at) {
+    return static_cast<std::uint32_t>(u16(at)) << 16 | u16(at + 2);
+  };
+  if (u16(0) != 1 || u16(2) != 0x0800 || b[4] != 6 || b[5] != 4) {
     throw CodecError("unsupported ARP hardware/protocol type");
   }
-  std::uint16_t op = r.GetU16();
+  std::uint16_t op = u16(6);
   if (op != 1 && op != 2) {
     throw CodecError("unknown ARP op " + std::to_string(op));
   }
+  ArpPacket p;
   p.op = static_cast<ArpOp>(op);
-  ByteSpan smac = r.GetSpan(6);
-  std::copy(smac.begin(), smac.end(), p.sender_mac.octets.begin());
-  p.sender_ip.value = r.GetU32();
-  ByteSpan tmac = r.GetSpan(6);
-  std::copy(tmac.begin(), tmac.end(), p.target_mac.octets.begin());
-  p.target_ip.value = r.GetU32();
+  std::copy(b + 8, b + 14, p.sender_mac.octets.begin());
+  p.sender_ip.value = u32(14);
+  std::copy(b + 18, b + 24, p.target_mac.octets.begin());
+  p.target_ip.value = u32(24);
   return p;
 }
 

@@ -301,11 +301,26 @@ void NetworkStack::DeliverIpv4Local(const net::Ipv4Packet& pkt) {
 }
 
 void NetworkStack::HandleArp(const net::ArpPacket& arp) {
-  // Learn/refresh the sender mapping (this is how gratuitous ARP updates
-  // the subnet after a shared-MAC migration).
+  // Neighbour rules of Linux's defaults (arp_accept = 0, kernel
+  // Documentation/networking/ip-sysctl.rst). An ARP creates an entry only
+  // for an address this stack is resolving (its INCOMPLETE entry) or for
+  // the sender of a request aimed at one of this stack's own addresses.
+  // Anything else, a gratuitous announcement included, only refreshes an
+  // entry that already exists: peers of a migrated pod repoint (§4.2),
+  // and a bystander that never talked to the pod does one lookup.
   if (!arp.sender_ip.IsZero()) {
-    arp_cache_[arp.sender_ip] = arp.sender_mac;
     auto pending = arp_pending_.find(arp.sender_ip);
+    const bool create = pending != arp_pending_.end() ||
+                        (arp.op == net::ArpOp::kRequest &&
+                         !arp.IsGratuitous() && OwnsIp(arp.target_ip));
+    if (create) {
+      arp_cache_[arp.sender_ip] = arp.sender_mac;
+      ++arp_cache_writes_;
+    } else if (auto cached = arp_cache_.find(arp.sender_ip);
+               cached != arp_cache_.end()) {
+      cached->second = arp.sender_mac;
+      ++arp_cache_writes_;
+    }
     if (pending != arp_pending_.end()) {
       if (pending->second.retry_timer != sim::kInvalidEventId) {
         sim_.Cancel(pending->second.retry_timer);

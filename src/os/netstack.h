@@ -194,6 +194,11 @@ class NetworkStack {
   std::uint64_t ip_tx() const { return ip_tx_; }
   std::uint64_t ip_rx() const { return ip_rx_; }
   std::uint64_t arp_requests_sent() const { return arp_requests_sent_; }
+  // Neighbour-cache inserts plus overwrites (host work, not traced).
+  std::uint64_t arp_cache_writes() const { return arp_cache_writes_; }
+  bool HasArpEntry(net::Ipv4Address ip) const {
+    return arp_cache_.contains(ip);
+  }
 
  private:
   void WakeAll(std::vector<ThreadRef>& waiters);
@@ -256,6 +261,7 @@ class NetworkStack {
   std::uint64_t ip_tx_ = 0;
   std::uint64_t ip_rx_ = 0;
   std::uint64_t arp_requests_sent_ = 0;
+  std::uint64_t arp_cache_writes_ = 0;
 };
 
 }  // namespace cruz::os

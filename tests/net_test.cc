@@ -100,6 +100,30 @@ TEST(Packet, ArpRoundTrip) {
   EXPECT_FALSE(q.IsGratuitous());
 }
 
+// ArpPacket::Decode checks the 28-byte body once: one byte short throws,
+// and bytes past it (Ethernet pads the body to a 46-byte payload) are
+// ignored.
+TEST(Packet, ArpDecodeChecksBodyLengthOnce) {
+  ArpPacket p;
+  p.op = ArpOp::kReply;
+  p.sender_mac = MacAddress::FromId(10);
+  p.sender_ip = Ipv4Address::Parse("10.0.0.10");
+  p.target_mac = MacAddress::FromId(20);
+  p.target_ip = Ipv4Address::Parse("10.0.0.20");
+  Bytes body = p.Encode();
+  ASSERT_EQ(body.size(), kArpPacketSize);
+  Bytes truncated(body.begin(), body.end() - 1);
+  EXPECT_THROW(ArpPacket::Decode(truncated), cruz::CodecError);
+  Bytes padded = body;
+  padded.resize(46, 0);
+  ArpPacket q = ArpPacket::Decode(padded);
+  EXPECT_EQ(q.op, p.op);
+  EXPECT_EQ(q.sender_mac, p.sender_mac);
+  EXPECT_EQ(q.sender_ip, p.sender_ip);
+  EXPECT_EQ(q.target_mac, p.target_mac);
+  EXPECT_EQ(q.target_ip, p.target_ip);
+}
+
 TEST(Packet, GratuitousArp) {
   ArpPacket p;
   p.sender_ip = p.target_ip = Ipv4Address::Parse("10.0.0.10");

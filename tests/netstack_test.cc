@@ -1,7 +1,7 @@
-// Direct tests of the per-node network stack: ARP resolution and retry,
-// netfilter hooks on both paths, loopback, broadcast, ephemeral ports,
-// UDP queueing and overflow, RST generation, and the serialized UDP
-// service processing model.
+// Direct tests of the per-node network stack: ARP resolution, retry and
+// neighbour rules, netfilter hooks on both paths, loopback, broadcast,
+// ephemeral ports, UDP queueing and overflow, RST generation, and the
+// serialized UDP service processing model.
 #include <gtest/gtest.h>
 
 #include "net/packet.h"
@@ -210,26 +210,94 @@ TEST(NetStack, SynToClosedPortGetsRst) {
   EXPECT_TRUE(got_rst);
 }
 
-TEST(NetStack, GratuitousArpUpdatesPeers) {
+// Neighbour rules (Linux defaults, arp_accept = 0): a gratuitous ARP
+// refreshes an entry that exists and never creates one; an entry is
+// created for a pending resolution or for the sender of a request aimed
+// at this host.
+
+// Records the destination MAC of every IPv4 frame the switch accepts.
+void RecordIpv4Destinations(net::EthernetSwitch& sw,
+                            std::vector<net::MacAddress>* out) {
+  sw.set_observer([out](std::size_t, cruz::ByteSpan wire) {
+    if (net::EthernetFrame::PeekEtherType(wire) == net::EtherType::kIpv4) {
+      out->push_back(net::EthernetFrame::Decode(wire).dst);
+    }
+  });
+}
+
+TEST(NetStack, GratuitousArpRepointsExistingPeer) {
   StackPair p;
-  // Prime a's cache with b's real MAC via normal traffic.
   SocketId sock = p.b.stack().CreateUdpSocket();
   p.b.stack().UdpBind(sock, {p.b.ip(), 5000});
   SocketId sender = p.a.stack().CreateUdpSocket();
   p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
   p.a.stack().UdpSendTo(sender, {p.b.ip(), 5000}, cruz::Bytes{1});
   p.sim.RunFor(10 * kMillisecond);
-  // Announce a different MAC for some address from b.
-  net::MacAddress new_mac = net::MacAddress::FromId(0xAB);
-  net::Ipv4Address moved = net::Ipv4Address::Parse("10.0.0.50");
-  p.b.stack().AnnounceAddress(moved, new_mac);
+  ASSERT_TRUE(p.a.stack().HasArpEntry(p.b.ip()));
+  // b's address moves to new hardware and is announced.
+  const net::MacAddress new_mac = net::MacAddress::FromId(0xAB);
+  p.b.stack().AnnounceAddress(p.b.ip(), new_mac);
   p.sim.RunFor(10 * kMillisecond);
-  // a can now send to the moved address without ARP resolution: the
-  // gratuitous announcement populated its cache.
-  std::uint64_t arps = p.a.stack().arp_requests_sent();
-  p.a.stack().UdpSendTo(sender, {moved, 5000}, cruz::Bytes{2});
+  std::vector<net::MacAddress> sent_to;
+  RecordIpv4Destinations(p.ethernet, &sent_to);
+  const std::uint64_t arps = p.a.stack().arp_requests_sent();
+  p.a.stack().UdpSendTo(sender, {p.b.ip(), 5000}, cruz::Bytes{2});
   p.sim.RunFor(10 * kMillisecond);
   EXPECT_EQ(p.a.stack().arp_requests_sent(), arps);
+  EXPECT_EQ(sent_to, std::vector<net::MacAddress>{new_mac});
+}
+
+TEST(NetStack, GratuitousArpLeavesBystanderCacheEmpty) {
+  StackPair p;
+  const net::Ipv4Address moved = net::Ipv4Address::Parse("10.0.0.50");
+  p.b.stack().AnnounceAddress(moved, net::MacAddress::FromId(0xAB));
+  p.sim.RunFor(10 * kMillisecond);
+  EXPECT_FALSE(p.a.stack().HasArpEntry(moved));
+  EXPECT_EQ(p.a.stack().arp_cache_writes(), 0u);
+  // The first send to the address resolves it like any other.
+  SocketId sender = p.a.stack().CreateUdpSocket();
+  p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
+  p.a.stack().UdpSendTo(sender, {moved, 5000}, cruz::Bytes{1});
+  EXPECT_EQ(p.a.stack().arp_requests_sent(), 1u);
+}
+
+TEST(NetStack, GratuitousArpCompletesPendingResolution) {
+  StackPair p;
+  const net::Ipv4Address moved = net::Ipv4Address::Parse("10.0.0.50");
+  const net::MacAddress new_mac = net::MacAddress::FromId(0xAB);
+  std::vector<net::MacAddress> sent_to;
+  RecordIpv4Destinations(p.ethernet, &sent_to);
+  // Nobody answers for `moved` yet: a queues two datagrams behind one
+  // request.
+  SocketId sender = p.a.stack().CreateUdpSocket();
+  p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
+  p.a.stack().UdpSendTo(sender, {moved, 5000}, cruz::Bytes{1});
+  p.a.stack().UdpSendTo(sender, {moved, 5000}, cruz::Bytes{2});
+  p.sim.RunFor(10 * kMillisecond);
+  EXPECT_TRUE(sent_to.empty());
+  p.b.stack().AnnounceAddress(moved, new_mac);
+  p.sim.RunFor(10 * kMillisecond);
+  EXPECT_TRUE(p.a.stack().HasArpEntry(moved));
+  EXPECT_EQ(sent_to, (std::vector<net::MacAddress>{new_mac, new_mac}));
+  // The retry timer is gone with the pending entry.
+  p.sim.RunFor(2 * kSecond);
+  EXPECT_EQ(p.a.stack().arp_requests_sent(), 1u);
+}
+
+TEST(NetStack, ArpRequestForHostLearnsRequester) {
+  StackPair p;
+  SocketId sock = p.b.stack().CreateUdpSocket();
+  p.b.stack().UdpBind(sock, {p.b.ip(), 5000});
+  SocketId sender = p.a.stack().CreateUdpSocket();
+  p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
+  p.a.stack().UdpSendTo(sender, {p.b.ip(), 5000}, cruz::Bytes{1});
+  p.sim.RunFor(10 * kMillisecond);
+  // a's request for b's address gave b a's entry: b answers without ARP.
+  EXPECT_TRUE(p.b.stack().HasArpEntry(p.a.ip()));
+  p.b.stack().UdpSendTo(sock, {p.a.ip(), 6000}, cruz::Bytes{2});
+  p.sim.RunFor(10 * kMillisecond);
+  EXPECT_EQ(p.b.stack().arp_requests_sent(), 0u);
+  EXPECT_EQ(p.a.stack().FindUdp(sender)->rx.size(), 1u);
 }
 
 // Raw frames that fail the Ethernet parse reach the stack's input path
