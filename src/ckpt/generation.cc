@@ -11,6 +11,28 @@
 
 namespace cruz::ckpt {
 
+namespace {
+
+// A manifest entry's one field list (see FieldRef in common/bytes.h).
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, ManifestEntry> e) {
+  io.U32(e.pod);
+  io.String(e.image_path);
+  io.U64(e.size);
+  io.U32(e.crc32);
+  io.Seq(e.replicas, [&](auto& rep) { ckpt::Fields(io, rep); });
+}
+
+// The manifest body: its generation number, then the entries.
+template <typename Io>
+void ManifestFields(Io& io, cruz::FieldRef<Io, std::uint64_t> gen,
+                    cruz::FieldRef<Io, std::vector<ManifestEntry>> entries) {
+  io.U64(gen);
+  io.Seq(entries, [&](auto& e) { Fields(io, e); });
+}
+
+}  // namespace
+
 TieredStore& GenerationStore::store() const {
   if (store_ == nullptr) {
     throw UsageError("generation store under " + root_ +
@@ -40,32 +62,13 @@ std::string GenerationStore::Prefix(std::uint64_t gen) const {
 
 void GenerationStore::Commit(std::uint64_t gen,
                              const std::vector<ManifestEntry>& entries) {
-  cruz::ByteWriter payload;
-  payload.PutU64(gen);
-  payload.PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const ManifestEntry& e : entries) {
-    payload.PutU32(e.pod);
-    payload.PutString(e.image_path);
-    payload.PutU64(e.size);
-    payload.PutU32(e.crc32);
-    payload.PutU32(static_cast<std::uint32_t>(e.replicas.size()));
-    for (const Replica& rep : e.replicas) {
-      payload.PutU8(static_cast<std::uint8_t>(rep.tier));
-      payload.PutU32(rep.node_index);
-      payload.PutU64(rep.size);
-      payload.PutU32(rep.crc32);
-    }
-  }
-  cruz::Bytes body = payload.Take();
-  cruz::ByteWriter framed;
-  framed.PutU32(static_cast<std::uint32_t>(body.size()));
-  framed.PutU32(cruz::Crc32(body));
-  framed.PutBytes(body);
   // Each metadata write is create-or-truncate in one step: the manifest
   // appears whole or not at all, making it the commit point. It lands on
   // every node disk immediately and on the netfs as soon as it can, so
   // the commit survives an outage.
-  store().PutMeta(ManifestPath(gen), framed.Take());
+  store().PutMeta(ManifestPath(gen), cruz::FrameRecord([&](auto& io) {
+                   ManifestFields(io, gen, entries);
+                 }));
   if (tracer_ != nullptr) {
     tracer_->Instant("ckpt", "ckpt.generation.commit",
                      obs::TraceAttrs{}.Arg("gen", gen));
@@ -123,32 +126,12 @@ std::optional<std::vector<ManifestEntry>> GenerationStore::ReadManifest(
   cruz::Bytes raw;
   if (!SysOk(store().ReadMeta(ManifestPath(gen), raw))) return std::nullopt;
   try {
-    cruz::ByteReader r(raw);
-    std::uint32_t len = r.GetU32();
-    std::uint32_t crc = r.GetU32();
-    cruz::Bytes body = r.GetBytes(len);
-    if (cruz::Crc32(body) != crc) return std::nullopt;
-    cruz::ByteReader br(body);
-    if (br.GetU64() != gen) return std::nullopt;
-    std::uint32_t n = br.GetU32();
+    cruz::ByteReader frame(raw);
+    cruz::ByteReader body(cruz::GetRecord(frame));
+    std::uint64_t stored_gen = 0;
     std::vector<ManifestEntry> entries;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      ManifestEntry e;
-      e.pod = br.GetU32();
-      e.image_path = br.GetString();
-      e.size = br.GetU64();
-      e.crc32 = br.GetU32();
-      std::uint32_t replicas = br.GetU32();
-      for (std::uint32_t j = 0; j < replicas; ++j) {
-        Replica rep;
-        rep.tier = static_cast<Tier>(br.GetU8());
-        rep.node_index = br.GetU32();
-        rep.size = br.GetU64();
-        rep.crc32 = br.GetU32();
-        e.replicas.push_back(rep);
-      }
-      entries.push_back(std::move(e));
-    }
+    ManifestFields(body, stored_gen, entries);
+    if (stored_gen != gen) return std::nullopt;
     return entries;
   } catch (const cruz::CodecError&) {
     return std::nullopt;

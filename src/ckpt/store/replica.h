@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace cruz::ckpt {
 
 enum class Tier : std::uint8_t {
@@ -43,5 +45,15 @@ struct Replica {
   std::uint64_t size = 0;
   std::uint32_t crc32 = 0;  // the image's frame trailer (its CRC-32)
 };
+
+// A replica's one field list, shared by the coordination messages and
+// the generation manifest (see FieldRef in common/bytes.h).
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, Replica> rep) {
+  io.U8(rep.tier);
+  io.U32(rep.node_index);
+  io.U64(rep.size);
+  io.U32(rep.crc32);
+}
 
 }  // namespace cruz::ckpt

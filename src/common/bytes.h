@@ -6,13 +6,28 @@
 // exactly before it is written. ByteReader consumes the encoding and
 // throws CodecError on any truncation or overrun, so corrupted packets
 // and checkpoint images fail loudly instead of propagating garbage.
+//
+// A format is described once, as a field list: a template over `io` that
+// names each field in wire order,
+//
+//   template <typename Io>
+//   void Fields(Io& io, FieldRef<Io, Replica> rep) {
+//     io.U8(rep.tier);
+//     io.U32(rep.node_index);
+//   }
+//
+// Run over a ByteCounter it sizes the encoding, over a ByteWriter it
+// writes it, and over a ByteReader it assigns each field from the input.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -25,7 +40,49 @@ using ByteSpan = std::span<const std::uint8_t>;
 // held by several store tiers, or a page held by several images.
 using SharedBytes = std::shared_ptr<const Bytes>;
 
-class ByteWriter {
+// The object a field list runs over: const for the two writing passes,
+// assignable for the reading one.
+template <typename Io, typename T>
+using FieldRef = std::conditional_t<Io::kReads, T&, const T&>;
+
+// The field-list face of ByteWriter and ByteCounter: each call emits its
+// field through the sink's Put* calls. Integer fields take any integer or
+// enum type and cast it to the wire width.
+template <typename Sink>
+class FieldSink {
+ public:
+  static constexpr bool kReads = false;
+
+  template <typename T>
+  void U8(T v) { sink().PutU8(static_cast<std::uint8_t>(v)); }
+  template <typename T>
+  void U16(T v) { sink().PutU16(static_cast<std::uint16_t>(v)); }
+  template <typename T>
+  void U32(T v) { sink().PutU32(static_cast<std::uint32_t>(v)); }
+  template <typename T>
+  void U64(T v) { sink().PutU64(static_cast<std::uint64_t>(v)); }
+  void Bool(bool v) { sink().PutBool(v); }
+  void String(const std::string& s) { sink().PutString(s); }
+  void Blob(ByteSpan b) { sink().PutBlob(b); }
+  template <std::size_t N>
+  void Octets(const std::array<std::uint8_t, N>& a) {
+    sink().PutBytes(a.data(), N);
+  }
+  // A u8 enum; `valid` is the reader's range check.
+  template <typename E, typename Valid>
+  void Enum(E e, Valid&& /*valid*/, const char* /*error*/) { U8(e); }
+  // A u32 element count, then `fields(element)` for each element.
+  template <typename Range, typename Fn>
+  void Seq(const Range& seq, Fn&& fields) {
+    sink().PutU32(static_cast<std::uint32_t>(seq.size()));
+    for (const auto& e : seq) fields(e);
+  }
+
+ private:
+  Sink& sink() { return static_cast<Sink&>(*this); }
+};
+
+class ByteWriter : public FieldSink<ByteWriter> {
  public:
   ByteWriter() = default;
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
@@ -95,7 +152,7 @@ class ByteWriter {
 };
 
 // Counts the bytes a ByteWriter would append for the same calls.
-class ByteCounter {
+class ByteCounter : public FieldSink<ByteCounter> {
  public:
   void PutU8(std::uint8_t) { n_ += 1; }
   void PutU16(std::uint16_t) { n_ += 2; }
@@ -165,6 +222,39 @@ class ByteReader {
   void Skip(std::size_t n) {
     Need(n);
     pos_ += n;
+  }
+
+  // The field-list face: each call assigns its field from the input.
+  static constexpr bool kReads = true;
+
+  template <typename T>
+  void U8(T& v) { v = static_cast<T>(GetU8()); }
+  template <typename T>
+  void U16(T& v) { v = static_cast<T>(GetU16()); }
+  template <typename T>
+  void U32(T& v) { v = static_cast<T>(GetU32()); }
+  template <typename T>
+  void U64(T& v) { v = static_cast<T>(GetU64()); }
+  void Bool(bool& v) { v = GetBool(); }
+  void String(std::string& s) { s = GetString(); }
+  void Blob(Bytes& b) { b = GetBlob(); }
+  template <std::size_t N>
+  void Octets(std::array<std::uint8_t, N>& a) {
+    ByteSpan s = GetSpan(N);
+    std::copy(s.begin(), s.end(), a.begin());
+  }
+  // A u8 enum; a value `valid` rejects throws CodecError(error).
+  template <typename E, typename Valid>
+  void Enum(E& e, Valid&& valid, const char* error) {
+    e = static_cast<E>(GetU8());
+    if (!valid(e)) throw CodecError(error);
+  }
+  // Appends one element per count, each read by `fields(element)`. The
+  // count is untrusted: the vector grows an element at a time, so a
+  // corrupt count fails on the short read, never on a huge reservation.
+  template <typename T, typename Fn>
+  void Seq(std::vector<T>& seq, Fn&& fields) {
+    for (std::uint32_t n = GetU32(); n > 0; --n) fields(seq.emplace_back());
   }
 
   std::size_t remaining() const { return data_.size() - pos_; }

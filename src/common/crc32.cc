@@ -194,4 +194,12 @@ std::uint32_t Crc32(ByteSpan data) {
   return acc.Finish();
 }
 
+ByteSpan GetRecord(ByteReader& r) {
+  const std::uint32_t len = r.GetU32();
+  const std::uint32_t crc = r.GetU32();
+  ByteSpan body = r.GetSpan(len);
+  if (Crc32(body) != crc) throw CodecError("record CRC mismatch");
+  return body;
+}
+
 }  // namespace cruz

@@ -30,4 +30,24 @@ class Crc32Accumulator {
 // export.
 std::uint64_t Crc32BytesTotal();
 
+// A CRC-framed record (generation manifests, journal records): u32 body
+// length, u32 CRC-32 of the body, the body. `fields(io)` runs the body's
+// field list; it is called twice, to size the body and to write it.
+template <typename Fields>
+Bytes FrameRecord(Fields&& fields) {
+  ByteCounter body;
+  fields(body);
+  ByteWriter w(8 + body.size());
+  w.PutU32(static_cast<std::uint32_t>(body.size()));
+  w.PutU32(0);  // the CRC, patched once the body is written
+  fields(w);
+  w.PatchU32(4, Crc32(ByteSpan(w.data()).subspan(8)));
+  return w.Take();
+}
+
+// Reads one record frame from `r` and returns its body, a view into
+// `r`'s input. Throws CodecError if the frame is truncated or the body
+// fails its CRC.
+ByteSpan GetRecord(ByteReader& r);
+
 }  // namespace cruz

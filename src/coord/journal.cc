@@ -7,25 +7,29 @@
 
 namespace cruz::coord {
 
+namespace {
+
+// A journal record's one field list (see FieldRef in common/bytes.h).
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, JournalRecord> rec) {
+  io.Enum(rec.type,
+          [](JournalRecord::Type t) {
+            return t >= JournalRecord::Type::kIntent &&
+                   t <= JournalRecord::Type::kAbort;
+          },
+          "journal record type out of range");
+  io.U64(rec.epoch);
+  io.Bool(rec.is_restart);
+  io.Seq(rec.members, [&](auto& m) { MemberIdFields(io, m); });
+  io.U32(rec.fan_out);
+}
+
+}  // namespace
+
 void IntentJournal::Append(const JournalRecord& record) {
-  cruz::ByteWriter payload;
-  payload.PutU8(static_cast<std::uint8_t>(record.type));
-  payload.PutU64(record.epoch);
-  payload.PutBool(record.is_restart);
-  payload.PutU32(static_cast<std::uint32_t>(record.members.size()));
-  for (const ShardMember& m : record.members) {
-    payload.PutU32(m.agent_ip);
-    payload.PutU32(m.pod);
-    payload.PutString(m.image_path);
-  }
-  payload.PutU32(record.fan_out);
-  cruz::Bytes body = payload.Take();
-  cruz::ByteWriter framed;
-  framed.PutU32(static_cast<std::uint32_t>(body.size()));
-  framed.PutU32(cruz::Crc32(body));
-  framed.PutBytes(body);
-  cruz::Bytes frame = framed.Take();
-  fs_.AppendFile(path_, frame);
+  fs_.AppendFile(path_, cruz::FrameRecord([&](auto& io) {
+                   Fields(io, record);
+                 }));
 }
 
 void IntentJournal::AppendOutcome(JournalRecord::Type type,
@@ -45,30 +49,8 @@ std::vector<JournalRecord> IntentJournal::ReadAll() const {
   while (r.remaining() > 0) {
     JournalRecord rec;
     try {
-      std::uint32_t len = r.GetU32();
-      std::uint32_t crc = r.GetU32();
-      cruz::Bytes body = r.GetBytes(len);
-      if (cruz::Crc32(body) != crc) {
-        throw cruz::CodecError("journal record CRC mismatch");
-      }
-      cruz::ByteReader br(body);
-      std::uint8_t type = br.GetU8();
-      if (type < 1 || type > 3) {
-        throw cruz::CodecError("journal record type out of range");
-      }
-      rec.type = static_cast<JournalRecord::Type>(type);
-      rec.epoch = br.GetU64();
-      rec.is_restart = br.GetBool();
-      std::uint32_t n = br.GetU32();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        ShardMember m;
-        m.agent_ip = br.GetU32();
-        m.pod = br.GetU32();
-        m.image_path = br.GetString();
-        rec.members.push_back(std::move(m));
-      }
-      // Absent in records written before hierarchical mode existed.
-      rec.fan_out = br.remaining() >= 4 ? br.GetU32() : 0;
+      cruz::ByteReader body(cruz::GetRecord(r));
+      Fields(body, rec);
     } catch (const cruz::CodecError&) {
       // Torn tail: the previous coordinator died mid-append. Everything
       // before this point is intact; the partial record carries no

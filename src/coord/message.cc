@@ -36,120 +36,67 @@ const char* MsgTypeName(MsgType type) {
   return "unknown";
 }
 
-namespace {
-
-void PutReplicas(cruz::ByteWriter& w,
-                 const std::vector<ckpt::Replica>& replicas) {
-  w.PutU32(static_cast<std::uint32_t>(replicas.size()));
-  for (const ckpt::Replica& rep : replicas) {
-    w.PutU8(static_cast<std::uint8_t>(rep.tier));
-    w.PutU32(rep.node_index);
-    w.PutU64(rep.size);
-    w.PutU32(rep.crc32);
-  }
-}
-
-std::vector<ckpt::Replica> GetReplicas(cruz::ByteReader& r) {
-  // Grow one entry at a time: a corrupt count must fail on the short read,
-  // not on a huge up-front allocation.
-  std::vector<ckpt::Replica> replicas;
-  for (std::uint32_t n = r.GetU32(); n > 0; --n) {
-    ckpt::Replica rep;
-    rep.tier = static_cast<ckpt::Tier>(r.GetU8());
-    rep.node_index = r.GetU32();
-    rep.size = r.GetU64();
-    rep.crc32 = r.GetU32();
-    replicas.push_back(rep);
-  }
-  return replicas;
-}
-
-}  // namespace
-
 std::string CorrId(const CoordMessage& m, const std::string& sender) {
   return std::to_string(m.op_id) + ":" + MsgTypeName(m.type) + ":" +
          sender + ":" + std::to_string(m.corr_seq);
 }
 
-cruz::Bytes CoordMessage::Encode() const {
-  cruz::ByteWriter w;
-  w.PutU8(static_cast<std::uint8_t>(type));
-  w.PutU64(op_id);
-  w.PutU64(epoch);
-  w.PutU32(pod_id);
-  w.PutU8(static_cast<std::uint8_t>(variant));
-  w.PutString(image_path);
-  w.PutBool(incremental);
-  w.PutBool(copy_on_write);
-  w.PutBool(compress);
-  w.PutU64(local_duration);
-  w.PutU64(downtime);
-  w.PutU32(extra_messages);
+namespace {
+
+// The message's one field list (see FieldRef in common/bytes.h).
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, CoordMessage> m) {
+  // Every u8 is a valid MsgType object; the ones without a name (0, the
+  // retired 8 and 9, past the last type) are not on the protocol.
+  io.Enum(m.type,
+          [](MsgType t) {
+            return std::string_view(MsgTypeName(t)) != "unknown";
+          },
+          "invalid coordination message type");
+  io.U64(m.op_id);
+  io.U64(m.epoch);
+  io.U32(m.pod_id);
+  io.Enum(m.variant,
+          [](ProtocolVariant v) { return v <= ProtocolVariant::kOptimized; },
+          "invalid protocol variant");
+  io.String(m.image_path);
+  io.Bool(m.incremental);
+  io.Bool(m.copy_on_write);
+  io.Bool(m.compress);
+  io.U64(m.local_duration);
+  io.U64(m.downtime);
+  io.U32(m.extra_messages);
   // Two retired u32 fields stay on the wire as zeros: the NIC and the
   // switch charge transmit time per byte, so a shorter datagram would
   // shift every simulated timing. Shrinking it is a recalibration of its
-  // own, together with modelling contended transfers.
-  w.PutU32(0);
-  w.PutU32(corr_seq);
-  w.PutU32(0);
-  w.PutBool(tiered);
-  w.PutU8(restore_source);
-  PutReplicas(w, replicas);
-  w.PutU32(static_cast<std::uint32_t>(shard_members.size()));
-  for (const ShardMember& sm : shard_members) {
-    w.PutU32(sm.agent_ip);
-    w.PutU32(sm.pod);
-    w.PutString(sm.image_path);
-    w.PutU8(sm.restore_source);
-    PutReplicas(w, sm.replicas);
-  }
-  w.PutU64(static_cast<std::uint64_t>(op_timeout));
-  w.PutU32(member_total);
+  // own, together with modelling contended transfers. Written from a
+  // zero, read into a scratch value.
+  std::uint32_t retired = 0;
+  io.U32(retired);
+  io.U32(m.corr_seq);
+  io.U32(retired);
+  io.Bool(m.tiered);
+  io.U8(m.restore_source);
+  io.Seq(m.replicas, [&](auto& rep) { ckpt::Fields(io, rep); });
+  io.Seq(m.shard_members, [&](auto& sm) { coord::Fields(io, sm); });
+  io.U64(m.op_timeout);
+  io.U32(m.member_total);
+}
+
+}  // namespace
+
+cruz::Bytes CoordMessage::Encode() const {
+  cruz::ByteCounter size;
+  Fields(size, *this);
+  cruz::ByteWriter w(size.size());
+  Fields(w, *this);
   return w.Take();
 }
 
 CoordMessage CoordMessage::Decode(cruz::ByteSpan wire) {
   cruz::ByteReader r(wire);
   CoordMessage m;
-  // Every u8 is a valid MsgType object; the ones without a name (0, the
-  // retired 8 and 9, past the last type) are not on the protocol.
-  m.type = static_cast<MsgType>(r.GetU8());
-  if (std::string_view(MsgTypeName(m.type)) == "unknown") {
-    throw cruz::CodecError("invalid coordination message type");
-  }
-  m.op_id = r.GetU64();
-  m.epoch = r.GetU64();
-  m.pod_id = r.GetU32();
-  std::uint8_t variant = r.GetU8();
-  if (variant > static_cast<std::uint8_t>(ProtocolVariant::kOptimized)) {
-    throw cruz::CodecError("invalid protocol variant");
-  }
-  m.variant = static_cast<ProtocolVariant>(variant);
-  m.image_path = r.GetString();
-  m.incremental = r.GetBool();
-  m.copy_on_write = r.GetBool();
-  m.compress = r.GetBool();
-  m.local_duration = r.GetU64();
-  m.downtime = r.GetU64();
-  m.extra_messages = r.GetU32();
-  r.GetU32();  // retired, written as zero
-  m.corr_seq = r.GetU32();
-  r.GetU32();  // retired, written as zero
-  m.tiered = r.GetBool();
-  m.restore_source = r.GetU8();
-  m.replicas = GetReplicas(r);
-  std::uint32_t members = r.GetU32();
-  for (std::uint32_t i = 0; i < members; ++i) {
-    ShardMember sm;
-    sm.agent_ip = r.GetU32();
-    sm.pod = r.GetU32();
-    sm.image_path = r.GetString();
-    sm.restore_source = r.GetU8();
-    sm.replicas = GetReplicas(r);
-    m.shard_members.push_back(sm);
-  }
-  m.op_timeout = static_cast<DurationNs>(r.GetU64());
-  m.member_total = r.GetU32();
+  Fields(r, m);
   return m;
 }
 
@@ -159,10 +106,9 @@ std::vector<CoordMessage> FragmentRoster(const CoordMessage& full) {
     out.push_back(full);
     return out;
   }
-  // Greedy byte-budget packing: per member the wire cost is ~17 bytes of
-  // fixed fields plus the image path plus 17 per replica; 1200 bytes of
-  // roster leaves ample room for the fixed message fields under the
-  // 1500-byte MTU. A single member always fits.
+  // Greedy byte-budget packing: a member costs what its field list
+  // encodes to; 1200 bytes of roster leaves ample room for the fixed
+  // message fields under the 1500-byte MTU. A single member always fits.
   constexpr std::size_t kRosterBytesPerDatagram = 1200;
   const std::uint32_t total =
       static_cast<std::uint32_t>(full.shard_members.size());
@@ -174,13 +120,13 @@ std::vector<CoordMessage> FragmentRoster(const CoordMessage& full) {
     std::size_t bytes = 0;
     while (i < full.shard_members.size()) {
       const ShardMember& sm = full.shard_members[i];
-      std::size_t cost =
-          17 + sm.image_path.size() + 17 * sm.replicas.size();
+      cruz::ByteCounter cost;
+      Fields(cost, sm);
       if (!frag.shard_members.empty() &&
-          bytes + cost > kRosterBytesPerDatagram) {
+          bytes + cost.size() > kRosterBytesPerDatagram) {
         break;
       }
-      bytes += cost;
+      bytes += cost.size();
       frag.shard_members.push_back(sm);
       ++i;
     }

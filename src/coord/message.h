@@ -91,6 +91,24 @@ struct ShardMember {
   std::vector<ckpt::Replica> replicas;  // upward: where the image landed
 };
 
+// A member's identity: agent, pod and image path. The intent journal
+// records a member by these alone (see FieldRef in common/bytes.h).
+template <typename Io>
+void MemberIdFields(Io& io, cruz::FieldRef<Io, ShardMember> sm) {
+  io.U32(sm.agent_ip);
+  io.U32(sm.pod);
+  io.String(sm.image_path);
+}
+
+// The roster entry a shard message carries: the identity, then the
+// member's tiered report.
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, ShardMember> sm) {
+  MemberIdFields(io, sm);
+  io.U8(sm.restore_source);
+  io.Seq(sm.replicas, [&](auto& rep) { ckpt::Fields(io, rep); });
+}
+
 struct CoordMessage {
   MsgType type = MsgType::kCheckpoint;
   std::uint64_t op_id = 0;     // one coordinated operation

@@ -62,32 +62,30 @@ struct TcpConnCheckpoint {
     for (const auto& p : send_packets) n += p.size();
     return n;
   }
-
-  // Writes the record to a cruz::ByteWriter, or sizes it with a
-  // cruz::ByteCounter: one field list for both.
-  template <typename Writer>
-  void Serialize(Writer& w) const {
-    w.PutU32(tuple.local.ip.value);
-    w.PutU16(tuple.local.port);
-    w.PutU32(tuple.remote.ip.value);
-    w.PutU16(tuple.remote.port);
-    w.PutU8(static_cast<std::uint8_t>(state));
-    w.PutU32(iss);
-    w.PutU32(irs);
-    w.PutU32(snd_una);
-    w.PutU32(rcv_nxt);
-    w.PutU16(snd_wnd);
-    w.PutBool(nagle_enabled);
-    w.PutBool(cork_enabled);
-    w.PutU32(cwnd_bytes);
-    w.PutU32(ssthresh_bytes);
-    w.PutBool(app_closed);
-    w.PutBool(fin_acked);
-    w.PutU32(static_cast<std::uint32_t>(send_packets.size()));
-    for (const auto& p : send_packets) w.PutBlob(p);
-    w.PutBlob(recv_pending);
-  }
-  static TcpConnCheckpoint Deserialize(cruz::ByteReader& r);
 };
+
+// The record's one field list (see FieldRef in common/bytes.h).
+template <typename Io>
+void Fields(Io& io, cruz::FieldRef<Io, TcpConnCheckpoint> ck) {
+  io.U32(ck.tuple.local.ip.value);
+  io.U16(ck.tuple.local.port);
+  io.U32(ck.tuple.remote.ip.value);
+  io.U16(ck.tuple.remote.port);
+  io.Enum(ck.state, [](TcpState s) { return s <= TcpState::kTimeWait; },
+          "invalid TCP state in checkpoint");
+  io.U32(ck.iss);
+  io.U32(ck.irs);
+  io.U32(ck.snd_una);
+  io.U32(ck.rcv_nxt);
+  io.U16(ck.snd_wnd);
+  io.Bool(ck.nagle_enabled);
+  io.Bool(ck.cork_enabled);
+  io.U32(ck.cwnd_bytes);
+  io.U32(ck.ssthresh_bytes);
+  io.Bool(ck.app_closed);
+  io.Bool(ck.fin_acked);
+  io.Seq(ck.send_packets, [&](auto& packet) { io.Blob(packet); });
+  io.Blob(ck.recv_pending);
+}
 
 }  // namespace cruz::tcp

@@ -878,39 +878,4 @@ std::unique_ptr<TcpConnection> TcpConnection::Restore(
   return c;
 }
 
-// --------------------------------------------------------------------------
-// Checkpoint serialization
-// --------------------------------------------------------------------------
-
-TcpConnCheckpoint TcpConnCheckpoint::Deserialize(cruz::ByteReader& r) {
-  TcpConnCheckpoint ck;
-  ck.tuple.local.ip.value = r.GetU32();
-  ck.tuple.local.port = r.GetU16();
-  ck.tuple.remote.ip.value = r.GetU32();
-  ck.tuple.remote.port = r.GetU16();
-  std::uint8_t st = r.GetU8();
-  if (st > static_cast<std::uint8_t>(TcpState::kTimeWait)) {
-    throw cruz::CodecError("invalid TCP state in checkpoint");
-  }
-  ck.state = static_cast<TcpState>(st);
-  ck.iss = r.GetU32();
-  ck.irs = r.GetU32();
-  ck.snd_una = r.GetU32();
-  ck.rcv_nxt = r.GetU32();
-  ck.snd_wnd = r.GetU16();
-  ck.nagle_enabled = r.GetBool();
-  ck.cork_enabled = r.GetBool();
-  ck.cwnd_bytes = r.GetU32();
-  ck.ssthresh_bytes = r.GetU32();
-  ck.app_closed = r.GetBool();
-  ck.fin_acked = r.GetBool();
-  std::uint32_t n = r.GetU32();
-  ck.send_packets.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ck.send_packets.push_back(r.GetBlob());
-  }
-  ck.recv_pending = r.GetBlob();
-  return ck;
-}
-
 }  // namespace cruz::tcp

@@ -7,6 +7,7 @@
 // stop-the-world capture of the same pod at the same instant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "apps/programs.h"
@@ -192,6 +193,62 @@ TEST(ImageCodecPin, SnapshotMaterializeMatchesStopTheWorldCapture) {
     ExpectPinned(expected, compress ? Pin{4462, 4117739159u}
                                     : Pin{16680, 2243677392u});
   }
+}
+
+// Every strict prefix of a pinned image fails as CodecError, and so does
+// every strict prefix of its body inside an intact frame; no other
+// exception type escapes the decoder.
+TEST(ImageCodec, EveryTruncationIsACodecError) {
+  for (bool compress : {false, true}) {
+    const cruz::Bytes image = FixedCheckpoint().Serialize(compress);
+    const cruz::ByteSpan all(image);
+    for (std::size_t n = 0; n < image.size(); ++n) {
+      EXPECT_THROW(PodCheckpoint::Deserialize(all.first(n)),
+                   cruz::CodecError)
+          << "compress=" << compress << " prefix " << n;
+    }
+    const std::size_t header = compress ? 17 : 16;
+    const cruz::ByteSpan body = all.subspan(header, image.size() - header - 4);
+    for (std::size_t n = 0; n < body.size(); ++n) {
+      // Frame the body prefix in place of the full body, keeping the
+      // header (and a version-2 codec byte) as written.
+      cruz::ByteWriter w;
+      w.PutBytes(all.first(header - 4));
+      w.PutU32(static_cast<std::uint32_t>(n));
+      w.PutBytes(body.first(n));
+      w.PutU32(cruz::Crc32(body.first(n)));
+      EXPECT_THROW(PodCheckpoint::Deserialize(w.Take()), cruz::CodecError)
+          << "compress=" << compress << " body prefix " << n;
+    }
+    EXPECT_NO_THROW(PodCheckpoint::Deserialize(image));
+  }
+}
+
+// A send-packet count far beyond what the image holds, under a valid
+// CRC, fails on the short read: the decoder never reserves from it.
+TEST(ImageCodec, HugeSendPacketCountIsACodecError) {
+  PodCheckpoint ck;
+  ConnRecord conn;
+  conn.conn.ssthresh_bytes = 0xA1B2C3D4;  // marks the record's position
+  ck.conns.push_back(conn);
+  cruz::Bytes image = ck.Serialize(false);
+  const std::uint8_t mark[] = {0xA1, 0xB2, 0xC3, 0xD4};
+  auto at = std::search(image.begin(), image.end(), std::begin(mark),
+                        std::end(mark));
+  ASSERT_NE(at, image.end());
+  // ssthresh, then app_closed and fin_acked, then the u32 packet count.
+  const std::size_t count = static_cast<std::size_t>(at - image.begin()) + 6;
+  ASSERT_EQ(image[count + 3], 0);
+  image[count] = 0x7F;
+  image[count + 1] = image[count + 2] = image[count + 3] = 0xFF;
+  // Re-seal the frame: the body CRC in the trailer.
+  const std::uint32_t crc =
+      cruz::Crc32(cruz::ByteSpan(image).subspan(16, image.size() - 20));
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] =
+        static_cast<std::uint8_t>(crc >> (24 - 8 * i));
+  }
+  EXPECT_THROW(PodCheckpoint::Deserialize(image), cruz::CodecError);
 }
 
 }  // namespace

@@ -37,9 +37,10 @@ TEST(TcpCheckpoint, SerializationRoundTrip) {
   ck.recv_pending = PatternBytes(33, 3);
 
   ByteWriter w;
-  ck.Serialize(w);
+  Fields(w, ck);
   ByteReader r(w.data());
-  TcpConnCheckpoint d = TcpConnCheckpoint::Deserialize(r);
+  TcpConnCheckpoint d;
+  Fields(r, d);
   EXPECT_EQ(d.tuple, ck.tuple);
   EXPECT_EQ(d.state, ck.state);
   EXPECT_EQ(d.snd_una, ck.snd_una);
@@ -58,11 +59,12 @@ TEST(TcpCheckpoint, SerializationRoundTrip) {
 
 TEST(TcpCheckpoint, DeserializeRejectsBadState) {
   ByteWriter w;
-  TcpConnCheckpoint{}.Serialize(w);
+  Fields(w, TcpConnCheckpoint{});
   Bytes data = w.Take();
   data[12] = 99;  // state byte (after 4+2+4+2 bytes of tuple)
   ByteReader r(data);
-  EXPECT_THROW(TcpConnCheckpoint::Deserialize(r), cruz::CodecError);
+  TcpConnCheckpoint d;
+  EXPECT_THROW(Fields(r, d), cruz::CodecError);
 }
 
 TEST(TcpCheckpoint, ExportIsNonDestructive) {
