@@ -27,6 +27,7 @@
 #include "common/crc32.h"
 #include "coord/coordinator.h"
 #include "cruz/cluster.h"
+#include "fault/fault.h"
 #include "obs/trace_query.h"
 #include "os/memory.h"
 #include "slm_sweep.h"
@@ -244,6 +245,64 @@ int main() {
                 restored_partner >= 1 ? "used" : "NOT USED");
   }
 
+  // --- restart fallback: one damaged generation ---------------------------
+  // The coordinator reads no image: an agent whose chain does not load
+  // answers <failed>, the attempt aborts, and the next attempt uses the
+  // next-older committed generation. So one damaged generation costs one
+  // failed attempt. Here the newest generation's image of pod a is
+  // corrupted as it is written, so every tier holds only damaged bytes
+  // (the netfs flush refuses them), and the restart lands on the older
+  // generation after exactly one fallback step.
+  std::printf("\n== restart fallback (2 nodes, tiered, newest generation "
+              "damaged on every tier) ==\n\n");
+  double fallback_restart_ms = 0;
+  bool fallback_ok = true;
+  {
+    ClusterConfig config;
+    config.num_nodes = 2;
+    Cluster c(config);
+    os::PodId a = c.CreatePod(0, "a");
+    c.pods(0).SpawnInPod(a, "cruz.counter", apps::CounterArgs(1u << 30));
+    os::PodId b = c.CreatePod(1, "b");
+    c.pods(1).SpawnInPod(b, "cruz.counter", apps::CounterArgs(1u << 30));
+    c.sim().RunFor(10 * kMillisecond);
+    std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                       c.MemberFor(1, b)};
+    coord::Coordinator::Options fopt;
+    fopt.tiered = true;
+    auto older = c.RunGenerationCheckpoint(members, fopt);
+    c.sim().RunFor(kSecond);
+    fault::FaultPlan plan(5);
+    plan.ArmImageCorruption(c.node(0).name());
+    c.ArmFaults(plan);
+    auto newest = c.RunGenerationCheckpoint(members, fopt);
+    c.sim().RunFor(kSecond);
+    c.pods(0).DestroyPod(a);
+    c.pods(1).DestroyPod(b);
+    c.sim().RunFor(5 * kMillisecond);
+    const TimeNs start = c.sim().Now();
+    auto restart = c.RunGenerationRestart(members, fopt);
+    fallback_restart_ms =
+        static_cast<double>(c.sim().Now() - start) / kMillisecond;
+    const std::size_t steps =
+        obs::TraceQuery(c.sim().tracer())
+            .Count(obs::TraceQuery::Filter{}.Name("coord.restart.fallback"));
+    fallback_ok = older.stats.success && newest.stats.success &&
+                  restart.stats.success && restart.fell_back &&
+                  restart.generation == older.generation &&
+                  restart.latest_committed == newest.generation &&
+                  steps == 1;
+    std::printf("%28s %14s\n", "metric", "value");
+    std::printf("%28s %14.3f\n", "restart, one fallback (ms)",
+                fallback_restart_ms);
+    std::printf("%28s %14.3f\n", "successful attempt (ms)",
+                static_cast<double>(restart.stats.full_latency) /
+                    kMillisecond);
+    std::printf("shape check: restart %s on the older generation after %zu "
+                "fallback step(s)\n",
+                fallback_ok ? "landed" : "did NOT land", steps);
+  }
+
   // --- host work: CRC-32 passes per image byte ----------------------------
   // One clean tiered generation cycle of a 2-rank slm job: the checkpoint
   // and its settle, the background flush, a restart. The grids are
@@ -372,6 +431,9 @@ int main() {
                 static_cast<double>(restored_local), "count", "higher");
     gate.Metric("tiered_restore_partner_total",
                 static_cast<double>(restored_partner), "count", "higher");
+    // A restart past one damaged generation: the failed attempt plus the
+    // successful one.
+    gate.Metric("restart_fallback_one_step_ms", fallback_restart_ms, "ms");
     // Host work, counted rather than timed, so it is gated exactly too.
     for (int i = 0; i < 3; ++i) {
       gate.Metric(std::string("work_crc_passes_") + kCrcPhases[i],
@@ -385,7 +447,7 @@ int main() {
                 static_cast<double>(memory_copy_bytes) / page_bytes, "count");
   }
   return (flat && second_scale && cow_cuts_downtime && spans_agree &&
-          attribution_ok && tiered_ok && crc_ok)
+          attribution_ok && tiered_ok && fallback_ok && crc_ok)
              ? 0
              : 1;
 }

@@ -260,6 +260,29 @@ void DestroyEverywhere(Cluster& c, os::PodId pod) {
   }
 }
 
+// After a failed restart attempt, before anything else touches the
+// members: every member pod with a process that runs (neither stopped
+// nor exited), on any node. The attempt started with every member pod
+// destroyed, so whatever runs now was restored by it.
+void NoteRunningAfterFailedRestart(
+    Cluster& c, const std::vector<coord::Coordinator::Member>& members,
+    OpRecord& rec) {
+  for (const coord::Coordinator::Member& m : members) {
+    for (std::size_t n = 0; n < c.num_nodes(); ++n) {
+      if (c.pods(n).Find(m.pod) == nullptr) continue;
+      os::Os& os = c.node(n).os();
+      for (os::Pid pid : os.PodProcesses(m.pod)) {
+        os::Process* proc = os.FindProcess(pid);
+        if (proc != nullptr && proc->state() == os::ProcessState::kLive) {
+          rec.running_after_failed_restart.push_back(
+              {rec.result.stats.op_id, m.pod, c.node(n).name()});
+          break;
+        }
+      }
+    }
+  }
+}
+
 coord::Coordinator::Options OpOptions(const OpSpec& spec,
                                       const Scenario& s) {
   coord::Coordinator::Options options;
@@ -294,6 +317,7 @@ const char* MutationName(Mutation mutation) {
     case Mutation::kDropPageResponse: return "drop-page-response";
     case Mutation::kResumeBothSides: return "resume-both-sides";
     case Mutation::kSkipDiscardFence: return "skip-discard-fence";
+    case Mutation::kResumeAbortedRestore: return "resume-aborted-restore";
   }
   return "none";
 }
@@ -313,6 +337,7 @@ bool MutationFromName(const std::string& name, Mutation& out) {
       Mutation::kDropPageResponse,
       Mutation::kResumeBothSides,
       Mutation::kSkipDiscardFence,
+      Mutation::kResumeAbortedRestore,
   };
   for (Mutation m : kAll) {
     if (name == MutationName(m)) {
@@ -347,6 +372,11 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
   }
   if (mutation == Mutation::kSkipDiscardFence) {
     c.tiered().set_test_skip_discard_fence(true);
+  }
+  if (mutation == Mutation::kResumeAbortedRestore) {
+    for (std::size_t i = 0; i < c.num_nodes(); ++i) {
+      c.agent(i).set_test_resume_restored(true);
+    }
   }
   if (mutation == Mutation::kShardAckWithoutForward) {
     for (std::size_t i = 0; i < c.num_nodes(); ++i) {
@@ -450,7 +480,8 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
         options.variant = coord::ProtocolVariant::kBlocking;
         options.copy_on_write = false;
         ckpt::GenerationStore store(c.tiered(), kGenRoot);
-        rec.newest_intact_before = store.NewestIntact().value_or(0);
+        rec.newest_intact_before = NewestIntactGeneration(c.tiered(),
+                                                          kGenRoot);
         if (mutation == Mutation::kDropLastReplica &&
             rec.newest_intact_before != 0) {
           // Sabotage: after the intact check, silently lose every copy of
@@ -487,6 +518,7 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
         // Armed agent crashes can legitimately kill a restart attempt;
         // reset and retry until the one-shot faults are used up.
         for (int attempt = 0; attempt < 6; ++attempt) {
+          if (attempt > 0) NoteRunningAfterFailedRestart(c, members, rec);
           DestroyEverywhere(c, w.pod_a);
           DestroyEverywhere(c, w.pod_b);
           for (os::PodId pad : pad_pods) {
@@ -577,6 +609,10 @@ RunResult Explorer::RunScenario(const Scenario& scenario) {
       ResetCrashedAgents(c);
     }
     c.sim().RunFor(5 * kMillisecond);
+    if (spec.kind == OpKind::kRestart && rec.attempted &&
+        !rec.result.stats.success) {
+      NoteRunningAfterFailedRestart(c, members, rec);
+    }
     records.push_back(std::move(rec));
   }
 

@@ -24,7 +24,8 @@ enum class Mutation : std::uint8_t {
   kAbandonWorkload,          // skip the final drain (workload-intact)
   kSkipDropFilter,           // freeze without filtering (comm-silence)
   kCommitFailedGeneration,   // commit a failed op's generation (gen-commit)
-  kRestartBlindLatest,       // restore latest committed, unverified
+  kRestartBlindLatest,       // restore the latest committed generation
+                             // with no fallback past a damaged one
                              // (restart-newest-intact)
   kWipeCoordinatorJournal,   // lose the intent journal across a crash
                              // (protocol-order: epoch reuse)
@@ -49,6 +50,9 @@ enum class Mutation : std::uint8_t {
                              // (migration-exactly-one-running-copy)
   kSkipDiscardFence,         // a discarded generation still accepts late
                              // image commits (no-partial-state)
+  kResumeAbortedRestore,     // an aborted restart resumes the pods it
+                             // already restored instead of destroying
+                             // them (restart-all-or-nothing)
 };
 
 const char* MutationName(Mutation mutation);

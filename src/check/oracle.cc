@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <sstream>
 
+#include "ckpt/engine.h"
 #include "ckpt/generation.h"
+#include "ckpt/store/tiered_store.h"
+#include "common/error.h"
 
 namespace cruz::check {
 
@@ -202,6 +205,29 @@ void CheckRestartNewestIntact(const RunContext& ctx,
   }
 }
 
+// Restart is all-or-nothing: until its <continue> commits it, a failed
+// attempt leaves nothing of the application running. An agent that had
+// restored its pod when the attempt aborted destroys it, so no member pod
+// restored by a restart that aborted in its freeze phase runs after the
+// abort. (Once <continue> went out the restored pods legitimately run.)
+void CheckRestartAllOrNothing(const RunContext& ctx,
+                              std::vector<Violation>& out) {
+  const char* name = "restart-all-or-nothing";
+  for (const OpRecord& rec : ctx.ops) {
+    for (const OpRecord::RunningPod& p : rec.running_after_failed_restart) {
+      if (ctx.trace->Count(TraceQuery::Filter{}
+                               .Name("coord.phase.commit")
+                               .Op(p.op_id)) > 0) {
+        continue;
+      }
+      std::ostringstream d;
+      d << "restart op " << p.op_id << " aborted before <continue>, yet pod "
+        << p.pod << " runs on " << p.node;
+      Violate(out, name, d.str());
+    }
+  }
+}
+
 // Fig. 2 structure: fencing epochs strictly increase across operations,
 // and for blocking stop-the-world checkpoints the freeze phase closes
 // before commit opens, with every save inside the freeze.
@@ -297,10 +323,11 @@ void CheckContinueExactlyOnce(const RunContext& ctx,
 
 // Tiered storage (DESIGN.md §11): a restart must succeed whenever every
 // image of some committed generation still has at least one intact
-// replica on any tier. NewestIntact() resolves across tiers in tiered
-// runs, so a nonzero pre-restart sample is exactly that witness — a
-// subsequent failure means a replica silently vanished between the
-// check and the restore, or the resolver missed a surviving copy.
+// replica on any tier. NewestIntactGeneration() resolves across tiers in
+// tiered runs, so a nonzero pre-restart sample is exactly that witness —
+// a subsequent failure means a replica silently vanished between the
+// check and the restore, the resolver missed a surviving copy, or the
+// fallback stopped short of the intact generation.
 void CheckReplicaAvailability(const RunContext& ctx,
                               std::vector<Violation>& out) {
   const char* name = "replica-availability";
@@ -422,6 +449,38 @@ void CheckResidentSetComplete(const RunContext& ctx,
 
 }  // namespace
 
+bool GenerationIntact(ckpt::TieredStore& store, std::uint64_t gen,
+                      const std::string& root) {
+  std::optional<std::vector<ckpt::ManifestEntry>> manifest =
+      ckpt::GenerationStore(store, root).ReadManifest(gen);
+  if (!manifest.has_value()) return false;
+  // Every image needs one intact copy on some tier. The probe reads
+  // untraced (it is not a restore); decoding the chain is each copy's
+  // check, and the head copy must also be the one the manifest records.
+  for (const ckpt::ManifestEntry& e : *manifest) {
+    ckpt::TieredStore::ResolveResult head;
+    try {
+      ckpt::CheckpointEngine::LoadImageChain(store, /*reader=*/nullptr,
+                                             e.image_path, /*trace=*/false,
+                                             &head);
+    } catch (const cruz::CruzError&) {
+      return false;
+    }
+    if (head.size != e.size || head.crc32 != e.crc32) return false;
+  }
+  return true;
+}
+
+std::uint64_t NewestIntactGeneration(ckpt::TieredStore& store,
+                                     const std::string& root) {
+  std::vector<std::uint64_t> gens =
+      ckpt::GenerationStore(store, root).Committed();
+  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
+    if (GenerationIntact(store, *it, root)) return *it;
+  }
+  return 0;
+}
+
 void InvariantOracle::Register(std::string name, CheckFn check) {
   checks_.emplace_back(std::move(name), std::move(check));
 }
@@ -432,6 +491,7 @@ InvariantOracle InvariantOracle::Defaults() {
   oracle.Register("comm-silence", CheckCommSilence);
   oracle.Register("gen-commit", CheckGenCommit);
   oracle.Register("restart-newest-intact", CheckRestartNewestIntact);
+  oracle.Register("restart-all-or-nothing", CheckRestartAllOrNothing);
   oracle.Register("protocol-order", CheckProtocolOrder);
   oracle.Register("continue-exactly-once", CheckContinueExactlyOnce);
   oracle.Register("no-partial-state", CheckNoPartialState);

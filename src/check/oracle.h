@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "check/scenario.h"
+#include "ckpt/generation.h"
 #include "ckpt/live_migrate.h"
 #include "cruz/cluster.h"
 #include "obs/trace_query.h"
@@ -31,7 +32,7 @@ struct OpRecord {
   // Generation number allocated for a checkpoint attempt (committed or
   // discarded); 0 for non-checkpoint ops.
   std::uint64_t allocated_generation = 0;
-  // NewestIntact() sampled immediately before a restart attempt.
+  // NewestIntactGeneration() sampled immediately before a restart.
   std::uint64_t newest_intact_before = 0;
   std::size_t members = 0;
   coord::ProtocolVariant variant = coord::ProtocolVariant::kBlocking;
@@ -39,11 +40,35 @@ struct OpRecord {
   // Any agent process was in the crashed state right after the op (a
   // legitimate reason for the op to fail).
   bool any_agent_crashed = false;
+  // Restart: each member pod found running after a failed attempt, by
+  // that attempt's op id (sampled once its aborts had time to land).
+  struct RunningPod {
+    std::uint64_t op_id = 0;
+    os::PodId pod = os::kNoPod;
+    std::string node;
+  };
+  std::vector<RunningPod> running_after_failed_restart;
   // Live migration (kMigrate): which pod moved and the migrator's final
   // stats snapshot (page accounting for resident-set-complete).
   os::PodId migrated_pod = os::kNoPod;
   ckpt::LiveMigrateStats migrate;
 };
+
+// Host-side reference for restart's choice of generation, computed
+// outside any message and in zero simulated time. Generation `gen` under
+// `root` is intact iff its manifest is, and for every member image the
+// head copy the store resolves has the manifest's size and frame trailer
+// and the whole incremental chain decodes, a copy that fails falling back
+// to the next tier. Restart itself never calls this: each agent decodes
+// its own chain, and one that does not load fails the attempt.
+bool GenerationIntact(
+    ckpt::TieredStore& store, std::uint64_t gen,
+    const std::string& root = ckpt::GenerationStore::kDefaultRoot);
+// The newest committed generation under `root` that is GenerationIntact;
+// 0 if there is none.
+std::uint64_t NewestIntactGeneration(
+    ckpt::TieredStore& store,
+    const std::string& root = ckpt::GenerationStore::kDefaultRoot);
 
 struct WorkloadResult {
   bool completed = false;
@@ -77,9 +102,10 @@ class InvariantOracle {
   void Register(std::string name, CheckFn check);
 
   // The full catalog (see DESIGN.md §9): workload-intact, comm-silence,
-  // gen-commit, restart-newest-intact, protocol-order,
-  // continue-exactly-once, no-partial-state, replica-availability,
-  // migration-exactly-one-running-copy, resident-set-complete.
+  // gen-commit, restart-newest-intact, restart-all-or-nothing,
+  // protocol-order, continue-exactly-once, no-partial-state,
+  // replica-availability, migration-exactly-one-running-copy,
+  // resident-set-complete.
   static InvariantOracle Defaults();
 
   // Runs every registered invariant; empty result = run passed.

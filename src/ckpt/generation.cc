@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/engine.h"
 #include "ckpt/store/tiered_store.h"
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -136,40 +135,6 @@ std::optional<std::vector<ManifestEntry>> GenerationStore::ReadManifest(
   } catch (const cruz::CodecError&) {
     return std::nullopt;
   }
-}
-
-bool GenerationStore::Verify(std::uint64_t gen) const {
-  std::optional<std::vector<ManifestEntry>> manifest = ReadManifest(gen);
-  if (!manifest.has_value()) return false;
-  // The generation is restartable iff every image has at least one
-  // intact copy on some tier. The probe reads through the store
-  // untraced (it is not a restore); decoding the chain is each copy's
-  // check, and the head copy must also be the one the manifest records.
-  for (const ManifestEntry& e : *manifest) {
-    TieredStore::ResolveResult head;
-    try {
-      CheckpointEngine::LoadImageChain(store(), /*reader=*/nullptr,
-                                       e.image_path, /*trace=*/false, &head);
-    } catch (const cruz::CruzError&) {
-      CRUZ_WARN("ckpt") << "generation " << gen << ": " << e.image_path
-                        << " does not deserialize";
-      return false;
-    }
-    if (head.size != e.size || head.crc32 != e.crc32) {
-      CRUZ_WARN("ckpt") << "generation " << gen << ": " << e.image_path
-                        << " fails the manifest size/CRC check";
-      return false;
-    }
-  }
-  return true;
-}
-
-std::optional<std::uint64_t> GenerationStore::NewestIntact() const {
-  std::vector<std::uint64_t> gens = Committed();
-  for (auto it = gens.rbegin(); it != gens.rend(); ++it) {
-    if (Verify(*it)) return *it;
-  }
-  return std::nullopt;
 }
 
 }  // namespace cruz::ckpt

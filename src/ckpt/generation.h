@@ -5,16 +5,15 @@
 // manifest is committed after every agent reported <done> — so storage
 // never exposes a half-written checkpoint as restorable. The manifest
 // records, per member pod, the image path plus its size and frame CRC-32
-// (the trailer PodCheckpoint::Serialize wrote), which lets restart
-// verify every image *before* touching any pod and fall back
-// to the newest older generation that is still fully intact (e.g. after
+// (the trailer PodCheckpoint::Serialize wrote). Restart reads no image
+// here: each agent decodes its own, and one that cannot answers <failed>,
+// so restart falls back to an older committed generation (e.g. after
 // silent media corruption of the latest images). Aborted generations are
 // discarded wholesale by deleting everything under their directory.
 //
 // All I/O goes through the checkpoint store (ckpt::TieredStore), whatever
 // policy the generation's images were committed with: manifests and the
-// SEQ counter are store metadata, and verification reads each image
-// through the store's resolver.
+// SEQ counter are store metadata.
 #pragma once
 
 #include <cstdint>
@@ -83,17 +82,6 @@ class GenerationStore {
 
   std::optional<std::vector<ManifestEntry>> ReadManifest(
       std::uint64_t gen) const;
-
-  // Deep verification, with no CRC pass of its own: the manifest is
-  // intact (its own CRC), and for every member image the head copy the
-  // store resolves has the recorded size and frame trailer and the whole
-  // incremental chain decodes (frame and per-page CRCs), a copy that
-  // fails falling back to the next tier. This is what restart runs
-  // before choosing a generation.
-  bool Verify(std::uint64_t gen) const;
-
-  // Newest committed generation that passes Verify, scanning backwards.
-  std::optional<std::uint64_t> NewestIntact() const;
 
   // Mirror commit/discard decisions onto a tracer timeline (nullptr
   // disables), so invariant checks can pin the commit point against the

@@ -51,7 +51,7 @@ void CheckpointAgent::Reset() {
     // behind a drop filter, and a checkpoint may have left a partial
     // image that will never be committed.
     EndOpSpans("agent-reset");
-    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+    ReleasePod();
     RemoveDropFilter();
     if (!op_.image_path.empty()) {
       DiscardCheckpointImage(op_.pod, op_.image_path);
@@ -84,6 +84,14 @@ void CheckpointAgent::Serve(const CoordMessage& m) {
   op_ = ActiveOp{};
   op_.pod = m.pod_id;
   StartLocalCheckpoint(m);
+}
+
+void CheckpointAgent::ReleasePod() {
+  if (op_.restored && !test_resume_restored_) {
+    pods_.DestroyPod(op_.pod);
+  } else {
+    ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+  }
 }
 
 void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
@@ -404,6 +412,7 @@ void CheckpointAgent::StartRestart(const CoordMessage& m) {
     // Restore at the end of the load window; the §4.1 send-buffer replay
     // fires here, against the still-installed drop filter.
     ckpt::CheckpointEngine::RestorePod(pods_, ck);
+    op_.restored = true;
     node_.os().sim().tracer().EndSpan(op_.save_span, {{"outcome", "ok"}});
     op_.save_span = obs::kInvalidSpanId;
     node_.os().sim().metrics().histogram("agent.restore_us")
@@ -461,13 +470,13 @@ void CheckpointAgent::MaybeResume() {
 }
 
 void CheckpointAgent::Cancel(bool) {
-  // Resume the pod as if nothing happened, and delete the partially
+  // Release the pod as if nothing happened, and delete the partially
   // written image: an aborted checkpoint must leave no trace in storage.
   EndOpSpans("aborted");
   node_.os().sim().tracer().Instant(
       "agent", "agent.abort",
       obs::TraceAttrs{}.Op(op_id()).Agent(node_.name()).Pod(op_.pod));
-  ckpt::CheckpointEngine::ResumePod(pods_, op_.pod);
+  ReleasePod();
   RemoveDropFilter();
   if (!op_.image_path.empty()) {
     DiscardCheckpointImage(op_.pod, op_.image_path);

@@ -26,8 +26,8 @@
 // of going silent, deletes its partial image when an op aborts, and can
 // be crashed/reset by the fault-injection framework — Crash() models the
 // agent process dying (it stops responding until Reset(), which performs
-// the recovery a restarted agent would: resume the pod, drop the filter,
-// discard the partial image).
+// the recovery a restarted agent would: resume the pod, or destroy one a
+// restart rebuilt, drop the filter, discard the partial image).
 #pragma once
 
 #include <cstdint>
@@ -66,16 +66,20 @@ class CheckpointAgent : public Participant {
   // window. Never set outside tests.
   void set_test_skip_filter(bool skip) { test_skip_filter_ = skip; }
 
+  // Sabotage hook for oracle self-tests: an aborted restart resumes the
+  // pod it restored instead of destroying it. Never set outside tests.
+  void set_test_resume_restored(bool v) { test_resume_restored_ = v; }
+
   // Simulates the agent process dying: all messages are ignored and any
   // in-flight local work is abandoned (the pod stays stopped, the drop
   // filter stays installed — exactly the wreckage a real agent crash
   // leaves behind).
   void Crash();
 
-  // Recovery performed by a restarted agent process: resume a stopped
-  // pod, remove the leftover drop filter, delete the partial image of an
-  // unfinished checkpoint, and forget all volatile state (incremental
-  // baselines, epoch high-water mark, reply cache).
+  // Recovery performed by a restarted agent process: release the pod
+  // (ReleasePod), remove the leftover drop filter, delete the partial
+  // image of an unfinished checkpoint, and forget all volatile state
+  // (incremental baselines, epoch high-water mark, reply cache).
   void Reset();
 
  private:
@@ -91,6 +95,8 @@ class CheckpointAgent : public Participant {
     bool resume_ready = false;
     bool continue_received = false;
     bool resumed = false;
+    // A restart rebuilt the pod: an abort must destroy it, not resume it.
+    bool restored = false;
     // The image this checkpoint op writes; set once the pod is
     // snapshotted, whether or not the file is in storage yet (an abort
     // from then on must discard it and the incremental baseline, and so
@@ -124,6 +130,9 @@ class CheckpointAgent : public Participant {
   void StartLocalCheckpoint(const CoordMessage& m);
   void StartRestart(const CoordMessage& m);
   void MaybeResume();
+  // An unfinished op lets go of its pod: destroys one a restart rebuilt
+  // (so no half of a failed restart runs), resumes any other.
+  void ReleasePod();
   void InstallDropFilter(net::Ipv4Address pod_ip);
   void RemoveDropFilter();
   // Fig. 4: tells the coordinator communication is disabled here.
@@ -158,6 +167,7 @@ class CheckpointAgent : public Participant {
   pod::PodManager& pods_;
   ckpt::TieredStore& store_;
   bool test_skip_filter_ = false;
+  bool test_resume_restored_ = false;
   ActiveOp op_;
   // Incremental chains: last image written per pod (path, generation).
   std::map<os::PodId, std::pair<std::string, std::uint32_t>> last_image_;

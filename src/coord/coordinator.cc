@@ -36,7 +36,8 @@ Coordinator::Coordinator(os::Node& node, ckpt::TieredStore& store,
                         if (!driver_.owes_done()) Finish(true);
                       },
                   .on_failed =
-                      [this](net::Ipv4Address from) {
+                      [this](net::Ipv4Address from, os::PodId pod) {
+                        stats_.failed_pod = pod;
                         AbortOp(std::string(driver_.wire().failed_noun) +
                                 " " + std::to_string(from.value) +
                                 " failed");

@@ -133,6 +133,9 @@ class Coordinator {
     std::uint32_t timeouts = 0;     // overall-timeout expirations (0/1)
     std::uint32_t aborts = 0;       // <abort> messages sent
     std::string abort_reason;       // empty on success
+    // The pod whose agent reported <failed> (restart: its image chain did
+    // not load); kNoPod if the op ended otherwise.
+    os::PodId failed_pod = os::kNoPod;
     std::vector<std::string> image_paths;
     // Tiered mode, per member (same order as the member list): where each
     // image landed at commit time (checkpoints — feeds the generation

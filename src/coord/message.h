@@ -60,7 +60,8 @@ enum class MsgType : std::uint8_t {
   kShardDone = 17,          // sub -> root: every member reported <done>
   kShardContinueDone = 18,  // sub -> root: every member resumed
   kShardCommDisabled = 19,  // sub -> root: Fig. 4 aggregated notification
-  kShardFailed = 20,        // sub -> root: a member failed / gave up
+  kShardFailed = 20,        // sub -> root: a member failed (its pod in
+                            // pod_id) / gave up (kNoPod)
   kShardPong = 21,          // sub -> root: liveness reply to kPing
   // Post-copy migration page-server channel (DESIGN.md §14). These flow
   // between the migration target (requester) and the source's frozen

@@ -151,7 +151,7 @@ void PhaseDriver::OnReply(net::Ipv4Address from, const CoordMessage& m) {
   // error, a sub that gave up on its shard) means the op can never
   // complete: the owner aborts now rather than waiting out the timeout.
   if (m.type == wire_->failed) {
-    hooks_.on_failed(from);
+    hooks_.on_failed(from, m.pod_id);
     return;
   }
   auto it = by_ip_.find(from.value);

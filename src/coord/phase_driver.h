@@ -102,7 +102,9 @@ class PhaseDriver {
     std::function<void()> on_comm_disabled;  // Fig. 4: every endpoint
     std::function<void()> on_done;           // the last <done> arrived
     std::function<void()> on_continue_done;  // the last <continue-done>
-    std::function<void(net::Ipv4Address from)> on_failed;  // <failed>
+    // <failed> from `from`, naming the member whose local part failed
+    // (kNoPod: a sub-coordinator gave up on its shard).
+    std::function<void(net::Ipv4Address from, os::PodId pod)> on_failed;
     std::function<void()> on_retry_cap;  // max_rounds rounds, still owed
   };
 

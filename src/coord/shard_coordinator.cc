@@ -44,8 +44,9 @@ ShardCoordinator::ShardCoordinator(os::Node& node, ckpt::TieredStore& store)
                         if (driver_.continue_sent()) SendShardContinueDone();
                       },
                   .on_failed =
-                      [this](net::Ipv4Address) {
-                        AbortShardOp("member failed", /*notify_root=*/true);
+                      [this](net::Ipv4Address, os::PodId pod) {
+                        AbortShardOp("member failed", /*notify_root=*/true,
+                                     pod);
                       },
                   .on_retry_cap =
                       [this] {
@@ -298,7 +299,8 @@ void ShardCoordinator::MaybeCompleteOp() {
   CancelTimers();
 }
 
-void ShardCoordinator::AbortShardOp(const char* reason, bool notify_root) {
+void ShardCoordinator::AbortShardOp(const char* reason, bool notify_root,
+                                    os::PodId failed_pod) {
   if (!active_) return;
   CRUZ_WARN("coord") << node_.name() << ": shard op " << op_id()
                      << " aborted (" << reason << ")";
@@ -314,7 +316,11 @@ void ShardCoordinator::AbortShardOp(const char* reason, bool notify_root) {
     driver_.Begin(AgentRequest(), op_.members, /*fan_out=*/0, {});
   }
   driver_.Abort();
-  if (notify_root) Send(coordinator_, Reply(MsgType::kShardFailed));
+  if (notify_root) {
+    CoordMessage failed = Reply(MsgType::kShardFailed);
+    failed.pod_id = failed_pod;  // kNoPod: this sub gave up (DESIGN.md §13)
+    Send(coordinator_, failed);
+  }
   journal_.AppendOutcome(JournalRecord::Type::kAbort, request_.epoch,
                          is_restart());
   EndOpSpan("abort");

@@ -102,8 +102,10 @@ class ShardCoordinator : public Participant {
                      std::vector<ShardMember> reports);
   void SendShardContinueDone();
   // Aborts the in-flight shard op: <abort> to every shard agent, image GC
-  // on all tiers, journal outcome; optionally reports <shard-failed>.
-  void AbortShardOp(const char* reason, bool notify_root);
+  // on all tiers, journal outcome; optionally reports <shard-failed>,
+  // naming `failed_pod` when a member's <failed> caused the abort.
+  void AbortShardOp(const char* reason, bool notify_root,
+                    os::PodId failed_pod = os::kNoPod);
   void CancelTimers();
   void EndOpSpan(const char* outcome);
   // Journal replay at construction / Reset(): abort a predecessor's

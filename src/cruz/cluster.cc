@@ -1,5 +1,7 @@
 #include "cruz/cluster.h"
 
+#include <algorithm>
+
 #include "apps/programs.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -297,40 +299,39 @@ Cluster::GenerationOpResult Cluster::RunGenerationRestart(
     std::vector<coord::Coordinator::Member> members,
     coord::Coordinator::Options options, const std::string& root) {
   ckpt::GenerationStore store(*tiered_, root);
+  const std::vector<std::uint64_t> committed = store.Committed();
   GenerationOpResult result;
-  result.latest_committed = store.LatestCommitted().value_or(0);
-
-  std::optional<std::uint64_t> intact = store.NewestIntact();
-  if (!intact.has_value()) {
-    result.stats.success = false;
-    result.stats.abort_reason = "no intact checkpoint generation";
-    return result;
-  }
-  result.generation = *intact;
-  result.fell_back = result.generation != result.latest_committed;
-  if (result.fell_back) {
-    CRUZ_WARN("cruz") << "restart: generation " << result.latest_committed
-                      << " is damaged, falling back to generation "
-                      << result.generation;
-  }
-
-  std::vector<ckpt::ManifestEntry> manifest =
-      *store.ReadManifest(result.generation);
-  std::vector<std::string> image_paths;
-  for (const coord::Coordinator::Member& m : members) {
-    const ckpt::ManifestEntry* entry = nullptr;
-    for (const ckpt::ManifestEntry& e : manifest) {
-      if (e.pod == m.pod) {
-        entry = &e;
-        break;
-      }
+  result.latest_committed = committed.empty() ? 0 : committed.back();
+  // Newest first; only a member's <failed> moves on to an older one.
+  for (auto gen = committed.rbegin(); gen != committed.rend(); ++gen) {
+    if (gen != committed.rbegin()) {
+      sim_.tracer().Instant("coord", "coord.restart.fallback",
+                            obs::TraceAttrs{}
+                                .Op(result.stats.op_id)
+                                .Agent(coordinator_node_->name())
+                                .Arg("from", result.generation)
+                                .Arg("to", *gen));
     }
-    CRUZ_CHECK(entry != nullptr,
-               "pod not present in the checkpoint generation manifest");
-    image_paths.push_back(entry->image_path);
+    auto manifest = store.ReadManifest(*gen);
+    if (!manifest) continue;  // lost since Committed() read it
+    result.generation = *gen;
+    result.fell_back = *gen != result.latest_committed;
+    std::vector<std::string> image_paths;
+    for (const coord::Coordinator::Member& m : members) {
+      auto entry = std::find_if(
+          manifest->begin(), manifest->end(),
+          [&](const ckpt::ManifestEntry& e) { return e.pod == m.pod; });
+      CRUZ_CHECK(entry != manifest->end(),
+                 "pod not present in the checkpoint generation manifest");
+      image_paths.push_back(entry->image_path);
+    }
+    result.stats = RunRestart(members, std::move(image_paths), options);
+    if (result.stats.success || result.stats.failed_pod == os::kNoPod) {
+      return result;
+    }
   }
-  result.stats = RunRestart(std::move(members), std::move(image_paths),
-                            options);
+  result.stats.success = false;
+  result.stats.abort_reason = "no intact checkpoint generation";
   return result;
 }
 

@@ -141,9 +141,11 @@ class Cluster {
   GenerationOpResult SettleGenerationCheckpoint(
       const std::shared_ptr<PendingGenerationOp>& op);
 
-  // Coordinated restart from the newest *intact* committed generation:
-  // every member image is verified against the manifest CRCs first, and
-  // corrupt generations are skipped in favor of older intact ones.
+  // Coordinated restart from the newest committed generation whose images
+  // the agents can load; the coordinator reads none. An agent whose chain
+  // does not load answers <failed>, the attempt aborts all-or-nothing, and
+  // the next uses the next-older generation (a `coord.restart.fallback`
+  // instant). A silent member, a timeout or a retry cap ends the restart.
   GenerationOpResult RunGenerationRestart(
       std::vector<coord::Coordinator::Member> members,
       coord::Coordinator::Options options = {},

@@ -88,6 +88,13 @@ const std::vector<MutationCase>& MutationCases() {
       {Mutation::kDropPageResponse, "resident-set-complete",
        "cruzrepro1 seed=21 nodes=3 wl=2 units=60000 migrate=3 "
        "op=2,10,0,0,0,0,0"},
+      // node2's agent dies on <restart> after node1's agent restored its
+      // counter pod; the heartbeat abort must destroy that pod, and the
+      // sabotaged agent resumes it instead, so half of the failed restart
+      // runs on.
+      {Mutation::kResumeAbortedRestore, "restart-all-or-nothing",
+       "cruzrepro1 seed=10 nodes=2 wl=2 units=4000 op=0,10,0,0,0,0,0 "
+       "op=1,10,0,0,0,0,0 fault=5,1,0,5"},
       // Post-copy migration where the source-side destroy is skipped:
       // the pod ends up running on both nodes at once.
       {Mutation::kResumeBothSides, "migration-exactly-one-running-copy",

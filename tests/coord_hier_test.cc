@@ -13,12 +13,15 @@
 #include "coord/message.h"
 #include "cruz/cluster.h"
 #include "fault/fault.h"
+#include "obs/trace_query.h"
 
 namespace cruz {
 namespace {
 
 constexpr std::uint8_t kCheckpointByte =
     static_cast<std::uint8_t>(coord::MsgType::kCheckpoint);
+constexpr std::uint8_t kRestartByte =
+    static_cast<std::uint8_t>(coord::MsgType::kRestart);
 
 os::PodId SpawnCounterPod(Cluster& c, std::size_t node,
                           const std::string& name) {
@@ -209,6 +212,103 @@ TEST(CoordHier, AckWithoutForwardCommitsWithZeroAgentSaves) {
   }
   EXPECT_TRUE(c.fs().List("/ckpt/lie/").empty());
   EXPECT_EQ(c.tiered().BytesUnderPrefix("/ckpt/lie/"), 0u);
+}
+
+std::size_t CountEvents(Cluster& c, const std::string& name) {
+  return obs::TraceQuery(c.sim().tracer())
+      .Count(obs::TraceQuery::Filter{}.Name(name));
+}
+
+std::string ArgOf(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.attrs.args) {
+    if (k == key) return v;
+  }
+  return {};
+}
+
+// Restart picks its generation through the protocol at depth 2 too. A
+// sub-coordinator's <shard-failed> names the failed member's pod when an
+// agent answered <failed> (its chain did not load), and no pod when the
+// sub gave up on a silent agent (retry cap, self-clean timeout). Only
+// the first falls back: a corrupt chain costs exactly one failed attempt,
+// a silent agent ends the restart after one attempt.
+TEST(CoordHier, TreeRestartFallsBackOnlyForAnUnreadableChain) {
+  ClusterConfig config;
+  config.num_nodes = 6;
+  Cluster c(config);
+  fault::FaultPlan plan(11);
+  c.ArmFaults(plan);
+  std::vector<os::PodId> pods;
+  auto members = SpawnMembers(c, 6, &pods);
+  coord::Coordinator::Options options;
+  options.fan_out = 3;  // shards: head node1 (0-2), head node4 (3-5)
+  auto destroy_all = [&] {
+    for (std::size_t i = 0; i < 6; ++i) c.pods(i).DestroyPod(pods[i]);
+    c.sim().RunFor(10 * kMillisecond);
+  };
+
+  auto g1 = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(g1.stats.success);
+  c.sim().RunFor(20 * kMillisecond);
+  auto g2 = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(g2.stats.success);
+  // Silent media corruption of node5's newest image.
+  const std::string victim = g2.stats.image_paths.at(4);
+  Bytes raw;
+  ASSERT_TRUE(SysOk(c.fs().ReadFile(victim, raw)));
+  raw[raw.size() / 2] ^= 0x40;
+  ASSERT_TRUE(SysOk(c.fs().WriteFile(victim, std::move(raw))));
+
+  destroy_all();
+  auto corrupt = c.RunGenerationRestart(members, options);
+  ASSERT_TRUE(corrupt.stats.success) << corrupt.stats.abort_reason;
+  EXPECT_TRUE(corrupt.fell_back);
+  EXPECT_EQ(corrupt.generation, g1.generation);
+  EXPECT_EQ(corrupt.latest_committed, g2.generation);
+  EXPECT_EQ(CountEvents(c, "coord.op.restart"), 2u);
+  obs::TraceQuery query(c.sim().tracer());
+  auto fallbacks = query.Select(
+      obs::TraceQuery::Filter{}.Name("coord.restart.fallback"));
+  ASSERT_EQ(fallbacks.size(), 1u);
+  EXPECT_EQ(ArgOf(*fallbacks[0], "from"), std::to_string(g2.generation));
+  EXPECT_EQ(ArgOf(*fallbacks[0], "to"), std::to_string(g1.generation));
+  auto aborts = query.Select(obs::TraceQuery::Filter{}.Name("coord.abort"));
+  ASSERT_EQ(aborts.size(), 1u);
+  EXPECT_EQ(ArgOf(*aborts[0], "reason"),
+            "shard " + std::to_string(c.node(3).ip().value) + " failed");
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_TRUE(PodProcessLive(c, i, pods[i])) << "pod " << i;
+  }
+
+  // node5's agent dies on <restart>; its sub hits the retry cap and
+  // reports <shard-failed> without a pod. Generation 3 is intact, and the
+  // restart ends after its one attempt.
+  auto g3 = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(g3.stats.success);
+  plan.ArmAgentCrash("node5", kRestartByte);
+  destroy_all();
+  auto silent = c.RunGenerationRestart(members, options);
+  EXPECT_FALSE(silent.stats.success);
+  EXPECT_EQ(silent.stats.abort_reason,
+            "shard " + std::to_string(c.node(3).ip().value) + " failed");
+  EXPECT_EQ(silent.stats.failed_pod, os::kNoPod);
+  EXPECT_FALSE(silent.fell_back);
+  EXPECT_EQ(silent.generation, g3.generation);
+  EXPECT_EQ(CountEvents(c, "coord.op.restart"), 3u);
+  EXPECT_EQ(CountEvents(c, "coord.restart.fallback"), 1u);
+  std::size_t retry_caps = 0;
+  obs::TraceQuery after(c.sim().tracer());
+  for (const obs::TraceEvent* e : after.Select(
+           obs::TraceQuery::Filter{}.Name("coord.shard.abort"))) {
+    if (ArgOf(*e, "reason") == "retry cap") ++retry_caps;
+  }
+  EXPECT_EQ(retry_caps, 1u);
+  // All-or-nothing across the tree: no member pod the attempt restored
+  // survives its abort.
+  c.sim().RunFor(10 * kMillisecond);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(c.pods(i).Find(pods[i]), nullptr) << "pod " << i;
+  }
 }
 
 // Roster fragmentation: a single shard of 40 members with long image

@@ -24,6 +24,8 @@ constexpr std::uint8_t kCheckpointByte =
     static_cast<std::uint8_t>(coord::MsgType::kCheckpoint);
 constexpr std::uint8_t kContinueByte =
     static_cast<std::uint8_t>(coord::MsgType::kContinue);
+constexpr std::uint8_t kRestartByte =
+    static_cast<std::uint8_t>(coord::MsgType::kRestart);
 
 os::PodId SpawnCounterPod(Cluster& c, std::size_t node,
                           const std::string& name) {
@@ -518,6 +520,69 @@ TEST(Fault, AgentCrashOnRequestDetectedByHeartbeat) {
   EXPECT_LT(c.sim().Now() - before, 10 * kSecond);
   EXPECT_EQ(plan.CountEvents(fault::FaultKind::kAgentCrash), 1u);
   EXPECT_TRUE(c.agent(1).crashed());
+}
+
+// An aborted restart undoes its own work: node2's agent dies on
+// <restart> after node1's agent has already restored its pod, and the
+// heartbeat abort must leave no trace of that pod on node1 — neither
+// running (half of the application would run on) nor stopped (the
+// retry's restore of the same pod id would collide with it). A silent
+// member ends the restart: one attempt, no fallback.
+TEST(Fault, AbortedRestartDestroysThePodsItRestored) {
+  ClusterConfig config;
+  config.num_nodes = 2;
+  Cluster c(config);
+  os::PodId a = SpawnCounterPod(c, 0, "a");
+  os::PodId b = SpawnCounterPod(c, 1, "b");
+  c.sim().RunFor(10 * kMillisecond);
+  std::vector<coord::Coordinator::Member> members = {c.MemberFor(0, a),
+                                                     c.MemberFor(1, b)};
+  coord::Coordinator::Options options;
+  options.retransmit_interval = 500 * kMillisecond;
+  options.heartbeat_interval = 200 * kMillisecond;
+  options.max_missed_heartbeats = 2;
+  options.timeout = 60 * kSecond;
+  auto g1 = c.RunGenerationCheckpoint(members, options);
+  ASSERT_TRUE(g1.stats.success);
+
+  fault::FaultPlan plan(23);
+  plan.ArmAgentCrash("node2", kRestartByte);
+  c.ArmFaults(plan);
+  c.pods(0).DestroyPod(a);
+  c.pods(1).DestroyPod(b);
+  c.sim().RunFor(10 * kMillisecond);
+
+  auto rs = c.RunGenerationRestart(members, options);
+  EXPECT_FALSE(rs.stats.success);
+  EXPECT_NE(rs.stats.abort_reason.find("unresponsive"), std::string::npos)
+      << rs.stats.abort_reason;
+  EXPECT_FALSE(rs.fell_back);
+  EXPECT_EQ(rs.generation, g1.generation);
+  EXPECT_TRUE(c.agent(1).crashed());
+  c.sim().RunFor(10 * kMillisecond);
+
+  // node1 did restore its pod before the abort...
+  obs::TraceQuery query(c.sim().tracer());
+  auto restores = query.Select(
+      obs::TraceQuery::Filter{}.Name("agent.restore").Op(rs.stats.op_id));
+  ASSERT_EQ(restores.size(), 1u);
+  EXPECT_EQ(ArgOf(*restores[0], "outcome"), "ok");
+  EXPECT_EQ(restores[0]->attrs.agent, c.node(0).name());
+  // ...and the abort destroyed it.
+  EXPECT_EQ(c.pods(0).Find(a), nullptr);
+  EXPECT_EQ(c.pods(1).Find(b), nullptr);
+  EXPECT_EQ(query.Count(obs::TraceQuery::Filter{}.Name("coord.op.restart")),
+            1u);
+  EXPECT_EQ(
+      query.Count(obs::TraceQuery::Filter{}.Name("coord.restart.fallback")),
+      0u);
+
+  // The restarted agent process and a retry restore the whole job.
+  c.agent(1).Reset();
+  auto retry = c.RunGenerationRestart(members, options);
+  ASSERT_TRUE(retry.stats.success) << retry.stats.abort_reason;
+  EXPECT_TRUE(PodProcessLive(c, 0, a));
+  EXPECT_TRUE(PodProcessLive(c, 1, b));
 }
 
 // A disk failure that hits DURING the background write-out of a forked

@@ -12,6 +12,7 @@
 
 #include "apps/programs.h"
 #include "apps/slm.h"
+#include "check/oracle.h"
 #include "ckpt/generation.h"
 #include "ckpt/store/replica.h"
 #include "ckpt/store/tiered_store.h"
@@ -171,7 +172,8 @@ TEST(TieredStore, FullCycleSurvivesNetfsOutage) {
   // With every node disk wiped, the netfs alone still holds the whole
   // intact generation.
   for (std::size_t i = 0; i < c.num_nodes(); ++i) c.node(i).disk().Clear();
-  EXPECT_EQ(store.NewestIntact().value_or(0), ckpt_result.generation);
+  EXPECT_EQ(check::NewestIntactGeneration(c.tiered()),
+            ckpt_result.generation);
 }
 
 // Failure-domain-aware restart: the writer node dies (taking its tier-1
@@ -459,8 +461,8 @@ TEST(TieredStore, NetfsEnospcEvictsOldestNonLatestGeneration) {
     EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(gens[0])), 0u);
     EXPECT_EQ(store.Committed(),
               (std::vector<std::uint64_t>{gens[1], third.generation}));
-    EXPECT_TRUE(store.Verify(gens[1]));
-    EXPECT_EQ(store.NewestIntact().value_or(0), third.generation);
+    EXPECT_TRUE(check::GenerationIntact(c.tiered(), gens[1]));
+    EXPECT_EQ(check::NewestIntactGeneration(c.tiered()), third.generation);
     EXPECT_GE(c.sim().metrics().counter("ckpt.store.evictions_total").value(),
               1u);
   }
@@ -518,8 +520,8 @@ TEST(TieredStore, NetfsEnospcKeepsNewerGenerationsForPendingFlush) {
   EXPECT_GT(c.tiered().PendingFlushCount(), 0u);
   EXPECT_EQ(store.Committed(), gens);
   EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(gens[1])), gen2_bytes);
-  EXPECT_TRUE(store.Verify(gens[1]));
-  EXPECT_TRUE(store.Verify(gens[2]));
+  EXPECT_TRUE(check::GenerationIntact(c.tiered(), gens[1]));
+  EXPECT_TRUE(check::GenerationIntact(c.tiered(), gens[2]));
   EXPECT_EQ(c.sim().metrics().counter("ckpt.store.evictions_total").value(),
             0u);
 
@@ -603,7 +605,7 @@ TEST(TieredStore, NoRoomForOneImageFailsWithDiskFull) {
     ckpt::GenerationStore store(c.tiered());
     EXPECT_EQ(c.tiered().BytesUnderPrefix(store.Prefix(result.allocated)),
               0u);
-    EXPECT_EQ(store.NewestIntact().value_or(0), newest);
+    EXPECT_EQ(check::NewestIntactGeneration(c.tiered()), newest);
   }
 }
 
@@ -678,10 +680,10 @@ TEST(TieredStore, CrcPassesPerImageByteArePinned) {
     // Flush, 1 pass for a tiered image, none for a one-tier one:
     //   AttemptFlush -> FindAnyCopy frame-checks the copy it sends.
     EXPECT_EQ(passes(after_flush - after_ckpt), tiered ? 1 : 0);
-    // Restart, 4 passes: the chain decodes twice, each time checking the
-    // image frame CRC and DecodePage's per-page CRC, once in
-    // GenerationStore::Verify and once in the agent's restore.
-    EXPECT_EQ(passes(after_restart - after_flush), 4);
+    // Restart, 2 passes: the agent's restore decodes the chain once,
+    // checking the image frame CRC and DecodePage's per-page CRC; the
+    // coordinator reads no image.
+    EXPECT_EQ(passes(after_restart - after_flush), 2);
   }
 }
 
