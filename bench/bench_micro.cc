@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the substrates the experiments
 // sit on: checkpoint image codec, TCP connection machinery, sparse
-// memory, CRC32, the bystander cost of a flooded ARP, and single-node
-// capture/restore.
+// memory, CRC32, the bystander cost of a flooded ARP, the event queue
+// under timer churn, and single-node capture/restore.
 #include <benchmark/benchmark.h>
 
 #include "apps/programs.h"
 #include "ckpt/engine.h"
 #include "common/crc32_detail.h"
 #include "cruz/cluster.h"
+#include "common/rng.h"
 #include "os/node.h"
+#include "sim/event_queue.h"
 #include "tcp/connection.h"
 
 namespace {
@@ -73,6 +75,50 @@ void BM_ArpFlood(benchmark::State& state) {
           benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ArpFlood)->Arg(64)->Arg(512);
+
+// N periodic timers pending at once, each re-arming itself when it fires,
+// while one random timer per round is cancelled and re-armed early (an
+// RTO pushed back by an ACK). One round is a pop, two schedules and a
+// cancel; `per_op` is host time per queue operation, at the heap sizes
+// of a small run (128) and of one that leaks a dead event per socket.
+struct ChurnQueue {
+  sim::EventQueue queue;
+  Rng rng{7};
+  TimeNs now = 0;
+  std::vector<sim::EventId> ids;
+
+  void Arm(std::uint32_t slot);
+};
+
+struct Rearm {
+  ChurnQueue* churn;
+  std::uint32_t slot;
+  void operator()() const { churn->Arm(slot); }
+};
+
+void ChurnQueue::Arm(std::uint32_t slot) {
+  ids[slot] = queue.ScheduleAt(now + 1 + rng.NextBelow(kMillisecond),
+                               Rearm{this, slot});
+}
+
+void BM_EventQueueChurn(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  ChurnQueue churn;
+  churn.ids.resize(n);
+  for (std::uint32_t slot = 0; slot < n; ++slot) churn.Arm(slot);
+  for (auto _ : state) {
+    sim::EventQueue::Callback fire = churn.queue.PopNext(&churn.now);
+    fire();
+    auto slot = static_cast<std::uint32_t>(churn.rng.NextBelow(n));
+    churn.queue.Cancel(churn.ids[slot]);
+    churn.Arm(slot);
+  }
+  benchmark::DoNotOptimize(churn.queue.size());
+  state.counters["per_op"] = benchmark::Counter(
+      4, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EventQueueChurn)->Arg(128)->Arg(16384);
 
 void BM_MemorySparseWrite(benchmark::State& state) {
   Bytes chunk(4096, 0x5A);

@@ -53,6 +53,10 @@ struct ScenarioResult {
   double worst_p95_ms = 0;
   double worst_p999_ms = 0;
   double recovery_ms = 0;
+  // Events in the simulator's queue once the migration has finished
+  // (migration scenarios only): the live timers of the load plus
+  // anything the origin's teardown left behind.
+  std::size_t pending_after_migration = 0;
   std::uint64_t failures = 0;
   std::uint64_t completed = 0;
   std::uint64_t expected = 0;
@@ -137,6 +141,7 @@ ScenarioResult Measure(const ScenarioSpec& spec,
         });
     c.sim().RunWhile([&] { return done; },
                      c.sim().Now() + 600 * kSecond);
+    result.pending_after_migration = c.sim().pending_events();
   }
 
   c.sim().RunWhile([&] { return lg.Done(); },
@@ -279,6 +284,11 @@ int main() {
       gate.Metric(base + "_worst_p999_ms" + suffix, row.r.worst_p999_ms,
                   "ms");
       gate.Metric(base + "_recovery_ms" + suffix, row.r.recovery_ms, "ms");
+      if (!row.spec->checkpoint) {
+        gate.Metric("work_pending_events_" + base + suffix,
+                    static_cast<double>(row.r.pending_after_migration),
+                    "events");
+      }
     }
   }
   return ok ? 0 : 1;

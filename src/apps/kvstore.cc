@@ -230,7 +230,8 @@ class KvClientProgram : public os::Program {
       kRecvResponse,
       kVerify,
     };
-    cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
+    // ip, port, operations, seed, think time (KvClientArgs).
+    const auto args = ReadFixedArgs<4 + 2 + 4 + 8 + 8>(ctx);
     cruz::ByteReader r(args);
     net::Endpoint server{net::Ipv4Address{r.GetU32()}, r.GetU16()};
     std::uint32_t operations = r.GetU32();

@@ -112,7 +112,8 @@ class EchoClientProgram : public os::Program {
  public:
   void Step(ProcessCtx& ctx) override {
     enum : std::uint64_t { kInit, kConnect, kSend, kRecv, kPause };
-    cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
+    // ip, port, messages, msg_len, interval (EchoClientArgs).
+    const auto args = ReadFixedArgs<4 + 2 + 4 + 4 + 8>(ctx);
     cruz::ByteReader r(args);
     net::Endpoint server{net::Ipv4Address{r.GetU32()}, r.GetU16()};
     std::uint32_t messages = r.GetU32();
@@ -216,7 +217,8 @@ class StreamSenderProgram : public os::Program {
  public:
   void Step(ProcessCtx& ctx) override {
     enum : std::uint64_t { kInit, kConnect, kStream };
-    cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
+    // ip, port, total bytes (StreamSenderArgs).
+    const auto args = ReadFixedArgs<4 + 2 + 8>(ctx);
     cruz::ByteReader r(args);
     net::Endpoint server{net::Ipv4Address{r.GetU32()}, r.GetU16()};
     std::uint64_t total = r.GetU64();
@@ -293,8 +295,9 @@ class StreamReceiverProgram : public os::Program {
  public:
   void Step(ProcessCtx& ctx) override {
     enum : std::uint64_t { kInit, kAccept, kDrain };
-    cruz::Bytes args0 = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
-    cruz::ByteReader args_reader(args0);
+    // port, burst interval, burst bytes (StreamReceiverArgs).
+    const auto args = ReadFixedArgs<2 + 8 + 4>(ctx);
+    cruz::ByteReader args_reader(args);
     std::uint16_t port = args_reader.GetU16();
     DurationNs burst_interval = args_reader.GetU64();
     std::uint32_t burst_bytes = args_reader.GetU32();
@@ -378,7 +381,8 @@ class StreamReceiverProgram : public os::Program {
 class SysbenchProgram : public os::Program {
  public:
   void Step(ProcessCtx& ctx) override {
-    cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
+    // iterations, cpu per iteration, syscalls per iteration (SysbenchArgs).
+    const auto args = ReadFixedArgs<8 + 8 + 4>(ctx);
     cruz::ByteReader r(args);
     std::uint64_t iterations = r.GetU64();
     DurationNs cpu = r.GetU64();

@@ -20,10 +20,12 @@
 //                           u32 syscalls_per_iter
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
 #include "common/bytes.h"
+#include "common/error.h"
 #include "net/address.h"
 #include "os/program.h"
 
@@ -49,6 +51,17 @@ std::uint64_t CountPatternMismatches(std::uint64_t offset, cruz::ByteSpan data);
 
 // Ensures the program factories above are registered (call once; idempotent).
 void RegisterPrograms();
+
+// Copies a program's fixed-size argument block (address in r1, length in
+// r2) into a stack buffer. Programs that keep no parsed copy re-read
+// their args on every step, so this stays off the allocator.
+template <std::size_t N>
+std::array<std::uint8_t, N> ReadFixedArgs(os::ProcessCtx& ctx) {
+  CRUZ_CHECK(ctx.Reg(2) == N, "program args have the wrong length");
+  std::array<std::uint8_t, N> args;
+  ctx.Mem().ReadBytes(ctx.Reg(1), args.data(), N);
+  return args;
+}
 
 // --- argument builders -------------------------------------------------------
 

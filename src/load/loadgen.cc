@@ -1,5 +1,6 @@
 #include "load/loadgen.h"
 
+#include <array>
 #include <memory>
 
 #include "apps/kvstore.h"
@@ -20,6 +21,10 @@ using apps::kStatusAddr;
 constexpr std::uint64_t kIoAddr = 0x380000;
 // Per-key GET-verification mirror: [known][value] stride 16.
 constexpr std::uint64_t kMirrorAddr = kStatusAddr + 16;
+
+// Server ip, port, conn, base, interarrival, offset, requests, seed,
+// key base, key count (KvLoadConnArgs).
+constexpr std::size_t kKvLoadConnArgsSize = 4 + 2 + 4 + 8 + 8 + 8 + 4 + 8 + 4 + 4;
 
 // splitmix-style mixer; independent of the server's hash (the mirror
 // lives client-side, nothing needs to agree across the wire).
@@ -48,7 +53,7 @@ class KvLoadConnProgram : public os::Program {
       kRecvResponse,
       kVerify,
     };
-    cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
+    const auto args = apps::ReadFixedArgs<kKvLoadConnArgsSize>(ctx);
     cruz::ByteReader r(args);
     net::Endpoint server{net::Ipv4Address{r.GetU32()}, r.GetU16()};
     std::uint32_t conn = r.GetU32();
@@ -156,8 +161,8 @@ class KvLoadConnProgram : public os::Program {
                           (key_count == 0 ? 1 : key_count);
         std::uint64_t value = Mix(h);
         std::uint64_t mirror = kMirrorAddr + j * 16;
-        cruz::Bytes resp =
-            ctx.Mem().ReadBytes(kIoAddr + 64, kKvResponseSize);
+        std::array<std::uint8_t, kKvResponseSize> resp;
+        ctx.Mem().ReadBytes(kIoAddr + 64, resp.data(), resp.size());
         cruz::ByteReader rr(resp);
         std::uint8_t status = rr.GetU8();
         std::uint64_t result = rr.GetU64();

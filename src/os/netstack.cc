@@ -497,56 +497,62 @@ SysResult NetworkStack::TcpAccept(SocketId id, SocketId* child) {
   return 0;
 }
 
-void NetworkStack::DestroyTcpSocket(SocketId id) {
-  TcpSocketObject* sock = FindTcp(id);
-  if (sock == nullptr) return;
+NetworkStack::TcpSocketMap::iterator NetworkStack::EraseTcpSocket(
+    TcpSocketMap::iterator it) {
+  TcpSocketObject* sock = it->second.get();
+  if (sock->conn) {
+    // The tuple may have been re-registered by a restored connection;
+    // only erase our own mapping.
+    auto t = tcp_by_tuple_.find(sock->conn->tuple());
+    if (t != tcp_by_tuple_.end() && t->second == sock->id) {
+      tcp_by_tuple_.erase(t);
+    }
+  }
   if (sock->state == TcpSocketObject::State::kListening) {
-    tcp_listeners_.erase(sock->local);
+    auto l = tcp_listeners_.find(sock->local);
+    if (l != tcp_listeners_.end() && l->second == sock->id) {
+      tcp_listeners_.erase(l);
+    }
+  }
+  sim_.Cancel(sock->reaper);
+  return tcp_sockets_.erase(it);
+}
+
+void NetworkStack::DestroyTcpSocket(SocketId id) {
+  auto it = tcp_sockets_.find(id);
+  if (it == tcp_sockets_.end()) return;
+  TcpSocketObject* sock = it->second.get();
+  if (sock->state == TcpSocketObject::State::kListening) {
     // Children waiting in the accept queue are aborted, as Linux does.
     for (SocketId child_id : sock->accept_queue) {
-      TcpSocketObject* child = FindTcp(child_id);
-      if (child != nullptr && child->conn) {
-        child->conn->Abort();
-        tcp_by_tuple_.erase(child->conn->tuple());
-        tcp_sockets_.erase(child_id);
+      auto child = tcp_sockets_.find(child_id);
+      if (child != tcp_sockets_.end() && child->second->conn) {
+        child->second->conn->Abort();
+        EraseTcpSocket(child);
       }
     }
   }
-  if (sock->conn) {
-    tcp::TcpConnection* conn = sock->conn.get();
-    if (conn->state() == tcp::TcpState::kClosed) {
-      tcp_by_tuple_.erase(conn->tuple());
-      tcp_sockets_.erase(id);
-      return;
-    }
-    // Orderly close; the connection object lingers (detached from any fd)
-    // until the FIN handshake finishes. A lazy reaper bounds its lifetime.
-    net::FourTuple tuple = conn->tuple();
-    sock->read_waiters.clear();
-    sock->write_waiters.clear();
-    sock->accept_waiters.clear();
-    conn->Close();
-    sim_.Schedule(tcp_config_.time_wait_duration +
-                      tcp_config_.max_rto * 2,
-                  [this, id, tuple] {
-                    TcpSocketObject* s = FindTcp(id);
-                    if (s != nullptr) {
-                      if (s->conn &&
-                          s->conn->state() != tcp::TcpState::kClosed) {
-                        s->conn->Abort();
-                      }
-                      // The tuple may have been re-registered by a
-                      // restored connection; only erase our own mapping.
-                      auto it = tcp_by_tuple_.find(tuple);
-                      if (it != tcp_by_tuple_.end() && it->second == id) {
-                        tcp_by_tuple_.erase(it);
-                      }
-                      tcp_sockets_.erase(id);
-                    }
-                  });
+  if (!sock->conn || sock->conn->state() == tcp::TcpState::kClosed) {
+    EraseTcpSocket(it);
     return;
   }
-  tcp_sockets_.erase(id);
+  // Orderly close; the connection object lingers (detached from any fd)
+  // until the FIN handshake finishes. A reaper bounds its lifetime; a
+  // purge that erases the socket first cancels it.
+  sock->read_waiters.clear();
+  sock->write_waiters.clear();
+  sock->accept_waiters.clear();
+  sock->conn->Close();
+  sock->reaper = sim_.Schedule(
+      tcp_config_.time_wait_duration + tcp_config_.max_rto * 2, [this, id] {
+        auto s = tcp_sockets_.find(id);
+        if (s == tcp_sockets_.end()) return;
+        if (s->second->conn &&
+            s->second->conn->state() != tcp::TcpState::kClosed) {
+          s->second->conn->Abort();
+        }
+        EraseTcpSocket(s);
+      });
 }
 
 SocketId NetworkStack::RestoreTcpFromCheckpoint(
@@ -576,17 +582,9 @@ void NetworkStack::PurgeSocketsForIp(net::Ipv4Address ip) {
   for (auto it = tcp_sockets_.begin(); it != tcp_sockets_.end();) {
     TcpSocketObject* sock = it->second.get();
     if (sock->local.ip == ip) {
-      if (sock->conn) {
-        sock->conn->Abort();  // any RST is dropped by the caller's filter
-        auto t = tcp_by_tuple_.find(sock->conn->tuple());
-        if (t != tcp_by_tuple_.end() && t->second == sock->id) {
-          tcp_by_tuple_.erase(t);
-        }
-      }
-      if (sock->state == TcpSocketObject::State::kListening) {
-        tcp_listeners_.erase(sock->local);
-      }
-      it = tcp_sockets_.erase(it);
+      // Any RST is dropped by the caller's filter.
+      if (sock->conn) sock->conn->Abort();
+      it = EraseTcpSocket(it);
     } else {
       ++it;
     }

@@ -77,6 +77,9 @@ struct TcpSocketObject {
 
   // Connection state.
   std::unique_ptr<tcp::TcpConnection> conn;
+  // The lingering-close reaper DestroyTcpSocket scheduled, if any; every
+  // erase cancels it so a purged socket leaves no dead event behind.
+  sim::EventId reaper = sim::kInvalidEventId;
 
   // Zap restore path: received-but-undelivered bytes from the checkpoint,
   // delivered ahead of the TCP receive path by the intercepted recv
@@ -161,9 +164,6 @@ class NetworkStack {
   void PurgeSocketsForIp(net::Ipv4Address ip);
 
   // Enumeration for the checkpoint engine.
-  std::map<SocketId, std::unique_ptr<TcpSocketObject>>& tcp_sockets() {
-    return tcp_sockets_;
-  }
   std::map<SocketId, std::unique_ptr<UdpSocketObject>>& udp_sockets() {
     return udp_sockets_;
   }
@@ -214,10 +214,16 @@ class NetworkStack {
   void TransmitArp(const net::ArpPacket& arp, net::MacAddress dst_mac);
   const Interface* RouteSourceInterface(net::Ipv4Address src) const;
 
+  using TcpSocketMap = std::map<SocketId, std::unique_ptr<TcpSocketObject>>;
+
   // Wires a connection's callbacks to a socket object.
   tcp::TcpConnection::Callbacks MakeConnCallbacks(SocketId id);
   tcp::TcpConnection::OutputFn MakeConnOutput();
   void RegisterTuple(const net::FourTuple& tuple, SocketId id);
+  // The one way a TCP socket object dies: drops its tuple mapping and its
+  // listener entry (each only if it still names this socket), cancels its
+  // pending reaper, and erases it. Returns the next map position.
+  TcpSocketMap::iterator EraseTcpSocket(TcpSocketMap::iterator it);
 
   sim::Simulator& sim_;
   std::string node_name_;
@@ -247,7 +253,7 @@ class NetworkStack {
   std::uint64_t filtered_packets_ = 0;
 
   // Sockets.
-  std::map<SocketId, std::unique_ptr<TcpSocketObject>> tcp_sockets_;
+  TcpSocketMap tcp_sockets_;
   std::map<SocketId, std::unique_ptr<UdpSocketObject>> udp_sockets_;
   SocketId next_socket_id_ = 1;
   std::unordered_map<net::FourTuple, SocketId> tcp_by_tuple_;

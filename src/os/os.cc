@@ -278,10 +278,13 @@ void Os::RunStep(ThreadRef ref) {
     }
     return;
   }
-  if (thread->state == ThreadState::kRunnable) {
+  if (thread->state == ThreadState::kRunnable && !thread->step_scheduled) {
+    // Reschedule through the thread already in hand; a wakeup during the
+    // step may have scheduled it already.
     DurationNs cost = std::max(ctx.cpu_charge() + pending_syscall_charge_,
                                step_granularity_);
-    ScheduleStep(ref, cost);
+    thread->step_scheduled = true;
+    sim_.Schedule(cost, [this, ref] { RunStep(ref); });
   }
 }
 

@@ -15,6 +15,12 @@ void Process::set_program(std::unique_ptr<Program> p) {
 }
 
 Thread* Process::FindThread(Tid tid) {
+  // Spawned threads sit at their tid's index. A restored process may
+  // install its tids in another order, so fall back to a scan.
+  if (tid >= 0 && static_cast<std::size_t>(tid) < threads_.size() &&
+      threads_[static_cast<std::size_t>(tid)].tid == tid) {
+    return &threads_[static_cast<std::size_t>(tid)];
+  }
   for (Thread& t : threads_) {
     if (t.tid == tid) return &t;
   }

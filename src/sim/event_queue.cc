@@ -20,12 +20,9 @@ EventId EventQueue::ScheduleAt(TimeNs when, Callback cb) {
     slots_.emplace_back();
   }
   Slot& slot = slots_[index];
-  slot.when = when;
-  slot.seq = next_seq_++;
   slot.cb = std::move(cb);
-  slot.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(index);
-  SiftUp(slot.heap_pos);
+  heap_.push_back(HeapEntry{when, next_seq_++, index});
+  SiftUp(static_cast<std::uint32_t>(heap_.size() - 1));  // sets heap_pos
   return IdFor(index, slot.generation);
 }
 
@@ -39,17 +36,16 @@ bool EventQueue::Cancel(EventId id) {
 
 TimeNs EventQueue::NextTime() const {
   CRUZ_CHECK(!heap_.empty(), "NextTime on empty queue");
-  return slots_[heap_[0]].when;
+  return heap_[0].when;
 }
 
 EventQueue::Callback EventQueue::PopNext(TimeNs* when) {
   CRUZ_CHECK(!heap_.empty(), "PopNext on empty queue");
-  std::uint32_t index = heap_[0];
-  Slot& slot = slots_[index];
-  *when = slot.when;
+  std::uint32_t index = heap_[0].slot;
+  *when = heap_[0].when;
   // Move the callback out before running it: the callback may schedule or
   // cancel other events, mutating the heap and the slab.
-  Callback cb = std::move(slot.cb);
+  Callback cb = std::move(slots_[index].cb);
   RemoveAt(0);
   FreeSlot(index);
   return cb;
@@ -63,20 +59,18 @@ TimeNs EventQueue::RunNext() {
 }
 
 void EventQueue::SiftUp(std::uint32_t pos) {
-  std::uint32_t moving = heap_[pos];
+  const HeapEntry moving = heap_[pos];
   while (pos > 0) {
     std::uint32_t parent = (pos - 1) / kArity;
     if (!Before(moving, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heap_pos = pos;
+    Place(pos, heap_[parent]);
     pos = parent;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = pos;
+  Place(pos, moving);
 }
 
 void EventQueue::SiftDown(std::uint32_t pos) {
-  std::uint32_t moving = heap_[pos];
+  const HeapEntry moving = heap_[pos];
   const std::uint32_t count = static_cast<std::uint32_t>(heap_.size());
   for (;;) {
     std::uint32_t first_child = pos * kArity + 1;
@@ -88,24 +82,21 @@ void EventQueue::SiftDown(std::uint32_t pos) {
       if (Before(heap_[c], heap_[best])) best = c;
     }
     if (!Before(heap_[best], moving)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heap_pos = pos;
+    Place(pos, heap_[best]);
     pos = best;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = pos;
+  Place(pos, moving);
 }
 
 void EventQueue::RemoveAt(std::uint32_t pos) {
-  std::uint32_t last = heap_.back();
+  const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (pos == heap_.size()) return;  // removed the tail entry
-  heap_[pos] = last;
-  slots_[last].heap_pos = pos;
+  Place(pos, last);
   // The displaced entry may need to move either direction relative to
   // its new neighbourhood.
   SiftUp(pos);
-  SiftDown(slots_[last].heap_pos);
+  SiftDown(slots_[last.slot].heap_pos);
 }
 
 void EventQueue::FreeSlot(std::uint32_t index) {

@@ -8,15 +8,18 @@
 //
 // Internally this is an indexed 4-ary heap over a slot slab:
 //
-//   * slots_ owns the event records (time, tie-break sequence, callback)
+//   * slots_ owns the event records (callback, generation, heap position)
 //     and recycles them through a free list, so a steady schedule/cancel
 //     workload reaches a fixed footprint and stops allocating;
-//   * heap_ holds slot indices ordered by (when, seq); each slot tracks
-//     its heap position, so Cancel() removes the entry *eagerly* in
-//     O(log n). The previous design left cancelled entries in the heap
-//     as tombstones until popped, which made long-lived periodic timers
-//     (heartbeats, RTO reschedules, flush retries) grow the heap without
-//     bound over million-event runs;
+//   * heap_ holds {when, seq, slot} entries ordered by (when, seq). The
+//     key sits inline next to the slot index, so a comparison reads two
+//     24-byte heap entries and never the slab; a sift writes only the
+//     moved entries' heap positions back. Each slot tracks its heap
+//     position, so Cancel() removes the entry *eagerly* in O(log n). The
+//     previous design left cancelled entries in the heap as tombstones
+//     until popped, which made long-lived periodic timers (heartbeats,
+//     RTO reschedules, flush retries) grow the heap without bound over
+//     million-event runs;
 //   * EventId packs {slot index, per-slot generation}, so Cancel() and
 //     IsPending() are O(1) array probes — no hash table on the hot path.
 //
@@ -74,8 +77,6 @@ class EventQueue {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   struct Slot {
-    TimeNs when = 0;
-    std::uint64_t seq = 0;      // insertion order; the deterministic tie-break
     std::uint32_t generation = 0;
     std::uint32_t heap_pos = kNoSlot;  // kNoSlot when the slot is free
     std::uint32_t next_free = kNoSlot;
@@ -98,11 +99,20 @@ class EventQueue {
            (static_cast<EventId>(index) + 1);
   }
 
-  bool Before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.when != sb.when) return sa.when < sb.when;
-    return sa.seq < sb.seq;
+  struct HeapEntry {
+    TimeNs when;
+    std::uint64_t seq;  // insertion order; the deterministic tie-break
+    std::uint32_t slot;
+  };
+
+  static bool Before(const HeapEntry& a, const HeapEntry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
+  }
+  // Writes `entry` at heap position `pos` and records it in its slot.
+  void Place(std::uint32_t pos, const HeapEntry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.slot].heap_pos = pos;
   }
   void SiftUp(std::uint32_t pos);
   void SiftDown(std::uint32_t pos);
@@ -110,7 +120,7 @@ class EventQueue {
   void FreeSlot(std::uint32_t index);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // slot indices, 4-ary min-heap
+  std::vector<HeapEntry> heap_;  // 4-ary min-heap on (when, seq)
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
 };

@@ -398,6 +398,53 @@ TEST(NetStack, RemoveInterfaceStopsOwnership) {
   EXPECT_EQ(p.a.stack().FindInterfaceByName("vif1"), nullptr);
 }
 
+// Connects a (ephemeral port) to a listener on b:9000 and returns a's
+// established socket.
+SocketId ConnectAToB(StackPair& p) {
+  SocketId listener = p.b.stack().CreateTcpSocket();
+  EXPECT_EQ(p.b.stack().TcpBind(listener, {p.b.ip(), 9000}), 0);
+  EXPECT_EQ(p.b.stack().TcpListen(listener, 4), 0);
+  SocketId sock = p.a.stack().CreateTcpSocket();
+  EXPECT_EQ(p.a.stack().TcpBind(sock, {p.a.ip(), 0}), 0);
+  p.a.stack().TcpConnect(sock, {p.b.ip(), 9000});
+  p.sim.RunFor(10 * kMillisecond);
+  EXPECT_EQ(p.a.stack().FindTcp(sock)->state,
+            TcpSocketObject::State::kConnected);
+  return sock;
+}
+
+TEST(NetStack, AppClosedSocketIsStillReaped) {
+  StackPair p;
+  SocketId sock = ConnectAToB(p);
+  // The peer never answers the FIN: b drops everything it receives.
+  p.b.stack().AddFilter([](const net::Ipv4Packet&) { return true; });
+  const tcp::TcpConfig& cfg = p.a.stack().tcp_config();
+  const DurationNs linger = cfg.time_wait_duration + 2 * cfg.max_rto;
+  TimeNs closed_at = p.sim.Now();
+  p.a.stack().DestroyTcpSocket(sock);
+  p.sim.RunUntil(closed_at + linger - kMillisecond);
+  ASSERT_NE(p.a.stack().FindTcp(sock), nullptr);
+  p.sim.RunUntil(closed_at + linger);
+  EXPECT_EQ(p.a.stack().FindTcp(sock), nullptr);
+}
+
+TEST(NetStack, PurgeCancelsLingeringReaper) {
+  StackPair p;
+  SocketId sock = ConnectAToB(p);
+  p.sim.RunFor(kSecond);  // every handshake timer has drained
+  const std::size_t idle = p.sim.pending_events();
+  // Silent pod teardown: the app's close lingers in FIN-WAIT, then the
+  // purge erases it. Nothing of the socket may stay in the queue.
+  std::uint64_t drop_all =
+      p.a.stack().AddFilter([](const net::Ipv4Packet&) { return true; });
+  p.a.stack().DestroyTcpSocket(sock);
+  EXPECT_GT(p.sim.pending_events(), idle);
+  p.a.stack().PurgeSocketsForIp(p.a.ip());
+  p.a.stack().RemoveFilter(drop_all);
+  EXPECT_EQ(p.a.stack().FindTcp(sock), nullptr);
+  EXPECT_EQ(p.sim.pending_events(), idle);
+}
+
 TEST(NetStack, PurgeSocketsRemovesDemuxEntries) {
   StackPair p;
   net::Ipv4Address vip = net::Ipv4Address::Parse("10.0.0.80");

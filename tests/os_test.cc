@@ -328,6 +328,33 @@ TEST(OsProcess, SigkillDestroys) {
   EXPECT_EQ(c.n1.os().FindProcess(pid), nullptr);
 }
 
+TEST(OsProcess, FindThreadFindsRestoredTidsInAnyOrder) {
+  // A restore installs the tids a checkpoint recorded, which need not
+  // match their position in the thread list.
+  Process proc(7, "counter");
+  const Tid order[] = {5, 2, 0, 1};
+  for (Tid tid : order) {
+    Registers regs;
+    regs.r[3] = static_cast<std::uint64_t>(tid) + 100;
+    proc.InstallThread(tid, regs);
+  }
+  for (Tid tid : order) {
+    Thread* t = proc.FindThread(tid);
+    ASSERT_NE(t, nullptr) << "tid " << tid;
+    EXPECT_EQ(t->tid, tid);
+    EXPECT_EQ(t->regs.r[3], static_cast<std::uint64_t>(tid) + 100);
+  }
+  EXPECT_EQ(proc.FindThread(3), nullptr);
+  EXPECT_EQ(proc.FindThread(4), nullptr);
+  EXPECT_EQ(proc.FindThread(-1), nullptr);
+  // A thread spawned after the restore takes the next free tid.
+  Tid spawned = proc.CreateThread(Registers{});
+  EXPECT_EQ(spawned, 6);
+  ASSERT_NE(proc.FindThread(spawned), nullptr);
+  EXPECT_EQ(proc.FindThread(spawned)->tid, spawned);
+  EXPECT_THROW(proc.InstallThread(2, Registers{}), InvariantError);
+}
+
 TEST(OsProcess, SignalUnknownPidFails) {
   Cluster c;
   EXPECT_EQ(c.n1.os().Signal(4242, kSigKill), SysErr(CRUZ_ESRCH));
