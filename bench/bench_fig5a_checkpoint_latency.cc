@@ -31,6 +31,7 @@
 #include "obs/trace_query.h"
 #include "os/memory.h"
 #include "slm_sweep.h"
+#include "tcp/segment.h"
 
 int main() {
   using namespace cruz;
@@ -402,6 +403,59 @@ int main() {
                 static_cast<double>(memory_copy_bytes) / page_bytes);
   }
 
+  // --- host work: TCP payload copy passes -------------------------------
+  // A 2-rank slm job run to completion with no checkpoint in the way, so
+  // every byte sent is delivered: the payload bytes memcpy'd anywhere on
+  // the TCP path over the bytes the ranks received. The path copies each
+  // byte once per hop: into the send buffer, into the frame, into the
+  // receive buffer and out to the reader's memory.
+  std::printf("\n== host work: TCP payload copy passes (slm halo "
+              "exchange) ==\n\n");
+  double tcp_copy_passes = 0;
+  bool tcp_copy_ok = false;
+  {
+    apps::RegisterSlmProgram();
+    ClusterConfig config;
+    config.num_nodes = 2;
+    Cluster c(config);
+    apps::SlmConfig base;
+    base.nranks = 2;
+    base.rows = 16;
+    base.cols = 512;
+    base.iterations = 200;
+    std::vector<os::PodId> pods;
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      pods.push_back(c.CreatePod(r, "slm" + std::to_string(r)));
+      base.peers.push_back(c.pods(r).Find(pods.back())->ip);
+    }
+    const std::uint64_t copied = tcp::TcpPayloadBytesCopiedTotal();
+    const std::uint64_t delivered = tcp::TcpPayloadBytesDeliveredTotal();
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      apps::SlmConfig cfg = base;
+      cfg.rank = r;
+      c.pods(r).SpawnInPod(pods[r], "cruz.slm_rank", apps::SlmArgs(cfg));
+    }
+    c.sim().RunFor(5 * kSecond);
+    const std::uint64_t copied_bytes =
+        tcp::TcpPayloadBytesCopiedTotal() - copied;
+    const std::uint64_t delivered_bytes =
+        tcp::TcpPayloadBytesDeliveredTotal() - delivered;
+    const std::uint64_t expected_bytes =
+        2ull * base.iterations * base.cols * 8;
+    tcp_copy_ok = delivered_bytes == expected_bytes;
+    if (tcp_copy_ok) {
+      tcp_copy_passes = static_cast<double>(copied_bytes) / delivered_bytes;
+    }
+    std::printf("%18s %14s %12s\n", "delivered bytes", "copied bytes",
+                "passes");
+    std::printf("%18llu %14llu %12.4f\n",
+                static_cast<unsigned long long>(delivered_bytes),
+                static_cast<unsigned long long>(copied_bytes),
+                tcp_copy_passes);
+    std::printf("shape check: the ranks %s every row\n",
+                tcp_copy_ok ? "received" : "did NOT receive");
+  }
+
   // Regression-gate metrics (sim-time values and host work counts, all
   // deterministic).
   {
@@ -445,9 +499,11 @@ int main() {
                 static_cast<double>(deserialize_bytes) / page_bytes, "count");
     gate.Metric("work_memory_copy_passes_restart",
                 static_cast<double>(memory_copy_bytes) / page_bytes, "count");
+    gate.Metric("work_tcp_payload_copy_passes", tcp_copy_passes, "count");
   }
   return (flat && second_scale && cow_cuts_downtime && spans_agree &&
-          attribution_ok && tiered_ok && fallback_ok && crc_ok)
+          attribution_ok && tiered_ok && fallback_ok && crc_ok &&
+          tcp_copy_ok)
              ? 0
              : 1;
 }

@@ -15,21 +15,27 @@ namespace {
 //   kAccAddr + 16: receive scratch for the incoming value
 constexpr std::uint64_t kAccAddr = 0x310000;
 
-AllreduceConfig ParseArgs(os::ProcessCtx& ctx) {
-  cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
-  cruz::ByteReader r(args);
-  AllreduceConfig cfg;
-  cfg.rank = r.GetU32();
-  cfg.nranks = r.GetU32();
-  cfg.port = r.GetU16();
-  std::uint32_t peers = r.GetU32();
-  for (std::uint32_t i = 0; i < peers; ++i) {
-    cfg.peers.push_back(net::Ipv4Address{r.GetU32()});
-  }
-  cfg.iterations = r.GetU32();
-  cfg.compute_per_iteration = r.GetU64();
-  cfg.exit_when_done = r.GetBool();
-  return cfg;
+// AllreduceArgs' fields but the peer list, parsed on every step; kConnect
+// looks its one peer up in the RingArgs.
+struct Args {
+  std::uint32_t rank = 0;
+  std::uint32_t nranks = 0;
+  std::uint16_t port = 0;
+  std::uint32_t iterations = 0;
+  DurationNs compute_per_iteration = 0;
+  bool exit_when_done = false;
+};
+
+Args ParseArgs(const RingArgs& ring) {
+  Args a;
+  a.rank = ring.rank();
+  a.nranks = ring.nranks();
+  a.port = ring.port();
+  cruz::ByteReader r = ring.Fields();
+  a.iterations = r.GetU32();
+  a.compute_per_iteration = r.GetU64();
+  a.exit_when_done = r.GetBool();
+  return a;
 }
 
 // Ring all-reduce for one 8-byte value: N-1 steps; in each step a rank
@@ -52,7 +58,8 @@ class AllreduceRankProgram : public os::Program {
       kVerify,
       kIdle,
     };
-    AllreduceConfig cfg = ParseArgs(ctx);
+    const RingArgs ring(ctx);
+    const Args cfg = ParseArgs(ring);
 
     switch (ctx.Pc()) {
       case kInit: {
@@ -79,7 +86,7 @@ class AllreduceRankProgram : public os::Program {
         break;
       }
       case kConnect: {
-        net::Endpoint right{cfg.peers[(cfg.rank + 1) % cfg.nranks],
+        net::Endpoint right{ring.Peer((cfg.rank + 1) % cfg.nranks),
                             cfg.port};
         switch (ConnectTo(ctx, static_cast<os::Fd>(ctx.Reg(4)), right)) {
           case IoStatus::kDone:

@@ -21,7 +21,13 @@
 //                    open-loop load generator can hold many connections
 //                    concurrently.
 //   cruz.kv_client — args: u32 ip, u16 port, u32 operations, u64 seed,
-//                    u64 think_time_ns
+//                    u64 think_time_ns. Checks every GET against a
+//                    private mirror of keys 0..511, so it must be its
+//                    server's only writer: several clients on one server
+//                    overwrite each other's keys and report verification
+//                    failures with no fault injected. The load generator
+//                    (load/loadgen.h) gives each connection a disjoint
+//                    key range instead.
 //
 // Status (kStatusAddr): server: +0 requests served;
 // client: +0 operations done, +8 verification failures.

@@ -14,8 +14,7 @@ IoStatus SendAll(os::ProcessCtx& ctx, os::Fd fd, std::uint64_t addr,
     std::size_t chunk =
         static_cast<std::size_t>(std::min<std::uint64_t>(kIoChunk,
                                                          len - progress));
-    cruz::Bytes data = ctx.Mem().ReadBytes(addr + progress, chunk);
-    SysResult n = ctx.SendTcp(fd, data);
+    SysResult n = ctx.SendTcpFrom(fd, addr + progress, chunk);
     if (SysErrno(n) == CRUZ_EAGAIN) {
       ctx.BlockOnWritable(fd);
       return IoStatus::kBlocked;
@@ -29,18 +28,16 @@ IoStatus SendAll(os::ProcessCtx& ctx, os::Fd fd, std::uint64_t addr,
 IoStatus RecvAll(os::ProcessCtx& ctx, os::Fd fd, std::uint64_t addr,
                  std::uint64_t len, std::uint64_t& progress) {
   while (progress < len) {
-    cruz::Bytes buf;
     std::size_t want =
         static_cast<std::size_t>(std::min<std::uint64_t>(kIoChunk,
                                                          len - progress));
-    SysResult n = ctx.RecvTcp(fd, buf, want);
+    SysResult n = ctx.RecvTcpInto(fd, addr + progress, want);
     if (SysErrno(n) == CRUZ_EAGAIN) {
       ctx.BlockOnReadable(fd);
       return IoStatus::kBlocked;
     }
     if (n == 0) return IoStatus::kEof;
     if (n < 0) return IoStatus::kError;
-    ctx.Mem().WriteBytes(addr + progress, buf);
     progress += static_cast<std::uint64_t>(n);
   }
   return IoStatus::kDone;

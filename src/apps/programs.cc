@@ -11,6 +11,30 @@ namespace cruz::apps {
 using os::Fd;
 using os::ProcessCtx;
 
+RingArgs::RingArgs(ProcessCtx& ctx) : size_(ctx.Reg(2)) {
+  CRUZ_CHECK(size_ <= kMaxSize, "ring program args are too long");
+  ctx.Mem().ReadBytes(ctx.Reg(1), buf_.data(), size_);
+  cruz::ByteReader r(cruz::ByteSpan(buf_.data(), size_));
+  rank_ = r.GetU32();
+  nranks_ = r.GetU32();
+  port_ = r.GetU16();
+  peers_ = r.GetU32();
+  r.Skip(4ull * peers_);
+}
+
+net::Ipv4Address RingArgs::Peer(std::uint32_t i) const {
+  CRUZ_CHECK(i < peers_, "ring peer index out of range");
+  cruz::ByteReader r(cruz::ByteSpan(buf_.data(), size_));
+  r.Skip(kPeerListOffset + 4ull * i);
+  return net::Ipv4Address{r.GetU32()};
+}
+
+cruz::ByteReader RingArgs::Fields() const {
+  cruz::ByteReader r(cruz::ByteSpan(buf_.data(), size_));
+  r.Skip(kPeerListOffset + 4ull * peers_);
+  return r;
+}
+
 namespace {
 
 // Register bank conventions shared by the programs below:

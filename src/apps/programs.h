@@ -63,6 +63,36 @@ std::array<std::uint8_t, N> ReadFixedArgs(os::ProcessCtx& ctx) {
   return args;
 }
 
+// The argument block of the ring programs (cruz.slm_rank,
+// cruz.allreduce_rank): u32 rank, u32 nranks, u16 port and a u32-counted
+// list of u32 peer addresses, then the program's own fields. Like
+// ReadFixedArgs it copies the block into a stack buffer with one read
+// (room for 247 peers), so re-reading it on every step stays off the
+// allocator; the peer list is read only by Peer().
+class RingArgs {
+ public:
+  explicit RingArgs(os::ProcessCtx& ctx);
+
+  std::uint32_t rank() const { return rank_; }
+  std::uint32_t nranks() const { return nranks_; }
+  std::uint16_t port() const { return port_; }
+  // The pod address of rank `i`.
+  net::Ipv4Address Peer(std::uint32_t i) const;
+  // A reader over the program's own fields, after the peer list.
+  cruz::ByteReader Fields() const;
+
+ private:
+  static constexpr std::size_t kMaxSize = 1024;
+  static constexpr std::size_t kPeerListOffset = 4 + 4 + 2 + 4;
+
+  std::size_t size_;
+  std::uint32_t rank_ = 0;
+  std::uint32_t nranks_ = 0;
+  std::uint16_t port_ = 0;
+  std::uint32_t peers_ = 0;
+  std::array<std::uint8_t, kMaxSize> buf_;
+};
+
 // --- argument builders -------------------------------------------------------
 
 cruz::Bytes CounterArgs(std::uint64_t iterations);

@@ -49,23 +49,31 @@ std::uint64_t RowChecksum(const double* row, std::uint32_t cols) {
   return sum;
 }
 
-SlmConfig ParseArgs(os::ProcessCtx& ctx) {
-  cruz::Bytes args = ctx.Mem().ReadBytes(ctx.Reg(1), ctx.Reg(2));
-  cruz::ByteReader r(args);
-  SlmConfig cfg;
-  cfg.rank = r.GetU32();
-  cfg.nranks = r.GetU32();
-  cfg.port = r.GetU16();
-  std::uint32_t peers = r.GetU32();
-  for (std::uint32_t i = 0; i < peers; ++i) {
-    cfg.peers.push_back(net::Ipv4Address{r.GetU32()});
-  }
-  cfg.rows = r.GetU32();
-  cfg.cols = r.GetU32();
-  cfg.iterations = r.GetU32();
-  cfg.compute_per_iteration = r.GetU64();
-  cfg.exit_when_done = r.GetBool();
-  return cfg;
+// SlmArgs' fields but the peer list, parsed on every step; kConnect looks
+// its one peer up in the RingArgs.
+struct Args {
+  std::uint32_t rank = 0;
+  std::uint32_t nranks = 0;
+  std::uint16_t port = 0;
+  std::uint32_t rows = 0;
+  std::uint32_t cols = 0;
+  std::uint32_t iterations = 0;
+  DurationNs compute_per_iteration = 0;
+  bool exit_when_done = false;
+};
+
+Args ParseArgs(const RingArgs& ring) {
+  Args a;
+  a.rank = ring.rank();
+  a.nranks = ring.nranks();
+  a.port = ring.port();
+  cruz::ByteReader r = ring.Fields();
+  a.rows = r.GetU32();
+  a.cols = r.GetU32();
+  a.iterations = r.GetU32();
+  a.compute_per_iteration = r.GetU64();
+  a.exit_when_done = r.GetBool();
+  return a;
 }
 
 class SlmRankProgram : public os::Program {
@@ -83,7 +91,8 @@ class SlmRankProgram : public os::Program {
       kCompute,
       kIdle,
     };
-    SlmConfig cfg = ParseArgs(ctx);
+    const RingArgs ring(ctx);
+    const Args cfg = ParseArgs(ring);
     const std::uint64_t row_bytes = cfg.cols * 8ull;
     const std::uint64_t bottom_addr =
         kGridAddr + static_cast<std::uint64_t>(cfg.rows - 1) * row_bytes;
@@ -121,7 +130,7 @@ class SlmRankProgram : public os::Program {
         break;
       }
       case kConnect: {
-        net::Endpoint right{cfg.peers[(cfg.rank + 1) % cfg.nranks],
+        net::Endpoint right{ring.Peer((cfg.rank + 1) % cfg.nranks),
                             cfg.port};
         switch (ConnectTo(ctx, static_cast<os::Fd>(ctx.Reg(4)), right)) {
           case IoStatus::kDone:
@@ -189,19 +198,20 @@ class SlmRankProgram : public os::Program {
         // Whole-row transfers. While each row lies within one page (cols
         // a power of two <= 512) they touch pages in the same order as
         // a per-cell loop, so demand paging faults identically.
-        std::vector<double> row0(cfg.cols), bottom(cfg.cols),
-            halo(cfg.cols);
-        ctx.Mem().ReadF64s(kGridAddr, row0);
-        ctx.Mem().ReadF64s(bottom_addr, bottom);
-        ctx.Mem().ReadF64s(kHaloAddr, halo);
-        EdgeStep(row0.data(), bottom.data(), halo.data(), cfg.cols);
-        ctx.Mem().WriteF64s(kGridAddr, row0);
-        ctx.Mem().WriteF64s(bottom_addr, bottom);
+        row0_.resize(cfg.cols);
+        bottom_.resize(cfg.cols);
+        halo_.resize(cfg.cols);
+        ctx.Mem().ReadF64s(kGridAddr, row0_);
+        ctx.Mem().ReadF64s(bottom_addr, bottom_);
+        ctx.Mem().ReadF64s(kHaloAddr, halo_);
+        EdgeStep(row0_.data(), bottom_.data(), halo_.data(), cfg.cols);
+        ctx.Mem().WriteF64s(kGridAddr, row0_);
+        ctx.Mem().WriteF64s(bottom_addr, bottom_);
         ctx.ChargeCpu(cfg.compute_per_iteration);
         std::uint64_t iter = ctx.Mem().ReadU64(kStatusAddr) + 1;
         ctx.Mem().WriteU64(kStatusAddr, iter);
         ctx.Mem().WriteU64(kStatusAddr + 8,
-                           RowChecksum(bottom.data(), cfg.cols));
+                           RowChecksum(bottom_.data(), cfg.cols));
         if (iter >= cfg.iterations) {
           ctx.Close(static_cast<os::Fd>(ctx.Reg(4)));
           ctx.Close(static_cast<os::Fd>(ctx.Reg(5)));
@@ -222,6 +232,12 @@ class SlmRankProgram : public os::Program {
       }
     }
   }
+
+ private:
+  // kCompute's rows. Scratch, not state: each compute step fills them
+  // before reading them, so a restored process's fresh program object
+  // computes the same.
+  std::vector<double> row0_, bottom_, halo_;
 };
 
 }  // namespace

@@ -82,6 +82,17 @@ class FieldSink {
   Sink& sink() { return static_cast<Sink&>(*this); }
 };
 
+// Big-endian stores into a caller's buffer: a fixed-size header is
+// assembled on the stack and appended with one PutBytes.
+inline void StoreU16(std::uint8_t* p, std::uint16_t v) {
+  p[0] = static_cast<std::uint8_t>(v >> 8);
+  p[1] = static_cast<std::uint8_t>(v);
+}
+inline void StoreU32(std::uint8_t* p, std::uint32_t v) {
+  StoreU16(p, static_cast<std::uint16_t>(v >> 16));
+  StoreU16(p + 2, static_cast<std::uint16_t>(v));
+}
+
 class ByteWriter : public FieldSink<ByteWriter> {
  public:
   ByteWriter() = default;
@@ -132,15 +143,11 @@ class ByteWriter : public FieldSink<ByteWriter> {
   // checksum field patched after the payload is known).
   void PatchU16(std::size_t offset, std::uint16_t v) {
     CRUZ_CHECK(offset + 2 <= buf_.size(), "PatchU16 out of range");
-    buf_[offset] = static_cast<std::uint8_t>(v >> 8);
-    buf_[offset + 1] = static_cast<std::uint8_t>(v);
+    StoreU16(buf_.data() + offset, v);
   }
   void PatchU32(std::size_t offset, std::uint32_t v) {
     CRUZ_CHECK(offset + 4 <= buf_.size(), "PatchU32 out of range");
-    buf_[offset] = static_cast<std::uint8_t>(v >> 24);
-    buf_[offset + 1] = static_cast<std::uint8_t>(v >> 16);
-    buf_[offset + 2] = static_cast<std::uint8_t>(v >> 8);
-    buf_[offset + 3] = static_cast<std::uint8_t>(v);
+    StoreU32(buf_.data() + offset, v);
   }
 
   std::size_t size() const { return buf_.size(); }

@@ -97,7 +97,7 @@ void CheckpointAgent::ReleasePod() {
 void CheckpointAgent::InstallDropFilter(net::Ipv4Address pod_ip) {
   if (!test_skip_filter_) {
     op_.filter_id = node_.stack().AddFilter(
-        [pod_ip](const net::Ipv4Packet& pkt) {
+        [pod_ip](const net::Ipv4Header& pkt) {
           return pkt.src == pod_ip || pkt.dst == pod_ip;
         });
   }

@@ -118,26 +118,41 @@ Bytes Ipv4Packet::Encode() const {
   return w.Take();
 }
 
+void Ipv4Header::EncodeHeader(ByteWriter& w, std::size_t payload_size) const {
+  // Assembled on the stack: the checksum runs over it in place and the
+  // frame gets one append.
+  std::uint8_t h[kIpv4HeaderSize] = {};
+  h[0] = 0x45;  // version 4, IHL 5; h[1] DSCP/ECN
+  StoreU16(h + 2, static_cast<std::uint16_t>(kIpv4HeaderSize + payload_size));
+  // h[4..5] identification (fragmentation unsupported)
+  StoreU16(h + 6, 0x4000);  // flags: DF
+  h[8] = ttl;
+  h[9] = static_cast<std::uint8_t>(proto);
+  // h[10..11] checksum, zero while it is computed
+  StoreU32(h + 12, src.value);
+  StoreU32(h + 16, dst.value);
+  StoreU16(h + 10, InternetChecksum(ByteSpan(h, kIpv4HeaderSize)));
+  w.PutBytes(h, kIpv4HeaderSize);
+}
+
 void Ipv4Packet::EncodeInto(ByteWriter& w) const {
-  const std::size_t header_start = w.size();
-  w.PutU8(0x45);  // version 4, IHL 5
-  w.PutU8(0);     // DSCP/ECN
-  w.PutU16(static_cast<std::uint16_t>(kIpv4HeaderSize + payload.size()));
-  w.PutU16(0);  // identification (fragmentation unsupported)
-  w.PutU16(0x4000);  // flags: DF
-  w.PutU8(ttl);
-  w.PutU8(static_cast<std::uint8_t>(proto));
-  std::size_t checksum_offset = w.size();
-  w.PutU16(0);  // checksum placeholder
-  w.PutU32(src.value);
-  w.PutU32(dst.value);
-  std::uint16_t csum = InternetChecksum(
-      ByteSpan(w.data().data() + header_start, kIpv4HeaderSize));
-  w.PatchU16(checksum_offset, csum);
+  EncodeHeader(w, payload.size());
   w.PutBytes(payload);
 }
 
+Ipv4View Ipv4Packet::View() const {
+  return Ipv4View{{*this}, payload};
+}
+
 Ipv4Packet Ipv4Packet::Decode(ByteSpan wire) {
+  Ipv4View view = Ipv4View::Parse(wire);
+  Ipv4Packet p;
+  static_cast<Ipv4Header&>(p) = view;
+  p.payload.assign(view.payload.begin(), view.payload.end());
+  return p;
+}
+
+Ipv4View Ipv4View::Parse(ByteSpan wire) {
   if (wire.size() < kIpv4HeaderSize) {
     throw CodecError("IPv4 packet shorter than header");
   }
@@ -145,7 +160,7 @@ Ipv4Packet Ipv4Packet::Decode(ByteSpan wire) {
     throw CodecError("IPv4 header checksum mismatch");
   }
   ByteReader r(wire);
-  Ipv4Packet p;
+  Ipv4View p;
   std::uint8_t vihl = r.GetU8();
   if (vihl != 0x45) {
     throw CodecError("unsupported IPv4 version/IHL");
@@ -167,7 +182,7 @@ Ipv4Packet Ipv4Packet::Decode(ByteSpan wire) {
   r.Skip(2);  // checksum (verified above)
   p.src.value = r.GetU32();
   p.dst.value = r.GetU32();
-  p.payload = r.GetBytes(total_len - kIpv4HeaderSize);
+  p.payload = r.GetSpan(total_len - kIpv4HeaderSize);
   return p;
 }
 

@@ -80,11 +80,25 @@ struct ArpPacket {
   bool IsGratuitous() const { return sender_ip == target_ip; }
 };
 
-struct Ipv4Packet {
+// The IPv4 header fields this stack reads and writes; what netfilter
+// rules match on.
+struct Ipv4Header {
   Ipv4Address src;
   Ipv4Address dst;
   IpProto proto = IpProto::kUdp;
   std::uint8_t ttl = 64;
+
+  // Appends the 20-byte header of a packet carrying `payload_size` bytes.
+  // The TCP output path follows it with the segment, written in place.
+  void EncodeHeader(ByteWriter& w, std::size_t payload_size) const;
+};
+
+struct Ipv4View;
+
+// A packet that owns its payload: one that outlives the call that made
+// it (loopback delivery, the ARP-pending queue) or that was built whole
+// (UDP, control traffic).
+struct Ipv4Packet : Ipv4Header {
   Bytes payload;
 
   Bytes Encode() const;
@@ -92,8 +106,18 @@ struct Ipv4Packet {
   // this on a fresh buffer.
   void EncodeInto(ByteWriter& w) const;
   static Ipv4Packet Decode(ByteSpan wire);
+  Ipv4View View() const;
 
   std::size_t WireSize() const { return kIpv4HeaderSize + payload.size(); }
+};
+
+// A packet parsed in place: the header fields and a view of the payload
+// inside the received frame, so the receive path copies nothing to demux.
+struct Ipv4View : Ipv4Header {
+  ByteSpan payload;
+
+  // Checks `wire` as Ipv4Packet::Decode does, without copying.
+  static Ipv4View Parse(ByteSpan wire);
 };
 
 struct UdpDatagram {

@@ -130,18 +130,41 @@ const Interface* NetworkStack::RouteSourceInterface(
   return interfaces_.empty() ? nullptr : &interfaces_.front();
 }
 
-void NetworkStack::SendIpv4(net::Ipv4Packet pkt) {
+namespace {
+
+// OutputIpv4 bodies. An owned payload is copied into the frame and handed
+// over by move; a TCP segment is written in place, and encoded into owned
+// bytes only when its packet must wait.
+struct OwnedBody {
+  cruz::Bytes& bytes;
+  std::size_t WireSize() const { return bytes.size(); }
+  void EncodeInto(ByteWriter& w) const { w.PutBytes(bytes); }
+  cruz::Bytes Take() { return std::move(bytes); }
+};
+
+struct SegmentBody {
+  const tcp::TcpSegment& seg;
+  std::size_t WireSize() const { return seg.WireSize(); }
+  void EncodeInto(ByteWriter& w) const { seg.EncodeInto(w); }
+  cruz::Bytes Take() { return seg.Encode(); }
+};
+
+}  // namespace
+
+template <typename Body>
+void NetworkStack::OutputIpv4(const net::Ipv4Header& hdr, Body body) {
   // OUTPUT netfilter hook: the coordinated-checkpoint agent's drop rule
   // silently discards pod traffic at the lowest level (paper §5).
   for (const Filter& f : filters_) {
-    if (f.fn(pkt)) {
+    if (f.fn(hdr)) {
       ++filtered_packets_;
       return;
     }
   }
   ++ip_tx_;
-  if (OwnsIp(pkt.dst)) {
+  if (OwnsIp(hdr.dst)) {
     // Loopback: deliver locally (still passes the INPUT hook).
+    net::Ipv4Packet pkt{{hdr}, body.Take()};
     sim_.Schedule(kLoopbackDelay, [this, pkt = std::move(pkt)] {
       for (const Filter& f : filters_) {
         if (f.fn(pkt)) {
@@ -149,45 +172,42 @@ void NetworkStack::SendIpv4(net::Ipv4Packet pkt) {
           return;
         }
       }
-      DeliverIpv4Local(pkt);
+      DeliverIpv4Local(pkt.View());
     });
     return;
   }
-  const Interface* out_if = RouteSourceInterface(pkt.src);
+  const Interface* out_if = RouteSourceInterface(hdr.src);
   if (out_if == nullptr) {
     CRUZ_WARN("netstack") << node_name_ << ": no interface to send from";
     return;
   }
-  if (pkt.dst.IsBroadcast()) {
+  if (hdr.dst.IsBroadcast()) {
     // Broadcasts reach local listeners too (as on Linux).
+    net::Ipv4Packet pkt{{hdr}, body.Take()};
     sim_.Schedule(kLoopbackDelay,
-                  [this, pkt] { DeliverIpv4Local(pkt); });
-    TransmitIpv4(pkt, *out_if, net::MacAddress::Broadcast());
+                  [this, pkt] { DeliverIpv4Local(pkt.View()); });
+    TransmitIpv4(pkt, OwnedBody{pkt.payload}, *out_if,
+                 net::MacAddress::Broadcast());
     return;
   }
-  if (!pkt.dst.SameSubnet(out_if->ip, out_if->netmask)) {
+  if (!hdr.dst.SameSubnet(out_if->ip, out_if->netmask)) {
     // Single-subnet cluster (the paper's migration domain); no router.
-    CRUZ_WARN("netstack") << node_name_ << ": " << pkt.dst.ToString()
+    CRUZ_WARN("netstack") << node_name_ << ": " << hdr.dst.ToString()
                           << " not on subnet, dropped";
     return;
   }
-  ResolveAndSend(std::move(pkt), *out_if);
-}
-
-void NetworkStack::ResolveAndSend(net::Ipv4Packet pkt,
-                                  const Interface& out_if) {
-  auto cached = arp_cache_.find(pkt.dst);
+  auto cached = arp_cache_.find(hdr.dst);
   if (cached != arp_cache_.end()) {
-    TransmitIpv4(pkt, out_if, cached->second);
+    TransmitIpv4(hdr, body, *out_if, cached->second);
     return;
   }
-  ArpPending& pending = arp_pending_[pkt.dst];
-  pending.queued.push_back(std::move(pkt));
-  pending.out_if_name = out_if.name;
+  ArpPending& pending = arp_pending_[hdr.dst];
+  pending.queued.push_back(net::Ipv4Packet{{hdr}, body.Take()});
+  pending.out_if_name = out_if->name;
   if (pending.retry_timer == sim::kInvalidEventId) {
     pending.retries = 0;
-    SendArpRequest(pending.queued.back().dst, out_if);
-    net::Ipv4Address target = pending.queued.back().dst;
+    net::Ipv4Address target = hdr.dst;
+    SendArpRequest(target, *out_if);
     pending.retry_timer = sim_.Schedule(kArpRetryInterval, [this, target] {
       auto it = arp_pending_.find(target);
       if (it == arp_pending_.end()) return;
@@ -211,6 +231,37 @@ void NetworkStack::ResolveAndSend(net::Ipv4Packet pkt,
           });
     });
   }
+}
+
+template <typename Body>
+void NetworkStack::TransmitIpv4(const net::Ipv4Header& hdr, const Body& body,
+                                const Interface& out_if,
+                                net::MacAddress dst_mac) {
+  if (nic_ == nullptr) return;
+  // Single pass into one pooled buffer: Ethernet header, IPv4 header,
+  // payload — no intermediate per-layer Bytes on the per-packet path.
+  const std::size_t payload_size = body.WireSize();
+  ByteWriter w(nic_->AcquireFrameBuffer(), net::kEthernetHeaderSize +
+                                               net::kIpv4HeaderSize +
+                                               payload_size);
+  net::EthernetFrame::EncodeHeader(w, dst_mac, out_if.mac,
+                                   net::EtherType::kIpv4);
+  hdr.EncodeHeader(w, payload_size);
+  body.EncodeInto(w);
+  nic_->Transmit(w.Take());
+}
+
+void NetworkStack::SendIpv4(net::Ipv4Packet pkt) {
+  OutputIpv4(pkt, OwnedBody{pkt.payload});
+}
+
+void NetworkStack::SendTcp(net::Ipv4Address src, net::Ipv4Address dst,
+                           const tcp::TcpSegment& seg) {
+  net::Ipv4Header hdr;
+  hdr.src = src;
+  hdr.dst = dst;
+  hdr.proto = net::IpProto::kTcp;
+  OutputIpv4(hdr, SegmentBody{seg});
 }
 
 void NetworkStack::SendArpRequest(net::Ipv4Address target,
@@ -237,20 +288,6 @@ void NetworkStack::TransmitArp(const net::ArpPacket& arp,
   nic_->Transmit(w.Take());
 }
 
-void NetworkStack::TransmitIpv4(const net::Ipv4Packet& pkt,
-                                const Interface& out_if,
-                                net::MacAddress dst_mac) {
-  if (nic_ == nullptr) return;
-  // Single pass into one pooled buffer: Ethernet header, IPv4 header,
-  // payload — no intermediate per-layer Bytes on the per-packet path.
-  ByteWriter w(nic_->AcquireFrameBuffer(),
-               net::kEthernetHeaderSize + pkt.WireSize());
-  net::EthernetFrame::EncodeHeader(w, dst_mac, out_if.mac,
-                                   net::EtherType::kIpv4);
-  pkt.EncodeInto(w);
-  nic_->Transmit(w.Take());
-}
-
 // ---------------------------------------------------------------------------
 // Input path
 // ---------------------------------------------------------------------------
@@ -258,7 +295,8 @@ void NetworkStack::TransmitIpv4(const net::Ipv4Packet& pkt,
 void NetworkStack::OnFrame(cruz::ByteSpan wire) {
   // The EtherType is read in place and the L3 decoder parses a view of
   // the payload: a broadcast reaches every stack on the switch, and none
-  // of them copies the frame body to look at it.
+  // of them copies the frame body to look at it. IPv4 and TCP are views
+  // too, so a TCP payload's one copy is its receive-buffer insert.
   std::optional<net::EtherType> type = net::EthernetFrame::PeekEtherType(wire);
   if (!type) return;  // runt or unknown EtherType: dropped, as hardware would
   cruz::ByteSpan payload = wire.subspan(net::kEthernetHeaderSize);
@@ -269,9 +307,9 @@ void NetworkStack::OnFrame(cruz::ByteSpan wire) {
     }
     return;
   }
-  net::Ipv4Packet pkt;
+  net::Ipv4View pkt;
   try {
-    pkt = net::Ipv4Packet::Decode(payload);
+    pkt = net::Ipv4View::Parse(payload);
   } catch (const cruz::CodecError&) {
     return;
   }
@@ -288,7 +326,7 @@ void NetworkStack::OnFrame(cruz::ByteSpan wire) {
   DeliverIpv4Local(pkt);
 }
 
-void NetworkStack::DeliverIpv4Local(const net::Ipv4Packet& pkt) {
+void NetworkStack::DeliverIpv4Local(const net::Ipv4View& pkt) {
   ++ip_rx_;
   switch (pkt.proto) {
     case net::IpProto::kTcp:
@@ -331,7 +369,9 @@ void NetworkStack::HandleArp(const net::ArpPacket& arp) {
       const Interface* oif = FindInterfaceByName(ifname);
       if (oif == nullptr && !interfaces_.empty()) oif = &interfaces_.front();
       for (net::Ipv4Packet& p : queued) {
-        if (oif != nullptr) TransmitIpv4(p, *oif, arp.sender_mac);
+        if (oif != nullptr) {
+          TransmitIpv4(p, OwnedBody{p.payload}, *oif, arp.sender_mac);
+        }
       }
     }
   }
@@ -355,12 +395,7 @@ void NetworkStack::HandleArp(const net::ArpPacket& arp) {
 
 tcp::TcpConnection::OutputFn NetworkStack::MakeConnOutput() {
   return [this](const net::FourTuple& tuple, const tcp::TcpSegment& seg) {
-    net::Ipv4Packet pkt;
-    pkt.src = tuple.local.ip;
-    pkt.dst = tuple.remote.ip;
-    pkt.proto = net::IpProto::kTcp;
-    pkt.payload = seg.Encode();
-    SendIpv4(std::move(pkt));
+    SendTcp(tuple.local.ip, tuple.remote.ip, seg);
   };
 }
 
@@ -610,7 +645,7 @@ SocketId NetworkStack::InstallRestoredListener(net::Endpoint local,
   return id;
 }
 
-void NetworkStack::HandleTcpSegment(const net::Ipv4Packet& pkt) {
+void NetworkStack::HandleTcpSegment(const net::Ipv4View& pkt) {
   tcp::TcpSegment seg;
   try {
     seg = tcp::TcpSegment::Decode(pkt.payload);
@@ -677,12 +712,7 @@ void NetworkStack::HandleTcpSegment(const net::Ipv4Packet& pkt) {
       rst.ack_flag = true;
       rst.ack = seg.seq + seg.SeqLen();
     }
-    net::Ipv4Packet out;
-    out.src = pkt.dst;
-    out.dst = pkt.src;
-    out.proto = net::IpProto::kTcp;
-    out.payload = rst.Encode();
-    SendIpv4(std::move(out));
+    SendTcp(pkt.dst, pkt.src, rst);
   }
 }
 
@@ -760,7 +790,7 @@ void NetworkStack::DestroyUdpSocket(SocketId id) {
   udp_sockets_.erase(id);
 }
 
-void NetworkStack::HandleUdpDatagram(const net::Ipv4Packet& pkt) {
+void NetworkStack::HandleUdpDatagram(const net::Ipv4View& pkt) {
   net::UdpDatagram dgram;
   try {
     dgram = net::UdpDatagram::Decode(pkt.payload);

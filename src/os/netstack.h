@@ -94,7 +94,7 @@ struct TcpSocketObject {
 class NetworkStack {
  public:
   using WakeFn = std::function<void(std::vector<ThreadRef>&)>;
-  using FilterFn = std::function<bool(const net::Ipv4Packet&)>;  // true=drop
+  using FilterFn = std::function<bool(const net::Ipv4Header&)>;  // true=drop
 
   NetworkStack(sim::Simulator& sim, std::string node_name, net::Nic* nic,
                tcp::TcpConfig tcp_config = {});
@@ -131,6 +131,11 @@ class NetworkStack {
   // Routes, ARP-resolves and transmits. Packets to one of this node's own
   // addresses loop back locally.
   void SendIpv4(net::Ipv4Packet pkt);
+  // The same for a TCP segment: header and payload view are written
+  // straight into the frame, and copied into an owned packet only when
+  // the packet must wait (loopback, ARP resolution).
+  void SendTcp(net::Ipv4Address src, net::Ipv4Address dst,
+               const tcp::TcpSegment& seg);
 
   // --- UDP -------------------------------------------------------------------------
   SocketId CreateUdpSocket();
@@ -202,13 +207,19 @@ class NetworkStack {
 
  private:
   void WakeAll(std::vector<ThreadRef>& waiters);
-  void DeliverIpv4Local(const net::Ipv4Packet& pkt);
+  void DeliverIpv4Local(const net::Ipv4View& pkt);
   void HandleArp(const net::ArpPacket& arp);
-  void HandleTcpSegment(const net::Ipv4Packet& pkt);
-  void HandleUdpDatagram(const net::Ipv4Packet& pkt);
-  void TransmitIpv4(const net::Ipv4Packet& pkt, const Interface& out_if,
-                    net::MacAddress dst_mac);
-  void ResolveAndSend(net::Ipv4Packet pkt, const Interface& out_if);
+  void HandleTcpSegment(const net::Ipv4View& pkt);
+  void HandleUdpDatagram(const net::Ipv4View& pkt);
+  // The IP output path shared by SendIpv4 and SendTcp. `body` writes the
+  // payload into a frame (WireSize, EncodeInto) and hands it over as
+  // owned bytes (Take) when the packet must wait.
+  template <typename Body>
+  void OutputIpv4(const net::Ipv4Header& hdr, Body body);
+  // Writes Ethernet header, IPv4 header and `body` into one pooled frame.
+  template <typename Body>
+  void TransmitIpv4(const net::Ipv4Header& hdr, const Body& body,
+                    const Interface& out_if, net::MacAddress dst_mac);
   void SendArpRequest(net::Ipv4Address target, const Interface& out_if);
   // Frames `arp` (from arp.sender_mac to `dst_mac`) and transmits it.
   void TransmitArp(const net::ArpPacket& arp, net::MacAddress dst_mac);

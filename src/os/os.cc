@@ -1,6 +1,8 @@
 #include "os/os.h"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -301,11 +303,13 @@ void Os::MakeRunnable(ThreadRef ref) {
 }
 
 void Os::WakeThreads(std::vector<ThreadRef>& refs) {
-  std::vector<ThreadRef> local;
-  local.swap(refs);  // callers' lists are one-shot
-  for (const ThreadRef& ref : local) {
+  // Callers' lists are one-shot. Waking only schedules steps, so nothing
+  // re-enters a wait list here; clearing in place keeps the list's
+  // capacity for the next block.
+  for (const ThreadRef& ref : refs) {
     MakeRunnable(ref);
   }
+  refs.clear();
 }
 
 bool Os::Quiescent() const {
@@ -627,6 +631,23 @@ SysResult Os::SysConnect(Process& proc, Fd fd, net::Endpoint remote) {
 }
 
 SysResult Os::SysSendTcp(Process& proc, Fd fd, cruz::ByteSpan data) {
+  return SendTcp(proc, fd, data.size(),
+                 [data](std::size_t offset, std::span<std::uint8_t> dst) {
+                   std::memcpy(dst.data(), data.data() + offset, dst.size());
+                 });
+}
+
+SysResult Os::SysSendTcpFrom(Process& proc, Fd fd, std::uint64_t addr,
+                             std::size_t len) {
+  const Memory& mem = proc.memory();
+  return SendTcp(proc, fd, len,
+                 [&mem, addr](std::size_t offset, std::span<std::uint8_t> dst) {
+                   mem.ReadBytes(addr + offset, dst.data(), dst.size());
+                 });
+}
+
+SysResult Os::SendTcp(Process& proc, Fd fd, std::size_t len,
+                      tcp::SendBuffer::Source read) {
   ChargeSyscall(proc);
   TcpSocketObject* sock = TcpFromFd(proc, fd, nullptr);
   if (sock == nullptr) return SysErr(CRUZ_ENOTSOCK);
@@ -634,7 +655,7 @@ SysResult Os::SysSendTcp(Process& proc, Fd fd, cruz::ByteSpan data) {
     return SysErr(sock->error);
   }
   if (sock->conn == nullptr) return SysErr(CRUZ_ENOTCONN);
-  return sock->conn->Send(data);
+  return sock->conn->Send(len, read);
 }
 
 SysResult Os::SysTcpSendSpace(Process& proc, Fd fd) {
@@ -646,6 +667,22 @@ SysResult Os::SysTcpSendSpace(Process& proc, Fd fd) {
 
 SysResult Os::SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
                          std::size_t max, bool peek) {
+  return RecvTcp(proc, fd, max, peek, [&out](cruz::ByteSpan bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+}
+
+SysResult Os::SysRecvTcpInto(Process& proc, Fd fd, std::uint64_t addr,
+                             std::size_t max) {
+  Memory& mem = proc.memory();
+  return RecvTcp(proc, fd, max, /*peek=*/false,
+                 [&mem, addr](cruz::ByteSpan bytes) {
+                   mem.WriteBytes(addr, bytes);
+                 });
+}
+
+SysResult Os::RecvTcp(Process& proc, Fd fd, std::size_t max, bool peek,
+                      tcp::RecvBuffer::Sink deliver) {
   ChargeSyscall(proc);
   TcpSocketObject* sock = TcpFromFd(proc, fd, nullptr);
   if (sock == nullptr) return SysErr(CRUZ_ENOTSOCK);
@@ -653,8 +690,7 @@ SysResult Os::SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
   // delivered before anything from the TCP receive path (paper §4.1).
   if (!sock->alt_recv.empty()) {
     std::size_t n = std::min(max, sock->alt_recv.size());
-    out.insert(out.end(), sock->alt_recv.begin(),
-               sock->alt_recv.begin() + static_cast<std::ptrdiff_t>(n));
+    deliver(cruz::ByteSpan(sock->alt_recv).first(n));
     if (!peek) {
       sock->alt_recv.erase(
           sock->alt_recv.begin(),
@@ -667,7 +703,7 @@ SysResult Os::SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
                ? SysErr(sock->error)
                : SysErr(CRUZ_ENOTCONN);
   }
-  return sock->conn->Receive(out, max, peek);
+  return sock->conn->Receive(max, peek, deliver);
 }
 
 SysResult Os::SysSendToUdp(Process& proc, Fd fd, net::Endpoint remote,
@@ -995,6 +1031,18 @@ SysResult ProcessCtx::Connect(Fd fd, net::Endpoint remote) {
 SysResult ProcessCtx::SendTcp(Fd fd, cruz::ByteSpan data) {
   return Intercept([&] { return os_.SysSendTcp(proc_, fd, data); });
 }
+SysResult ProcessCtx::SendTcpFrom(Fd fd, std::uint64_t addr,
+                                 std::size_t len) {
+  if (Recording()) {
+    // Pages may be missing: read the source before the syscall, as the
+    // Bytes form's caller does, so a fault aborts the step before any
+    // side effect.
+    cruz::Bytes data = Mem().ReadBytes(addr, len);
+    tcp::CountTcpPayloadCopy(data.size());
+    return SendTcp(fd, data);
+  }
+  return os_.SysSendTcpFrom(proc_, fd, addr, len);
+}
 SysResult ProcessCtx::TcpSendSpace(Fd fd) {
   return Intercept([&] { return os_.SysTcpSendSpace(proc_, fd); });
 }
@@ -1012,6 +1060,20 @@ SysResult ProcessCtx::RecvTcp(Fd fd, cruz::Bytes& out, std::size_t max,
                          out.end());
   }
   return r;
+}
+SysResult ProcessCtx::RecvTcpInto(Fd fd, std::uint64_t addr,
+                                 std::size_t max) {
+  if (Recording()) {
+    // The journal keeps the received bytes, and the copy into memory may
+    // fault after the receive consumed them: a re-execution replays the
+    // receive and redoes the copy.
+    cruz::Bytes buf;
+    SysResult r = RecvTcp(fd, buf, max);
+    Mem().WriteBytes(addr, buf);
+    tcp::CountTcpPayloadCopy(buf.size());
+    return r;
+  }
+  return os_.SysRecvTcpInto(proc_, fd, addr, max);
 }
 SysResult ProcessCtx::SendToUdp(Fd fd, net::Endpoint remote,
                                 cruz::ByteSpan data) {

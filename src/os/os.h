@@ -157,9 +157,17 @@ class Os {
   SysResult SysAccept(Process& proc, Fd fd);
   SysResult SysConnect(Process& proc, Fd fd, net::Endpoint remote);
   SysResult SysSendTcp(Process& proc, Fd fd, cruz::ByteSpan data);
+  // send(fd, addr, len): the bytes go from `proc`'s memory straight into
+  // the send buffer.
+  SysResult SysSendTcpFrom(Process& proc, Fd fd, std::uint64_t addr,
+                           std::size_t len);
   SysResult SysTcpSendSpace(Process& proc, Fd fd);
   SysResult SysRecvTcp(Process& proc, Fd fd, cruz::Bytes& out,
                        std::size_t max, bool peek);
+  // recv(fd, addr, max): the bytes go from the receive buffer straight
+  // into `proc`'s memory.
+  SysResult SysRecvTcpInto(Process& proc, Fd fd, std::uint64_t addr,
+                           std::size_t max);
   SysResult SysSendToUdp(Process& proc, Fd fd, net::Endpoint remote,
                          cruz::ByteSpan data);
   SysResult SysRecvFromUdp(Process& proc, Fd fd, cruz::Bytes& out,
@@ -195,6 +203,12 @@ class Os {
   void ReleaseFd(Process& proc, const std::shared_ptr<FileDescription>& d);
   TcpSocketObject* TcpFromFd(Process& proc, Fd fd,
                              std::shared_ptr<FileDescription>* desc_out);
+  // The TCP send and receive syscalls over a byte source and sink: the
+  // Bytes forms and the process-memory forms differ only in those.
+  SysResult SendTcp(Process& proc, Fd fd, std::size_t len,
+                    tcp::SendBuffer::Source read);
+  SysResult RecvTcp(Process& proc, Fd fd, std::size_t max, bool peek,
+                    tcp::RecvBuffer::Sink deliver);
   // Charges the Zap interposition cost for syscalls issued from inside a
   // pod (the paper's <0.5% runtime overhead).
   void ChargeSyscall(Process& proc);

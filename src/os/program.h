@@ -93,6 +93,9 @@ class ProcessCtx {
   SysResult Accept(Fd fd);
   SysResult Connect(Fd fd, net::Endpoint remote);
   SysResult SendTcp(Fd fd, cruz::ByteSpan data);
+  // send(fd, addr, len) from this process's memory: the bytes are copied
+  // once, into the send buffer.
+  SysResult SendTcpFrom(Fd fd, std::uint64_t addr, std::size_t len);
   // Bytes a SendTcp on `fd` would accept right now (Linux: SO_SNDBUF
   // minus SIOCOUTQ); 0 before the connection exists. A free query: it
   // charges no syscall cost, so sizing a send by it leaves the simulated
@@ -100,6 +103,9 @@ class ProcessCtx {
   SysResult TcpSendSpace(Fd fd);
   SysResult RecvTcp(Fd fd, cruz::Bytes& out, std::size_t max,
                     bool peek = false);
+  // recv(fd, addr, max) into this process's memory: the bytes are copied
+  // once, out of the receive buffer.
+  SysResult RecvTcpInto(Fd fd, std::uint64_t addr, std::size_t max);
   SysResult SendToUdp(Fd fd, net::Endpoint remote, cruz::ByteSpan data);
   SysResult RecvFromUdp(Fd fd, cruz::Bytes& out, net::Endpoint* from);
   SysResult SetNodelay(Fd fd, bool on);

@@ -69,7 +69,7 @@ void PodManager::DestroyPod(os::PodId id) {
   // incarnation owns these connections now.
   net::Ipv4Address pod_ip = pod->ip;
   std::uint64_t filter = node_.stack().AddFilter(
-      [pod_ip](const net::Ipv4Packet& pkt) {
+      [pod_ip](const net::Ipv4Header& pkt) {
         return pkt.src == pod_ip || pkt.dst == pod_ip;
       });
   node_.stack().RemoveInterface(pod->vif_name);

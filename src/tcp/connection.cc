@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -65,13 +66,20 @@ void TcpConnection::OpenPassive(const TcpSegment& syn) {
 // --------------------------------------------------------------------------
 
 SysResult TcpConnection::Send(cruz::ByteSpan data) {
+  return Send(data.size(),
+              [data](std::size_t offset, std::span<std::uint8_t> dst) {
+                std::memcpy(dst.data(), data.data() + offset, dst.size());
+              });
+}
+
+SysResult TcpConnection::Send(std::size_t len, SendBuffer::Source read) {
   if (pending_error_ != CRUZ_EOK) return SysErr(pending_error_);
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
     return SysErr(CRUZ_EAGAIN);  // still connecting
   }
   if (app_closed_ || !CanSendData(state_)) return SysErr(CRUZ_EPIPE);
-  if (data.empty()) return 0;
-  std::size_t accepted = send_.Append(data, write_seq_);
+  if (len == 0) return 0;
+  std::size_t accepted = send_.Append(len, write_seq_, read);
   write_seq_ += static_cast<Seq>(accepted);
   if (accepted == 0) return SysErr(CRUZ_EAGAIN);  // buffer full
   TrySend();
@@ -80,6 +88,13 @@ SysResult TcpConnection::Send(cruz::ByteSpan data) {
 
 SysResult TcpConnection::Receive(cruz::Bytes& out, std::size_t max,
                                  bool peek) {
+  return Receive(max, peek, [&out](cruz::ByteSpan bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+}
+
+SysResult TcpConnection::Receive(std::size_t max, bool peek,
+                                 RecvBuffer::Sink deliver) {
   if (!recv_) {
     return pending_error_ != CRUZ_EOK ? SysErr(pending_error_)
                                       : SysErr(CRUZ_ENOTCONN);
@@ -98,9 +113,10 @@ SysResult TcpConnection::Receive(cruz::Bytes& out, std::size_t max,
         return SysErr(CRUZ_EAGAIN);
     }
   }
-  std::size_t n = recv_->Read(out, max, peek);
+  std::size_t n = recv_->Read(max, peek, deliver);
   if (!peek) {
     bytes_delivered_to_app_ += n;
+    CountTcpPayloadDelivered(n);
     // Window update: if consuming opened at least one MSS of window beyond
     // what the peer last saw, tell it (prevents zero-window deadlock).
     if (recv_->Window() >=

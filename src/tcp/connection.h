@@ -68,9 +68,15 @@ class TcpConnection {
   // Queues data; returns bytes accepted, 0 if the buffer is full, or
   // -errno (EPIPE after close, ENOTCONN before establishment).
   SysResult Send(cruz::ByteSpan data);
+  // The same for `len` bytes that `read` copies straight into the send
+  // buffer (Linux's send(fd, user_addr, len)).
+  SysResult Send(std::size_t len, SendBuffer::Source read);
   // Reads up to `max` bytes into `out`. Returns bytes read; 0 means EOF
   // (remote closed and drained); -EAGAIN when no data yet.
   SysResult Receive(cruz::Bytes& out, std::size_t max, bool peek = false);
+  // The same, handing the bytes to `deliver`, which copies them out of
+  // the receive buffer (Linux's recv(fd, user_addr, len)).
+  SysResult Receive(std::size_t max, bool peek, RecvBuffer::Sink deliver);
 
   std::size_t ReadableBytes() const {
     return recv_ ? recv_->ReadableBytes() : 0;

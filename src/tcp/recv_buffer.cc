@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "tcp/segment.h"
+
 namespace cruz::tcp {
 
 bool RecvBuffer::Insert(Seq seq, cruz::ByteSpan data) {
@@ -24,7 +26,7 @@ bool RecvBuffer::Insert(Seq seq, cruz::ByteSpan data) {
   if (data.empty()) return false;
 
   if (seq == rcv_nxt_) {
-    ordered_.insert(ordered_.end(), data.begin(), data.end());
+    AppendOrdered(data);
     rcv_nxt_ += static_cast<Seq>(data.size());
     MergeOutOfOrder();
     return true;
@@ -35,6 +37,7 @@ bool RecvBuffer::Insert(Seq seq, cruz::ByteSpan data) {
     if (it != ooo_.end()) ooo_bytes_ -= it->second.size();
     ooo_bytes_ += data.size();
     ooo_[seq] = cruz::Bytes(data.begin(), data.end());
+    CountTcpPayloadCopy(data.size());
   }
   return false;
 }
@@ -54,8 +57,7 @@ void RecvBuffer::MergeOutOfOrder() {
       }
       if (SeqLe(seq, rcv_nxt_)) {
         std::uint32_t skip = SeqDiff(seq, rcv_nxt_);
-        ordered_.insert(ordered_.end(), it->second.begin() + skip,
-                        it->second.end());
+        AppendOrdered(cruz::ByteSpan(it->second).subspan(skip));
         rcv_nxt_ = end;
         ooo_bytes_ -= it->second.size();
         it = ooo_.erase(it);
@@ -67,13 +69,29 @@ void RecvBuffer::MergeOutOfOrder() {
   }
 }
 
-std::size_t RecvBuffer::Read(cruz::Bytes& out, std::size_t max, bool peek) {
-  std::size_t n = std::min(max, ordered_.size());
-  out.insert(out.end(), ordered_.begin(),
-             ordered_.begin() + static_cast<std::ptrdiff_t>(n));
-  if (!peek) {
+void RecvBuffer::AppendOrdered(cruz::ByteSpan data) {
+  if (head_ > 0 && ordered_.size() + data.size() > ordered_.capacity()) {
+    // Drop the consumed prefix rather than grow.
     ordered_.erase(ordered_.begin(),
-                   ordered_.begin() + static_cast<std::ptrdiff_t>(n));
+                   ordered_.begin() + static_cast<std::ptrdiff_t>(head_));
+    CountTcpPayloadCopy(ordered_.size());
+    head_ = 0;
+  }
+  ordered_.insert(ordered_.end(), data.begin(), data.end());
+  CountTcpPayloadCopy(data.size());
+}
+
+std::size_t RecvBuffer::Read(std::size_t max, bool peek, Sink deliver) {
+  std::size_t n = std::min(max, ReadableBytes());
+  if (n == 0) return 0;
+  deliver(cruz::ByteSpan(ordered_).subspan(head_, n));
+  CountTcpPayloadCopy(n);
+  if (!peek) {
+    head_ += n;
+    if (head_ == ordered_.size()) {
+      ordered_.clear();
+      head_ = 0;
+    }
   }
   return n;
 }

@@ -1,5 +1,7 @@
 #include "tcp/segment.h"
 
+#include <atomic>
+
 #include "common/error.h"
 #include "tcp/state.h"
 
@@ -23,6 +25,9 @@ const char* TcpStateName(TcpState s) {
 }
 
 namespace {
+std::atomic<std::uint64_t> g_payload_copied{0};
+std::atomic<std::uint64_t> g_payload_delivered{0};
+
 constexpr std::uint8_t kFlagFin = 0x01;
 constexpr std::uint8_t kFlagSyn = 0x02;
 constexpr std::uint8_t kFlagRst = 0x04;
@@ -30,32 +35,56 @@ constexpr std::uint8_t kFlagPsh = 0x08;
 constexpr std::uint8_t kFlagAck = 0x10;
 }  // namespace
 
+std::uint64_t TcpPayloadBytesCopiedTotal() {
+  return g_payload_copied.load(std::memory_order_relaxed);
+}
+
+std::uint64_t TcpPayloadBytesDeliveredTotal() {
+  return g_payload_delivered.load(std::memory_order_relaxed);
+}
+
+void CountTcpPayloadCopy(std::size_t bytes) {
+  g_payload_copied.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void CountTcpPayloadDelivered(std::size_t bytes) {
+  g_payload_delivered.fetch_add(bytes, std::memory_order_relaxed);
+}
+
 cruz::Bytes TcpSegment::Encode() const {
   cruz::ByteWriter w(WireSize());
-  w.PutU16(src_port);
-  w.PutU16(dst_port);
-  w.PutU32(seq);
-  w.PutU32(ack);
+  EncodeInto(w);
+  return w.Take();
+}
+
+void TcpSegment::EncodeInto(cruz::ByteWriter& w) const {
+  // The header is assembled on the stack and appended in one piece.
+  std::uint8_t h[kTcpHeaderSize + kTcpMssOptionSize] = {};
+  cruz::StoreU16(h, src_port);
+  cruz::StoreU16(h + 2, dst_port);
+  cruz::StoreU32(h + 4, seq);
+  cruz::StoreU32(h + 8, ack);
   // Data offset in 32-bit words (5 without options, 6 with MSS option).
-  std::uint8_t data_offset = mss_option ? 6 : 5;
-  w.PutU8(static_cast<std::uint8_t>(data_offset << 4));
+  h[12] = static_cast<std::uint8_t>((mss_option ? 6 : 5) << 4);
   std::uint8_t flags = 0;
   if (fin) flags |= kFlagFin;
   if (syn) flags |= kFlagSyn;
   if (rst) flags |= kFlagRst;
   if (psh) flags |= kFlagPsh;
   if (ack_flag) flags |= kFlagAck;
-  w.PutU8(flags);
-  w.PutU16(window);
-  w.PutU16(0);  // checksum: covered by the simulated IP layer
-  w.PutU16(0);  // urgent pointer (unused)
+  h[13] = flags;
+  cruz::StoreU16(h + 14, window);
+  // h[16..19]: checksum (covered by the simulated IP layer) and urgent
+  // pointer (unused).
   if (mss_option) {
-    w.PutU8(2);  // kind: MSS
-    w.PutU8(4);  // length
-    w.PutU16(mss_option);
+    h[20] = 2;  // kind: MSS
+    h[21] = 4;  // length
+    cruz::StoreU16(h + 22, mss_option);
   }
+  w.PutBytes(h, mss_option ? kTcpHeaderSize + kTcpMssOptionSize
+                           : kTcpHeaderSize);
   w.PutBytes(payload);
-  return w.Take();
+  CountTcpPayloadCopy(payload.size());
 }
 
 TcpSegment TcpSegment::Decode(cruz::ByteSpan wire) {
@@ -99,7 +128,7 @@ TcpSegment TcpSegment::Decode(cruz::ByteSpan wire) {
     }
   }
   if (r.pos() < options_end) r.Skip(options_end - r.pos());
-  s.payload = r.GetBytes(r.remaining());
+  s.payload = r.GetSpan(r.remaining());
   return s;
 }
 

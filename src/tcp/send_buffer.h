@@ -14,14 +14,17 @@
 //
 // All three pointers live in the owning TcpConnection; the buffer indexes
 // its segments by starting sequence number.
+//
+// A steady stream allocates nothing: acked segments leave by advancing a
+// head index, and their payload buffers are kept for the next Append.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/function_ref.h"
 #include "tcp/seq.h"
 
 namespace cruz::tcp {
@@ -40,6 +43,11 @@ struct SendSegment {
 
 class SendBuffer {
  public:
+  // Copies bytes [offset, offset + dst.size()) of the data being appended
+  // into `dst`.
+  using Source =
+      cruz::FunctionRef<void(std::size_t offset, std::span<std::uint8_t> dst)>;
+
   SendBuffer(std::size_t capacity_bytes, std::uint32_t mss)
       : capacity_(capacity_bytes), mss_(mss) {}
 
@@ -47,6 +55,9 @@ class SendBuffer {
   // into MSS-sized segments. Returns the number of bytes accepted (limited
   // by free capacity).
   std::size_t Append(cruz::ByteSpan data, Seq write_seq);
+  // The same for `len` bytes that `read` copies straight into the
+  // segments (send from application memory, no staging buffer).
+  std::size_t Append(std::size_t len, Seq write_seq, Source read);
 
   // Inserts one pre-packetized segment (restore path). The segment is
   // sealed immediately so later Appends cannot merge into it.
@@ -68,7 +79,7 @@ class SendBuffer {
   // No-op if the segment is missing or already short enough.
   void Split(Seq seq, std::uint32_t first_len);
 
-  bool Empty() const { return segments_.empty(); }
+  bool Empty() const { return head_ == segments_.size(); }
   std::size_t TotalBytes() const { return total_bytes_; }
   std::size_t FreeBytes() const {
     return total_bytes_ >= capacity_ ? 0 : capacity_ - total_bytes_;
@@ -78,16 +89,27 @@ class SendBuffer {
 
   // First unacknowledged segment (retransmission target), or nullptr.
   const SendSegment* Front() const {
-    return segments_.empty() ? nullptr : &segments_.front();
+    return Empty() ? nullptr : &segments_[head_];
   }
 
   // Iteration for checkpoint: all segments in sequence order.
-  const std::deque<SendSegment>& segments() const { return segments_; }
+  std::span<const SendSegment> segments() const {
+    return std::span<const SendSegment>(segments_).subspan(head_);
+  }
 
  private:
+  // A new segment for `seq`, on a kept payload buffer when there is one.
+  SendSegment& NewSegment(Seq seq);
+  // Retires the front segment, keeping its payload buffer.
+  void PopFront();
+
   std::size_t capacity_;
   std::uint32_t mss_;
-  std::deque<SendSegment> segments_;
+  // Live segments are segments_[head_..]; retired slots before head_ are
+  // dropped when the queue drains or head_ passes half the vector.
+  std::vector<SendSegment> segments_;
+  std::size_t head_ = 0;
+  std::vector<cruz::Bytes> spare_;  // payload buffers of retired segments
   std::size_t total_bytes_ = 0;
 };
 

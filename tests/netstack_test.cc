@@ -80,7 +80,7 @@ TEST(NetStack, OutputFilterDropsSilently) {
   p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
   net::Ipv4Address blocked = p.b.ip();
   std::uint64_t rule = p.a.stack().AddFilter(
-      [blocked](const net::Ipv4Packet& pkt) { return pkt.dst == blocked; });
+      [blocked](const net::Ipv4Header& pkt) { return pkt.dst == blocked; });
   p.a.stack().UdpSendTo(sender, {p.b.ip(), 5000}, cruz::Bytes{1});
   p.sim.RunFor(10 * kMillisecond);
   EXPECT_TRUE(p.b.stack().FindUdp(sock)->rx.empty());
@@ -97,7 +97,7 @@ TEST(NetStack, InputFilterDropsBeforeDemux) {
   p.b.stack().UdpBind(sock, {p.b.ip(), 5000});
   net::Ipv4Address blocked = p.a.ip();
   p.b.stack().AddFilter(
-      [blocked](const net::Ipv4Packet& pkt) { return pkt.src == blocked; });
+      [blocked](const net::Ipv4Header& pkt) { return pkt.src == blocked; });
   SocketId sender = p.a.stack().CreateUdpSocket();
   p.a.stack().UdpBind(sender, {p.a.ip(), 6000});
   p.a.stack().UdpSendTo(sender, {p.b.ip(), 5000}, cruz::Bytes{1});
@@ -417,7 +417,7 @@ TEST(NetStack, AppClosedSocketIsStillReaped) {
   StackPair p;
   SocketId sock = ConnectAToB(p);
   // The peer never answers the FIN: b drops everything it receives.
-  p.b.stack().AddFilter([](const net::Ipv4Packet&) { return true; });
+  p.b.stack().AddFilter([](const net::Ipv4Header&) { return true; });
   const tcp::TcpConfig& cfg = p.a.stack().tcp_config();
   const DurationNs linger = cfg.time_wait_duration + 2 * cfg.max_rto;
   TimeNs closed_at = p.sim.Now();
@@ -436,7 +436,7 @@ TEST(NetStack, PurgeCancelsLingeringReaper) {
   // Silent pod teardown: the app's close lingers in FIN-WAIT, then the
   // purge erases it. Nothing of the socket may stay in the queue.
   std::uint64_t drop_all =
-      p.a.stack().AddFilter([](const net::Ipv4Packet&) { return true; });
+      p.a.stack().AddFilter([](const net::Ipv4Header&) { return true; });
   p.a.stack().DestroyTcpSocket(sock);
   EXPECT_GT(p.sim.pending_events(), idle);
   p.a.stack().PurgeSocketsForIp(p.a.ip());

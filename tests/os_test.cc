@@ -496,7 +496,7 @@ TEST(OsNetfilter, DropRuleBlocksTraffic) {
   // Install the Cruz agent-style drop rule on node1 for its own address.
   net::Ipv4Address blocked = c.n1.ip();
   std::uint64_t rule = c.n1.stack().AddFilter(
-      [blocked](const net::Ipv4Packet& pkt) {
+      [blocked](const net::Ipv4Header& pkt) {
         return pkt.src == blocked || pkt.dst == blocked;
       });
   ByteWriter w;

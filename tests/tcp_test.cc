@@ -28,8 +28,10 @@ TEST(Segment, RoundTrip) {
   s.ack_flag = true;
   s.window = 5840;
   s.mss_option = 1460;
-  s.payload = {1, 2, 3};
-  TcpSegment t = TcpSegment::Decode(s.Encode());
+  const Bytes payload = {1, 2, 3};
+  s.payload = payload;
+  const Bytes wire = s.Encode();
+  TcpSegment t = TcpSegment::Decode(wire);
   EXPECT_EQ(t.src_port, s.src_port);
   EXPECT_EQ(t.dst_port, s.dst_port);
   EXPECT_EQ(t.seq, s.seq);
@@ -40,12 +42,13 @@ TEST(Segment, RoundTrip) {
   EXPECT_FALSE(t.rst);
   EXPECT_EQ(t.window, 5840);
   EXPECT_EQ(t.mss_option, 1460);
-  EXPECT_EQ(t.payload, s.payload);
+  EXPECT_EQ(Bytes(t.payload.begin(), t.payload.end()), payload);
 }
 
 TEST(Segment, SeqLenCountsFlags) {
   TcpSegment s;
-  s.payload = {1, 2, 3};
+  const Bytes payload = {1, 2, 3};
+  s.payload = payload;
   EXPECT_EQ(s.SeqLen(), 3u);
   s.syn = true;
   EXPECT_EQ(s.SeqLen(), 4u);
