@@ -133,6 +133,49 @@ void BM_MemorySparseWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySparseWrite)->Arg(64)->Arg(512);
 
+// One slm rank iteration's memory calls on a 515-page process in the slm
+// layout (args page, status page, halo page, 512-row grid): the args
+// read, three 4 KiB row reads, two row writes and the status counter's
+// ReadU64/WriteU64. Consecutive calls land on different page-table
+// leaves, as in the program. `per_op` is host time per Memory call.
+void BM_MemoryRowAccess(benchmark::State& state) {
+  constexpr std::uint64_t kArgs = 0x1000;
+  constexpr std::uint64_t kStatus = 0x200000;
+  constexpr std::uint64_t kHalo = 0x300000;
+  constexpr std::uint64_t kGrid = 0x400000;
+  constexpr std::size_t kCols = 512;
+  constexpr std::uint64_t kRowBytes = kCols * sizeof(double);
+  const auto rows = static_cast<std::uint64_t>(state.range(0));
+  Rng rng(3);
+  std::vector<double> row0(kCols), bottom(kCols), halo(kCols);
+  for (double& v : row0) v = rng.NextDouble();
+  os::Memory mem;
+  mem.WriteBytes(kArgs, Bytes(64, 0x11));
+  mem.WriteU64(kStatus, 0);
+  mem.WriteF64s(kHalo, row0);
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    mem.WriteF64s(kGrid + r * kRowBytes, row0);
+  }
+  const std::uint64_t bottom_addr = kGrid + (rows - 1) * kRowBytes;
+  std::array<std::uint8_t, 64> args{};
+  for (auto _ : state) {
+    mem.ReadBytes(kArgs, args.data(), args.size());
+    mem.ReadF64s(kGrid, row0);
+    mem.ReadF64s(bottom_addr, bottom);
+    mem.ReadF64s(kHalo, halo);
+    mem.WriteF64s(kGrid, row0);
+    mem.WriteF64s(bottom_addr, bottom);
+    mem.WriteU64(kStatus, mem.ReadU64(kStatus) + args[0]);
+    benchmark::DoNotOptimize(halo.data());
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(mem.ReadU64(kStatus));
+  state.counters["per_op"] = benchmark::Counter(
+      8, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MemoryRowAccess)->Arg(512);
+
 // The TCP segment codec as the stack runs it: Ethernet, IPv4 and TCP
 // headers plus the payload written into one reused frame buffer in one
 // pass, then IPv4 and TCP parsed back as views over the frame.

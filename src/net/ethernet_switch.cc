@@ -82,7 +82,10 @@ void EthernetSwitch::Ingress(std::size_t port, Bytes wire) {
   std::copy(wire.begin(), wire.begin() + 6, dst.octets.begin());
   std::copy(wire.begin() + 6, wire.begin() + 12, src.octets.begin());
   if (!src.IsBroadcast() && !src.IsZero()) {
-    mac_table_[src] = port;  // learn
+    // Learn: one lookup, and a write only when the source is new or has
+    // moved to another port (a migrated pod's first frame).
+    auto [learned, inserted] = mac_table_.try_emplace(src, port);
+    if (!inserted && learned->second != port) learned->second = port;
   }
 
   if (!dst.IsBroadcast()) {

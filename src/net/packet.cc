@@ -144,14 +144,6 @@ Ipv4View Ipv4Packet::View() const {
   return Ipv4View{{*this}, payload};
 }
 
-Ipv4Packet Ipv4Packet::Decode(ByteSpan wire) {
-  Ipv4View view = Ipv4View::Parse(wire);
-  Ipv4Packet p;
-  static_cast<Ipv4Header&>(p) = view;
-  p.payload.assign(view.payload.begin(), view.payload.end());
-  return p;
-}
-
 Ipv4View Ipv4View::Parse(ByteSpan wire) {
   if (wire.size() < kIpv4HeaderSize) {
     throw CodecError("IPv4 packet shorter than header");

@@ -105,7 +105,6 @@ struct Ipv4Packet : Ipv4Header {
   // Appends the encoded packet (header + payload) to `w`; Encode() is
   // this on a fresh buffer.
   void EncodeInto(ByteWriter& w) const;
-  static Ipv4Packet Decode(ByteSpan wire);
   Ipv4View View() const;
 
   std::size_t WireSize() const { return kIpv4HeaderSize + payload.size(); }
@@ -116,7 +115,8 @@ struct Ipv4Packet : Ipv4Header {
 struct Ipv4View : Ipv4Header {
   ByteSpan payload;
 
-  // Checks `wire` as Ipv4Packet::Decode does, without copying.
+  // Checks the header (length, checksum, version/IHL, total length,
+  // protocol) and throws CodecError on any mismatch. Copies nothing.
   static Ipv4View Parse(ByteSpan wire);
 };
 

@@ -22,65 +22,90 @@ std::uint64_t MemoryBytesCopiedTotal() {
   return g_bytes_copied.load(std::memory_order_relaxed);
 }
 
-void Memory::MarkDirty(std::uint64_t page_index) {
-  std::uint64_t& word = dirty_words_[page_index >> 6];
-  std::uint64_t bit = 1ull << (page_index & 63);
-  if ((word & bit) == 0) {
-    word |= bit;
+std::vector<Memory::DirEntry>::const_iterator Memory::LowerBound(
+    std::uint64_t key) const {
+  return std::lower_bound(
+      dir_.begin(), dir_.end(), key,
+      [](const DirEntry& e, std::uint64_t k) { return e.key < k; });
+}
+
+Memory::Leaf* Memory::FindLeaf(std::uint64_t key) const {
+  auto it = LowerBound(key);
+  return it == dir_.end() || it->key != key ? nullptr : it->leaf.get();
+}
+
+Memory::Leaf& Memory::LeafForWrite(std::uint64_t key) {
+  if (Leaf* leaf = FindLeaf(key)) return *leaf;
+  auto it =
+      dir_.insert(LowerBound(key), DirEntry{key, std::make_unique<Leaf>()});
+  return *it->leaf;
+}
+
+void Memory::DropEmptyLeaves() {
+  std::erase_if(dir_, [](const DirEntry& e) { return e.leaf->Empty(); });
+}
+
+std::set<std::uint64_t> Memory::CollectPages(std::uint64_t Leaf::*mask) const {
+  std::set<std::uint64_t> out;
+  for (const DirEntry& e : dir_) {
+    for (std::uint64_t bits = (*e.leaf).*mask; bits != 0; bits &= bits - 1) {
+      const auto slot = static_cast<unsigned>(std::countr_zero(bits));
+      out.emplace_hint(out.end(), (e.key << kLeafShift) | slot);
+    }
+  }
+  return out;
+}
+
+void Memory::MarkDirty(Leaf& leaf, std::uint64_t bit) {
+  if ((leaf.dirty & bit) == 0) {
+    leaf.dirty |= bit;
+    ++dirty_count_;
     dirty_cache_valid_ = false;
   }
 }
 
 const std::set<std::uint64_t>& Memory::dirty_pages() const {
   if (!dirty_cache_valid_) {
-    dirty_cache_.clear();
-    for (const auto& [word_index, word] : dirty_words_) {
-      std::uint64_t bits = word;
-      while (bits != 0) {
-        int bit = std::countr_zero(bits);
-        dirty_cache_.insert((word_index << 6) | static_cast<unsigned>(bit));
-        bits &= bits - 1;
-      }
-    }
+    dirty_cache_ = CollectPages(&Leaf::dirty);
     dirty_cache_valid_ = true;
   }
   return dirty_cache_;
 }
 
-std::size_t Memory::DirtyPageCount() const {
-  std::size_t n = 0;
-  for (const auto& [word_index, word] : dirty_words_) {
-    n += static_cast<std::size_t>(std::popcount(word));
-  }
-  return n;
+void Memory::ClearDirty() {
+  for (DirEntry& e : dir_) e.leaf->dirty = 0;
+  dirty_count_ = 0;
+  dirty_cache_.clear();
+  dirty_cache_valid_ = true;
+  DropEmptyLeaves();
 }
 
 Memory::Page& Memory::PageForWrite(std::uint64_t page_index) {
-  if (!missing_.empty() && missing_.count(page_index) != 0) {
-    throw PageFault{page_index};
-  }
-  MarkDirty(page_index);
-  auto it = pages_.find(page_index);
-  if (it == pages_.end()) {
-    it = pages_.emplace(page_index, std::make_shared<Page>(kPageSize, 0))
-             .first;
-  } else if (it->second.use_count() > 1) {
+  Leaf& leaf = LeafForWrite(page_index >> kLeafShift);
+  const std::uint64_t bit = SlotBit(page_index);
+  if ((leaf.missing & bit) != 0) throw PageFault{page_index};
+  MarkDirty(leaf, bit);
+  std::shared_ptr<Page>& page = leaf.pages[Slot(page_index)];
+  if (page == nullptr) {
+    page = std::make_shared<Page>(kPageSize, 0);
+    leaf.resident |= bit;
+    ++resident_count_;
+  } else if (page.use_count() > 1) {
     // The page is shared with at least one snapshot or image: copy
     // before the write so the other holders' view stays frozen (COW
     // fault).
-    it->second = std::make_shared<Page>(*it->second);
+    page = std::make_shared<Page>(*page);
     ++cow_faults_;
     CountCopy();
   }
-  return *it->second;
+  return *page;
 }
 
 const Memory::Page* Memory::PageForRead(std::uint64_t page_index) const {
-  if (!missing_.empty() && missing_.count(page_index) != 0) {
-    throw PageFault{page_index};
-  }
-  auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : it->second.get();
+  const Leaf* leaf = FindLeaf(page_index >> kLeafShift);
+  if (leaf == nullptr) return nullptr;
+  if ((leaf->missing & SlotBit(page_index)) != 0) throw PageFault{page_index};
+  return leaf->pages[Slot(page_index)].get();
 }
 
 void Memory::WriteBytes(std::uint64_t addr, cruz::ByteSpan data) {
@@ -120,17 +145,32 @@ cruz::Bytes Memory::ReadBytes(std::uint64_t addr, std::size_t n) const {
   return out;
 }
 
+// A word inside one page is copied with a fixed-size memcpy (one load or
+// store) instead of going through the byte loop.
 void Memory::WriteU64(std::uint64_t addr, std::uint64_t v) {
   std::uint8_t buf[8];
   for (int i = 0; i < 8; ++i) {
     buf[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-  WriteBytes(addr, cruz::ByteSpan(buf, 8));
+  const std::size_t offset = static_cast<std::size_t>(addr & (kPageSize - 1));
+  if (offset <= kPageSize - sizeof buf) {
+    std::memcpy(PageForWrite(addr >> kPageShift).data() + offset, buf,
+                sizeof buf);
+  } else {
+    WriteBytes(addr, cruz::ByteSpan(buf, sizeof buf));
+  }
 }
 
 std::uint64_t Memory::ReadU64(std::uint64_t addr) const {
   std::uint8_t buf[8];
-  ReadBytes(addr, buf, 8);
+  const std::size_t offset = static_cast<std::size_t>(addr & (kPageSize - 1));
+  if (offset <= kPageSize - sizeof buf) {
+    const Page* page = PageForRead(addr >> kPageShift);
+    if (page == nullptr) return 0;
+    std::memcpy(buf, page->data() + offset, sizeof buf);
+  } else {
+    ReadBytes(addr, buf, sizeof buf);
+  }
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) {
     v = (v << 8) | buf[i];
@@ -152,10 +192,10 @@ double Memory::ReadF64(std::uint64_t addr) const {
 }
 
 void Memory::FaultOnMissing(std::uint64_t addr, std::size_t n) const {
-  if (missing_.empty() || n == 0) return;
-  auto it = missing_.lower_bound(addr >> kPageShift);
-  if (it != missing_.end() && *it <= (addr + n - 1) >> kPageShift) {
-    throw PageFault{*it};
+  if (missing_count_ == 0 || n == 0) return;
+  const std::uint64_t last = (addr + n - 1) >> kPageShift;
+  for (std::uint64_t page = addr >> kPageShift; page <= last; ++page) {
+    if (IsMissing(page)) throw PageFault{page};
   }
 }
 
@@ -183,12 +223,21 @@ void Memory::WriteF64s(std::uint64_t addr, std::span<const double> values) {
   }
 }
 
+void Memory::Install(std::uint64_t page_index, std::shared_ptr<Page> page) {
+  Leaf& leaf = LeafForWrite(page_index >> kLeafShift);
+  const std::uint64_t bit = SlotBit(page_index);
+  if ((leaf.resident & bit) == 0) {
+    leaf.resident |= bit;
+    ++resident_count_;
+  }
+  leaf.pages[Slot(page_index)] = std::move(page);
+  MarkDirty(leaf, bit);
+}
+
 void Memory::InstallPage(std::uint64_t page_index, cruz::ByteSpan content) {
   CRUZ_CHECK(content.size() == kPageSize, "InstallPage: wrong size");
-  pages_[page_index] =
-      std::make_shared<Page>(content.begin(), content.end());
+  Install(page_index, std::make_shared<Page>(content.begin(), content.end()));
   CountCopy();
-  MarkDirty(page_index);
 }
 
 void Memory::AdoptPage(std::uint64_t page_index, SharedPage page) {
@@ -196,36 +245,65 @@ void Memory::AdoptPage(std::uint64_t page_index, SharedPage page) {
              "AdoptPage: wrong size");
   // Pages are allocated mutable (see SharedPage); PageForWrite writes in
   // place only when this Memory is the page's sole holder.
-  pages_[page_index] = std::const_pointer_cast<Page>(std::move(page));
-  MarkDirty(page_index);
+  Install(page_index, std::const_pointer_cast<Page>(std::move(page)));
+}
+
+void Memory::Clear() {
+  for (DirEntry& e : dir_) {
+    e.leaf->pages.fill(nullptr);
+    e.leaf->resident = 0;
+    e.leaf->missing = 0;
+  }
+  resident_count_ = 0;
+  missing_count_ = 0;
+  DropEmptyLeaves();
 }
 
 void Memory::MarkMissing(std::uint64_t page_index) {
-  CRUZ_CHECK(pages_.find(page_index) == pages_.end(),
-             "MarkMissing: page is resident");
-  missing_.insert(page_index);
+  Leaf& leaf = LeafForWrite(page_index >> kLeafShift);
+  const std::uint64_t bit = SlotBit(page_index);
+  CRUZ_CHECK((leaf.resident & bit) == 0, "MarkMissing: page is resident");
+  if ((leaf.missing & bit) == 0) {
+    leaf.missing |= bit;
+    ++missing_count_;
+  }
 }
 
 bool Memory::FillPage(std::uint64_t page_index, cruz::ByteSpan content) {
-  if (missing_.erase(page_index) == 0) return false;
+  Leaf* leaf = FindLeaf(page_index >> kLeafShift);
+  const std::uint64_t bit = SlotBit(page_index);
+  if (leaf == nullptr || (leaf->missing & bit) == 0) return false;
+  leaf->missing &= ~bit;
+  --missing_count_;
   InstallPage(page_index, content);
   return true;
 }
 
 void Memory::DropZeroPages() {
-  for (auto it = pages_.begin(); it != pages_.end();) {
-    bool all_zero =
-        std::all_of(it->second->begin(), it->second->end(),
-                    [](std::uint8_t b) { return b == 0; });
-    it = all_zero ? pages_.erase(it) : std::next(it);
+  for (DirEntry& e : dir_) {
+    for (std::uint64_t bits = e.leaf->resident; bits != 0; bits &= bits - 1) {
+      const unsigned slot = static_cast<unsigned>(std::countr_zero(bits));
+      std::shared_ptr<Page>& page = e.leaf->pages[slot];
+      if (std::all_of(page->begin(), page->end(),
+                      [](std::uint8_t b) { return b == 0; })) {
+        page.reset();
+        e.leaf->resident &= ~(std::uint64_t{1} << slot);
+        --resident_count_;
+      }
+    }
   }
+  DropEmptyLeaves();
 }
 
 MemorySnapshot Memory::Snapshot() const {
-  CRUZ_CHECK(missing_.empty(), "Snapshot: demand paging in progress");
-  MemorySnapshot::PageMap shared;
-  for (const auto& [index, page] : pages_) {
-    shared.emplace(index, page);
+  CRUZ_CHECK(missing_count_ == 0, "Snapshot: demand paging in progress");
+  MemorySnapshot::PageList shared;
+  shared.reserve(resident_count_);
+  for (const DirEntry& e : dir_) {
+    for (std::uint64_t bits = e.leaf->resident; bits != 0; bits &= bits - 1) {
+      const unsigned slot = static_cast<unsigned>(std::countr_zero(bits));
+      shared.emplace_back((e.key << kLeafShift) | slot, e.leaf->pages[slot]);
+    }
   }
   return MemorySnapshot(std::move(shared));
 }

@@ -86,13 +86,6 @@ SysResult TcpConnection::Send(std::size_t len, SendBuffer::Source read) {
   return static_cast<SysResult>(accepted);
 }
 
-SysResult TcpConnection::Receive(cruz::Bytes& out, std::size_t max,
-                                 bool peek) {
-  return Receive(max, peek, [&out](cruz::ByteSpan bytes) {
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  });
-}
-
 SysResult TcpConnection::Receive(std::size_t max, bool peek,
                                  RecvBuffer::Sink deliver) {
   if (!recv_) {

@@ -71,11 +71,10 @@ class TcpConnection {
   // The same for `len` bytes that `read` copies straight into the send
   // buffer (Linux's send(fd, user_addr, len)).
   SysResult Send(std::size_t len, SendBuffer::Source read);
-  // Reads up to `max` bytes into `out`. Returns bytes read; 0 means EOF
-  // (remote closed and drained); -EAGAIN when no data yet.
-  SysResult Receive(cruz::Bytes& out, std::size_t max, bool peek = false);
-  // The same, handing the bytes to `deliver`, which copies them out of
-  // the receive buffer (Linux's recv(fd, user_addr, len)).
+  // Reads up to `max` bytes, handing them to `deliver`, which copies them
+  // out of the receive buffer (Linux's recv(fd, user_addr, len)). Returns
+  // bytes read; 0 means EOF (remote closed and drained); -EAGAIN when no
+  // data yet.
   SysResult Receive(std::size_t max, bool peek, RecvBuffer::Sink deliver);
 
   std::size_t ReadableBytes() const {

@@ -213,7 +213,9 @@ cruz::Bytes PageWithRuns(Rng& rng, std::size_t runs) {
 TEST(PageCodec, RunCountingMatchesFullTokenBuild) {
   Rng rng(1515);
   std::vector<cruz::Bytes> pages;
-  pages.emplace_back(os::kPageSize, 0);  // all zero: one page-long run
+  for (std::uint8_t value : {0x00, 0x80, 0xFF}) {  // constant: one run
+    pages.emplace_back(os::kPageSize, value);
+  }
   for (int trial = 0; trial < 8; ++trial) {  // random: incompressible
     cruz::Bytes page(os::kPageSize);
     for (auto& b : page) b = static_cast<std::uint8_t>(rng.NextBelow(256));
@@ -226,11 +228,34 @@ TEST(PageCodec, RunCountingMatchesFullTokenBuild) {
     }
     pages.push_back(page);
   }
+  // The run counter sums the transitions of each 8-byte word: pages with
+  // a transition at every offset within a word, at word edges only, and
+  // between bytes that differ only in their top or bottom bit pin that
+  // sum.
+  for (std::uint8_t flip : {0x01, 0x80, 0x81}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      cruz::Bytes page(os::kPageSize, 0x40);
+      for (std::size_t i = offset; i < page.size(); i += 8) page[i] ^= flip;
+      pages.push_back(page);
+    }
+    cruz::Bytes alternating(os::kPageSize), edges(os::kPageSize);
+    for (std::size_t i = 0; i < os::kPageSize; ++i) {
+      alternating[i] = static_cast<std::uint8_t>(i % 2 ? flip : 0);
+      edges[i] = static_cast<std::uint8_t>((i / 8) % 2 ? flip : 0);
+    }
+    pages.push_back(alternating);
+    pages.push_back(edges);
+  }
   for (int trial = 0; trial < 64; ++trial) {  // run counts near the cut
     pages.push_back(PageWithRuns(rng, 1300 + rng.NextBelow(130)));
   }
+  for (int trial = 0; trial < 16; ++trial) {  // sparse
+    pages.push_back(PageWithRuns(rng, 1 + rng.NextBelow(64)));
+  }
   for (const cruz::Bytes& page : pages) {
     EXPECT_EQ(EncodePage(page, PageCodec::kRle), ReferenceEncodeRle(page));
+    EXPECT_EQ(EncodedPageSize(page, PageCodec::kRle),
+              ReferenceEncodeRle(page).size());
     EXPECT_EQ(DecodePage(EncodePage(page, PageCodec::kRle)), page);
   }
 }

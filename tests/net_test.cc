@@ -139,12 +139,12 @@ TEST(Packet, Ipv4RoundTrip) {
   p.payload = Bytes(100, 0x5A);
   Bytes wire = p.Encode();
   EXPECT_EQ(wire.size(), kIpv4HeaderSize + 100);
-  Ipv4Packet q = Ipv4Packet::Decode(wire);
+  Ipv4View q = Ipv4View::Parse(wire);
   EXPECT_EQ(q.src, p.src);
   EXPECT_EQ(q.dst, p.dst);
   EXPECT_EQ(q.proto, p.proto);
   EXPECT_EQ(q.ttl, p.ttl);
-  EXPECT_EQ(q.payload, p.payload);
+  EXPECT_EQ(Bytes(q.payload.begin(), q.payload.end()), p.payload);
 }
 
 TEST(Packet, Ipv4ChecksumDetectsCorruption) {
@@ -154,12 +154,12 @@ TEST(Packet, Ipv4ChecksumDetectsCorruption) {
   p.payload = {1, 2, 3};
   Bytes wire = p.Encode();
   wire[16] ^= 0xFF;  // corrupt a src-address byte
-  EXPECT_THROW(Ipv4Packet::Decode(wire), cruz::CodecError);
+  EXPECT_THROW(Ipv4View::Parse(wire), cruz::CodecError);
 }
 
 TEST(Packet, Ipv4TruncatedThrows) {
   Bytes wire(10, 0);
-  EXPECT_THROW(Ipv4Packet::Decode(wire), cruz::CodecError);
+  EXPECT_THROW(Ipv4View::Parse(wire), cruz::CodecError);
 }
 
 TEST(Packet, UdpRoundTrip) {
@@ -303,6 +303,50 @@ TEST(Switch, DetachPurgesLearnedMacs) {
   t.a.Transmit(f.Encode());
   t.sim.Run();
   EXPECT_EQ(c_rx.size(), 1u);
+}
+
+// A pod MAC that moves to another port (live migration) is relearned from
+// its first frame there; frames to it then follow the new port only.
+TEST(Switch, MigratedMacIsRelearnedOnItsFirstFrame) {
+  TwoNics t;
+  Nic c{t.sim, MacAddress::FromId(3), "nicC"};
+  std::vector<EthernetFrame> c_rx;
+  c.set_receive_handler(
+      [&](ByteSpan w) { c_rx.push_back(EthernetFrame::Decode(w)); });
+  t.sw.AttachNic(&c);
+  const MacAddress pod = MacAddress::FromId(0xB0D);
+  auto frame = [&t](MacAddress dst, MacAddress src) {
+    EthernetFrame f = t.MakeFrame(dst, src, ArpPacket{}.Encode());
+    f.ether_type = EtherType::kArp;
+    return f.Encode();
+  };
+
+  // The pod lives behind B: its first frame teaches the switch its port.
+  t.b.AddMacFilter(pod);
+  t.a.Transmit(frame(pod, t.a.primary_mac()));  // unknown: floods
+  t.b.Transmit(frame(t.a.primary_mac(), pod));
+  t.sim.Run();
+  const std::uint64_t flooded = t.sw.flooded_frames();
+  t.a.Transmit(frame(pod, t.a.primary_mac()));
+  t.sim.Run();
+  EXPECT_EQ(t.b_rx.size(), 2u);
+  EXPECT_TRUE(c_rx.empty());
+
+  // The pod migrates to C and speaks once; frames to it follow it to C.
+  t.b.RemoveMacFilter(pod);
+  c.AddMacFilter(pod);
+  t.b_rx.clear();
+  const std::uint64_t b_filtered = t.b.filtered_frames();
+  c.Transmit(frame(t.a.primary_mac(), pod));
+  t.sim.Run();
+  const std::uint64_t forwarded = t.sw.forwarded_frames();
+  for (int i = 0; i < 3; ++i) t.a.Transmit(frame(pod, t.a.primary_mac()));
+  t.sim.Run();
+  EXPECT_EQ(c_rx.size(), 3u);
+  EXPECT_TRUE(t.b_rx.empty());
+  EXPECT_EQ(t.b.filtered_frames(), b_filtered);  // nothing reached B
+  EXPECT_EQ(t.sw.forwarded_frames(), forwarded + 3);
+  EXPECT_EQ(t.sw.flooded_frames(), flooded);
 }
 
 TEST(Switch, LossDropsFrames) {

@@ -195,7 +195,7 @@ TEST(NetStack, SynToClosedPortGetsRst) {
     try {
       auto frame = net::EthernetFrame::Decode(wire);
       if (frame.ether_type != net::EtherType::kIpv4) return;
-      auto ip = net::Ipv4Packet::Decode(frame.payload);
+      net::Ipv4View ip = net::Ipv4View::Parse(frame.payload);
       if (ip.proto != net::IpProto::kTcp) return;
       auto seg = tcp::TcpSegment::Decode(ip.payload);
       if (seg.rst && ip.src == p.b.ip()) {

@@ -2,8 +2,13 @@
 // SysV IPC, sockets through the full network stack, DHCP, and netfilter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -843,6 +848,337 @@ TEST(OsMemory, F64SpanOnMissingPageFaultsBeforeWriting) {
     FAIL() << "read of a missing page did not fault";
   } catch (const PageFault& f) {
     EXPECT_EQ(f.page_index, 7u);
+  }
+}
+
+// --- page table vs a reference model -------------------------------------
+
+// os::Memory rebuilt from plain maps and sets. Every page version gets a
+// number, and `held` counts the versions snapshots and images hold, so
+// whether a write copies (a COW fault) is explicit.
+struct MemoryModel {
+  struct Entry {
+    Bytes bytes;
+    std::uint64_t version = 0;
+  };
+  std::map<std::uint64_t, Entry> pages;
+  std::set<std::uint64_t> dirty, missing;
+  std::multiset<std::uint64_t> held;
+  std::uint64_t cow_faults = 0;
+  std::uint64_t next_version = 1;
+
+  // The page a typed span faults on before moving any byte.
+  std::optional<std::uint64_t> SpanFault(std::uint64_t addr,
+                                         std::size_t n) const {
+    auto it = missing.lower_bound(addr >> kPageShift);
+    if (n != 0 && it != missing.end() &&
+        *it <= (addr + n - 1) >> kPageShift) {
+      return *it;
+    }
+    return std::nullopt;
+  }
+  // WriteBytes: page by page, so the pages before a missing one are
+  // written (and dirtied) before it faults.
+  std::optional<std::uint64_t> Write(std::uint64_t addr, const Bytes& data) {
+    for (std::size_t done = 0; done < data.size();) {
+      const std::uint64_t a = addr + done;
+      const std::uint64_t page = a >> kPageShift;
+      const std::size_t offset = a & (kPageSize - 1);
+      const std::size_t n = std::min(data.size() - done, kPageSize - offset);
+      if (missing.count(page) != 0) return page;
+      dirty.insert(page);
+      auto it = pages.find(page);
+      if (it == pages.end()) {
+        it = pages.emplace(page, Entry{Bytes(kPageSize, 0), next_version++})
+                 .first;
+      } else if (held.count(it->second.version) != 0) {
+        ++cow_faults;
+        it->second.version = next_version++;
+      }
+      std::copy(data.begin() + done, data.begin() + done + n,
+                it->second.bytes.begin() + offset);
+      done += n;
+    }
+    return std::nullopt;
+  }
+  std::optional<std::uint64_t> Read(std::uint64_t addr, std::size_t n,
+                                    Bytes& out) const {
+    out.assign(n, 0);
+    for (std::size_t done = 0; done < n;) {
+      const std::uint64_t a = addr + done;
+      const std::uint64_t page = a >> kPageShift;
+      const std::size_t offset = a & (kPageSize - 1);
+      const std::size_t take = std::min(n - done, kPageSize - offset);
+      if (missing.count(page) != 0) return page;
+      auto it = pages.find(page);
+      if (it != pages.end()) {
+        std::copy(it->second.bytes.begin() + offset,
+                  it->second.bytes.begin() + offset + take,
+                  out.begin() + done);
+      }
+      done += take;
+    }
+    return std::nullopt;
+  }
+  std::uint64_t Install(std::uint64_t page, const Bytes& content) {
+    pages[page] = Entry{content, next_version};
+    dirty.insert(page);
+    return next_version++;
+  }
+};
+
+// Runs `op` and returns the page it faulted on, if any.
+template <typename Op>
+std::optional<std::uint64_t> FaultOf(Op&& op) {
+  try {
+    op();
+  } catch (const PageFault& f) {
+    return f.page_index;
+  }
+  return std::nullopt;
+}
+
+// Seeded random operation sequences against MemoryModel: every access
+// form (bytes, words, spans across page edges), installs, adoptions kept
+// and released, snapshots then writes, zero-page drops, demand paging and
+// both clears, over pages clustered inside leaves, on leaf edges and far
+// apart. Bytes, page order, counts, dirty and missing bits, COW faults,
+// fault pages and the snapshots' and images' bytes must all agree.
+TEST(OsMemory, PageTableMatchesReferenceModel) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Memory m;
+    MemoryModel model;
+    struct HeldSnapshot {
+      MemorySnapshot snap;
+      std::map<std::uint64_t, Bytes> bytes;
+      std::vector<std::uint64_t> versions;
+    };
+    struct HeldImage {
+      SharedPage page;
+      Bytes bytes;
+      std::uint64_t version;
+    };
+    std::vector<HeldSnapshot> snapshots;
+    std::vector<HeldImage> images;
+
+    auto pick_page = [&rng]() -> std::uint64_t {
+      switch (rng.NextBelow(8)) {
+        case 0:
+        case 1:
+        case 2: return rng.NextBelow(200);  // leaves 0..3
+        case 3:
+        case 4: return 0x40000 + rng.NextBelow(130);
+        case 5:
+        case 6: return 64 * rng.NextBelow(4) + 62 + rng.NextBelow(4);
+        default: return rng.NextBelow(std::uint64_t{1} << 40);
+      }
+    };
+    auto random_bytes = [&rng](std::size_t n) {
+      // Zeros a third of the time, so DropZeroPages has pages to drop.
+      const bool zero = rng.NextBelow(3) == 0;
+      Bytes b(n, 0);
+      if (!zero) {
+        for (auto& x : b) {
+          x = static_cast<std::uint8_t>(1 + rng.NextBelow(255));
+        }
+      }
+      return b;
+    };
+    auto check_contents = [&] {
+      std::vector<std::uint64_t> order;
+      for (const auto& [index, page] : m.pages()) {
+        order.push_back(index);
+        auto it = model.pages.find(index);
+        ASSERT_NE(it, model.pages.end()) << "page " << index;
+        EXPECT_EQ(*page, it->second.bytes) << "page " << index;
+      }
+      std::vector<std::uint64_t> want;
+      for (const auto& [index, entry] : model.pages) want.push_back(index);
+      EXPECT_EQ(order, want);
+      EXPECT_EQ(m.dirty_pages(), model.dirty);
+      EXPECT_EQ(m.missing_pages(), model.missing);
+      for (const HeldSnapshot& h : snapshots) {
+        std::map<std::uint64_t, Bytes> got;
+        for (const auto& [index, page] : h.snap.pages()) got[index] = *page;
+        EXPECT_EQ(got, h.bytes);
+      }
+      for (const HeldImage& h : images) EXPECT_EQ(*h.page, h.bytes);
+    };
+
+    for (int step = 0; step < 2500; ++step) {
+      const std::uint64_t page = pick_page();
+      const std::uint64_t addr = page * kPageSize + rng.NextBelow(kPageSize);
+      switch (rng.NextBelow(21)) {
+        case 0:
+        case 1: {  // bytes, up to three pages
+          Bytes data = random_bytes(1 + rng.NextBelow(2 * kPageSize + 64));
+          auto want = model.Write(addr, data);
+          EXPECT_EQ(FaultOf([&] { m.WriteBytes(addr, data); }), want);
+          break;
+        }
+        case 2: {
+          const std::uint64_t v = rng.NextU64();
+          Bytes data(8);
+          for (int i = 0; i < 8; ++i) {
+            data[i] = static_cast<std::uint8_t>(v >> (8 * i));
+          }
+          auto want = model.Write(addr, data);
+          EXPECT_EQ(FaultOf([&] { m.WriteU64(addr, v); }), want);
+          break;
+        }
+        case 3:
+        case 4: {  // a row of doubles across a page edge
+          std::vector<double> row(1 + rng.NextBelow(1100));
+          for (double& d : row) d = rng.NextDouble();
+          const std::uint64_t at =
+              (page + 1) * kPageSize - 8 * rng.NextBelow(row.size() + 1);
+          Bytes data(row.size() * 8);
+          std::memcpy(data.data(), row.data(), data.size());
+          auto want = model.SpanFault(at, data.size());
+          if (!want) model.Write(at, data);
+          EXPECT_EQ(FaultOf([&] { m.WriteF64s(at, row); }), want);
+          break;
+        }
+        case 5:
+        case 6: {
+          Bytes want_bytes;
+          auto want =
+              model.Read(addr, 1 + rng.NextBelow(2 * kPageSize), want_bytes);
+          Bytes got(want_bytes.size());
+          EXPECT_EQ(
+              FaultOf([&] { m.ReadBytes(addr, got.data(), got.size()); }),
+              want);
+          if (!want) {
+            EXPECT_EQ(got, want_bytes);
+          }
+          break;
+        }
+        case 7: {
+          Bytes want_bytes;
+          auto want = model.Read(addr, 8, want_bytes);
+          std::uint64_t got = 0;
+          EXPECT_EQ(FaultOf([&] { got = m.ReadU64(addr); }), want);
+          std::uint64_t v = 0;
+          for (int i = 7; i >= 0; --i) v = (v << 8) | want_bytes[i];
+          if (!want) {
+            EXPECT_EQ(got, v);
+          }
+          break;
+        }
+        case 8: {
+          std::vector<double> row(1 + rng.NextBelow(1100));
+          const std::uint64_t at =
+              (page + 1) * kPageSize - 8 * rng.NextBelow(row.size() + 1);
+          auto want = model.SpanFault(at, row.size() * 8);
+          Bytes want_bytes;
+          if (!want) model.Read(at, row.size() * 8, want_bytes);
+          EXPECT_EQ(FaultOf([&] { m.ReadF64s(at, row); }), want);
+          if (!want) {
+            EXPECT_EQ(std::memcmp(row.data(), want_bytes.data(),
+                                  want_bytes.size()),
+                      0);
+          }
+          break;
+        }
+        case 9: {
+          Bytes content = random_bytes(kPageSize);
+          m.InstallPage(page, content);
+          model.Install(page, content);
+          break;
+        }
+        case 10: {  // adopt; the image keeps its handle half the time
+          Bytes content = random_bytes(kPageSize);
+          auto handle = std::make_shared<Page>(content);
+          const std::uint64_t version = model.Install(page, content);
+          m.AdoptPage(page, handle);
+          if (rng.NextBelow(2) == 0) {
+            model.held.insert(version);
+            images.push_back(HeldImage{std::move(handle), content, version});
+          }
+          break;
+        }
+        case 11:
+        case 12:
+          if (model.missing.empty()) {
+            HeldSnapshot h{m.Snapshot(), {}, {}};
+            for (const auto& [index, entry] : model.pages) {
+              h.bytes[index] = entry.bytes;
+              h.versions.push_back(entry.version);
+              model.held.insert(entry.version);
+            }
+            snapshots.push_back(std::move(h));
+          }
+          break;
+        case 13:  // drop the oldest snapshot or image
+          if (!snapshots.empty() && rng.NextBelow(2) == 0) {
+            for (std::uint64_t v : snapshots.front().versions) {
+              model.held.erase(model.held.find(v));
+            }
+            snapshots.erase(snapshots.begin());
+          } else if (!images.empty()) {
+            model.held.erase(model.held.find(images.front().version));
+            images.erase(images.begin());
+          }
+          break;
+        case 14:
+          m.DropZeroPages();
+          std::erase_if(model.pages, [](const auto& kv) {
+            return std::all_of(kv.second.bytes.begin(), kv.second.bytes.end(),
+                               [](std::uint8_t b) { return b == 0; });
+          });
+          break;
+        case 15:
+          if (model.pages.count(page) == 0) {
+            m.MarkMissing(page);
+            model.missing.insert(page);
+          }
+          break;
+        case 16:
+        case 17: {  // fill a missing page, or try to fill a random one
+          std::uint64_t target = page;
+          if (!model.missing.empty() && rng.NextBelow(4) != 0) {
+            auto it = model.missing.begin();
+            std::advance(it, rng.NextBelow(model.missing.size()));
+            target = *it;
+          }
+          Bytes content = random_bytes(kPageSize);
+          const bool want = model.missing.erase(target) != 0;
+          if (want) model.Install(target, content);
+          EXPECT_EQ(m.FillPage(target, content), want);
+          break;
+        }
+        case 18:
+          m.ClearDirty();
+          model.dirty.clear();
+          break;
+        case 19:
+          if (rng.NextBelow(4) == 0) {
+            m.Clear();
+            model.pages.clear();
+            model.missing.clear();
+          }
+          break;
+        default: {  // probes only
+          EXPECT_EQ(m.IsDirty(page), model.dirty.count(page) != 0);
+          EXPECT_EQ(m.IsMissing(page), model.missing.count(page) != 0);
+          break;
+        }
+      }
+      ASSERT_EQ(m.PageCount(), model.pages.size()) << "step " << step;
+      ASSERT_EQ(m.ResidentBytes(), model.pages.size() * kPageSize);
+      ASSERT_EQ(m.DirtyPageCount(), model.dirty.size()) << "step " << step;
+      ASSERT_EQ(m.HasMissingPages(), !model.missing.empty());
+      ASSERT_EQ(m.cow_faults(), model.cow_faults) << "step " << step;
+      EXPECT_EQ(m.IsDirty(page), model.dirty.count(page) != 0);
+      EXPECT_EQ(m.IsMissing(page), model.missing.count(page) != 0);
+      if (step % 50 == 0) {
+        check_contents();
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+    check_contents();
   }
 }
 

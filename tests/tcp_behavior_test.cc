@@ -12,6 +12,7 @@ namespace cruz::tcp {
 namespace {
 
 using testing::PatternBytes;
+using testing::ReceiveInto;
 using testing::TcpPair;
 
 // Drives an app-level pump until `total` bytes arrive at B; returns the
@@ -30,7 +31,7 @@ Bytes PumpTransfer(TcpPair& p, const Bytes& data,
           sent += static_cast<std::size_t>(r);
         }
         Bytes chunk;
-        while (p.b && p.b->Receive(chunk, 65536) > 0) {
+        while (p.b && ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -66,7 +67,7 @@ TEST(TcpBehavior, ZeroWindowProbeRecoversLostWindowUpdate) {
   // B->A traffic for a moment so the update is lost.
   p.SetCommDisabled(true, true);  // drop everything A receives
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 65536), 4096);
+  EXPECT_EQ(ReceiveInto(*p.b, out, 65536), 4096);
   p.sim.RunFor(100 * kMillisecond);
   p.SetCommDisabled(true, false);
   // Only the persist probe can discover the opened window now.
@@ -74,7 +75,7 @@ TEST(TcpBehavior, ZeroWindowProbeRecoversLostWindowUpdate) {
       [&] { return p.b->ReadableBytes() >= 2000; },
       p.sim.Now() + 300 * kSecond));
   Bytes out2;
-  EXPECT_EQ(p.b->Receive(out2, 65536), 2000);
+  EXPECT_EQ(ReceiveInto(*p.b, out2, 65536), 2000);
   EXPECT_EQ(out2, PatternBytes(2000, 7));
 }
 
@@ -135,7 +136,7 @@ TEST(TcpBehavior, WholeFlightDropRecoversViaGoBackN) {
   ASSERT_TRUE(p.sim.RunWhile(
       [&] {
         Bytes chunk;
-        while (p.b->Receive(chunk, 65536) > 0) {
+        while (ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -186,7 +187,7 @@ TEST(TcpBehavior, AckBeyondSndNxtWithinWrittenDataAccepted) {
           sent += static_cast<std::size_t>(r);
         }
         Bytes chunk;
-        while (p.b->Receive(chunk, 65536) > 0) {
+        while (ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -252,7 +253,7 @@ TEST(TcpBehavior, HalfCloseStillDeliversPeerData) {
       [&] { return p.a->ReadableBytes() >= msg.size(); },
       p.sim.Now() + 10 * kSecond));
   Bytes out;
-  EXPECT_EQ(p.a->Receive(out, 10000), static_cast<SysResult>(msg.size()));
+  EXPECT_EQ(ReceiveInto(*p.a, out, 10000), static_cast<SysResult>(msg.size()));
   EXPECT_EQ(out, msg);
 }
 

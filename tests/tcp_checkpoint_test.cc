@@ -15,6 +15,7 @@ namespace cruz::tcp {
 namespace {
 
 using testing::PatternBytes;
+using testing::ReceiveInto;
 using testing::TcpPair;
 
 TEST(TcpCheckpoint, SerializationRoundTrip) {
@@ -79,7 +80,7 @@ TEST(TcpCheckpoint, ExportIsNonDestructive) {
   EXPECT_EQ(ck.recv_pending, msg);
   // The live connection still delivers everything after the export.
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 10000), 5000);
+  EXPECT_EQ(ReceiveInto(*p.b, out, 10000), 5000);
   EXPECT_EQ(out, msg);
 }
 
@@ -163,7 +164,7 @@ TEST(TcpCheckpoint, OneSidedRestoreMidStream) {
   };
   auto drain_b = [&] {
     Bytes chunk;
-    while (p.b && p.b->Receive(chunk, 65536) > 0) {
+    while (p.b && ReceiveInto(*p.b, chunk, 65536) > 0) {
       received.insert(received.end(), chunk.begin(), chunk.end());
       chunk.clear();
     }
@@ -233,7 +234,7 @@ TEST(TcpCheckpoint, CoordinatedRestoreBothSides) {
   };
   auto drain_b = [&] {
     Bytes chunk;
-    while (p.b && p.b->Receive(chunk, 65536) > 0) {
+    while (p.b && ReceiveInto(*p.b, chunk, 65536) > 0) {
       received.insert(received.end(), chunk.begin(), chunk.end());
       chunk.clear();
     }
@@ -307,7 +308,7 @@ TEST(TcpCheckpoint, RestoreReissuesPendingFin) {
       [&] { return p.a->state() == TcpState::kCloseWait; },
       p.sim.Now() + 60 * kSecond));
   Bytes out;
-  EXPECT_EQ(p.a->Receive(out, 10), 0);  // EOF observed at the live peer
+  EXPECT_EQ(ReceiveInto(*p.a, out, 10), 0);  // EOF observed at the live peer
 }
 
 // Property test over random checkpoint instants: checkpoint B at an
@@ -340,7 +341,7 @@ TEST_P(CheckpointInstantProperty, StreamSurvivesRestore) {
   };
   auto drain_b = [&] {
     Bytes chunk;
-    while (p.b && p.b->Receive(chunk, 65536) > 0) {
+    while (p.b && ReceiveInto(*p.b, chunk, 65536) > 0) {
       received.insert(received.end(), chunk.begin(), chunk.end());
       chunk.clear();
     }

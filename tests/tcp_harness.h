@@ -127,4 +127,13 @@ inline cruz::Bytes PatternBytes(std::size_t n, std::uint64_t seed = 99) {
   return out;
 }
 
+// Reads up to `max` bytes from `conn` through its sink form of Receive,
+// appending them to `out` (what a test checks the stream against).
+inline SysResult ReceiveInto(TcpConnection& conn, cruz::Bytes& out,
+                             std::size_t max, bool peek = false) {
+  return conn.Receive(max, peek, [&out](cruz::ByteSpan bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+}
+
 }  // namespace cruz::tcp::testing

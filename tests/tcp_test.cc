@@ -14,6 +14,7 @@ namespace cruz::tcp {
 namespace {
 
 using testing::PatternBytes;
+using testing::ReceiveInto;
 using testing::TcpPair;
 
 // --- segment codec ----------------------------------------------------------
@@ -246,7 +247,7 @@ TEST(Connection, SmallMessageDelivered) {
   ASSERT_TRUE(p.sim.RunWhile([&] { return p.b->ReadableBytes() >= 100; },
                              p.sim.Now() + kSecond));
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 1000), 100);
+  EXPECT_EQ(ReceiveInto(*p.b, out, 1000), 100);
   EXPECT_EQ(out, msg);
 }
 
@@ -255,7 +256,7 @@ TEST(Connection, ReceiveBeforeDataReturnsEagain) {
   p.Connect();
   ASSERT_TRUE(p.RunUntilEstablished());
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 100), SysErr(CRUZ_EAGAIN));
+  EXPECT_EQ(ReceiveInto(*p.b, out, 100), SysErr(CRUZ_EAGAIN));
 }
 
 TEST(Connection, PeekLeavesDataReadable) {
@@ -266,8 +267,8 @@ TEST(Connection, PeekLeavesDataReadable) {
   ASSERT_TRUE(p.sim.RunWhile([&] { return p.b->ReadableBytes() >= 64; },
                              p.sim.Now() + kSecond));
   Bytes peeked, read;
-  EXPECT_EQ(p.b->Receive(peeked, 100, /*peek=*/true), 64);
-  EXPECT_EQ(p.b->Receive(read, 100), 64);
+  EXPECT_EQ(ReceiveInto(*p.b, peeked, 100, /*peek=*/true), 64);
+  EXPECT_EQ(ReceiveInto(*p.b, read, 100), 64);
   EXPECT_EQ(peeked, read);
 }
 
@@ -289,7 +290,7 @@ Bytes Transfer(TcpPair& p, std::size_t total, std::uint64_t seed = 99) {
       [&] {
         pump_send();
         Bytes chunk;
-        while (p.b && p.b->Receive(chunk, 65536) > 0) {
+        while (p.b && ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -343,8 +344,8 @@ TEST(Connection, BidirectionalTransfer) {
       },
       p.sim.Now() + 10 * kSecond));
   Bytes got_ab, got_ba;
-  p.b->Receive(got_ab, 20000);
-  p.a->Receive(got_ba, 20000);
+  ReceiveInto(*p.b, got_ab, 20000);
+  ReceiveInto(*p.a, got_ba, 20000);
   EXPECT_EQ(got_ab, msg_ab);
   EXPECT_EQ(got_ba, msg_ba);
 }
@@ -404,7 +405,7 @@ TEST(Connection, OrderlyCloseBothWays) {
       [&] { return p.b->state() == TcpState::kCloseWait; },
       p.sim.Now() + 10 * kSecond));
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 100), 0);  // EOF
+  EXPECT_EQ(ReceiveInto(*p.b, out, 100), 0);  // EOF
   p.b->Close();
   ASSERT_TRUE(p.sim.RunWhile(
       [&] { return p.b->state() == TcpState::kClosed; },
@@ -432,7 +433,7 @@ TEST(Connection, CloseFlushesQueuedDataFirst) {
   ASSERT_TRUE(p.sim.RunWhile(
       [&] {
         Bytes chunk;
-        while (p.b->Receive(chunk, 65536) > 0) {
+        while (ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -466,7 +467,7 @@ TEST(Connection, AbortDeliversReset) {
       p.sim.Now() + kSecond));
   EXPECT_EQ(p.b->pending_error(), CRUZ_ECONNRESET);
   Bytes out;
-  EXPECT_EQ(p.b->Receive(out, 10), SysErr(CRUZ_ECONNRESET));
+  EXPECT_EQ(ReceiveInto(*p.b, out, 10), SysErr(CRUZ_ECONNRESET));
   (void)b_err;
 }
 
@@ -494,7 +495,7 @@ TEST(Connection, SenderRespectsReceiverWindow) {
   ASSERT_TRUE(p.sim.RunWhile(
       [&] {
         Bytes chunk;
-        while (p.b->Receive(chunk, 65536) > 0) {
+        while (ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
@@ -532,7 +533,7 @@ TEST(Connection, RetransmissionRecoversDroppedBurst) {
   ASSERT_TRUE(p.sim.RunWhile(
       [&] {
         Bytes chunk;
-        while (p.b->Receive(chunk, 65536) > 0) {
+        while (ReceiveInto(*p.b, chunk, 65536) > 0) {
           received.insert(received.end(), chunk.begin(), chunk.end());
           chunk.clear();
         }
