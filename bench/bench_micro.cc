@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrates the experiments
 // sit on: checkpoint image codec, TCP connection machinery, sparse
 // memory, CRC32, the bystander cost of a flooded ARP, the event queue
-// under timer churn, and single-node capture/restore.
+// under timer churn, the trace ring, and single-node capture/restore.
 #include <benchmark/benchmark.h>
 
 #include "apps/programs.h"
@@ -10,6 +10,7 @@
 #include "cruz/cluster.h"
 #include "common/rng.h"
 #include "net/packet.h"
+#include "obs/trace.h"
 #include "os/node.h"
 #include "sim/event_queue.h"
 #include "tcp/connection.h"
@@ -175,6 +176,41 @@ void BM_MemoryRowAccess(benchmark::State& state) {
              benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MemoryRowAccess)->Arg(512);
+
+// One coord.msg.send-shaped instant (op, agent and three args, as a
+// control port records per datagram) into a full trace ring of the
+// default capacity, so each event reuses the oldest one's record. The
+// attributes are built once, outside the loop. `per_op` is host time per
+// recorded event.
+void BM_TraceInstantFullRing(benchmark::State& state) {
+  obs::Tracer tracer;
+  TimeNs now = 0;
+  tracer.SetClock([&now] { return now; });
+  std::vector<obs::TraceAttrs> sends;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    const std::string seq = std::to_string(1000 + i);
+    sends.push_back(obs::TraceAttrs{}
+                        .Op(7)
+                        .Agent("node" + std::to_string(i))
+                        .Arg("type", "checkpoint")
+                        .Arg("corr", "7:checkpoint:10.0.0.1:" + seq)
+                        .Arg("dst", "10.0.1." + std::to_string(i % 250)));
+  }
+  for (std::size_t i = 0; i <= tracer.capacity(); ++i) {
+    tracer.Instant("coord", "coord.msg.send", sends[i % sends.size()]);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    ++now;
+    tracer.Instant("coord", "coord.msg.send", sends[i]);
+    if (++i == sends.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(tracer.dropped());
+  state.counters["per_op"] = benchmark::Counter(
+      1, benchmark::Counter::kIsIterationInvariantRate |
+             benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TraceInstantFullRing);
 
 // The TCP segment codec as the stack runs it: Ethernet, IPv4 and TCP
 // headers plus the payload written into one reused frame buffer in one

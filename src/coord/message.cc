@@ -1,5 +1,6 @@
 #include "coord/message.h"
 
+#include <charconv>
 #include <string_view>
 
 #include "common/error.h"
@@ -37,8 +38,22 @@ const char* MsgTypeName(MsgType type) {
 }
 
 std::string CorrId(const CoordMessage& m, const std::string& sender) {
-  return std::to_string(m.op_id) + ":" + MsgTypeName(m.type) + ":" +
-         sender + ":" + std::to_string(m.corr_seq);
+  char op[20];
+  char* op_end = std::to_chars(op, op + sizeof op, m.op_id).ptr;
+  char seq[20];
+  char* seq_end = std::to_chars(seq, seq + sizeof seq, m.corr_seq).ptr;
+  std::string_view type = MsgTypeName(m.type);
+  std::string id;
+  id.reserve(static_cast<std::size_t>(op_end - op) + type.size() +
+             sender.size() + static_cast<std::size_t>(seq_end - seq) + 3);
+  id.append(op, op_end);
+  id += ':';
+  id += type;
+  id += ':';
+  id += sender;
+  id += ':';
+  id.append(seq, seq_end);
+  return id;
 }
 
 namespace {
@@ -210,9 +225,10 @@ void ControlPort::OnDatagram(net::Endpoint from,
   // finished op is still a real delivery, and the causal analyzer needs
   // its endpoint.
   obs::TraceAttrs attrs;
+  std::string src = from.ip.ToString();
   attrs.Op(m.op_id).Agent(node_.name()).Arg("type", MsgTypeName(m.type));
-  if (m.corr_seq != 0) attrs.Arg("corr", CorrId(m, from.ip.ToString()));
-  attrs.Arg("src", from.ip.ToString());
+  if (m.corr_seq != 0) attrs.Arg("corr", CorrId(m, src));
+  attrs.Arg("src", std::move(src));
   node_.os().sim().tracer().Instant(category_, category_ + ".msg.recv",
                                     std::move(attrs));
   handler_(from, m);

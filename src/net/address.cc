@@ -37,10 +37,17 @@ MacAddress MacAddress::Parse(const std::string& s) {
 }
 
 std::string Ipv4Address::ToString() const {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", (value >> 24) & 0xFF,
-                (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF);
-  return buf;
+  // The bytes of "%u.%u.%u.%u", written digit by digit.
+  char buf[15];
+  char* p = buf;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    unsigned octet = (value >> shift) & 0xFF;
+    if (octet >= 100) *p++ = static_cast<char>('0' + octet / 100);
+    if (octet >= 10) *p++ = static_cast<char>('0' + octet / 10 % 10);
+    *p++ = static_cast<char>('0' + octet % 10);
+    if (shift != 0) *p++ = '.';
+  }
+  return std::string(buf, p);
 }
 
 Ipv4Address Ipv4Address::Parse(const std::string& s) {

@@ -1,9 +1,9 @@
 #include "obs/trace.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <map>
+#include <cstring>
+#include <utility>
 
 namespace cruz::obs {
 
@@ -81,65 +81,242 @@ void AppendArgs(std::string& out, const TraceAttrs& a) {
   out += '}';
 }
 
+// Byte-area encoding: LEB128 varints for lengths and key ids.
+void PutVarint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out += static_cast<char>(v | 0x80);
+    v >>= 7;
+  }
+  out += static_cast<char>(v);
+}
+
+void PutBytes(std::string& out, std::string_view b) {
+  PutVarint(out, b.size());
+  out += b;
+}
+
+// Reads a byte area written by PutVarint/PutBytes.
+struct Cursor {
+  const char* p;
+  const char* end;
+
+  bool done() const { return p == end; }
+  std::uint64_t Varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      auto b = static_cast<unsigned char>(*p++);
+      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if (b < 0x80) return v;
+    }
+  }
+  std::string_view Bytes() {
+    std::size_t n = Varint();
+    std::string_view b(p, n);
+    p += n;
+    return b;
+  }
+};
+
 }  // namespace
 
-SpanId Tracer::BeginSpan(std::string category, std::string name,
-                         TraceAttrs attrs) {
-  if (!enabled_) return kInvalidSpanId;
-  SpanId id = next_span_id_++;
-  open_[id] = OpenSpan{NowNs(), std::move(category), std::move(name),
-                       std::move(attrs)};
+void Tracer::Record::SetBytes(std::string_view b) {
+  len = static_cast<std::uint32_t>(b.size());
+  char* dst = inline_bytes;
+  if (b.size() > kInlineBytes) {
+    if (b.size() > overflow_cap) {
+      // Rounded up so a slot reused by a slightly longer event keeps
+      // its buffer.
+      overflow_cap = static_cast<std::uint32_t>((b.size() + 63) & ~63u);
+      overflow.reset(new char[overflow_cap]);
+    }
+    dst = overflow.get();
+  }
+  std::memcpy(dst, b.data(), b.size());
+}
+
+Tracer::NameId Tracer::Intern(std::string_view s) {
+  if (s.empty()) return 0;
+  auto it = ids_.find(s);
+  if (it != ids_.end()) return it->second;
+  auto id = static_cast<NameId>(names_.size());
+  names_.emplace_back(s);
+  ids_.emplace(names_.back(), id);
   return id;
 }
 
-void Tracer::EndSpan(SpanId id) { EndSpan(id, {}); }
+void Tracer::EncodeAttrs(const TraceAttrs& attrs) {
+  staging_.clear();
+  PutBytes(staging_, attrs.conn);
+  EncodeArgs(attrs.args);
+}
 
-void Tracer::EndSpan(
-    SpanId id, std::vector<std::pair<std::string, std::string>> extra_args) {
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  OpenSpan span = std::move(it->second);
-  open_.erase(it);
-  if (!enabled_) return;
-  TraceEvent event;
-  event.kind = EventKind::kSpan;
-  event.ts = span.begin;
-  event.dur = NowNs() - span.begin;
-  event.category = std::move(span.category);
-  event.name = std::move(span.name);
-  event.attrs = std::move(span.attrs);
-  for (auto& [key, value] : extra_args) {
-    event.attrs.args.emplace_back(std::move(key), std::move(value));
+void Tracer::EncodeArgs(
+    const std::vector<std::pair<std::string, std::string>>& args) {
+  for (const auto& [key, value] : args) {
+    PutVarint(staging_, Intern(key));
+    PutBytes(staging_, value);
   }
-  Push(std::move(event));
 }
 
-void Tracer::Instant(std::string category, std::string name,
-                     TraceAttrs attrs) {
-  if (!enabled_) return;
-  TraceEvent event;
-  event.kind = EventKind::kInstant;
-  event.ts = NowNs();
-  event.category = std::move(category);
-  event.name = std::move(name);
-  event.attrs = std::move(attrs);
-  Push(std::move(event));
-}
-
-void Tracer::Push(TraceEvent event) {
-  event.seq = next_seq_++;
-  events_.push_back(std::move(event));
-  while (events_.size() > capacity_) {
-    events_.pop_front();
+Tracer::Record* Tracer::Append() {
+  view_fresh_ = false;
+  ++next_seq_;
+  if (capacity_ == 0) {  // every event is dropped as it completes
+    dropped_ += size_ + 1;
+    head_ = size_ = 0;
+    return nullptr;
+  }
+  if (size_ == ring_.size() && size_ < capacity_) {
+    // Full chunks but room to grow: rotate the oldest event to slot 0
+    // (only after a capacity raise on a wrapped ring) and add a chunk.
+    auto swap_range = [&](std::size_t lo, std::size_t hi) {
+      while (lo + 1 < hi) std::swap(ring_[lo++], ring_[--hi]);
+    };
+    if (head_ != 0) {
+      swap_range(0, head_);
+      swap_range(head_, size_);
+      swap_range(0, size_);
+      head_ = 0;
+    }
+    ring_.Grow();
+  }
+  Record* slot;
+  if (size_ < ring_.size()) {
+    std::size_t p = head_ + size_;
+    slot = &ring_[p >= ring_.size() ? p - ring_.size() : p];
+    ++size_;
+  } else {  // full: the new event takes the oldest one's slot
+    slot = &ring_[head_];
+    if (++head_ == ring_.size()) head_ = 0;
     ++dropped_;
   }
+  while (size_ > capacity_) {  // after a capacity shrink
+    if (++head_ == ring_.size()) head_ = 0;
+    --size_;
+    ++dropped_;
+  }
+  return slot;
+}
+
+SpanId Tracer::BeginSpan(std::string_view category, std::string_view name,
+                         const TraceAttrs& attrs) {
+  if (!enabled_) return kInvalidSpanId;
+  if (free_open_.empty()) {
+    std::size_t first = open_.size();
+    open_.Grow();
+    open_ids_.resize(open_.size(), kInvalidSpanId);
+    for (std::size_t i = open_.size(); i-- > first;) {
+      free_open_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::uint32_t index = free_open_.back();
+  free_open_.pop_back();
+  SpanId id = next_span_serial_++ << 32 | index;
+  open_ids_[index] = id;
+  Record& r = open_[index];
+  r.kind = EventKind::kSpan;
+  r.ts = NowNs();
+  r.category = Intern(category);
+  r.name = Intern(name);
+  r.op = attrs.op;
+  r.phase = Intern(attrs.phase);
+  r.agent = Intern(attrs.agent);
+  r.pod = attrs.pod;
+  EncodeAttrs(attrs);
+  r.SetBytes(staging_);
+  return id;
+}
+
+void Tracer::EndSpan(
+    SpanId id,
+    const std::vector<std::pair<std::string, std::string>>& extra_args) {
+  auto index = static_cast<std::uint32_t>(id);
+  if (id == kInvalidSpanId || index >= open_ids_.size() ||
+      open_ids_[index] != id) {
+    return;
+  }
+  open_ids_[index] = kInvalidSpanId;
+  free_open_.push_back(index);
+  if (!enabled_) return;
+  const Record& span = open_[index];
+  std::string_view bytes = span.bytes();
+  if (!extra_args.empty()) {
+    staging_.assign(bytes);
+    EncodeArgs(extra_args);
+    bytes = staging_;
+  }
+  Record* r = Append();
+  if (r == nullptr) return;
+  r->kind = EventKind::kSpan;
+  r->ts = span.ts;
+  r->dur = NowNs() - span.ts;
+  r->category = span.category;
+  r->name = span.name;
+  r->op = span.op;
+  r->phase = span.phase;
+  r->agent = span.agent;
+  r->pod = span.pod;
+  r->SetBytes(bytes);
+}
+
+void Tracer::Instant(std::string_view category, std::string_view name,
+                     const TraceAttrs& attrs) {
+  if (!enabled_) return;
+  Record* r = Append();
+  if (r == nullptr) return;
+  r->kind = EventKind::kInstant;
+  r->ts = NowNs();
+  r->dur = 0;
+  r->category = Intern(category);
+  r->name = Intern(name);
+  r->op = attrs.op;
+  r->phase = Intern(attrs.phase);
+  r->agent = Intern(attrs.agent);
+  r->pod = attrs.pod;
+  EncodeAttrs(attrs);
+  r->SetBytes(staging_);
 }
 
 void Tracer::Clear() {
-  events_.clear();
-  open_.clear();
+  view_fresh_ = false;
+  std::deque<TraceEvent>().swap(view_);
+  head_ = size_ = 0;
   dropped_ = 0;
   next_seq_ = 0;
+  free_open_.clear();
+  for (std::size_t i = open_ids_.size(); i-- > 0;) {
+    open_ids_[i] = kInvalidSpanId;
+    free_open_.push_back(static_cast<std::uint32_t>(i));
+  }
+}
+
+const std::deque<TraceEvent>& Tracer::events() const {
+  if (!view_fresh_) {
+    view_.clear();
+    for (std::size_t i = 0; i < size_; ++i) {
+      const Record& r = At(i);
+      std::string_view b = r.bytes();
+      Cursor c{b.data(), b.data() + b.size()};
+      TraceEvent& e = view_.emplace_back();
+      e.kind = r.kind;
+      e.ts = r.ts;
+      e.dur = r.dur;
+      e.seq = next_seq_ - size_ + i;
+      e.category = Name(r.category);
+      e.name = Name(r.name);
+      e.attrs.op = r.op;
+      e.attrs.phase = Name(r.phase);
+      e.attrs.agent = Name(r.agent);
+      e.attrs.pod = r.pod;
+      e.attrs.conn = c.Bytes();
+      while (!c.done()) {
+        std::string_view key = Name(static_cast<NameId>(c.Varint()));
+        e.attrs.args.emplace_back(key, c.Bytes());
+      }
+    }
+    view_fresh_ = true;
+  }
+  return view_;
 }
 
 std::string Tracer::ExportChromeJson() const {
@@ -157,7 +334,7 @@ std::string Tracer::ExportChromeJson() const {
 
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events()) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"ph\":\"";
@@ -216,7 +393,7 @@ void AppendJsonlEvent(std::string& out, const TraceEvent& e) {
 
 std::string Tracer::ExportJsonl() const {
   std::string out;
-  for (const TraceEvent& e : events_) {
+  for (const TraceEvent& e : events()) {
     AppendJsonlEvent(out, e);
     out += '\n';
   }

@@ -279,22 +279,6 @@ bool Memory::FillPage(std::uint64_t page_index, cruz::ByteSpan content) {
   return true;
 }
 
-void Memory::DropZeroPages() {
-  for (DirEntry& e : dir_) {
-    for (std::uint64_t bits = e.leaf->resident; bits != 0; bits &= bits - 1) {
-      const unsigned slot = static_cast<unsigned>(std::countr_zero(bits));
-      std::shared_ptr<Page>& page = e.leaf->pages[slot];
-      if (std::all_of(page->begin(), page->end(),
-                      [](std::uint8_t b) { return b == 0; })) {
-        page.reset();
-        e.leaf->resident &= ~(std::uint64_t{1} << slot);
-        --resident_count_;
-      }
-    }
-  }
-  DropEmptyLeaves();
-}
-
 MemorySnapshot Memory::Snapshot() const {
   CRUZ_CHECK(missing_count_ == 0, "Snapshot: demand paging in progress");
   MemorySnapshot::PageList shared;

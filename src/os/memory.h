@@ -222,10 +222,6 @@ class Memory {
   // Drops every resident and missing page; dirty bits stay.
   void Clear();
 
-  // Drops pages that are entirely zero (used to keep checkpoints small).
-  // Their dirty bits stay.
-  void DropZeroPages();
-
   // --- demand paging (post-copy migration) ---------------------------------
   // Declares a page as known-but-not-resident: its content exists on the
   // migration source and any touch before FillPage() raises a PageFault.

@@ -1,7 +1,9 @@
 // Unit tests for addresses, packet codecs, NIC filtering, and the switch.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,24 @@ TEST(Address, Ipv4FormatParseRoundTrip) {
   Ipv4Address a = Ipv4Address::FromOctets(10, 0, 1, 42);
   EXPECT_EQ(a.ToString(), "10.0.1.42");
   EXPECT_EQ(Ipv4Address::Parse("10.0.1.42"), a);
+}
+
+// ToString writes its digits by hand; it must match the printf
+// rendering byte for byte, including the one- and three-digit edges.
+TEST(Address, Ipv4ToStringMatchesSnprintf) {
+  auto expected = [](std::uint32_t v) {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%u.%u.%u.%u", (v >> 24) & 0xFF,
+                  (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF);
+    return std::string(buf);
+  };
+  std::vector<std::uint32_t> values = {
+      0, 0xFFFFFFFFu, Ipv4Address::FromOctets(10, 0, 1, 7).value};
+  std::mt19937 rng(7);
+  for (int i = 0; i < 1000; ++i) values.push_back(rng());
+  for (std::uint32_t v : values) {
+    EXPECT_EQ(Ipv4Address{v}.ToString(), expected(v)) << v;
+  }
 }
 
 TEST(Address, Ipv4ParseRejectsGarbage) {

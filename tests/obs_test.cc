@@ -3,6 +3,12 @@
 // and TraceQuery (filtering, ordering, window counts).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <deque>
+#include <random>
+#include <unordered_map>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_query.h"
@@ -252,6 +258,390 @@ TEST(Tracer, ExportsEscapeControlAndQuoteCharacters) {
   EXPECT_NE(jsonl.find("a\\\"b\\\\c\\nd\\te\\u0001"), std::string::npos);
   // The raw control byte must not leak into the output.
   EXPECT_EQ(jsonl.find('\x01'), std::string::npos);
+}
+
+// The deque-of-TraceEvent tracer the record ring replaced, kept as the
+// reference model for the differential test below: every event a whole
+// TraceEvent in a std::deque, open spans in a hash map of strings.
+class ReferenceTracer {
+ public:
+  using Args = std::vector<std::pair<std::string, std::string>>;
+
+  void SetClock(std::function<TimeNs()> clock) { clock_ = std::move(clock); }
+  void set_enabled(bool enabled) { enabled_ = enabled; }
+  void set_capacity(std::size_t capacity) { capacity_ = capacity; }
+
+  SpanId BeginSpan(std::string category, std::string name,
+                   TraceAttrs attrs = {}) {
+    if (!enabled_) return kInvalidSpanId;
+    SpanId id = next_span_id_++;
+    open_[id] = OpenSpan{NowNs(), std::move(category), std::move(name),
+                         std::move(attrs)};
+    return id;
+  }
+  void EndSpan(SpanId id, Args extra_args) {
+    auto it = open_.find(id);
+    if (it == open_.end()) return;
+    OpenSpan span = std::move(it->second);
+    open_.erase(it);
+    if (!enabled_) return;
+    TraceEvent event;
+    event.kind = EventKind::kSpan;
+    event.ts = span.begin;
+    event.dur = NowNs() - span.begin;
+    event.category = std::move(span.category);
+    event.name = std::move(span.name);
+    event.attrs = std::move(span.attrs);
+    for (auto& [key, value] : extra_args) {
+      event.attrs.args.emplace_back(std::move(key), std::move(value));
+    }
+    Push(std::move(event));
+  }
+  void Instant(std::string category, std::string name, TraceAttrs attrs = {}) {
+    if (!enabled_) return;
+    TraceEvent event;
+    event.kind = EventKind::kInstant;
+    event.ts = NowNs();
+    event.category = std::move(category);
+    event.name = std::move(name);
+    event.attrs = std::move(attrs);
+    Push(std::move(event));
+  }
+  const std::deque<TraceEvent>& events() const { return events_; }
+  std::uint64_t dropped() const { return dropped_; }
+  std::size_t open_spans() const { return open_.size(); }
+  void Clear() {
+    events_.clear();
+    open_.clear();
+    dropped_ = 0;
+    next_seq_ = 0;
+  }
+
+  std::string ExportChromeJson() const {
+    std::unordered_map<std::string, int> tids;
+    std::vector<std::string> tid_names;
+    auto tid_for = [&](const std::string& agent) {
+      if (agent.empty()) return 1;
+      auto [it, inserted] =
+          tids.emplace(agent, static_cast<int>(tid_names.size()) + 2);
+      if (inserted) tid_names.push_back(agent);
+      return it->second;
+    };
+    std::string out = "{\"traceEvents\":[";
+    bool first = true;
+    for (const TraceEvent& e : events_) {
+      if (!first) out += ',';
+      first = false;
+      out += "\n{\"ph\":\"";
+      out += e.kind == EventKind::kSpan ? 'X' : 'i';
+      out += "\",\"pid\":1,\"tid\":" + std::to_string(tid_for(e.attrs.agent));
+      out += ",\"ts\":";
+      AppendMicros(out, e.ts);
+      if (e.kind == EventKind::kSpan) {
+        out += ",\"dur\":";
+        AppendMicros(out, e.dur);
+      } else {
+        out += ",\"s\":\"t\"";
+      }
+      out += ",\"cat\":";
+      AppendJsonString(out, e.category);
+      out += ",\"name\":";
+      AppendJsonString(out, e.name);
+      out += ",\"args\":";
+      AppendArgs(out, e.attrs);
+      out += '}';
+    }
+    for (std::size_t i = 0; i < tid_names.size(); ++i) {
+      if (!first) out += ',';
+      first = false;
+      out += "\n{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 2) +
+             ",\"name\":\"thread_name\",\"args\":{\"name\":";
+      AppendJsonString(out, tid_names[i]);
+      out += "}}";
+    }
+    out += "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":\"" +
+           std::to_string(dropped_) + "\"}}\n";
+    return out;
+  }
+  std::string ExportJsonl() const {
+    std::string out;
+    for (const TraceEvent& e : events_) {
+      out += "{\"kind\":\"";
+      out += e.kind == EventKind::kSpan ? "span" : "instant";
+      out += "\",\"ts_ns\":" + std::to_string(e.ts);
+      if (e.kind == EventKind::kSpan) {
+        out += ",\"dur_ns\":" + std::to_string(e.dur);
+      }
+      out += ",\"seq\":" + std::to_string(e.seq);
+      out += ",\"cat\":";
+      AppendJsonString(out, e.category);
+      out += ",\"name\":";
+      AppendJsonString(out, e.name);
+      out += ",\"args\":";
+      AppendArgs(out, e.attrs);
+      out += "}\n";
+    }
+    return out;
+  }
+
+ private:
+  struct OpenSpan {
+    TimeNs begin = 0;
+    std::string category;
+    std::string name;
+    TraceAttrs attrs;
+  };
+
+  static void AppendMicros(std::string& out, TimeNs ns) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%" PRIu64 ".%03" PRIu64, ns / 1000,
+                  ns % 1000);
+    out += buf;
+  }
+  static void AppendArgs(std::string& out, const TraceAttrs& a) {
+    out += '{';
+    bool first = true;
+    auto sep = [&] {
+      if (!first) out += ',';
+      first = false;
+    };
+    if (a.op != 0) {
+      sep();
+      out += "\"op\":" + std::to_string(a.op);
+    }
+    if (!a.phase.empty()) {
+      sep();
+      out += "\"phase\":";
+      AppendJsonString(out, a.phase);
+    }
+    if (!a.agent.empty()) {
+      sep();
+      out += "\"agent\":";
+      AppendJsonString(out, a.agent);
+    }
+    if (a.pod != 0) {
+      sep();
+      out += "\"pod\":" + std::to_string(a.pod);
+    }
+    if (!a.conn.empty()) {
+      sep();
+      out += "\"conn\":";
+      AppendJsonString(out, a.conn);
+    }
+    for (const auto& [key, value] : a.args) {
+      sep();
+      AppendJsonString(out, key);
+      out += ':';
+      AppendJsonString(out, value);
+    }
+    out += '}';
+  }
+  TimeNs NowNs() const { return clock_ ? clock_() : 0; }
+  void Push(TraceEvent event) {
+    event.seq = next_seq_++;
+    events_.push_back(std::move(event));
+    while (events_.size() > capacity_) {
+      events_.pop_front();
+      ++dropped_;
+    }
+  }
+
+  std::function<TimeNs()> clock_;
+  bool enabled_ = true;
+  std::size_t capacity_ = 1 << 16;
+  std::uint64_t next_span_id_ = 1;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::unordered_map<SpanId, OpenSpan> open_;
+  std::deque<TraceEvent> events_;
+};
+
+// Seeded random call sequences through the record ring and the reference
+// model: spans closed with and without extra args, in any order, twice,
+// after a Clear() or never; instants; Clear() with spans open; capacity
+// raised, lowered, 0 and 1 on a wrapped ring; bursts that fill whole
+// record chunks; tracing switched off and on; values longer than a record's inline bytes; empty and unusual
+// strings. Every event field, the drop and open-span counts and both
+// exports must agree byte for byte.
+TEST(Tracer, RecordRingMatchesReferenceModel) {
+  const std::vector<std::string> categories = {"coord", "agent", "tcp", "c"};
+  const std::vector<std::string> names = {
+      "coord.msg.send", "agent.save", "coord.phase.freeze", "x",
+      "a rather long event name that does not fit a short string"};
+  const std::vector<std::string> words = {
+      "", "", "freeze", "node0", "node17", "10.0.1.7:80<->10.0.2.9:5000",
+      "esc \"q\" \\ \n\t\x01\x1f end", "caf\xc3\xa9", std::string(1, '\0')};
+  const std::vector<std::string> keys = {"type", "corr", "dst", "bytes",
+                                         "k\"ey\n", ""};
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    auto pick = [&](const std::vector<std::string>& v) {
+      return v[below(v.size())];
+    };
+    // Mostly short values; now and then one far past the inline bytes.
+    auto value = [&]() -> std::string {
+      switch (below(8)) {
+        case 0: return std::string(90 + below(200), static_cast<char>(
+                                                       'a' + below(26)));
+        case 1: return std::to_string(rng());
+        default: return pick(words);
+      }
+    };
+    auto attrs = [&] {
+      TraceAttrs a;
+      if (below(2)) a.Op(below(5));
+      if (below(2)) a.Phase(pick(words));
+      if (below(2)) a.Agent(pick(words));
+      if (below(2)) a.Pod(below(4));
+      if (below(3) == 0) a.Conn(value());
+      for (std::size_t n = below(5); n > 0; --n) a.Arg(pick(keys), value());
+      return a;
+    };
+    auto extra = [&] {
+      ReferenceTracer::Args args;
+      for (std::size_t n = below(3); n > 0; --n) {
+        args.emplace_back(pick(keys), value());
+      }
+      return args;
+    };
+
+    TimeNs now = 0;
+    Tracer tracer;
+    ReferenceTracer ref;
+    tracer.SetClock([&now] { return now; });
+    ref.SetClock([&now] { return now; });
+    tracer.set_capacity(1 + below(40));
+    ref.set_capacity(tracer.capacity());
+    struct Handle {
+      SpanId ours;
+      SpanId theirs;
+    };
+    std::vector<Handle> handles;  // open, closed and stale alike
+
+    for (int step = 0; step < 3000; ++step) {
+      now += below(3) * 1001;
+      switch (below(16)) {
+        case 0:
+        case 1:
+        case 2: {
+          std::string cat = pick(categories);
+          std::string name = pick(names);
+          TraceAttrs a = attrs();
+          handles.push_back(
+              {tracer.BeginSpan(cat, name, a), ref.BeginSpan(cat, name, a)});
+          break;
+        }
+        case 3:
+        case 4:
+        case 5:
+          if (!handles.empty()) {
+            std::size_t i = below(handles.size());
+            Handle h = handles[i];
+            if (below(4) != 0) {  // keep a closed id around now and then
+              handles.erase(handles.begin() + static_cast<long>(i));
+            }
+            if (below(2)) {
+              tracer.EndSpan(h.ours);
+              ref.EndSpan(h.theirs, {});
+            } else {
+              ReferenceTracer::Args args = extra();
+              tracer.EndSpan(h.ours, args);
+              ref.EndSpan(h.theirs, args);
+            }
+          }
+          break;
+        case 6:
+          tracer.EndSpan(kInvalidSpanId);
+          tracer.EndSpan(below(1u << 20));
+          tracer.EndSpan((SpanId{1} << 32) | below(1u << 20));
+          break;
+        case 7:
+        case 8:
+        case 9:
+        case 10: {
+          std::string cat = pick(categories);
+          std::string name = pick(names);
+          TraceAttrs a = attrs();
+          tracer.Instant(cat, name, a);
+          ref.Instant(cat, name, a);
+          break;
+        }
+        case 11:
+          if (below(8) == 0) {
+            tracer.Clear();
+            ref.Clear();
+          }
+          break;
+        case 12: {
+          // 512 and 1024 fill whole record chunks, so a later raise
+          // grows a wrapped ring.
+          static constexpr std::size_t kCapacities[] = {0,   1,   2,    3,
+                                                        17,  512, 1024, 1100};
+          std::size_t c = below(3) == 0
+                              ? kCapacities[below(std::size(kCapacities))]
+                              : tracer.capacity() + below(9) - 4;
+          if (c > 5000) c = 5;
+          tracer.set_capacity(c);
+          ref.set_capacity(c);
+          break;
+        }
+        case 13:
+          if (below(6) == 0) {
+            bool on = below(3) != 0;
+            tracer.set_enabled(on);
+            ref.set_enabled(on);
+          }
+          break;
+        case 14:
+          if (below(4) == 0) {  // a burst that fills and wraps the ring
+            for (std::size_t n = below(1200); n > 0; --n) {
+              TraceAttrs a = attrs();
+              tracer.Instant("tcp", "tcp.tx", a);
+              ref.Instant("tcp", "tcp.tx", a);
+            }
+          }
+          break;
+        default:
+          break;
+      }
+      ASSERT_EQ(tracer.dropped(), ref.dropped()) << "step " << step;
+      ASSERT_EQ(tracer.open_spans(), ref.open_spans()) << "step " << step;
+      if (step % 7 == 0 || step + 1 == 3000) {
+        const std::deque<TraceEvent>& got = tracer.events();
+        const std::deque<TraceEvent>& want = ref.events();
+        ASSERT_EQ(got.size(), want.size()) << "step " << step;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          const TraceEvent& g = got[i];
+          const TraceEvent& w = want[i];
+          ASSERT_EQ(g.kind, w.kind) << "step " << step << " event " << i;
+          ASSERT_EQ(g.ts, w.ts) << "step " << step << " event " << i;
+          ASSERT_EQ(g.dur, w.dur) << "step " << step << " event " << i;
+          ASSERT_EQ(g.seq, w.seq) << "step " << step << " event " << i;
+          ASSERT_EQ(g.category, w.category) << "step " << step;
+          ASSERT_EQ(g.name, w.name) << "step " << step;
+          ASSERT_EQ(g.attrs.op, w.attrs.op) << "step " << step;
+          ASSERT_EQ(g.attrs.phase, w.attrs.phase) << "step " << step;
+          ASSERT_EQ(g.attrs.agent, w.attrs.agent) << "step " << step;
+          ASSERT_EQ(g.attrs.pod, w.attrs.pod) << "step " << step;
+          ASSERT_EQ(g.attrs.conn, w.attrs.conn) << "step " << step;
+          ASSERT_EQ(g.attrs.args, w.attrs.args) << "step " << step;
+        }
+        // No write in between: the same storage, not a rebuilt copy.
+        if (!got.empty()) {
+          ASSERT_EQ(&tracer.events().front(), &got.front());
+        }
+      }
+      if (step % 97 == 0 || step + 1 == 3000) {
+        ASSERT_EQ(tracer.ExportJsonl(), ref.ExportJsonl()) << "step " << step;
+        ASSERT_EQ(tracer.ExportChromeJson(), ref.ExportChromeJson())
+            << "step " << step;
+      }
+    }
+  }
 }
 
 TEST(Metrics, CountersGaugesHistograms) {

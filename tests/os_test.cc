@@ -615,8 +615,6 @@ TEST(OsMemory, TypedAccessAndPages) {
   std::size_t before = m.PageCount();
   m.WriteU64(0x800000, 0);  // allocates an all-zero page
   EXPECT_EQ(m.PageCount(), before + 1);
-  m.DropZeroPages();
-  EXPECT_LE(m.PageCount(), before);
 }
 
 // Differential test for the word-indexed dirty bitmap: drive a long
@@ -940,10 +938,10 @@ std::optional<std::uint64_t> FaultOf(Op&& op) {
 
 // Seeded random operation sequences against MemoryModel: every access
 // form (bytes, words, spans across page edges), installs, adoptions kept
-// and released, snapshots then writes, zero-page drops, demand paging and
-// both clears, over pages clustered inside leaves, on leaf edges and far
-// apart. Bytes, page order, counts, dirty and missing bits, COW faults,
-// fault pages and the snapshots' and images' bytes must all agree.
+// and released, snapshots then writes, demand paging and both clears,
+// over pages clustered inside leaves, on leaf edges and far apart. Bytes,
+// page order, counts, dirty and missing bits, COW faults, fault pages and
+// the snapshots' and images' bytes must all agree.
 TEST(OsMemory, PageTableMatchesReferenceModel) {
   for (std::uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -976,7 +974,7 @@ TEST(OsMemory, PageTableMatchesReferenceModel) {
       }
     };
     auto random_bytes = [&rng](std::size_t n) {
-      // Zeros a third of the time, so DropZeroPages has pages to drop.
+      // Zeros a third of the time: all-zero pages are common content.
       const bool zero = rng.NextBelow(3) == 0;
       Bytes b(n, 0);
       if (!zero) {
@@ -1010,7 +1008,7 @@ TEST(OsMemory, PageTableMatchesReferenceModel) {
     for (int step = 0; step < 2500; ++step) {
       const std::uint64_t page = pick_page();
       const std::uint64_t addr = page * kPageSize + rng.NextBelow(kPageSize);
-      switch (rng.NextBelow(21)) {
+      switch (rng.NextBelow(20)) {
         case 0:
         case 1: {  // bytes, up to three pages
           Bytes data = random_bytes(1 + rng.NextBelow(2 * kPageSize + 64));
@@ -1123,20 +1121,13 @@ TEST(OsMemory, PageTableMatchesReferenceModel) {
           }
           break;
         case 14:
-          m.DropZeroPages();
-          std::erase_if(model.pages, [](const auto& kv) {
-            return std::all_of(kv.second.bytes.begin(), kv.second.bytes.end(),
-                               [](std::uint8_t b) { return b == 0; });
-          });
-          break;
-        case 15:
           if (model.pages.count(page) == 0) {
             m.MarkMissing(page);
             model.missing.insert(page);
           }
           break;
-        case 16:
-        case 17: {  // fill a missing page, or try to fill a random one
+        case 15:
+        case 16: {  // fill a missing page, or try to fill a random one
           std::uint64_t target = page;
           if (!model.missing.empty() && rng.NextBelow(4) != 0) {
             auto it = model.missing.begin();
@@ -1149,11 +1140,11 @@ TEST(OsMemory, PageTableMatchesReferenceModel) {
           EXPECT_EQ(m.FillPage(target, content), want);
           break;
         }
-        case 18:
+        case 17:
           m.ClearDirty();
           model.dirty.clear();
           break;
-        case 19:
+        case 18:
           if (rng.NextBelow(4) == 0) {
             m.Clear();
             model.pages.clear();
