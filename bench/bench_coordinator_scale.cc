@@ -23,8 +23,10 @@
 // A pod's gratuitous ARP floods every switch port, so this is where an
 // O(N²) packet path would show. work_arp_cache_writes_* counts the
 // neighbour-cache inserts and overwrites of every stack: a bystander that
-// hears an announcement for a peer it never talked to writes nothing
-// (DESIGN.md §12).
+// hears an announcement for a peer it never talked to writes nothing.
+// work_arp_deliveries_* counts the ARP frames handed to stacks: the
+// switch floods a broadcast ARP only to stacks whose ARP filter holds its
+// sender or target address (DESIGN.md §12).
 //
 // Emits BENCH_coordinator_scale.json for the regression gate
 // (check_regression.py). CRUZ_BENCH_SMOKE=1 stops the sweep at N = 512,
@@ -65,6 +67,7 @@ struct ScaleResult {
   double cp_save_ms = 0;
   std::uint64_t sim_events = 0;  // events the whole scenario executed
   std::uint64_t arp_cache_writes = 0;  // neighbour-cache inserts+overwrites
+  std::uint64_t arp_deliveries = 0;    // ARP frames handed to stacks
 };
 
 // Failure artifacts (the nightly CI sweep uploads these): the raw trace
@@ -128,10 +131,13 @@ ScaleResult RunScale(std::uint32_t nodes, std::uint32_t fan_out) {
   result.max_endpoint_fanout = stats.max_endpoint_fanout;
   result.latency_ms = ToMillis(stats.full_latency);
   result.sim_events = cluster.sim().events_executed();
-  result.arp_cache_writes =
-      cluster.coordinator_node().stack().arp_cache_writes();
+  auto count_stack = [&result](const os::NetworkStack& stack) {
+    result.arp_cache_writes += stack.arp_cache_writes();
+    result.arp_deliveries += stack.arp_frames_handled();
+  };
+  count_stack(cluster.coordinator_node().stack());
   for (std::size_t i = 0; i < cluster.num_nodes(); ++i) {
-    result.arp_cache_writes += cluster.node(i).stack().arp_cache_writes();
+    count_stack(cluster.node(i).stack());
   }
   if (!stats.success) {
     DumpFailureArtifacts(cluster, stats, nodes, fan_out, "op-failed");
@@ -272,6 +278,8 @@ int main() {
                   static_cast<double>(r.sim_events), "events");
       gate.Metric("work_arp_cache_writes_" + tag,
                   static_cast<double>(r.arp_cache_writes), "writes");
+      gate.Metric("work_arp_deliveries_" + tag,
+                  static_cast<double>(r.arp_deliveries), "frames");
       if (r.fan_out != 0) {
         gate.Metric("cp_shard_wait_" + tag, r.cp_shard_wait_us, "us");
         gate.Metric("cp_commit_wait_" + tag, r.cp_commit_wait_us, "us");

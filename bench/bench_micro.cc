@@ -45,12 +45,15 @@ void BM_Crc32Clmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32Clmul)->Arg(64)->Arg(4096)->Arg(2 << 20);
 
-// One gratuitous ARP for an address no stack has talked to, flooded from
-// one of N idle nodes to the other N - 1: switch flood, NIC filter, the
-// in-place EtherType peek, ARP decode and the neighbour-cache lookup of a
-// bystander. `per_port` is host time per delivered port.
+// One gratuitous ARP flooded from one of N idle nodes to the other N - 1.
+// With held:0 no stack has talked to the announced address, so the
+// switch's ARP filter index hands the frame to none of them. With held:1
+// every stack holds an entry for it, so every port takes the frame: NIC
+// filter, the in-place EtherType peek, ARP decode and a neighbour-cache
+// refresh. `per_port` is host time per switch port.
 void BM_ArpFlood(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
+  const bool held = state.range(1) != 0;
   sim::Simulator sim(1);
   net::EthernetSwitch ethernet(sim, net::LinkParams{});
   os::NetworkFileSystem fs;
@@ -66,6 +69,22 @@ void BM_ArpFlood(benchmark::State& state) {
   }
   const net::Ipv4Address moved = net::Ipv4Address::Parse("10.0.250.1");
   const net::MacAddress mac = net::MacAddress::FromId(0xA4F);
+  if (held) {
+    // Every other stack starts resolving the address; the first
+    // announcement completes them all.
+    for (std::uint32_t i = 1; i < n; ++i) {
+      net::Ipv4Packet pkt;
+      pkt.src = nodes[i]->ip();
+      pkt.dst = moved;
+      pkt.proto = net::IpProto::kUdp;
+      nodes[i]->stack().SendIpv4(std::move(pkt));
+    }
+    nodes.front()->stack().AnnounceAddress(moved, mac);
+    sim.Run();
+    if (!nodes.back()->stack().HasArpEntry(moved)) {
+      state.SkipWithError("the stacks did not resolve the address");
+    }
+  }
   for (auto _ : state) {
     nodes.front()->stack().AnnounceAddress(moved, mac);
     sim.Run();
@@ -76,7 +95,11 @@ void BM_ArpFlood(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ArpFlood)->Arg(64)->Arg(512);
+BENCHMARK(BM_ArpFlood)
+    ->ArgNames({"nodes", "held"})
+    ->Args({64, 0})
+    ->Args({512, 0})
+    ->Args({512, 1});
 
 // N periodic timers pending at once, each re-arming itself when it fires,
 // while one random timer per round is cancelled and re-armed early (an

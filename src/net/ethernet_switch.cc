@@ -1,5 +1,6 @@
 #include "net/ethernet_switch.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -21,24 +22,30 @@ EthernetSwitch::EthernetSwitch(sim::Simulator& sim, LinkParams default_link,
 std::size_t EthernetSwitch::AttachNic(Nic* nic) {
   CRUZ_CHECK(nic != nullptr, "AttachNic(nullptr)");
   // Reuse a detached slot if one exists.
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    if (ports_[i] == nullptr) {
-      ports_[i] = nic;
-      links_[i] = default_link_;
-      nic->AttachTo(this, i);
-      return i;
-    }
+  std::size_t port = 0;
+  while (port < ports_.size() && ports_[port] != nullptr) ++port;
+  if (port == ports_.size()) {
+    ports_.push_back(nic);
+    links_.push_back(default_link_);
+    port_arp_.emplace_back();
+  } else {
+    ports_[port] = nic;
+    links_[port] = default_link_;
   }
-  ports_.push_back(nic);
-  links_.push_back(default_link_);
-  std::size_t port = ports_.size() - 1;
   nic->AttachTo(this, port);
+  if (nic->has_arp_filter()) IndexArpFilter(nic, port);
   return port;
 }
 
 void EthernetSwitch::DetachNic(Nic* nic) {
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     if (ports_[i] == nic) {
+      if (port_arp_[i].filtered) {
+        for (Ipv4Address ip : nic->arp_filter()) {
+          IndexArpAddress(ip, i, /*added=*/false);
+        }
+        port_arp_[i].filtered = false;
+      }
       ports_[i] = nullptr;
       // Purge learned MACs pointing at this port; otherwise frames for a
       // migrated MAC would black-hole until relearned.
@@ -52,6 +59,51 @@ void EthernetSwitch::DetachNic(Nic* nic) {
       return;
     }
   }
+}
+
+void EthernetSwitch::IndexArpFilter(Nic* nic, std::size_t port) {
+  if (port >= ports_.size() || ports_[port] != nic) return;
+  port_arp_[port].filtered = true;
+  for (Ipv4Address ip : nic->arp_filter()) {
+    IndexArpAddress(ip, port, /*added=*/true);
+  }
+}
+
+void EthernetSwitch::ArpFilterChanged(Nic* nic, std::size_t port,
+                                      Ipv4Address ip, bool added) {
+  if (port >= ports_.size() || ports_[port] != nic) return;
+  IndexArpAddress(ip, port, added);
+}
+
+void EthernetSwitch::IndexArpAddress(Ipv4Address ip, std::size_t port,
+                                     bool added) {
+  if (added) {
+    arp_index_[ip].push_back(port);
+    return;
+  }
+  auto it = arp_index_.find(ip);
+  if (it == arp_index_.end()) return;
+  std::vector<std::size_t>& ports = it->second;
+  auto at = std::find(ports.begin(), ports.end(), port);
+  if (at == ports.end()) return;
+  *at = ports.back();
+  ports.pop_back();
+  if (ports.empty()) arp_index_.erase(it);
+}
+
+std::uint64_t EthernetSwitch::MarkArpListeners(ByteSpan wire) {
+  const std::uint64_t stamp = ++arp_stamp_;
+  Ipv4Address sender, target;
+  if (!ArpPacket::PeekAddresses(wire.subspan(kEthernetHeaderSize), &sender,
+                                &target)) {
+    return stamp;  // truncated: only NICs without a filter take it
+  }
+  for (Ipv4Address ip : {sender, target}) {
+    auto it = arp_index_.find(ip);
+    if (it == arp_index_.end()) continue;
+    for (std::size_t port : it->second) port_arp_[port].heard = stamp;
+  }
+  return stamp;
 }
 
 void EthernetSwitch::SetLinkParams(std::size_t port, LinkParams params) {
@@ -105,7 +157,9 @@ void EthernetSwitch::Ingress(std::size_t port, Bytes wire) {
     }
   }
   // Broadcast or unknown unicast: flood all ports except ingress.
-  Flood(port, std::move(wire));
+  const bool arp = dst.IsBroadcast() && EthernetFrame::PeekEtherType(wire) ==
+                                            EtherType::kArp;
+  Flood(port, std::move(wire), arp);
 }
 
 bool EthernetSwitch::LostOnLink(std::size_t port) {
@@ -140,7 +194,7 @@ void EthernetSwitch::DeliverTo(std::size_t port, Bytes frame) {
   });
 }
 
-void EthernetSwitch::Flood(std::size_t ingress, Bytes wire) {
+void EthernetSwitch::Flood(std::size_t ingress, Bytes wire, bool arp) {
   ++flooded_frames_;
   // One delivery event per distinct egress delay, all reading the one
   // ingress buffer: a flood to N ports costs one frame and (on a uniform
@@ -149,6 +203,11 @@ void EthernetSwitch::Flood(std::size_t ingress, Bytes wire) {
   // events for one instant would have carried consecutive sequence
   // numbers, so nothing could run between them; whatever a delivery
   // schedules fires after the batch either way (DESIGN.md §12).
+  //
+  // A broadcast ARP batch reaches only the ports whose NIC can act on it
+  // (HearsArp). Membership is read when the batch fires, not here, so a
+  // stack that starts resolving the address while the frame is in flight
+  // still hears it.
   struct Batch {
     DurationNs delay;
     std::vector<std::pair<std::size_t, Nic*>> ports;  // port order
@@ -175,8 +234,10 @@ void EthernetSwitch::Flood(std::size_t ingress, Bytes wire) {
   }
   auto frame = std::make_shared<Bytes>(std::move(wire));  // read-only
   for (Batch& b : batches) {
-    sim_.Schedule(b.delay, [this, frame, ports = std::move(b.ports)]() {
+    sim_.Schedule(b.delay, [this, frame, arp, ports = std::move(b.ports)]() {
+      const std::uint64_t stamp = arp ? MarkArpListeners(*frame) : 0;
       for (auto [port, nic] : ports) {
+        if (arp && !HearsArp(port, stamp)) continue;
         // Same in-flight reassignment check as DeliverTo.
         if (ports_[port] == nic) nic->DeliverFromWire(*frame);
       }

@@ -6,6 +6,11 @@
 // configurable rate, propagation delay and random loss probability, and the
 // switch adds a fixed forwarding latency. Loss is drawn from the switch's
 // own forked RNG stream for determinism.
+//
+// The switch also indexes the ARP address filters of attached NICs
+// (Nic::InstallArpFilter), so a broadcast ARP frame reaches only NICs
+// without a filter and NICs whose filter holds its sender or target
+// protocol address, read when the delivery fires (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -54,6 +59,12 @@ class EthernetSwitch {
 
   void set_observer(FrameObserver obs) { observer_ = std::move(obs); }
 
+  // ARP filter upkeep, called by a Nic for the port it was attached to;
+  // ignored unless `nic` is attached there now.
+  void IndexArpFilter(Nic* nic, std::size_t port);
+  void ArpFilterChanged(Nic* nic, std::size_t port, Ipv4Address ip,
+                        bool added);
+
   // Frame-buffer pool: per-packet byte buffers cycle switch -> stack
   // encode -> transmit -> delivery -> back to the pool, so a steady
   // packet workload reuses warm capacity instead of churning the
@@ -76,8 +87,17 @@ class EthernetSwitch {
   void DeliverTo(std::size_t port, Bytes frame);
   // Broadcast / unknown unicast: every attached port but the ingress one,
   // batched into one event per distinct egress delay over one shared
-  // frame.
-  void Flood(std::size_t ingress, Bytes wire);
+  // frame. `arp` marks a broadcast ARP frame, which only the ports that
+  // HearsArp take.
+  void Flood(std::size_t ingress, Bytes wire, bool arp);
+  // Stamps every port whose NIC's ARP filter holds the sender or target
+  // address of broadcast ARP `wire` with a fresh stamp, and returns it.
+  std::uint64_t MarkArpListeners(ByteSpan wire);
+  // Whether the port's NIC takes an ARP frame marked with `stamp`.
+  bool HearsArp(std::size_t port, std::uint64_t stamp) const {
+    return !port_arp_[port].filtered || port_arp_[port].heard == stamp;
+  }
+  void IndexArpAddress(Ipv4Address ip, std::size_t port, bool added);
 
   sim::Simulator& sim_;
   LinkParams default_link_;
@@ -87,6 +107,15 @@ class EthernetSwitch {
   std::vector<Nic*> ports_;          // nullptr = detached
   std::vector<LinkParams> links_;
   std::unordered_map<MacAddress, std::size_t> mac_table_;
+
+  // ARP filter index: address -> ports whose NIC's filter holds it.
+  struct PortArp {
+    bool filtered = false;   // the attached NIC has an ARP filter
+    std::uint64_t heard = 0; // stamp of the last ARP frame it matched
+  };
+  std::unordered_map<Ipv4Address, std::vector<std::size_t>> arp_index_;
+  std::vector<PortArp> port_arp_;
+  std::uint64_t arp_stamp_ = 0;
 
   FrameObserver observer_;
 

@@ -37,6 +37,25 @@ void Nic::Transmit(Bytes wire) {
                   });
 }
 
+void Nic::InstallArpFilter() {
+  if (has_arp_filter_) return;
+  has_arp_filter_ = true;
+  if (switch_ != nullptr) switch_->IndexArpFilter(this, port_);
+}
+
+void Nic::AddArpFilter(Ipv4Address ip) {
+  if (has_arp_filter_ && arp_filter_.insert(ip).second &&
+      switch_ != nullptr) {
+    switch_->ArpFilterChanged(this, port_, ip, /*added=*/true);
+  }
+}
+
+void Nic::RemoveArpFilter(Ipv4Address ip) {
+  if (arp_filter_.erase(ip) != 0 && switch_ != nullptr) {
+    switch_->ArpFilterChanged(this, port_, ip, /*added=*/false);
+  }
+}
+
 Bytes Nic::AcquireFrameBuffer() {
   return attached() ? switch_->AcquireFrameBuffer() : Bytes{};
 }

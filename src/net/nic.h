@@ -7,6 +7,12 @@
 // When the hardware cannot do that, the stack instead enables promiscuous
 // mode or falls back to the shared-MAC + gratuitous-ARP scheme.
 //
+// Its owner may also install an ARP address filter: the IPv4 addresses
+// whose flooded ARP frames the owner can act on. The switch indexes the
+// filters of attached NICs and hands a broadcast ARP frame only to NICs
+// without a filter or whose filter holds the frame's sender or target
+// protocol address (DESIGN.md §12).
+//
 // Transmission models serialization delay (frame bytes over the link rate)
 // with an output queue: frames queued while the link is busy depart
 // back-to-back, in order.
@@ -51,6 +57,16 @@ class Nic {
   void set_promiscuous(bool v) { promiscuous_ = v; }
   bool promiscuous() const { return promiscuous_; }
 
+  // ARP address filter. Installing one (empty) is permanent; adds and
+  // removes are idempotent and reach the switch while attached.
+  void InstallArpFilter();
+  void AddArpFilter(Ipv4Address ip);
+  void RemoveArpFilter(Ipv4Address ip);
+  bool has_arp_filter() const { return has_arp_filter_; }
+  const std::unordered_set<Ipv4Address>& arp_filter() const {
+    return arp_filter_;
+  }
+
   // --- data path ----------------------------------------------------------
   // Queues an encoded frame for transmission. Frames exceeding the MTU (plus
   // Ethernet header) are dropped, as real hardware would.
@@ -90,6 +106,8 @@ class Nic {
   std::unordered_set<MacAddress> extra_macs_;
   bool promiscuous_ = false;
   bool supports_multiple_macs_ = true;
+  bool has_arp_filter_ = false;
+  std::unordered_set<Ipv4Address> arp_filter_;
 
   EthernetSwitch* switch_ = nullptr;
   std::size_t port_ = 0;

@@ -112,6 +112,20 @@ ArpPacket ArpPacket::Decode(ByteSpan wire) {
   return p;
 }
 
+bool ArpPacket::PeekAddresses(ByteSpan wire, Ipv4Address* sender,
+                              Ipv4Address* target) {
+  if (wire.size() < kArpPacketSize) return false;
+  const std::uint8_t* b = wire.data();
+  auto u32 = [b](std::size_t at) {
+    return static_cast<std::uint32_t>(b[at]) << 24 |
+           static_cast<std::uint32_t>(b[at + 1]) << 16 |
+           static_cast<std::uint32_t>(b[at + 2]) << 8 | b[at + 3];
+  };
+  sender->value = u32(14);
+  target->value = u32(24);
+  return true;
+}
+
 Bytes Ipv4Packet::Encode() const {
   ByteWriter w(WireSize());
   EncodeInto(w);

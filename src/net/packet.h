@@ -76,6 +76,11 @@ struct ArpPacket {
   void EncodeInto(ByteWriter& w) const;
   static ArpPacket Decode(ByteSpan wire);
 
+  // Reads the sender and target protocol addresses of an encoded body in
+  // place, without checking its type fields; false for a truncated body.
+  static bool PeekAddresses(ByteSpan wire, Ipv4Address* sender,
+                            Ipv4Address* target);
+
   // A gratuitous ARP announces (ip, mac) to update caches after migration.
   bool IsGratuitous() const { return sender_ip == target_ip; }
 };

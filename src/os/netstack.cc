@@ -13,7 +13,9 @@ namespace {
 // Local delivery (loopback) cost: a trip through the IP stack without the
 // wire.
 constexpr DurationNs kLoopbackDelay = 2 * kMicrosecond;
-constexpr int kArpMaxRetries = 3;
+// An unanswered resolution sends kArpRequests requests, kArpRetryInterval
+// apart, and gives up one interval after the last.
+constexpr int kArpRequests = 2;
 constexpr DurationNs kArpRetryInterval = 500 * kMillisecond;
 }  // namespace
 
@@ -25,6 +27,7 @@ NetworkStack::NetworkStack(sim::Simulator& sim, std::string node_name,
       tcp_config_(tcp_config) {
   if (nic_ != nullptr) {
     nic_->set_receive_handler([this](cruz::ByteSpan wire) { OnFrame(wire); });
+    nic_->InstallArpFilter();
   }
 }
 
@@ -55,6 +58,7 @@ void NetworkStack::AddInterface(const std::string& name, net::MacAddress mac,
       nic_->set_promiscuous(true);
     }
   }
+  UpdateArpFilter(ip);
   CRUZ_DEBUG("netstack") << node_name_ << ": interface " << name << " "
                          << ip.ToString() << " mac " << mac.ToString();
 }
@@ -65,7 +69,9 @@ void NetworkStack::RemoveInterface(const std::string& name) {
       if (nic_ != nullptr && it->mac != nic_->primary_mac()) {
         nic_->RemoveMacFilter(it->mac);
       }
+      const net::Ipv4Address ip = it->ip;
       interfaces_.erase(it);
+      UpdateArpFilter(ip);
       return;
     }
   }
@@ -196,40 +202,48 @@ void NetworkStack::OutputIpv4(const net::Ipv4Header& hdr, Body body) {
                           << " not on subnet, dropped";
     return;
   }
-  auto cached = arp_cache_.find(hdr.dst);
-  if (cached != arp_cache_.end()) {
-    TransmitIpv4(hdr, body, *out_if, cached->second);
+  auto [entry, created] = neighbours_.try_emplace(hdr.dst);
+  Neighbour& n = entry->second;
+  if (!created && n.incomplete == nullptr) {
+    TransmitIpv4(hdr, body, *out_if, n.mac);
     return;
   }
-  ArpPending& pending = arp_pending_[hdr.dst];
-  pending.queued.push_back(net::Ipv4Packet{{hdr}, body.Take()});
-  pending.out_if_name = out_if->name;
-  if (pending.retry_timer == sim::kInvalidEventId) {
-    pending.retries = 0;
-    net::Ipv4Address target = hdr.dst;
-    SendArpRequest(target, *out_if);
-    pending.retry_timer = sim_.Schedule(kArpRetryInterval, [this, target] {
-      auto it = arp_pending_.find(target);
-      if (it == arp_pending_.end()) return;
-      it->second.retry_timer = sim::kInvalidEventId;
-      if (++it->second.retries >= kArpMaxRetries) {
-        CRUZ_WARN("netstack")
-            << node_name_ << ": ARP timeout for " << target.ToString();
-        arp_pending_.erase(it);
-        return;
-      }
-      const Interface* oif = FindInterfaceByName(it->second.out_if_name);
-      if (oif == nullptr && !interfaces_.empty()) oif = &interfaces_.front();
-      if (oif != nullptr) SendArpRequest(target, *oif);
-      // Re-arm by re-entering through a fresh pending lookup.
-      it->second.retry_timer =
-          sim_.Schedule(kArpRetryInterval, [this, target] {
-            auto it2 = arp_pending_.find(target);
-            if (it2 == arp_pending_.end()) return;
-            it2->second.retry_timer = sim::kInvalidEventId;
-            arp_pending_.erase(it2);  // final give-up
-          });
-    });
+  if (created) n.incomplete = std::make_unique<Neighbour::Resolution>();
+  n.incomplete->queued.push_back(net::Ipv4Packet{{hdr}, body.Take()});
+  n.incomplete->out_if_name = out_if->name;
+  if (created) {
+    UpdateArpFilter(hdr.dst);
+    SolicitArp(hdr.dst);
+  }
+}
+
+void NetworkStack::SolicitArp(net::Ipv4Address target) {
+  auto it = neighbours_.find(target);
+  if (it == neighbours_.end() || it->second.incomplete == nullptr) return;
+  Neighbour::Resolution& r = *it->second.incomplete;
+  r.timer = sim::kInvalidEventId;
+  if (r.requests == kArpRequests) {
+    CRUZ_DEBUG("netstack") << node_name_ << ": ARP timeout for "
+                           << target.ToString() << ", "
+                           << r.queued.size() << " packets dropped";
+    neighbours_.erase(it);
+    UpdateArpFilter(target);
+    return;
+  }
+  ++r.requests;
+  const Interface* oif = FindInterfaceByName(r.out_if_name);
+  if (oif == nullptr && !interfaces_.empty()) oif = &interfaces_.front();
+  if (oif != nullptr) SendArpRequest(target, *oif);
+  r.timer = sim_.Schedule(kArpRetryInterval,
+                          [this, target] { SolicitArp(target); });
+}
+
+void NetworkStack::UpdateArpFilter(net::Ipv4Address ip) {
+  if (nic_ == nullptr) return;
+  if (OwnsIp(ip) || neighbours_.contains(ip)) {
+    nic_->AddArpFilter(ip);
+  } else {
+    nic_->RemoveArpFilter(ip);
   }
 }
 
@@ -301,6 +315,7 @@ void NetworkStack::OnFrame(cruz::ByteSpan wire) {
   if (!type) return;  // runt or unknown EtherType: dropped, as hardware would
   cruz::ByteSpan payload = wire.subspan(net::kEthernetHeaderSize);
   if (*type == net::EtherType::kArp) {
+    ++arp_frames_handled_;
     try {
       HandleArp(net::ArpPacket::Decode(payload));
     } catch (const cruz::CodecError&) {
@@ -347,28 +362,24 @@ void NetworkStack::HandleArp(const net::ArpPacket& arp) {
   // entry that already exists: peers of a migrated pod repoint (§4.2),
   // and a bystander that never talked to the pod does one lookup.
   if (!arp.sender_ip.IsZero()) {
-    auto pending = arp_pending_.find(arp.sender_ip);
-    const bool create = pending != arp_pending_.end() ||
-                        (arp.op == net::ArpOp::kRequest &&
-                         !arp.IsGratuitous() && OwnsIp(arp.target_ip));
-    if (create) {
-      arp_cache_[arp.sender_ip] = arp.sender_mac;
-      ++arp_cache_writes_;
-    } else if (auto cached = arp_cache_.find(arp.sender_ip);
-               cached != arp_cache_.end()) {
-      cached->second = arp.sender_mac;
+    auto entry = neighbours_.find(arp.sender_ip);
+    if (entry == neighbours_.end() && arp.op == net::ArpOp::kRequest &&
+        !arp.IsGratuitous() && OwnsIp(arp.target_ip)) {
+      entry = neighbours_.try_emplace(arp.sender_ip).first;
+      UpdateArpFilter(arp.sender_ip);
+    }
+    if (entry != neighbours_.end()) {
+      entry->second.mac = arp.sender_mac;
       ++arp_cache_writes_;
     }
-    if (pending != arp_pending_.end()) {
-      if (pending->second.retry_timer != sim::kInvalidEventId) {
-        sim_.Cancel(pending->second.retry_timer);
-      }
-      std::vector<net::Ipv4Packet> queued = std::move(pending->second.queued);
-      std::string ifname = pending->second.out_if_name;
-      arp_pending_.erase(pending);
-      const Interface* oif = FindInterfaceByName(ifname);
+    if (entry != neighbours_.end() && entry->second.incomplete != nullptr) {
+      // Resolved: flush the packets that waited for the answer.
+      std::unique_ptr<Neighbour::Resolution> r =
+          std::move(entry->second.incomplete);
+      if (r->timer != sim::kInvalidEventId) sim_.Cancel(r->timer);
+      const Interface* oif = FindInterfaceByName(r->out_if_name);
       if (oif == nullptr && !interfaces_.empty()) oif = &interfaces_.front();
-      for (net::Ipv4Packet& p : queued) {
+      for (net::Ipv4Packet& p : r->queued) {
         if (oif != nullptr) {
           TransmitIpv4(p, OwnedBody{p.payload}, *oif, arp.sender_mac);
         }

@@ -48,6 +48,20 @@ struct Interface {
   bool is_virtual = false;
 };
 
+// One neighbour-table entry (Linux's neighbour states, reduced to two).
+// It is INCOMPLETE while its address is being resolved, and holds the
+// packets that wait for the answer; then it holds the MAC.
+struct Neighbour {
+  struct Resolution {
+    std::vector<net::Ipv4Packet> queued;
+    int requests = 0;  // ARP requests sent so far
+    sim::EventId timer = sim::kInvalidEventId;
+    std::string out_if_name;
+  };
+  net::MacAddress mac;                     // once resolved
+  std::unique_ptr<Resolution> incomplete;  // while resolving
+};
+
 struct UdpSocketObject {
   SocketId id = 0;
   net::Endpoint local;
@@ -201,8 +215,15 @@ class NetworkStack {
   std::uint64_t arp_requests_sent() const { return arp_requests_sent_; }
   // Neighbour-cache inserts plus overwrites (host work, not traced).
   std::uint64_t arp_cache_writes() const { return arp_cache_writes_; }
+  // ARP frames the NIC handed to this stack (host work, not traced).
+  std::uint64_t arp_frames_handled() const { return arp_frames_handled_; }
+  // True once `ip` is resolved.
   bool HasArpEntry(net::Ipv4Address ip) const {
-    return arp_cache_.contains(ip);
+    auto it = neighbours_.find(ip);
+    return it != neighbours_.end() && it->second.incomplete == nullptr;
+  }
+  const std::unordered_map<net::Ipv4Address, Neighbour>& neighbours() const {
+    return neighbours_;
   }
 
  private:
@@ -221,6 +242,14 @@ class NetworkStack {
   void TransmitIpv4(const net::Ipv4Header& hdr, const Body& body,
                     const Interface& out_if, net::MacAddress dst_mac);
   void SendArpRequest(net::Ipv4Address target, const Interface& out_if);
+  // Sends the next request for `target`'s INCOMPLETE entry and re-arms
+  // its timer, or, once kArpRequests have gone unanswered, erases the
+  // entry and drops its queued packets.
+  void SolicitArp(net::Ipv4Address target);
+  // Keeps `ip` in the NIC's ARP filter exactly while this stack owns it
+  // or holds a neighbour entry for it: the addresses whose flooded ARPs
+  // HandleArp can act on.
+  void UpdateArpFilter(net::Ipv4Address ip);
   // Frames `arp` (from arp.sender_mac to `dst_mac`) and transmits it.
   void TransmitArp(const net::ArpPacket& arp, net::MacAddress dst_mac);
   const Interface* RouteSourceInterface(net::Ipv4Address src) const;
@@ -244,15 +273,7 @@ class NetworkStack {
 
   std::vector<Interface> interfaces_;
 
-  // ARP.
-  struct ArpPending {
-    std::vector<net::Ipv4Packet> queued;
-    int retries = 0;
-    sim::EventId retry_timer = sim::kInvalidEventId;
-    std::string out_if_name;
-  };
-  std::unordered_map<net::Ipv4Address, net::MacAddress> arp_cache_;
-  std::unordered_map<net::Ipv4Address, ArpPending> arp_pending_;
+  std::unordered_map<net::Ipv4Address, Neighbour> neighbours_;
 
   // Netfilter.
   struct Filter {
@@ -279,6 +300,7 @@ class NetworkStack {
   std::uint64_t ip_rx_ = 0;
   std::uint64_t arp_requests_sent_ = 0;
   std::uint64_t arp_cache_writes_ = 0;
+  std::uint64_t arp_frames_handled_ = 0;
 };
 
 }  // namespace cruz::os

@@ -157,6 +157,42 @@ TEST(LiveMigrate, ConnectionSurvivesLiveMigration) {
   EXPECT_EQ(final_status.mismatches, 0u);
 }
 
+// A NIC's ARP filter holds its stack's own addresses and its neighbour
+// entries (DESIGN.md §12). A migrated pod's address leaves the origin's
+// filter with the VIF and enters the target's; a client that talks to
+// the pod keeps it through the move.
+TEST(LiveMigrate, PodAddressMovesBetweenArpFilters) {
+  ClusterConfig config;
+  config.num_nodes = 3;
+  Cluster c(config);
+  os::PodId id = c.CreatePod(0, "srv");
+  const net::Ipv4Address pod_ip = c.pods(0).Find(id)->ip;
+  c.pods(0).SpawnInPod(id, "cruz.echo_server", apps::EchoServerArgs(9000));
+  c.sim().RunFor(10 * kMillisecond);
+  c.node(2).os().Spawn(
+      "cruz.echo_client",
+      apps::EchoClientArgs(pod_ip, 9000, 1000, 128, 2 * kMillisecond));
+  c.sim().RunFor(20 * kMillisecond);
+  auto in_filter = [&](std::size_t node) {
+    return c.node(node).nic().arp_filter().contains(pod_ip);
+  };
+  EXPECT_TRUE(in_filter(0));
+  EXPECT_FALSE(in_filter(1));
+  EXPECT_TRUE(in_filter(2));
+
+  bool migrated = false;
+  LiveMigrator::MigrateWithMode(
+      c.pods(0), c.pods(1), id, MigrateMode::kStopAndCopy, {},
+      [&](const LiveMigrateStats&) { migrated = true; });
+  ASSERT_TRUE(c.sim().RunWhile([&] { return migrated; },
+                               c.sim().Now() + 10 * kSecond));
+  EXPECT_FALSE(c.node(0).stack().OwnsIp(pod_ip));
+  EXPECT_FALSE(in_filter(0));
+  EXPECT_TRUE(c.node(1).stack().OwnsIp(pod_ip));
+  EXPECT_TRUE(in_filter(1));
+  EXPECT_TRUE(in_filter(2));
+}
+
 // Each migration deletes the pod's VIF on the origin and kills its
 // processes there without a sound (§4.2). Every established connection
 // the pod held lingers briefly in its close, and the purge that follows
